@@ -1,7 +1,10 @@
 """Command-line interface: each pipeline stage independently invokable.
 
-Verbs: phantom, init, partition, classify, stitch, run, report. Exit codes:
-0 success, 2 validation error, 3 numerical failure.
+Verbs: phantom, init, partition, classify, stitch, run, report. The stage
+verbs call the stage functions that `run` chains (`pipeline.*_stage`) and
+add only their own file I/O, so they write the same bytes as `run`; report
+rewrites the report files of an existing run output. Exit codes: 0 success,
+2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,18 +15,13 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import kfda, phantom, pipeline, stitch, volume as vol_io
-from .partition import partition as build_partition
+from . import kfda, phantom, pipeline, volume as vol_io
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-VERBS = ("phantom", "init", "partition", "classify", "stitch", "run", "report")
 
 
 def _add_common(sub, suppress=True):
@@ -42,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kfdaseg",
         description="Local semi-supervised tissue classification pipeline")
-    parser.add_argument("--stage", choices=VERBS,
+    parser.add_argument("--stage", choices=COMMANDS,
                         help="alternative to the positional verb")
     _add_common(parser, suppress=False)
     parser.add_argument("--plots", action="store_true", default=False)
@@ -111,16 +109,19 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
-def cmd_partition(args) -> int:
-    cfg = _load_config(args)
+def _partitioned(cfg: pipeline.PipelineConfig):
+    """Load and partition the volume, write partition.json: (vol, tree, out dir)."""
     cfg.validate()
-    vol = vol_io.load_volume(cfg.volume)
-    if cfg.normalize:
-        vol = vol_io.normalize_intensities(vol)
-    tree = build_partition(vol, cfg.partition_config())
+    vol = pipeline.load_stage(cfg)
+    tree = pipeline.partition_stage(cfg, vol)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "partition.json").write_text(tree.to_json())
+    return vol, tree, out
+
+
+def cmd_partition(args) -> int:
+    _, tree, out = _partitioned(_load_config(args))
     print(f"{len(tree.leaves)} subdomains (optimal count {tree.optimal_count}); "
           f"wrote {out / 'partition.json'}")
     return EXIT_OK
@@ -128,33 +129,11 @@ def cmd_partition(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _load_config(args)
-    cfg.validate()
-    vol = vol_io.load_volume(cfg.volume)
-    if cfg.normalize:
-        vol = vol_io.normalize_intensities(vol)
-    if cfg.init_labels == "kmeans":
-        init = phantom.kmeans_init(vol, seed=cfg.seed)
-    else:
-        init = vol_io.load_labels(cfg.init_labels)
-    tree = build_partition(vol, cfg.partition_config())
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "partition.json").write_text(tree.to_json())
-    kcfg = cfg.kfda_config()
-    fragments = []
-    diagnostics = []
-    for index, leaf in enumerate(tree.leaf_nodes()):
-        seed = int(np.random.SeedSequence(
-            entropy=cfg.seed, spawn_key=(1, index)).generate_state(1)[0])
-        labels_box, diag = kfda.classify_subdomain(
-            vol, leaf.padded_bounds, init.labels, kcfg, seed=seed)
-        diag["domain"] = index + 1
-        diagnostics.append(diag)
-        fragments.append(stitch.ClassifiedFragment(
-            core_bounds=leaf.bounds, padded_bounds=leaf.padded_bounds,
-            labels=labels_box))
+    vol, tree, out = _partitioned(cfg)
+    init = pipeline.init_stage(cfg, vol)
+    fragments, diagnostics = pipeline.classify_stage(cfg, vol, init, tree, out_dir=out)
     pipeline.save_fragments(fragments, out / "fragments")
-    (out / "subdomains.json").write_text(json.dumps(diagnostics, sort_keys=True, indent=1))
+    pipeline.write_json(out / "subdomains.json", diagnostics)
     print(f"classified {len(fragments)} subdomains into {out / 'fragments'}")
     return EXIT_OK
 
@@ -162,14 +141,9 @@ def cmd_classify(args) -> int:
 def cmd_stitch(args) -> int:
     cfg = _load_config(args)
     cfg.validate()
-    vol = vol_io.load_volume(cfg.volume)
+    vol = pipeline.load_stage(cfg)
     out = Path(cfg.out_dir)
-    fragments = pipeline.load_fragments(out / "fragments")
-    seed = int(np.random.SeedSequence(entropy=cfg.seed,
-                                      spawn_key=(2,)).generate_state(1)[0])
-    final = stitch.stitch_volume(fragments, vol.dims, mask=vol.mask,
-                                 sched=cfg.anneal_schedule(seed),
-                                 workers=cfg.workers)
+    final = pipeline.stitch_stage(cfg, vol, pipeline.load_fragments(out / "fragments"))
     vol_io.save_labels(final, out / "labels.u8raw")
     print(f"wrote {out / 'labels.u8raw'}")
     return EXIT_OK
@@ -190,13 +164,9 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
-    doc = json.loads((out / "report.json").read_text())
     report = pipeline.RunReport(
-        subdomains=doc["subdomains"], curves=doc["curves"],
-        class_counts=doc["class_counts"], dice=doc["dice"],
-        improved_fraction=doc["improved_fraction"],
-        optimal_count=doc["optimal_count"], converged=doc["converged"],
-        config=doc["config"])
+        **json.loads((out / "report.json").read_text()),
+        diagnostics=json.loads((out / "subdomains.json").read_text()))
     labels_path = out / "labels.u8raw"
     if labels_path.exists():
         report.labels = vol_io.load_labels(labels_path)
@@ -226,18 +196,13 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return COMMANDS[verb](args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, pipeline.PipelineStageError,
+            kfda.ConvergenceError, ArithmeticError) as exc:
         logger.error("%s", exc)
-        return EXIT_VALIDATION
-    except pipeline.PipelineStageError as exc:
-        cause = exc.__cause__
+        # a stage error is judged by the exception that raised it
+        cause = exc.__cause__ if isinstance(exc, pipeline.PipelineStageError) else exc
         if isinstance(cause, (ValueError, FileNotFoundError, KeyError)):
-            logger.error("%s", exc)
             return EXIT_VALIDATION
-        logger.error("%s", exc)
-        return EXIT_NUMERICAL
-    except (kfda.ConvergenceError, ArithmeticError) as exc:
-        logger.error("%s", exc)
         return EXIT_NUMERICAL
 
 

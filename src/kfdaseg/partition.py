@@ -97,10 +97,6 @@ class Subdomain:
         b = bounds if bounds is not None else self.bounds
         return tuple(slice(lo, hi + 1) for lo, hi in b)
 
-    def axis_len(self, axis: int) -> int:
-        lo, hi = self.bounds[axis]
-        return hi - lo + 1
-
 
 @dataclass
 class PartitionTree:

@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import jsonschema
 import numpy as np
 
 from . import kfda, phantom, ssim, stitch, volume as vol_io
-from .partition import PartitionConfig, partition as build_partition
+from .partition import PartitionConfig, PartitionTree, partition as build_partition
 from .volume import BG, CSF, GM, WM, LabelVolume, MultiChannelVolume, TISSUE_LABELS
 
 logger = logging.getLogger(__name__)
@@ -94,10 +95,10 @@ class PipelineConfig:
                     not Path(self.ground_truth).with_suffix(".u8raw").exists():
                 raise FileNotFoundError(f"ground truth not found: {self.ground_truth}")
 
-    def partition_config(self) -> part.PartitionConfig:
+    def partition_config(self) -> PartitionConfig:
         return PartitionConfig(max_depth=self.max_depth, min_slab=self.min_slab,
-                                    pad_slices=self.pad_slices,
-                                    channel=self.reference_channel)
+                               pad_slices=self.pad_slices,
+                               channel=self.reference_channel)
 
     def kfda_config(self) -> kfda.KfdaConfig:
         return kfda.KfdaConfig(
@@ -146,16 +147,8 @@ class RunReport:
     timing: dict = field(default_factory=dict)        # dumped separately
 
     def to_dict(self) -> dict:
-        return {
-            "subdomains": self.subdomains,
-            "curves": self.curves,
-            "class_counts": self.class_counts,
-            "dice": self.dice,
-            "improved_fraction": self.improved_fraction,
-            "optimal_count": self.optimal_count,
-            "converged": self.converged,
-            "config": self.config,
-        }
+        """The report.json document: every field but labels, diagnostics, timing."""
+        return {key: getattr(self, key) for key in REPORT_SCHEMA["required"]}
 
 
 REPORT_SCHEMA = {
@@ -232,101 +225,124 @@ def _region_mssim(labels_arr: np.ndarray, vol: MultiChannelVolume, bounds,
         return None
 
 
-def run_pipeline(cfg: PipelineConfig,
-                 vol: MultiChannelVolume | None = None,
-                 init_labels: LabelVolume | None = None,
-                 ground_truth: LabelVolume | None = None,
-                 emit: bool = True) -> RunReport:
-    """Execute partition -> per-subdomain KFDA -> stitch and build the report.
+# ---------------------------------------------------------------------------
+# Stages: `run_pipeline` chains them, the CLI verbs call them and add file I/O
+# ---------------------------------------------------------------------------
 
-    Inputs may be passed in memory or read from the paths in the config.
-    Outputs (stitched labels, report JSON/CSV, curve files, diagnostics)
-    are written to cfg.out_dir unless emit is False. Stage failures raise
-    PipelineStageError after dumping any per-subdomain diagnostics gathered
-    so far.
-    """
-    cfg.validate(check_paths=vol is None)
-    timing: dict[str, float] = {}
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _staged(timing: dict | None, stage: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its wall time added to timing[stage], its
+    exceptions raised as PipelineStageError(stage)."""
+    t0 = time.perf_counter()
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:
+        raise PipelineStageError(stage, exc) from exc
+    if timing is not None:
+        timing[stage] = timing.get(stage, 0.0) + time.perf_counter() - t0
+    return result
 
-    def _staged(stage, fn):
-        t0 = time.perf_counter()
-        try:
-            result = fn()
-        except Exception as exc:
-            raise PipelineStageError(stage, exc) from exc
-        timing[stage] = time.perf_counter() - t0
-        return result
 
+def load_stage(cfg: PipelineConfig, vol: MultiChannelVolume | None = None,
+               timing: dict | None = None) -> MultiChannelVolume:
+    """The input volume (read from cfg.volume unless given), normalized if asked."""
     if vol is None:
-        vol = _staged("load", lambda: vol_io.load_volume(cfg.volume))
+        vol = _staged(timing, "load", vol_io.load_volume, cfg.volume)
     if cfg.normalize:
-        vol = _staged("normalize", lambda: vol_io.normalize_intensities(vol))
+        vol = _staged(timing, "normalize", vol_io.normalize_intensities, vol)
+    return vol
 
+
+def init_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
+               init_labels: LabelVolume | None = None,
+               timing: dict | None = None) -> LabelVolume:
+    """The initial labeling: given, k-means on vol, or read from cfg.init_labels."""
     if init_labels is None:
         if cfg.init_labels == "kmeans":
-            init_labels = _staged("init", lambda: phantom.kmeans_init(vol, seed=cfg.seed))
+            init_labels = _staged(timing, "init", phantom.kmeans_init, vol, seed=cfg.seed)
         else:
-            init_labels = _staged("init", lambda: vol_io.load_labels(cfg.init_labels))
+            init_labels = _staged(timing, "init", vol_io.load_labels, cfg.init_labels)
     if init_labels.dims != vol.dims:
         raise PipelineStageError("init", ValueError(
             f"initial labels dims {init_labels.dims} != volume dims {vol.dims}"))
-    if ground_truth is None and cfg.ground_truth:
-        ground_truth = _staged("load", lambda: vol_io.load_labels(cfg.ground_truth))
+    return init_labels
 
-    tree = _staged("partition", lambda: build_partition(vol, cfg.partition_config()))
-    if emit:
-        (out_dir / "partition.json").write_text(tree.to_json())
 
+def partition_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
+                    timing: dict | None = None) -> PartitionTree:
+    """MI partition of vol, leaves padded by cfg.pad_slices."""
+    return _staged(timing, "partition", build_partition, vol, cfg.partition_config())
+
+
+def classify_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
+                   init_labels: LabelVolume, tree: PartitionTree,
+                   timing: dict | None = None,
+                   out_dir=None) -> tuple[list[stitch.ClassifiedFragment], list[dict]]:
+    """KFDA-classify every leaf: (fragments, per-leaf diagnostics), in leaf order.
+
+    With cfg.workers > 1 leaves run on a thread pool; leaf i draws its
+    random streams from spawn key (1, i) of the root seed, so results do not
+    depend on the pool size. When a leaf fails and out_dir is given, the
+    diagnostics of the leaves finished before it go to
+    subdomains_partial.json there.
+    """
     kcfg = cfg.kfda_config()
     leaves = tree.leaf_nodes()
+    fragments: list[stitch.ClassifiedFragment] = []
     diagnostics: list[dict] = []
 
-    def classify_all():
-        def one(item):
-            index, leaf = item
-            seed = int(np.random.SeedSequence(
-                entropy=cfg.seed, spawn_key=(1, index)).generate_state(1)[0])
-            labels_box, diag = kfda.classify_subdomain(
-                vol, leaf.padded_bounds, init_labels.labels, kcfg, seed=seed)
-            diag["domain"] = index + 1
-            return stitch.ClassifiedFragment(
-                core_bounds=leaf.bounds, padded_bounds=leaf.padded_bounds,
-                labels=labels_box), diag
+    def one(index):
+        leaf = leaves[index]
+        labels_box, diag = kfda.classify_subdomain(
+            vol, leaf.padded_bounds, init_labels.labels, kcfg,
+            seed=stitch.spawn_seed(cfg.seed, 1, index))
+        diag["domain"] = index + 1
+        return stitch.ClassifiedFragment(
+            core_bounds=leaf.bounds, padded_bounds=leaf.padded_bounds,
+            labels=labels_box), diag
 
-        items = list(enumerate(leaves))
-        if cfg.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(one, items))
-        else:
-            results = [one(item) for item in items]
-        for _, diag in results:
+    def collect(results):
+        for frag, diag in results:
+            fragments.append(frag)
             diagnostics.append(diag)
-        return [frag for frag, _ in results]
+
+    def classify_all():
+        if cfg.workers > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                collect(pool.map(one, range(len(leaves))))
+        else:
+            # in this thread: a pool thread calling BLAS gets buffers of its
+            # own, about 10 MB more peak memory on a 24³ volume
+            collect(map(one, range(len(leaves))))
 
     try:
-        fragments = _staged("classify", classify_all)
+        _staged(timing, "classify", classify_all)
     except PipelineStageError:
-        if emit and diagnostics:
-            (out_dir / "subdomains_partial.json").write_text(
-                json.dumps(diagnostics, sort_keys=True, indent=1))
+        if out_dir is not None and diagnostics:
+            write_json(Path(out_dir) / "subdomains_partial.json", diagnostics)
         raise
+    return fragments, diagnostics
 
-    stitch_seed = int(np.random.SeedSequence(
-        entropy=cfg.seed, spawn_key=(2,)).generate_state(1)[0])
-    final = _staged("stitch", lambda: stitch.stitch_volume(
-        fragments, vol.dims, mask=vol.mask,
-        sched=cfg.anneal_schedule(stitch_seed), workers=cfg.workers))
 
-    def build_report():
+def stitch_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
+                 fragments: list[stitch.ClassifiedFragment],
+                 timing: dict | None = None) -> LabelVolume:
+    """Fuse the fragments over their 2*pad_slices-wide overlaps (spawn key (2,))."""
+    sched = cfg.anneal_schedule(stitch.spawn_seed(cfg.seed, 2))
+    return _staged(timing, "stitch", stitch.stitch_volume, fragments, vol.dims,
+                   mask=vol.mask, sched=sched, overlap=2 * cfg.pad_slices)
+
+
+def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
+                 init_labels: LabelVolume, tree: PartitionTree, final: LabelVolume,
+                 diagnostics: list[dict], ground_truth: LabelVolume | None = None,
+                 timing: dict | None = None) -> RunReport:
+    """Per-leaf MSSIM before and after, curves, class counts and Dice."""
+    def build() -> RunReport:
         constants = ssim.SsimConstants()
         rows = []
         improved = 0
         comparable = 0
-        for index, leaf in enumerate(leaves):
+        for index, leaf in enumerate(tree.leaf_nodes()):
             m_init = _region_mssim(init_labels.labels, vol, leaf.padded_bounds,
                                    cfg.reference_channel, constants, cfg.pool_windows)
             m_kfda = _region_mssim(final.labels, vol, leaf.padded_bounds,
@@ -350,7 +366,7 @@ def run_pipeline(cfg: PipelineConfig,
                 comparable += 1
                 if m_kfda >= m_init:
                     improved += 1
-        report = RunReport(
+        return RunReport(
             subdomains=rows,
             curves={
                 "subdomain_counts": tree.subdomain_counts,
@@ -370,9 +386,40 @@ def run_pipeline(cfg: PipelineConfig,
             labels=final,
             diagnostics=diagnostics,
         )
-        return report
 
-    report = _staged("report", build_report)
+    return _staged(timing, "report", build)
+
+
+def run_pipeline(cfg: PipelineConfig,
+                 vol: MultiChannelVolume | None = None,
+                 init_labels: LabelVolume | None = None,
+                 ground_truth: LabelVolume | None = None,
+                 emit: bool = True) -> RunReport:
+    """Execute partition -> per-subdomain KFDA -> stitch and build the report.
+
+    Inputs may be passed in memory or read from the paths in the config.
+    Outputs (stitched labels, report JSON/CSV, curve files, diagnostics)
+    are written to cfg.out_dir unless emit is False. Stage failures raise
+    PipelineStageError after dumping any per-subdomain diagnostics gathered
+    so far.
+    """
+    cfg.validate(check_paths=vol is None)
+    timing: dict[str, float] = {}
+    out_dir = Path(cfg.out_dir) if emit else None
+    if emit:
+        out_dir.mkdir(parents=True, exist_ok=True)
+
+    vol = load_stage(cfg, vol, timing)
+    init_labels = init_stage(cfg, vol, init_labels, timing)
+    if ground_truth is None and cfg.ground_truth:
+        ground_truth = _staged(timing, "load", vol_io.load_labels, cfg.ground_truth)
+    tree = partition_stage(cfg, vol, timing)
+    if emit:
+        (out_dir / "partition.json").write_text(tree.to_json())
+    fragments, diagnostics = classify_stage(cfg, vol, init_labels, tree, timing, out_dir)
+    final = stitch_stage(cfg, vol, fragments, timing)
+    report = report_stage(cfg, vol, init_labels, tree, final, diagnostics,
+                          ground_truth, timing)
     report.timing = timing
     if emit:
         emit_report(report, out_dir)
@@ -394,12 +441,10 @@ def emit_report(report: RunReport, outdir, plots: bool = False):
     outdir.mkdir(parents=True, exist_ok=True)
     doc = report.to_dict()
     jsonschema.validate(doc, REPORT_SCHEMA)
-    (outdir / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
-    (outdir / "subdomains.json").write_text(
-        json.dumps(report.diagnostics, sort_keys=True, indent=1))
+    write_json(outdir / "report.json", doc)
+    write_json(outdir / "subdomains.json", report.diagnostics)
     if report.timing:
-        (outdir / "timing.json").write_text(
-            json.dumps(report.timing, sort_keys=True, indent=1))
+        write_json(outdir / "timing.json", report.timing)
     if report.labels is not None:
         vol_io.save_labels(report.labels, outdir / "labels.u8raw")
 
@@ -430,6 +475,11 @@ def emit_report(report: RunReport, outdir, plots: bool = False):
 
     if plots:
         _emit_plots(report, outdir)
+
+
+def write_json(path, obj):
+    """Write obj as key-sorted, indented JSON (the form of every JSON output)."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
 
 
 def _csv_num(value):
@@ -491,7 +541,7 @@ def save_fragments(fragments: list[stitch.ClassifiedFragment], outdir):
             "core_bounds": [list(b) for b in frag.core_bounds],
             "padded_bounds": [list(b) for b in frag.padded_bounds],
         })
-    (outdir / "fragments.json").write_text(json.dumps(index, sort_keys=True, indent=1))
+    write_json(outdir / "fragments.json", index)
 
 
 def load_fragments(indir) -> list[stitch.ClassifiedFragment]:

@@ -42,14 +42,6 @@ class SsimConstants:
     window_size: int = 11
     window_sigma: float = 1.5
 
-    @classmethod
-    def for_range(cls, dynamic_range: float = 1.0,
-                  window_size: int = 11, window_sigma: float = 1.5) -> "SsimConstants":
-        c2 = (0.03 * dynamic_range) ** 2
-        return cls(dynamic_range=dynamic_range,
-                   c1=(0.01 * dynamic_range) ** 2, c2=c2, c3=c2 / 2,
-                   window_size=window_size, window_sigma=window_sigma)
-
     def window(self) -> np.ndarray:
         return gaussian_window(self.window_size, self.window_sigma)
 
@@ -79,14 +71,6 @@ class PatchStats:
     var_x: float
     var_y: float
     cov_xy: float
-
-    @property
-    def sigma_x(self) -> float:
-        return math.sqrt(max(self.var_x, 0.0))
-
-    @property
-    def sigma_y(self) -> float:
-        return math.sqrt(max(self.var_y, 0.0))
 
 
 def patch_stats(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> PatchStats:

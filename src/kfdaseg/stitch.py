@@ -1,6 +1,7 @@
 """Seam fusion of overlapping classified subdomains.
 
-Adjacent subdomains share a 4-slice overlap carrying two label observations.
+Adjacent subdomains, each padded by p slices, share a 2p-slice overlap (4
+slices by default) carrying two label observations.
 Each overlap strip becomes a small lattice random field whose edge and node
 potentials reward label (pairs) seen in both observations, and the
 maximum-posterior joint labeling is found by simulated annealing. Slices are
@@ -11,6 +12,7 @@ initialization.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -20,22 +22,6 @@ import numpy as np
 from .volume import BG, LabelVolume
 
 logger = logging.getLogger(__name__)
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 N_STATES = 4  # CSF, GM, WM, BG encoded as 0..3 inside the annealer
 
@@ -187,12 +173,11 @@ def composite_init(p: StitchProblem) -> np.ndarray:
     return init
 
 
-@njit(cache=True, nogil=True)
 def _anneal_loop(config, log_phi, log_psi_h, log_psi_v, proposals, randu,
-                 n_temps, sweeps, t0, rho, best, trace):  # pragma: no cover - jit
-    # chained indexing so that the same body runs on arrays (compiled) and on
-    # nested lists (interpreted, where list indexing is far cheaper than
-    # numpy scalar indexing)
+                 n_temps, sweeps, t0, rho):
+    # every array arrives as nested lists: in the interpreter list indexing
+    # is far cheaper than numpy scalar indexing; returns the best
+    # configuration seen, as nested lists
     h = len(config)
     w = len(config[0])
     # exact log posterior of the initial configuration
@@ -205,13 +190,11 @@ def _anneal_loop(config, log_phi, log_psi_h, log_psi_v, proposals, randu,
             if r + 1 < h:
                 lp += log_psi_v[r][c][config[r][c]][config[r + 1][c]]
     best_lp = lp
-    for r in range(h):
-        for c in range(w):
-            best[r][c] = config[r][c]
+    best = [list(cells) for cells in config]
 
     step = 0
     temp = t0
-    for t in range(n_temps):
+    for _ in range(n_temps):
         for _ in range(sweeps):
             for r in range(h):
                 row = config[r]
@@ -243,17 +226,13 @@ def _anneal_loop(config, log_phi, log_psi_h, log_psi_v, proposals, randu,
                         lp += delta
                         if lp > best_lp:
                             best_lp = lp
-                            for rr in range(h):
-                                for cc in range(w):
-                                    best[rr][cc] = config[rr][cc]
-        trace[t] = best_lp
+                            best = [list(cells) for cells in config]
         temp *= rho
-    return best_lp
+    return best
 
 
 def simulated_anneal(p: StitchProblem, sched: AnnealSchedule | None = None,
-                     tables: PotentialTables | None = None,
-                     collect_trace: bool = False):
+                     tables: PotentialTables | None = None) -> np.ndarray:
     """MAP estimate of the overlap labeling by single-site Metropolis cooling.
 
     Starts from the composite initialization, visits nodes in raster order
@@ -278,18 +257,10 @@ def simulated_anneal(p: StitchProblem, sched: AnnealSchedule | None = None,
         log_phi = np.log(tables.phi)
         log_psi_h = np.log(tables.psi_h) if tables.psi_h.size else tables.psi_h
         log_psi_v = np.log(tables.psi_v) if tables.psi_v.size else tables.psi_v
-    args = [config, log_phi, log_psi_h, log_psi_v, proposals, randu,
-            np.empty_like(config), np.zeros(n_temps)]
-    if not HAVE_NUMBA:
-        args = [a.tolist() for a in args]
-    best, trace = args[-2:]
-    _anneal_loop(*args[:6], n_temps, sched.sweeps, sched.t0, sched.rho,
-                 best, trace)
-    result = np.asarray(best, dtype=np.uint8) + 1
-    trace = np.asarray(trace)
-    if collect_trace:
-        return result, trace
-    return result
+    best = _anneal_loop(config.tolist(), log_phi.tolist(), log_psi_h.tolist(),
+                        log_psi_v.tolist(), proposals.tolist(), randu.tolist(),
+                        n_temps, sched.sweeps, sched.t0, sched.rho)
+    return np.asarray(best, dtype=np.uint8) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +293,57 @@ def _runs(flags: np.ndarray):
     return [(int(idx[a]), int(idx[b])) for a, b in zip(starts, stops)]
 
 
-def _problem_seed(base_seed: int, slice_index: int, key: tuple) -> int:
-    ss = np.random.SeedSequence(entropy=base_seed,
-                                spawn_key=(slice_index,) + tuple(int(k) for k in key))
-    return int(ss.generate_state(1)[0])
+def spawn_seed(root: int, *key: int) -> int:
+    """Seed of the random stream keyed by key under the root seed."""
+    return int(np.random.SeedSequence(entropy=root, spawn_key=key).generate_state(1)[0])
+
+
+def _edge_strips(cells: np.ndarray, side: str, depth: int):
+    """(rows, cols) slices of the runs of True cells that start at one edge
+    of a 2D mask and reach at most depth deep; equal runs of neighbouring
+    lines form one strip."""
+    lines = cells if side in ("left", "right") else cells.T
+    if side in ("right", "bottom"):
+        lines = lines[:, ::-1]
+    width = lines.shape[1]
+    runs = [width if line.all() else int(np.argmin(line)) for line in lines]
+    start = 0
+    for run, group in itertools.groupby(r if r <= depth else 0 for r in runs):
+        count = len(list(group))
+        if run:
+            across = slice(0, run) if side in ("left", "top") else slice(width - run, width)
+            along = slice(start, start + count)
+            yield (along, across) if side in ("left", "right") else (across, along)
+        start += count
 
 
 def stitch_slice(subimages: list[SliceSubimage], shape: tuple[int, int],
                  sched: AnnealSchedule | None = None, slice_index: int = 0,
-                 overlap: int = 4, trace_sink=None) -> np.ndarray:
+                 overlap: int = 4) -> np.ndarray:
     """Assemble one slice from overlapping subimages.
 
     Subimages are placed top-left to bottom-right; wherever a new subimage
     covers already-settled cells, the overlap strip (horizontal strips
-    first, then vertical, minus the corner already handled) is re-estimated
-    by simulated annealing against the canvas. Raises ValueError on overlap
-    widths inconsistent with the expected strip layout or on uncovered
-    cells.
+    first, then vertical, minus the corner already handled, then the
+    narrower strips that thin tiles leave at the subimage's edges) is
+    re-estimated by simulated annealing against the canvas. Raises
+    ValueError on overlap widths inconsistent with the expected strip layout
+    or on uncovered cells.
     """
     sched = sched or AnnealSchedule()
     canvas = np.zeros(shape, dtype=np.uint8)
     placed = np.zeros(shape, dtype=bool)
+
+    # subimages cut from padded tiles overlap by at most `overlap` cells
+    # across at least one axis: the one their tiles' cores are disjoint on
+    for first, second in itertools.combinations(subimages, 2):
+        depths = [min(ha, hb) - max(la, lb) + 1
+                  for (la, ha), (lb, hb) in zip(first.bounds, second.bounds)]
+        if min(depths) > overlap:
+            raise ValueError(
+                f"subimages at bounds {first.bounds} and {second.bounds} overlap by "
+                f"{depths[0]}x{depths[1]} cells, wider than the {overlap}-wide "
+                f"overlap strip both ways")
 
     order = sorted(range(len(subimages)), key=lambda i: subimages[i].bounds)
     for si in order:
@@ -360,45 +361,41 @@ def stitch_slice(subimages: list[SliceSubimage], shape: tuple[int, int],
         resolved = np.zeros_like(pm)
         new_content = patch.copy()
 
+        def fuse(rows: slice, cols: slice, orientation: str, canvas_first: bool):
+            obs_canvas = canvas[box][rows, cols]
+            obs_patch = patch[rows, cols]
+            problem = (StitchProblem(orientation, obs_canvas, obs_patch) if canvas_first
+                       else StitchProblem(orientation, obs_patch, obs_canvas))
+            seed = spawn_seed(sched.seed, slice_index, r0 + rows.start, c0 + cols.start,
+                              int(orientation == "vertical"))
+            new_content[rows, cols] = _solve_problem(problem, sched, seed)
+            resolved[rows, cols] = True
+
         # horizontal strips: the leftmost / rightmost `overlap` columns
-        for side, cols in (("left", np.arange(min(overlap, ws))),
-                           ("right", np.arange(max(ws - overlap, 0), ws))):
-            strip_pm = pm[:, cols]
-            full_rows = strip_pm.all(axis=1) & ~resolved[:, cols].any(axis=1)
+        for side, cols in (("left", slice(0, min(overlap, ws))),
+                           ("right", slice(max(ws - overlap, 0), ws))):
+            full_rows = pm[:, cols].all(axis=1) & ~resolved[:, cols].any(axis=1)
             for a, b in _runs(full_rows):
-                rows = slice(a, b + 1)
-                obs_canvas = canvas[box][rows][:, cols]
-                obs_patch = patch[rows][:, cols]
-                if side == "left":
-                    problem = StitchProblem("horizontal", obs_canvas, obs_patch)
-                else:
-                    problem = StitchProblem("horizontal", obs_patch, obs_canvas)
-                seed = _problem_seed(sched.seed, slice_index,
-                                     (r0 + a, c0 + int(cols[0]), 0))
-                fused = _solve_problem(problem, sched, seed, trace_sink,
-                                       (slice_index, r0 + a, c0 + int(cols[0])))
-                new_content[rows, cols[0]:cols[-1] + 1] = fused
-                resolved[rows, cols[0]:cols[-1] + 1] = True
+                fuse(slice(a, b + 1), cols, "horizontal", side == "left")
 
         # vertical strips: topmost / bottommost rows, corners excluded
-        for side, rows_idx in (("top", np.arange(min(overlap, hs))),
-                               ("bottom", np.arange(max(hs - overlap, 0), hs))):
-            strip_pm = pm[rows_idx, :]
-            full_cols = strip_pm.all(axis=0) & ~resolved[rows_idx, :].any(axis=0)
+        for side, rows in (("top", slice(0, min(overlap, hs))),
+                           ("bottom", slice(max(hs - overlap, 0), hs))):
+            full_cols = pm[rows, :].all(axis=0) & ~resolved[rows, :].any(axis=0)
             for a, b in _runs(full_cols):
-                cols = slice(a, b + 1)
-                obs_canvas = canvas[box][rows_idx][:, cols]
-                obs_patch = patch[rows_idx][:, cols]
-                if side == "top":
-                    problem = StitchProblem("vertical", obs_canvas, obs_patch)
-                else:
-                    problem = StitchProblem("vertical", obs_patch, obs_canvas)
-                seed = _problem_seed(sched.seed, slice_index,
-                                     (r0 + int(rows_idx[0]), c0 + a, 1))
-                fused = _solve_problem(problem, sched, seed, trace_sink,
-                                       (slice_index, r0 + int(rows_idx[0]), c0 + a))
-                new_content[rows_idx[0]:rows_idx[-1] + 1, cols] = fused
-                resolved[rows_idx[0]:rows_idx[-1] + 1, cols] = True
+                fuse(rows, slice(a, b + 1), "vertical", side == "top")
+
+        # narrower strips at the subimage's edges: next to a slab thinner
+        # than the overlap, the padding of the slab's far neighbour reaches
+        # into this subimage, so settled content meets an edge in runs
+        # shorter than a full strip
+        for side in ("left", "right", "top", "bottom"):
+            leftover = pm & ~resolved
+            if not leftover.any():
+                break
+            for rows, cols in _edge_strips(leftover, side, overlap):
+                fuse(rows, cols, "horizontal" if side in ("left", "right") else "vertical",
+                     side in ("left", "top"))
 
         leftover = pm & ~resolved
         if leftover.any():
@@ -418,17 +415,12 @@ def stitch_slice(subimages: list[SliceSubimage], shape: tuple[int, int],
     return canvas
 
 
-def _solve_problem(problem: StitchProblem, sched: AnnealSchedule, seed: int,
-                   trace_sink, trace_key):
+def _solve_problem(problem: StitchProblem, sched: AnnealSchedule, seed: int):
     if np.array_equal(problem.obs_a, problem.obs_b):
         # agreement is the unique MAP: every factor already maximal
         return problem.obs_a.copy()
     local = AnnealSchedule(t0=sched.t0, rho=sched.rho, sweeps=sched.sweeps,
                            t_min=sched.t_min, seed=seed)
-    if trace_sink is not None:
-        fused, trace = simulated_anneal(problem, local, collect_trace=True)
-        trace_sink(trace_key, trace)
-        return fused
     return simulated_anneal(problem, local)
 
 
@@ -459,47 +451,27 @@ class ClassifiedFragment:
 def stitch_volume(fragments: list[ClassifiedFragment], dims,
                   mask: np.ndarray | None = None,
                   sched: AnnealSchedule | None = None,
-                  workers: int = 1, trace_sink=None) -> LabelVolume:
+                  overlap: int = 4) -> LabelVolume:
     """Fuse classified fragments into one label volume, slice by slice.
 
-    Axial overlap slices are owned by the nearer fragment (the near half of
-    each 4-slice overlap), so each axial slice sees only in-plane overlaps,
-    which are re-estimated by simulated annealing. Raises ValueError when a
-    voxel is covered by no fragment.
+    Fragments padded by p slices overlap their neighbours by overlap = 2p
+    slices. Axial overlap slices are owned by the nearer fragment (the near
+    half of each overlap), so each axial slice sees only in-plane overlap
+    strips, overlap cells wide, which are re-estimated by simulated
+    annealing. Raises ValueError when a voxel is covered by no fragment.
     """
     sched = sched or AnnealSchedule()
     out = np.full(dims, BG, dtype=np.uint8)
 
-    def slice_subimages(k: int) -> list[SliceSubimage]:
-        subs = []
-        for frag in fragments:
-            (ck0, ck1) = frag.core_bounds[2]
-            (pk0, _pk1) = frag.padded_bounds[2]
-            if not (ck0 <= k <= ck1):
-                continue
-            (pi0, pi1), (pj0, pj1) = frag.padded_bounds[0], frag.padded_bounds[1]
-            subs.append(SliceSubimage(
-                bounds=((pi0, pi1), (pj0, pj1)),
-                labels=frag.labels[:, :, k - pk0]))
-        return subs
-
-    def run(k: int) -> np.ndarray:
-        subs = slice_subimages(k)
+    for k in range(dims[2]):
+        # the fragments whose core owns axial slice k
+        subs = [SliceSubimage(bounds=tuple(tuple(b) for b in frag.padded_bounds[:2]),
+                              labels=frag.labels[:, :, k - frag.padded_bounds[2][0]])
+                for frag in fragments if frag.core_bounds[2][0] <= k <= frag.core_bounds[2][1]]
         if not subs:
             raise ValueError(f"axial slice {k} is covered by no fragment")
-        return stitch_slice(subs, dims[:2], sched, slice_index=k,
-                            trace_sink=trace_sink)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(dims[2])))
-        for k, sl in enumerate(results):
-            out[:, :, k] = sl
-    else:
-        for k in range(dims[2]):
-            out[:, :, k] = run(k)
+        out[:, :, k] = stitch_slice(subs, dims[:2], sched, slice_index=k,
+                                    overlap=overlap)
 
     if mask is not None:
         out[~mask] = BG

@@ -5,15 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kfdaseg import cli
 from kfdaseg.phantom import PhantomSpec, corrupt_boundary_labels, generate_phantom, kmeans_init
 from kfdaseg.pipeline import (PipelineConfig, REPORT_SCHEMA, dice_scores,
-                              run_pipeline)
+                              partition_stage, run_pipeline, stitch_stage)
 from kfdaseg.ssim import SsimConstants, classified_mean_image, mssim
-from kfdaseg.volume import (BG, check_mask_consistency, load_labels,
-                            load_volume, normalize_intensities, save_labels,
-                            save_volume)
+from kfdaseg.stitch import ClassifiedFragment
+from kfdaseg.volume import (BG, MultiChannelVolume, check_mask_consistency,
+                            load_labels, load_volume, normalize_intensities)
 
 
 def small_config(out_dir, **overrides):
@@ -102,9 +103,12 @@ def test_zero_noise_perfect_init_is_fixed_point(tmp_path):
     spec = PhantomSpec(dims=(24, 24, 24), noise_sigma=0.0, bias_amplitude=0.0,
                        pv_blur=0.0, seed=22)
     vol, truth = generate_phantom(spec)
-    cfg = small_config(tmp_path / "perfect")
-    report = run_pipeline(cfg, vol=vol, init_labels=truth, ground_truth=truth)
-    assert all(v == pytest.approx(1.0) for v in report.dice.values())
+    # every overlap width the config accepts: 2, 4 and 6 slices
+    for pad in (2, 1, 3):
+        cfg = small_config(tmp_path / f"perfect{pad}", pad_slices=pad)
+        report = run_pipeline(cfg, vol=vol, init_labels=truth, ground_truth=truth)
+        assert len(report.subdomains) > 1
+        assert all(v == pytest.approx(1.0) for v in report.dice.values()), pad
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -160,6 +164,38 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
+# Geometry: partition -> pad -> stitch
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.tuples(*[st.integers(6, 16)] * 3), pad=st.sampled_from([1, 2, 3]),
+       max_depth=st.integers(1, 4), density=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+# 3-slice leaves, thinner than the 4-slice overlap: narrower edge strips
+@example(dims=(6, 9, 9), pad=2, max_depth=3, density=0.5, seed=2)
+def test_partition_pad_stitch_round_trip(dims, pad, max_depth, density, seed):
+    # random intensities put the MI cuts anywhere; fragments cut from one
+    # label volume agree on every overlap, so stitching must give it back
+    rng = np.random.default_rng(seed)
+    mask = rng.random(dims) < density
+    mask.flat[rng.integers(mask.size)] = True
+    data = (rng.random(dims + (1,)) * mask[..., None]).astype(np.float32)
+    vol = MultiChannelVolume(data=data, mask=mask)
+    cfg = PipelineConfig(max_depth=max_depth, pad_slices=pad)
+    truth = np.where(mask, rng.integers(1, 4, size=dims), BG).astype(np.uint8)
+    coverage = np.zeros(dims, dtype=np.int32)
+    fragments = []
+    for leaf in partition_stage(cfg, vol).leaf_nodes():
+        core, padded = (tuple(slice(lo, hi + 1) for lo, hi in b)
+                        for b in (leaf.bounds, leaf.padded_bounds))
+        coverage[core] += 1
+        assert all(p.start <= c.start and c.stop <= p.stop for c, p in zip(core, padded))
+        fragments.append(ClassifiedFragment(leaf.bounds, leaf.padded_bounds, truth[padded]))
+    assert np.all(coverage == 1), "leaf cores must tile the volume"
+    assert np.array_equal(stitch_stage(cfg, vol, fragments).labels, truth)
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -191,8 +227,13 @@ def test_cli_phantom_init_run_report(tmp_path):
     assert (out_dir / "report.json").exists()
     assert (out_dir / "labels.u8raw").exists()
 
+    # report rewrites the files of the run output without changing them
+    written = {name: (out_dir / name).read_bytes()
+               for name in ("subdomains.json", "report.json", "mssim_table.csv")}
     rc = cli.main(["report", "--config", str(cfg_path)])
     assert rc == 0
+    for name, data in written.items():
+        assert (out_dir / name).read_bytes() == data, name
 
 
 def test_cli_stage_flag_equivalent(tmp_path):
@@ -233,3 +274,9 @@ def test_cli_stagewise_classify_stitch(tmp_path):
     vol = load_volume(data_dir / "phantom.f32raw")
     scores = dice_scores(labels, truth, vol.mask)
     assert all(v is None or v > 0.9 for v in scores.values())
+
+    # the stage verbs write what `run` writes for the same config
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    for name in ("labels.u8raw", "partition.json", "subdomains.json"):
+        assert (out_dir / name).read_bytes() == (run_dir / name).read_bytes(), name

@@ -216,25 +216,6 @@ def test_agreement_columns_preserved():
         assert np.array_equal(result[:, 3], a[:, 3])
 
 
-def test_python_fallback_matches_numba():
-    import kfdaseg.stitch as st
-    if not st.HAVE_NUMBA:
-        pytest.skip("numba unavailable; fallback is the only path")
-    rng = np.random.default_rng(8)
-    a = rng.integers(1, 5, size=(3, 4)).astype(np.uint8)
-    b = rng.integers(1, 5, size=(3, 4)).astype(np.uint8)
-    p = hproblem(a, b)
-    jit_result = simulated_anneal(p, FAST)
-    py_loop = st._anneal_loop.py_func
-    orig = st._anneal_loop
-    st._anneal_loop = py_loop
-    try:
-        py_result = simulated_anneal(p, FAST)
-    finally:
-        st._anneal_loop = orig
-    assert np.array_equal(jit_result, py_result)
-
-
 # ---------------------------------------------------------------------------
 # Slice assembly
 # ---------------------------------------------------------------------------
