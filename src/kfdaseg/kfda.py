@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
-from .ssim import SsimConstants, classified_mean_image, fit_constants, mssim
+from .ssim import classified_mean_image, mssim
 from .volume import BG, CSF, GM, WM, MultiChannelVolume
 
 logger = logging.getLogger(__name__)
@@ -717,9 +717,7 @@ def classify_overlap_knn(spec: KernelSpec, features: np.ndarray,
 def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
                          categories: VoxelCategories, kernel: KernelSpec,
                          render, reference: np.ndarray, mask: np.ndarray,
-                         k_grid=(1, 3, 5, 7, 9, 11),
-                         constants: SsimConstants | None = None,
-                         pool_windows: bool = False) -> tuple[np.ndarray, float, dict]:
+                         k_grid=(1, 3, 5, 7, 9, 11)) -> tuple[np.ndarray, float, dict]:
     """Refine outliers and the overlapping set, keeping the better labeling.
 
     Outliers are reassigned by Mahalanobis distance; the overlapping set is
@@ -731,7 +729,6 @@ def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
     must produce the mean-intensity image to compare with the reference. An
     empty overlapping set returns the Mahalanobis labeling directly.
     """
-    constants = constants or SsimConstants()
     sides_mahal = np.asarray(init_sides, dtype=np.int8).copy()
     out_idx = categories.outliers
     proto_neg_f = features[categories.prototypes_neg]
@@ -741,7 +738,7 @@ def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
             features[out_idx], sides_mahal[out_idx], proto_neg_f, proto_pos_f)
 
     def score(sides):
-        return mssim(render(sides), reference, mask, constants, pool_windows)
+        return mssim(render(sides), reference, mask)
 
     mssim_mahal = score(sides_mahal)
     info = {"mssim_mahal": mssim_mahal, "mssim_knn": None, "best_k": None,
@@ -798,7 +795,6 @@ class KfdaConfig:
     tau_outlier: float = 2.5
     beta_scale: float = 1e-3
     reference_channel: int = 0
-    pool_windows: bool = False
     seed: int = 0
 
 
@@ -819,7 +815,7 @@ def _stratified_cap(sides: np.ndarray, l_max: int, rng: np.random.Generator) -> 
 
 
 def _run_step(data_box, mask_box, ref_box, member, sides_init, kernel,
-              render, cfg: KfdaConfig, rng, constants) -> tuple[np.ndarray, dict]:
+              render, cfg: KfdaConfig, rng) -> tuple[np.ndarray, dict]:
     """One binary KFDA step with its regularization sweep.
 
     member selects the step's voxels inside the box; sides_init gives their
@@ -862,13 +858,12 @@ def _run_step(data_box, mask_box, ref_box, member, sides_init, kernel,
         if min(len(cats.prototypes_neg), len(cats.prototypes_pos)) < 2:
             logger.warning("fewer than 2 prototypes in a class; keeping initial labels")
             sides_lam = sides_init.copy()
-            value = mssim(render(sides_lam), ref_box, mask_box, constants,
-                          cfg.pool_windows)
+            value = mssim(render(sides_lam), ref_box, mask_box)
             entry.update({"mssim": value, "fallback": "prototypes"})
         else:
             sides_lam, value, info = ssim_guided_decision(
                 subdata.features, sides_init, cats, kernel, render,
-                ref_box, mask_box, cfg.k_grid, constants, cfg.pool_windows)
+                ref_box, mask_box, cfg.k_grid)
             entry.update({"mssim": value, "mssim_mahal": info["mssim_mahal"],
                           "mssim_knn": info["mssim_knn"], "best_k": info["best_k"],
                           "route": info["route"]})
@@ -899,9 +894,6 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
     cfg = cfg or KfdaConfig()
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     box = tuple(slice(lo, hi + 1) for lo, hi in bounds)
-    constants = fit_constants(
-        SsimConstants(), (bounds[0][1] - bounds[0][0] + 1,
-                          bounds[1][1] - bounds[1][0] + 1))
     data_box = vol.data[box].astype(np.float64)
     mask_box = vol.mask[box]
     ref_box = data_box[..., cfg.reference_channel]
@@ -929,7 +921,7 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
 
         sides, step_diag = _run_step(data_box, mask_box, ref_box, member,
                                      sides_init, cfg.kernel_csf, render_step1,
-                                     cfg, rng, constants)
+                                     cfg, rng)
         diag["steps"]["csf_vs_gwm"] = step_diag
         new_csf = sides < 0
         became_gwm = (~new_csf) & is_csf
@@ -960,7 +952,7 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
 
         sides, step_diag = _run_step(data_box, mask_box, ref_box, member,
                                      sides_init, cfg.kernel_gm_wm, render_step2,
-                                     cfg, rng, constants)
+                                     cfg, rng)
         diag["steps"]["gm_vs_wm"] = step_diag
         labels_vec[gwm_positions] = np.where(sides < 0, GM, WM)
     else:

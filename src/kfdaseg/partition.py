@@ -142,10 +142,6 @@ class PartitionTree:
         return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def _box_slices(bounds):
-    return tuple(slice(lo, hi + 1) for lo, hi in bounds)
-
-
 # ---------------------------------------------------------------------------
 # Two-bin Otsu histogram
 # ---------------------------------------------------------------------------
@@ -420,7 +416,6 @@ def cnr(vol: MultiChannelVolume, sub: Subdomain, labels: np.ndarray,
 @dataclass
 class PartitionConfig:
     max_depth: int = 7
-    min_slab: int = MIN_SLAB
     pad_slices: int = 2
     channel: int = 0
 
@@ -517,7 +512,7 @@ def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) ->
             for child_bounds in _split_bounds(node.bounds, node.cut):
                 child = Subdomain(
                     bounds=child_bounds,
-                    voxel_count=int(vol.mask[_box_slices(child_bounds)].sum()),
+                    voxel_count=int(vol.mask[node.slices(child_bounds)].sum()),
                     level=k,
                     parent=idx,
                 )

@@ -57,7 +57,6 @@ class PipelineConfig:
     reference_channel: int = 0
     # partitioner
     max_depth: int = 7
-    min_slab: int = 3
     pad_slices: int = 2
     # per-subdomain classification
     lambda_grid: tuple = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
@@ -69,7 +68,6 @@ class PipelineConfig:
     tau_band: float = 1.0
     tau_outlier: float = 2.5
     beta_scale: float = 1e-3
-    pool_windows: bool = False
     # stitching
     sa_t0: float = 1.0
     sa_rho: float = 0.95
@@ -96,8 +94,7 @@ class PipelineConfig:
                 raise FileNotFoundError(f"ground truth not found: {self.ground_truth}")
 
     def partition_config(self) -> PartitionConfig:
-        return PartitionConfig(max_depth=self.max_depth, min_slab=self.min_slab,
-                               pad_slices=self.pad_slices,
+        return PartitionConfig(max_depth=self.max_depth, pad_slices=self.pad_slices,
                                channel=self.reference_channel)
 
     def kfda_config(self) -> kfda.KfdaConfig:
@@ -107,7 +104,7 @@ class PipelineConfig:
             lambda_grid=tuple(self.lambda_grid), k_grid=tuple(self.k_grid),
             l_max=self.l_max, tau_band=self.tau_band, tau_outlier=self.tau_outlier,
             beta_scale=self.beta_scale, reference_channel=self.reference_channel,
-            pool_windows=self.pool_windows, seed=self.seed)
+            seed=self.seed)
 
     def anneal_schedule(self, seed: int) -> stitch.AnnealSchedule:
         return stitch.AnnealSchedule(t0=self.sa_t0, rho=self.sa_rho,
@@ -210,17 +207,15 @@ def _class_counts(labels: np.ndarray, mask: np.ndarray) -> dict:
 
 
 def _region_mssim(labels_arr: np.ndarray, vol: MultiChannelVolume, bounds,
-                  channel: int, constants: ssim.SsimConstants,
-                  pool_windows: bool) -> float | None:
+                  channel: int) -> float | None:
     box = tuple(slice(lo, hi + 1) for lo, hi in bounds)
     mask_box = vol.mask[box]
     if not mask_box.any():
         return None
-    fitted = ssim.fit_constants(constants, mask_box.shape[:2])
     ref_box = vol.data[box][..., channel].astype(np.float64)
     image = ssim.classified_mean_image(labels_arr[box], ref_box, mask_box)
     try:
-        return ssim.mssim(image, ref_box, mask_box, fitted, pool_windows)
+        return ssim.mssim(image, ref_box, mask_box)
     except ValueError:
         return None
 
@@ -338,15 +333,14 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                  timing: dict | None = None) -> RunReport:
     """Per-leaf MSSIM before and after, curves, class counts and Dice."""
     def build() -> RunReport:
-        constants = ssim.SsimConstants()
         rows = []
         improved = 0
         comparable = 0
         for index, leaf in enumerate(tree.leaf_nodes()):
             m_init = _region_mssim(init_labels.labels, vol, leaf.padded_bounds,
-                                   cfg.reference_channel, constants, cfg.pool_windows)
+                                   cfg.reference_channel)
             m_kfda = _region_mssim(final.labels, vol, leaf.padded_bounds,
-                                   cfg.reference_channel, constants, cfg.pool_windows)
+                                   cfg.reference_channel)
             diag = diagnostics[index]
             shape = (leaf.padded_bounds[0][1] - leaf.padded_bounds[0][0] + 1,
                      leaf.padded_bounds[1][1] - leaf.padded_bounds[1][0] + 1)
@@ -358,7 +352,7 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                 "voxel_count": leaf.voxel_count,
                 "mssim_initial": m_init,
                 "mssim_kfda": m_kfda,
-                "ssim_window": ssim.fit_constants(constants, shape).window_size,
+                "ssim_window": ssim.fit_constants(ssim.SsimConstants(), shape).window_size,
                 "chosen_lambda_csf": diag["steps"].get("csf_vs_gwm", {}).get("chosen_lambda"),
                 "chosen_lambda_gm_wm": diag["steps"].get("gm_vs_wm", {}).get("chosen_lambda"),
             })

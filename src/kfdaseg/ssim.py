@@ -2,15 +2,15 @@
 
 SSIM multiplies luminance, contrast and structure comparisons of local
 Gaussian-weighted patch statistics; MSSIM averages it over an 11x11 sliding
-window on each slice (windows without any brain voxel are skipped) and over
-slices. Classified volumes are compared to the reference channel after
-replacing each voxel by its tissue-class mean intensity.
-"""
+window on each axial slice (windows without any brain voxel are skipped) and
+over slices. A box is scored in one pass, one correlation per moment, with the
+window shrunk to fit thin boxes. Classified volumes are compared to the
+reference channel after replacing each voxel by its tissue-class mean
+intensity."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
@@ -51,15 +51,15 @@ def fit_constants(c: SsimConstants, shape) -> SsimConstants:
 
     Thin subdomains near the minimum slab width cannot host the default
     11x11 window; the window shrinks with its Gaussian width scaled
-    proportionally so the metric stays defined.
+    proportionally so the metric stays defined. A window that already fits
+    is returned unchanged.
     """
     limit = int(min(shape[0], shape[1]))
     if limit >= c.window_size:
         return c
     size = max(3, limit if limit % 2 == 1 else limit - 1)
     sigma = c.window_sigma * size / c.window_size
-    return SsimConstants(dynamic_range=c.dynamic_range, c1=c.c1, c2=c.c2,
-                         c3=c.c3, window_size=size, window_sigma=sigma)
+    return replace(c, window_size=size, window_sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,16 @@ def patch_stats(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None)
     )
 
 
-def _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov_xy, c: SsimConstants) -> float:
+def _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov_xy, c: SsimConstants):
+    """SSIM from local moments; scalars or equally shaped arrays."""
     lum = (2.0 * mu_x * mu_y + c.c1) / (mu_x * mu_x + mu_y * mu_y + c.c1)
     if c.c3 == c.c2 / 2:
         # contrast * structure collapses without any square root, which keeps
         # SSIM(x, x) == 1 bit-exactly
         cs = (2.0 * cov_xy + c.c2) / (var_x + var_y + c.c2)
         return lum * cs
-    sx = math.sqrt(max(var_x, 0.0))
-    sy = math.sqrt(max(var_y, 0.0))
+    sx = np.sqrt(np.maximum(var_x, 0.0))
+    sy = np.sqrt(np.maximum(var_y, 0.0))
     contrast = (2.0 * sx * sy + c.c2) / (var_x + var_y + c.c2)
     structure = (cov_xy + c.c3) / (sx * sy + c.c3)
     return lum * contrast * structure
@@ -119,115 +120,69 @@ def ssim_patch(x: np.ndarray, y: np.ndarray, c: SsimConstants | None = None,
     """
     c = c or SsimConstants()
     s = patch_stats(x, y, weights)
-    return _ssim_from_moments(s.mu_x, s.mu_y, s.var_x, s.var_y, s.cov_xy, c)
+    return float(_ssim_from_moments(s.mu_x, s.mu_y, s.var_x, s.var_y, s.cov_xy, c))
 
 
 # ---------------------------------------------------------------------------
 # Sliding-window MSSIM
 # ---------------------------------------------------------------------------
 
-def _slice_ssim_map(x: np.ndarray, y: np.ndarray, c: SsimConstants):
-    """SSIM map over all fully interior window positions of one slice."""
-    w = c.window()
-    half = c.window_size // 2
-    crop = (slice(half, -half), slice(half, -half)) if half else (slice(None), slice(None))
+def _interior(size: int) -> tuple:
+    """Crop of a box's in-plane axes to the fully interior window positions."""
+    half = size // 2
+    return (slice(half, -half) if half else slice(None),) * 2
+
+
+def _ssim_map(x: np.ndarray, y: np.ndarray, c: SsimConstants) -> np.ndarray:
+    """SSIM at every fully interior in-plane window position of a 3D box."""
+    w = c.window()[:, :, None]
+    crop = _interior(c.window_size)
 
     def smooth(img):
         return ndimage.correlate(img, w, mode="constant")[crop]
 
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     mu_x = smooth(x)
     mu_y = smooth(y)
     var_x = smooth(x * x) - mu_x * mu_x
     var_y = smooth(y * y) - mu_y * mu_y
     cov = smooth(x * y) - mu_x * mu_y
-
-    lum = (2.0 * mu_x * mu_y + c.c1) / (mu_x ** 2 + mu_y ** 2 + c.c1)
-    if c.c3 == c.c2 / 2:
-        cs = (2.0 * cov + c.c2) / (var_x + var_y + c.c2)
-        return lum * cs
-    sx = np.sqrt(np.maximum(var_x, 0.0))
-    sy = np.sqrt(np.maximum(var_y, 0.0))
-    contrast = (2.0 * sx * sy + c.c2) / (var_x + var_y + c.c2)
-    structure = (cov + c.c3) / (sx * sy + c.c3)
-    return lum * contrast * structure
+    return _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov, c)
 
 
-def _slice_window_counts(mask: np.ndarray, size: int) -> np.ndarray:
-    half = size // 2
-    crop = (slice(half, -half), slice(half, -half)) if half else (slice(None), slice(None))
-    counts = ndimage.uniform_filter(mask.astype(np.float64), size=size,
+def _window_counts(mask: np.ndarray, size: int) -> np.ndarray:
+    """Masked voxels under each fully interior in-plane window of a 3D box."""
+    counts = ndimage.uniform_filter(mask.astype(np.float64), size=(size, size, 1),
                                     mode="constant") * (size * size)
-    return np.rint(counts[crop]).astype(np.int64)
-
-
-def mssim_slice(x: np.ndarray, y: np.ndarray, mask: np.ndarray,
-                c: SsimConstants | None = None) -> float | None:
-    """Mean SSIM over the slice's windows containing at least one masked voxel.
-
-    Returns None when the slice has no such window (too small, or fully
-    background).
-    """
-    c = c or SsimConstants()
-    if x.shape != y.shape or x.shape != mask.shape:
-        raise ValueError("slice and mask shapes must agree")
-    if min(x.shape) < c.window_size:
-        return None
-    ssim_map = _slice_ssim_map(x, y, c)
-    counts = _slice_window_counts(mask, c.window_size)
-    keep = counts > 0
-    if not keep.any():
-        return None
-    return float(ssim_map[keep].mean())
+    return np.rint(counts[_interior(size)]).astype(np.int64)
 
 
 def mssim(classified: np.ndarray, reference: np.ndarray, mask: np.ndarray,
-          c: SsimConstants | None = None, pool_windows: bool = False) -> float:
+          c: SsimConstants | None = None) -> float:
     """MSSIM between a classified image and the reference.
 
-    2D inputs are scored directly; for a 3D subvolume the default is the
-    mean over axial slices of per-slice MSSIM, while pool_windows=True pools
-    every window volume-wide instead. Background-only windows are excluded.
-    Raises ValueError when no window touches the mask.
+    The window is first fitted to the in-plane shape (fit_constants). A 3D
+    box is scored in one pass: every moment is one correlation with the 2D
+    window laid in the axial plane. Each axial slice's MSSIM is the mean
+    SSIM over its windows containing a masked voxel, and the result is the
+    mean over the slices that have such a window. A 2D input is a one-slice
+    box. Raises ValueError when no window touches the mask.
     """
-    c = c or SsimConstants()
     classified = np.asarray(classified, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if classified.shape != reference.shape or classified.shape != mask.shape:
         raise ValueError("classified, reference and mask shapes must agree")
-
     if classified.ndim == 2:
-        value = mssim_slice(classified, reference, mask, c)
-        if value is None:
-            raise ValueError("no sliding window contains a masked voxel")
-        return value
-    if classified.ndim != 3:
+        classified, reference, mask = (a[:, :, None] for a in (classified, reference, mask))
+    elif classified.ndim != 3:
         raise ValueError(f"expected 2D or 3D input, got {classified.ndim}D")
+    c = fit_constants(c or SsimConstants(), classified.shape)
+    if min(classified.shape[:2]) < c.window_size:
+        raise ValueError("no sliding window contains a masked voxel")
 
-    if pool_windows:
-        total = 0.0
-        count = 0
-        for k in range(classified.shape[2]):
-            if min(classified.shape[:2]) < c.window_size:
-                continue
-            sl_mask = mask[:, :, k]
-            if not sl_mask.any():
-                continue
-            ssim_map = _slice_ssim_map(classified[:, :, k], reference[:, :, k], c)
-            counts = _slice_window_counts(sl_mask, c.window_size)
-            keep = counts > 0
-            total += float(ssim_map[keep].sum())
-            count += int(keep.sum())
-        if count == 0:
-            raise ValueError("no sliding window contains a masked voxel")
-        return total / count
-
-    per_slice = []
-    for k in range(classified.shape[2]):
-        value = mssim_slice(classified[:, :, k], reference[:, :, k], mask[:, :, k], c)
-        if value is not None:
-            per_slice.append(value)
+    keep = _window_counts(mask, c.window_size) > 0
+    ssim_map = _ssim_map(classified, reference, c)
+    per_slice = [float(ssim_map[:, :, k][keep[:, :, k]].mean())
+                 for k in range(keep.shape[2]) if keep[:, :, k].any()]
     if not per_slice:
         raise ValueError("no sliding window contains a masked voxel")
     return float(np.mean(per_slice))

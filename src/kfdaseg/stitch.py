@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -419,9 +419,7 @@ def _solve_problem(problem: StitchProblem, sched: AnnealSchedule, seed: int):
     if np.array_equal(problem.obs_a, problem.obs_b):
         # agreement is the unique MAP: every factor already maximal
         return problem.obs_a.copy()
-    local = AnnealSchedule(t0=sched.t0, rho=sched.rho, sweeps=sched.sweeps,
-                           t_min=sched.t_min, seed=seed)
-    return simulated_anneal(problem, local)
+    return simulated_anneal(problem, replace(sched, seed=seed))
 
 
 # ---------------------------------------------------------------------------

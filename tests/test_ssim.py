@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kfdaseg.ssim import (SsimConstants, classified_mean_image, gaussian_window,
-                          mssim, mssim_slice, patch_stats, ssim_patch)
+from kfdaseg.ssim import (SsimConstants, _ssim_map, _window_counts,
+                          classified_mean_image, fit_constants, gaussian_window,
+                          mssim, patch_stats, ssim_patch)
 from kfdaseg.volume import BG, CSF, GM, WM
 
 
@@ -110,9 +112,7 @@ def test_mssim_window_positions_match_patch_ssim():
     mask = np.ones((15, 15), dtype=bool)
     c = SsimConstants()
     w = gaussian_window()
-    from kfdaseg.ssim import _slice_ssim_map
-
-    ssim_map = _slice_ssim_map(x, y, c)
+    ssim_map = _ssim_map(x[:, :, None], y[:, :, None], c)[:, :, 0]
     for r in (0, 2, 4):
         for col in (0, 1, 3):
             patch_x = x[r:r + 11, col:col + 11]
@@ -132,9 +132,8 @@ def test_mssim_background_windows_excluded():
     full = mssim(x, y, np.ones_like(mask))
     masked = mssim(x, y, mask)
     # masked score only uses windows touching the upper half
-    from kfdaseg.ssim import _slice_ssim_map, _slice_window_counts
-    smap = _slice_ssim_map(x, y, SsimConstants())
-    counts = _slice_window_counts(mask, 11)
+    smap = _ssim_map(x[:, :, None], y[:, :, None], SsimConstants())[:, :, 0]
+    counts = _window_counts(mask[:, :, None], 11)[:, :, 0]
     expected = float(smap[counts > 0].mean())
     assert masked == pytest.approx(expected, abs=1e-12)
     assert masked != pytest.approx(full, abs=1e-12)
@@ -147,20 +146,36 @@ def test_mssim_no_masked_window_errors():
         mssim(x, x, mask)
 
 
-def test_mssim_slice_too_small_returns_none():
-    x = np.zeros((8, 8))
-    assert mssim_slice(x, x, np.ones((8, 8), dtype=bool)) is None
-
-
-def test_mssim_pool_windows_switch():
+def test_mssim_small_slice_uses_fitted_window():
+    # an 8x8 slice cannot host the 11x11 window: mssim scores it with the
+    # window fit_constants shrinks to 7x7
     rng = np.random.default_rng(9)
-    vol = rng.random((16, 16, 3))
-    ref = rng.random((16, 16, 3))
-    mask = np.ones(vol.shape, dtype=bool)
-    per_slice = mssim(vol, ref, mask, pool_windows=False)
-    pooled = mssim(vol, ref, mask, pool_windows=True)
-    # equal-sized slices with full masks: pooling equals the per-slice mean
-    assert pooled == pytest.approx(per_slice, abs=1e-9)
+    x = rng.random((8, 8))
+    y = rng.random((8, 8))
+    mask = np.ones((8, 8), dtype=bool)
+    fitted = fit_constants(SsimConstants(), (8, 8))
+    assert fitted.window_size == 7
+    assert mssim(x, y, mask) == mssim(x, y, mask, fitted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.tuples(*[st.integers(3, 30)] * 3),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_mssim_box_is_mean_of_slice_mssims(dims, density, seed):
+    # scoring a box in one pass equals scoring its axial slices one by one
+    # and averaging over the slices that touch the mask, bit for bit
+    rng = np.random.default_rng(seed)
+    x = rng.random(dims)
+    y = rng.random(dims)
+    mask = rng.random(dims) < density
+    mask[:, :, rng.random(dims[2]) < 0.3] = False   # some empty slices
+    touched = [k for k in range(dims[2]) if mask[:, :, k].any()]
+    if not touched:
+        with pytest.raises(ValueError, match="masked voxel"):
+            mssim(x, y, mask)
+        return
+    per_slice = [mssim(x[:, :, k], y[:, :, k], mask[:, :, k]) for k in touched]
+    assert mssim(x, y, mask) == float(np.mean(per_slice))
 
 
 def test_mssim_prefers_true_labels_on_phantom():
