@@ -2,8 +2,11 @@
 
 Pipeline stages: MI-optimal brain partitioning, spatially regularized
 kernel Fisher discriminant classification per subdomain with MSSIM-guided
-model selection, and simulated-annealing fusion of the overlapping
-subdomain labelings into one classified volume.
+model selection, and fusion of the overlapping subdomain labelings into one
+classified volume by the maximum-posterior labeling of each overlap strip,
+computed exactly by dynamic programming (`exact_map`), or, for strips too
+wide for it, estimated by the published simulated annealing
+(`simulated_anneal`).
 """
 
 from .volume import (
@@ -76,6 +79,7 @@ from .stitch import (
     SliceSubimage,
     StitchProblem,
     build_potentials,
+    exact_map,
     log_posterior,
     simulated_anneal,
     stitch_slice,

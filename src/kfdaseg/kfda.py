@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from .ssim import classified_mean_image, mssim
-from .volume import BG, CSF, GM, WM, MultiChannelVolume
+from .volume import BG, CSF, GM, WM, MultiChannelVolume, box_slices
 
 logger = logging.getLogger(__name__)
 
@@ -893,7 +893,7 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
     """
     cfg = cfg or KfdaConfig()
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    box = tuple(slice(lo, hi + 1) for lo, hi in bounds)
+    box = box_slices(bounds)
     data_box = vol.data[box].astype(np.float64)
     mask_box = vol.mask[box]
     ref_box = data_box[..., cfg.reference_channel]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .volume import MultiChannelVolume
+from .volume import MultiChannelVolume, box_slices
 
 logger = logging.getLogger(__name__)
 
@@ -94,8 +94,7 @@ class Subdomain:
     padded_bounds: tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None = None
 
     def slices(self, bounds=None):
-        b = bounds if bounds is not None else self.bounds
-        return tuple(slice(lo, hi + 1) for lo, hi in b)
+        return box_slices(bounds if bounds is not None else self.bounds)
 
 
 @dataclass

@@ -44,7 +44,9 @@ class PipelineConfig:
     Numeric defaults follow the method's published configuration: sigmoid
     kernel (a=8, b=-0.0005) for CSF, Gaussian RBF (sigma=0.5) for GM/WM,
     regularization grid 0.000025*i for i=0..4, 4-slice overlaps, at most 7
-    partition levels.
+    partition levels. Overlap strips up to stitch.EXACT_MAX_WIDTH cells
+    wide are solved exactly; wider ones are annealed with the schedule in
+    the sa_* fields.
     """
 
     volume: str = ""
@@ -208,7 +210,7 @@ def _class_counts(labels: np.ndarray, mask: np.ndarray) -> dict:
 
 def _region_mssim(labels_arr: np.ndarray, vol: MultiChannelVolume, bounds,
                   channel: int) -> float | None:
-    box = tuple(slice(lo, hi + 1) for lo, hi in bounds)
+    box = vol_io.box_slices(bounds)
     mask_box = vol.mask[box]
     if not mask_box.any():
         return None
@@ -321,7 +323,8 @@ def classify_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
 def stitch_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                  fragments: list[stitch.ClassifiedFragment],
                  timing: dict | None = None) -> LabelVolume:
-    """Fuse the fragments over their 2*pad_slices-wide overlaps (spawn key (2,))."""
+    """Fuse the fragments over their 2*pad_slices-wide overlaps; strips too
+    wide to solve exactly anneal on spawn key (2,)."""
     sched = cfg.anneal_schedule(stitch.spawn_seed(cfg.seed, 2))
     return _staged(timing, "stitch", stitch.stitch_volume, fragments, vol.dims,
                    mask=vol.mask, sched=sched, overlap=2 * cfg.pad_slices)

@@ -3,11 +3,13 @@
 Adjacent subdomains, each padded by p slices, share a 2p-slice overlap (4
 slices by default) carrying two label observations.
 Each overlap strip becomes a small lattice random field whose edge and node
-potentials reward label (pairs) seen in both observations, and the
-maximum-posterior joint labeling is found by simulated annealing. Slices are
-assembled progressively from the top-left subimage; axial overlaps are split
-evenly between the two subdomains, mirroring the annealer's composite
-initialization.
+potentials reward label (pairs) seen in both observations, and its
+maximum-posterior joint labeling is computed exactly by dynamic programming
+over the strip's short side (`exact_map`); a strip whose short side exceeds
+EXACT_MAX_WIDTH is annealed instead, as the method was published
+(`simulated_anneal`). Slices are assembled progressively from the top-left
+subimage; axial overlaps are split evenly between the two subdomains,
+mirroring the strip solvers' composite initialization.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .volume import BG, LabelVolume
+from .volume import BG, LabelVolume, box_slices
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +35,9 @@ NODE_ONE = 0.5
 NODE_NONE = 0.01
 W_BOUNDARY = 0.75
 W_INTERIOR = 0.25
+# widest strip exact_map solves: 2^14 frontier states, 16 KB of back-pointers
+# per cell; wider strips are annealed
+EXACT_MAX_WIDTH = 14
 
 
 @dataclass(frozen=True)
@@ -263,6 +268,78 @@ def simulated_anneal(p: StitchProblem, sched: AnnealSchedule | None = None,
     return np.asarray(best, dtype=np.uint8) + 1
 
 
+def exact_map(p: StitchProblem, tables: PotentialTables | None = None) -> np.ndarray:
+    """Exact MAP labeling of the overlap strip by dynamic programming.
+
+    Every cell of a MAP labeling carries its obs_a or its obs_b label. A
+    label seen in neither observation has the minimal node factor NODE_NONE
+    and makes every edge touching the cell EDGE_NONE, the minimal edge
+    factor; switching the cell to its obs_a label strictly raises the node
+    factor and lowers no edge factor. So every cell is a binary choice:
+    state 0 is its composite_init label, state 1 the other observation's
+    (the same label where the observations agree).
+
+    The binary field is solved by eliminating cells in raster order along
+    the strip's long axis while keeping the last w cells, w the short side
+    (at most the overlap width), as a frontier of 2^w states:
+    O(h*w*2^(w+1)) time, h*w*2^w bytes of back-pointers and no random
+    numbers. Ties go to state 0, as the annealer only leaves its composite
+    start for a strictly better posterior. Raises ValueError when the short
+    side exceeds EXACT_MAX_WIDTH.
+    """
+    tables = tables or build_potentials(p)
+    init = composite_init(p)
+    cand = np.stack([init, np.where(init == p.obs_a, p.obs_b, p.obs_a)],
+                    axis=-1).astype(np.int64) - 1
+    rr, cc = np.indices(p.shape)
+    node = np.log(tables.phi[rr[..., None], cc[..., None], cand])
+    # edge[r, c, s, t]: log factor of the edge from state s of its first
+    # cell to state t of its second
+    right = np.log(tables.psi_h[rr[:, :-1, None, None], cc[:, :-1, None, None],
+                                cand[:, :-1, :, None], cand[:, 1:, None, :]])
+    down = np.log(tables.psi_v[rr[:-1, :, None, None], cc[:-1, :, None, None],
+                               cand[:-1, :, :, None], cand[1:, :, None, :]])
+    transposed = p.shape[0] < p.shape[1]
+    if transposed:
+        cand, node = cand.transpose(1, 0, 2), node.transpose(1, 0, 2)
+        right, down = down.transpose(1, 0, 2, 3), right.transpose(1, 0, 2, 3)
+    h, w = node.shape[:2]
+    if w > EXACT_MAX_WIDTH:
+        raise ValueError(f"strip of shape {p.shape} is wider than the "
+                         f"{EXACT_MAX_WIDTH} cells the exact solver handles")
+
+    # score[s]: best log posterior of the cells eliminated so far given the
+    # frontier state s, whose bit j is the state of the frontier cell in
+    # column j; row 0 starts from a frontier of dummy cells
+    score = np.zeros(1 << w)
+    no_edge = np.zeros((2, 2))
+    choices = []
+    for r in range(h):
+        for c in range(w):
+            # cell (r, c) takes bit c from its upper neighbour; axes of the
+            # reshaped score: higher bits, bit c, bit c-1, lower bits
+            up = down[r - 1, c] if r else no_edge
+            left = right[r, c - 1] if c else no_edge[:1]
+            lower = 1 << max(c - 1, 0)
+            s = score.reshape(-1, 2, len(left), lower)
+            via_0 = s[:, None, 0] + up[0][None, :, None, None]
+            via_1 = s[:, None, 1] + up[1][None, :, None, None]
+            choice = via_1 > via_0
+            score = (np.maximum(via_0, via_1)
+                     + (node[r, c][:, None] + left.T)[None, :, :, None]).ravel()
+            choices.append(choice.ravel())
+
+    state = int(np.argmax(score))
+    pick = np.empty((h, w), dtype=np.int64)
+    for r in reversed(range(h)):
+        for c in reversed(range(w)):
+            x = (state >> c) & 1
+            pick[r, c] = x
+            state ^= (x ^ int(choices[r * w + c][state])) << c
+    best = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
+    return (best.T if transposed else best).astype(np.uint8) + 1
+
+
 # ---------------------------------------------------------------------------
 # Slice assembly
 # ---------------------------------------------------------------------------
@@ -326,9 +403,11 @@ def stitch_slice(subimages: list[SliceSubimage], shape: tuple[int, int],
     covers already-settled cells, the overlap strip (horizontal strips
     first, then vertical, minus the corner already handled, then the
     narrower strips that thin tiles leave at the subimage's edges) is
-    re-estimated by simulated annealing against the canvas. Raises
-    ValueError on overlap widths inconsistent with the expected strip layout
-    or on uncovered cells.
+    re-estimated against the canvas: by exact_map, or, for a strip whose
+    short side exceeds EXACT_MAX_WIDTH, by simulated annealing with sched
+    on a stream spawned from sched.seed. Raises ValueError on overlap
+    widths inconsistent with the expected strip layout or on uncovered
+    cells.
     """
     sched = sched or AnnealSchedule()
     canvas = np.zeros(shape, dtype=np.uint8)
@@ -348,8 +427,8 @@ def stitch_slice(subimages: list[SliceSubimage], shape: tuple[int, int],
     order = sorted(range(len(subimages)), key=lambda i: subimages[i].bounds)
     for si in order:
         sub = subimages[si]
-        (r0, r1), (c0, c1) = sub.bounds
-        box = (slice(r0, r1 + 1), slice(c0, c1 + 1))
+        (r0, _), (c0, _) = sub.bounds
+        box = box_slices(sub.bounds)
         pm = placed[box]
         patch = sub.labels
         hs, ws = patch.shape
@@ -366,9 +445,9 @@ def stitch_slice(subimages: list[SliceSubimage], shape: tuple[int, int],
             obs_patch = patch[rows, cols]
             problem = (StitchProblem(orientation, obs_canvas, obs_patch) if canvas_first
                        else StitchProblem(orientation, obs_patch, obs_canvas))
-            seed = spawn_seed(sched.seed, slice_index, r0 + rows.start, c0 + cols.start,
-                              int(orientation == "vertical"))
-            new_content[rows, cols] = _solve_problem(problem, sched, seed)
+            key = (slice_index, r0 + rows.start, c0 + cols.start,
+                   int(orientation == "vertical"))
+            new_content[rows, cols] = _solve_problem(problem, sched, key)
             resolved[rows, cols] = True
 
         # horizontal strips: the leftmost / rightmost `overlap` columns
@@ -415,11 +494,13 @@ def stitch_slice(subimages: list[SliceSubimage], shape: tuple[int, int],
     return canvas
 
 
-def _solve_problem(problem: StitchProblem, sched: AnnealSchedule, seed: int):
+def _solve_problem(problem: StitchProblem, sched: AnnealSchedule, key: tuple):
     if np.array_equal(problem.obs_a, problem.obs_b):
         # agreement is the unique MAP: every factor already maximal
         return problem.obs_a.copy()
-    return simulated_anneal(problem, replace(sched, seed=seed))
+    if min(problem.shape) <= EXACT_MAX_WIDTH:
+        return exact_map(problem)
+    return simulated_anneal(problem, replace(sched, seed=spawn_seed(sched.seed, *key)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +536,9 @@ def stitch_volume(fragments: list[ClassifiedFragment], dims,
     Fragments padded by p slices overlap their neighbours by overlap = 2p
     slices. Axial overlap slices are owned by the nearer fragment (the near
     half of each overlap), so each axial slice sees only in-plane overlap
-    strips, overlap cells wide, which are re-estimated by simulated
-    annealing. Raises ValueError when a voxel is covered by no fragment.
+    strips, overlap cells wide, which are re-estimated by exact_map, or by
+    simulated annealing with sched where too wide (see stitch_slice).
+    Raises ValueError when a voxel is covered by no fragment.
     """
     sched = sched or AnnealSchedule()
     out = np.full(dims, BG, dtype=np.uint8)
@@ -475,12 +557,14 @@ def stitch_volume(fragments: list[ClassifiedFragment], dims,
         out[~mask] = BG
         stray = (out == BG) & mask
         if stray.any():
-            # annealing proposed background inside the brain; fall back to
-            # the first fragment covering each such voxel
+            # a strip solution put background inside the brain (exact_map
+            # does only where a fragment observed it there, the annealer of
+            # wide strips also by proposal); fall back to the first fragment
+            # covering each such voxel
             logger.warning("repairing %d background labels inside the mask",
                            int(stray.sum()))
             for frag in fragments:
-                box = tuple(slice(lo, hi + 1) for lo, hi in frag.padded_bounds)
+                box = box_slices(frag.padded_bounds)
                 sel = stray[box]
                 if sel.any():
                     region = out[box]

@@ -32,6 +32,11 @@ TISSUE_LABELS = (CSF, GM, WM)
 ALL_LABELS = (CSF, GM, WM, BG)
 
 
+def box_slices(bounds) -> tuple[slice, ...]:
+    """Index of the box with inclusive (lo, hi) bounds on each axis."""
+    return tuple(slice(lo, hi + 1) for lo, hi in bounds)
+
+
 class VolumeFormatError(ValueError):
     """Raised when an on-disk volume violates its header or value contract."""
 

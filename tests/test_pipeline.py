@@ -13,7 +13,7 @@ from kfdaseg.pipeline import (PipelineConfig, REPORT_SCHEMA, dice_scores,
                               partition_stage, run_pipeline, stitch_stage)
 from kfdaseg.ssim import SsimConstants, classified_mean_image, mssim
 from kfdaseg.stitch import ClassifiedFragment
-from kfdaseg.volume import (BG, MultiChannelVolume, check_mask_consistency,
+from kfdaseg.volume import (BG, MultiChannelVolume, box_slices, check_mask_consistency,
                             load_labels, load_volume, normalize_intensities)
 
 
@@ -186,13 +186,47 @@ def test_partition_pad_stitch_round_trip(dims, pad, max_depth, density, seed):
     coverage = np.zeros(dims, dtype=np.int32)
     fragments = []
     for leaf in partition_stage(cfg, vol).leaf_nodes():
-        core, padded = (tuple(slice(lo, hi + 1) for lo, hi in b)
-                        for b in (leaf.bounds, leaf.padded_bounds))
+        core, padded = (box_slices(b) for b in (leaf.bounds, leaf.padded_bounds))
         coverage[core] += 1
         assert all(p.start <= c.start and c.stop <= p.stop for c, p in zip(core, padded))
         fragments.append(ClassifiedFragment(leaf.bounds, leaf.padded_bounds, truth[padded]))
     assert np.all(coverage == 1), "leaf cores must tile the volume"
     assert np.array_equal(stitch_stage(cfg, vol, fragments).labels, truth)
+
+
+def test_wide_overlap_runs_with_default_config(monkeypatch):
+    # pad_slices=8 gives 16-wide overlaps, wider than EXACT_MAX_WIDTH: the
+    # default config anneals those strips, deterministically
+    from kfdaseg import stitch
+
+    annealed = []
+    anneal = stitch.simulated_anneal
+
+    def spy(problem, sched=None, tables=None):
+        annealed.append(problem.shape)
+        return anneal(problem, sched, tables)
+
+    monkeypatch.setattr(stitch, "simulated_anneal", spy)
+    rng = np.random.default_rng(7)
+    dims = (32, 20, 2)
+    # two intensity halves: the one MI cut falls between rows 15 and 16
+    data = np.where(np.arange(32)[:, None, None] < 16, 0.2, 0.8) + 0.05 * rng.random(dims)
+    vol = MultiChannelVolume(data=data[..., None].astype(np.float32),
+                             mask=np.ones(dims, dtype=bool))
+    cfg = PipelineConfig(max_depth=1, pad_slices=8)
+    cfg.validate(check_paths=False)
+    truth = rng.integers(1, 4, size=dims).astype(np.uint8)
+    fragments = []
+    for leaf in partition_stage(cfg, vol).leaf_nodes():
+        labels = truth[box_slices(leaf.padded_bounds)].copy()
+        flip = rng.random(labels.shape) < 0.2
+        labels[flip] = rng.integers(1, 4, size=int(flip.sum()))
+        fragments.append(ClassifiedFragment(leaf.bounds, leaf.padded_bounds, labels))
+    assert [f.core_bounds[0] for f in fragments] == [(0, 15), (16, 31)]
+    first = stitch_stage(cfg, vol, fragments).labels
+    assert annealed and all(min(shape) > stitch.EXACT_MAX_WIDTH for shape in annealed)
+    assert np.array_equal(stitch_stage(cfg, vol, fragments).labels, first)
+    assert np.all(first != BG)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
-"""Overlap potentials, MAP annealing and progressive slice/volume assembly."""
+"""Overlap potentials, exact and annealed MAP strips, slice/volume assembly."""
 
 import itertools
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kfdaseg.stitch import (AnnealSchedule, ClassifiedFragment, SliceSubimage,
-                            StitchProblem, build_potentials, composite_init,
-                            log_posterior, simulated_anneal, stitch_slice,
+from kfdaseg.stitch import (EXACT_MAX_WIDTH, AnnealSchedule, ClassifiedFragment,
+                            SliceSubimage, StitchProblem, build_potentials,
+                            composite_init, exact_map, log_posterior,
+                            simulated_anneal, spawn_seed, stitch_slice,
                             stitch_volume)
 from kfdaseg.volume import BG, CSF, GM, WM
 
@@ -152,15 +155,15 @@ def test_enumeration_orders_configs_like_log_posterior():
 
 
 # ---------------------------------------------------------------------------
-# Simulated annealing
+# Strip solvers: simulated annealing and the exact dynamic program
 # ---------------------------------------------------------------------------
 
 def test_agreement_is_returned_exactly():
     obs = np.array([[CSF, GM, WM, WM], [GM, GM, GM, WM],
                     [WM, GM, CSF, CSF]], dtype=np.uint8)
     p = hproblem(obs, obs)
-    result = simulated_anneal(p, AnnealSchedule(seed=3))
-    assert np.array_equal(result, obs)
+    assert np.array_equal(simulated_anneal(p, AnnealSchedule(seed=3)), obs)
+    assert np.array_equal(exact_map(p), obs)
 
 
 def test_incumbent_never_below_initialization():
@@ -170,8 +173,10 @@ def test_incumbent_never_below_initialization():
         b = rng.integers(1, 5, size=(3, 4)).astype(np.uint8)
         p = hproblem(a, b)
         pt = build_potentials(p)
+        init_lp = log_posterior(composite_init(p), pt)
         result = simulated_anneal(p, AnnealSchedule(seed=seed), tables=pt)
-        assert log_posterior(result, pt) >= log_posterior(composite_init(p), pt) - 1e-9
+        assert log_posterior(result, pt) >= init_lp - 1e-9
+        assert log_posterior(exact_map(p, pt), pt) >= init_lp - 1e-9
 
 
 def test_sa_reaches_exhaustive_map_on_small_problems():
@@ -187,7 +192,62 @@ def test_sa_reaches_exhaustive_map_on_small_problems():
         result = simulated_anneal(p, AnnealSchedule(seed=seed), tables=pt)
         if log_posterior(result, pt) >= best_lp - 1e-9:
             hits += 1
+        assert log_posterior(exact_map(p, pt), pt) == pytest.approx(best_lp, abs=1e-9)
     assert hits / trials >= 0.95, f"{hits}/{trials} reached the MAP"
+
+
+def test_exact_map_matches_enumeration():
+    # shapes of both orientations down to 1-wide strips; observations that
+    # disagree everywhere, in part, or draw from two labels only
+    rng = np.random.default_rng(15)
+    shapes = [(1, 1), (1, 3), (3, 1), (1, 5), (5, 1), (2, 2), (2, 3), (3, 2)]
+    for trial in range(48):
+        shape = shapes[trial % len(shapes)]
+        a = rng.integers(1, 5, size=shape).astype(np.uint8)
+        b = rng.integers(1, 5, size=shape).astype(np.uint8)
+        if trial % 3 == 1:
+            b = np.where(rng.random(shape) < 0.5, a, b).astype(np.uint8)
+        elif trial % 3 == 2:
+            a, b = a % 2 + 1, b % 2 + 1
+        p = StitchProblem("horizontal" if trial % 2 else "vertical", a, b)
+        pt = build_potentials(p)
+        _, best_lp = enumerate_map(p)
+        result = exact_map(p, pt)
+        assert log_posterior(result, pt) == pytest.approx(best_lp, abs=1e-9), trial
+        assert np.all((result == a) | (result == b)), trial
+
+
+def test_exact_map_not_below_annealer():
+    rng = np.random.default_rng(16)
+    for seed in range(4):
+        a = rng.integers(1, 4, size=(26, 4)).astype(np.uint8)
+        b = np.where(rng.random((26, 4)) < 0.5, a,
+                     rng.integers(1, 4, size=(26, 4))).astype(np.uint8)
+        p = hproblem(a, b)
+        pt = build_potentials(p)
+        annealed = simulated_anneal(p, AnnealSchedule(seed=seed), tables=pt)
+        assert log_posterior(exact_map(p, pt), pt) >= log_posterior(annealed, pt) - 1e-9
+
+
+def test_exact_map_widest_strip_cost():
+    # every cell of a 14-wide strip (pad_slices=7) disagrees: the frontier
+    # holds 2^14 states for each of the 896 cells
+    rng = np.random.default_rng(17)
+    a = rng.integers(1, 5, size=(64, EXACT_MAX_WIDTH)).astype(np.uint8)
+    b = a % 4 + 1
+    for p in (hproblem(a, b), StitchProblem("vertical", a.T, b.T)):
+        pt = build_potentials(p)
+        t0 = time.perf_counter()
+        result = exact_map(p, pt)
+        elapsed = time.perf_counter() - t0
+        # about 0.15 s on a 2-vCPU VM; a frontier of 2^(w+1) or more states
+        # per cell would take many times the bound
+        assert elapsed < 5.0, f"{elapsed:.2f}s for a {p.shape} strip"
+        assert np.all((result == p.obs_a) | (result == p.obs_b))
+        assert log_posterior(result, pt) >= log_posterior(composite_init(p), pt)
+    wider = np.ones((EXACT_MAX_WIDTH + 1,) * 2, dtype=np.uint8)
+    with pytest.raises(ValueError, match="wider"):
+        exact_map(StitchProblem("vertical", wider, wider + 1))
 
 
 def test_sa_determinism():
@@ -262,6 +322,23 @@ def test_four_quadrants_with_corrupted_overlaps():
     err_out = (out[ov] != truth[ov]).mean()
     err_a = (subs[0].labels[:, 8:12] != truth[0:12, 8:12]).mean()
     assert err_out <= err_a + 1e-9
+
+
+def test_wide_strip_is_annealed():
+    # a strip wider than EXACT_MAX_WIDTH is annealed with the default
+    # schedule, on the stream spawned for its slice, corner and orientation
+    rng = np.random.default_rng(18)
+    w = EXACT_MAX_WIDTH + 1
+    left = rng.integers(1, 4, size=(w, 20)).astype(np.uint8)
+    right = rng.integers(1, 4, size=(w, 20)).astype(np.uint8)
+    subs = [SliceSubimage(((0, w - 1), (0, 19)), left),
+            SliceSubimage(((0, w - 1), (5, 24)), right)]
+    out = stitch_slice(subs, (w, 25), slice_index=2, overlap=w)
+    p = hproblem(left[:, 5:], right[:, :w])
+    sched = replace(AnnealSchedule(), seed=spawn_seed(0, 2, 0, 5, 0))
+    assert np.array_equal(out[:, 5:20], simulated_anneal(p, sched))
+    assert np.array_equal(out[:, :5], left[:, :5])
+    assert np.array_equal(out[:, 20:], right[:, w:])
 
 
 def test_uncovered_cells_error():
