@@ -33,14 +33,12 @@ from .partition import (
     SlabClustering,
     Subdomain,
     best_cut,
-    cnr,
     histogram_2bin,
     mutual_information,
     noise_sigma,
     normalize_snr_curve,
     partition,
     snr,
-    total_mir,
 )
 from .ssim import (
     PatchStats,
@@ -63,9 +61,7 @@ from .kfda import (
     build_matrices,
     categorize,
     classify_outliers_mahalanobis,
-    classify_overlap_knn,
     classify_subdomain,
-    kernel_eval,
     kernel_matrix,
     neighborhood_matrix,
     project,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial import cKDTree
 
 from .ssim import classified_mean_image, mssim
 from .volume import BG, CSF, GM, WM, MultiChannelVolume, box_slices
@@ -72,20 +73,6 @@ class KernelSpec:
         return cls(kind="polynomial", degree=1)
 
 
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """K(x, z) for a single vector pair."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.shape != z.shape:
-        raise ValueError(f"vector dims differ: {x.shape} vs {z.shape}")
-    if spec.kind == "sigmoid":
-        return float(np.tanh(spec.a * float(x @ z) + spec.b))
-    if spec.kind == "gaussian_rbf":
-        d = x - z
-        return float(np.exp(-float(d @ d) / (2.0 * spec.sigma ** 2)))
-    return float(x @ z) ** spec.degree
-
-
 def kernel_matrix(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Pairwise kernel matrix K[i, j] = K(xs[i], zs[j]).
 
@@ -111,17 +98,6 @@ def kernel_matrix(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarra
     if spec.degree != 1:
         np.power(out, spec.degree, out=out)
     return out
-
-
-def kernel_diag(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
-    """K(x, x) for each row of xs."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if spec.kind == "gaussian_rbf":
-        return np.ones(xs.shape[0])
-    sq = np.sum(xs * xs, axis=1)
-    if spec.kind == "sigmoid":
-        return np.tanh(spec.a * sq + spec.b)
-    return sq ** spec.degree
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +208,6 @@ def neighborhood_matrix(member_box: np.ndarray) -> sparse.csr_matrix:
     return (adj - sparse.diags(degree)).tocsr()
 
 
-def graph_edges(h: sparse.spmatrix) -> np.ndarray:
-    """(n_edges, 2) unique undirected edges of a neighbourhood matrix."""
-    coo = sparse.triu(h, k=1).tocoo()
-    return np.stack([coo.row, coo.col], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Discriminant matrices
 # ---------------------------------------------------------------------------
@@ -259,16 +229,6 @@ class KfdaMatrices:
     def m_diff(self) -> np.ndarray:
         return self.m_neg - self.m_pos
 
-    @property
-    def between(self) -> np.ndarray:
-        """Rank-1 between-class matrix (materialized; prefer m_diff)."""
-        return np.outer(self.m_diff, self.m_diff)
-
-    def penalty(self) -> np.ndarray:
-        """Materialized graph penalty matrix (small problems only)."""
-        cross = self.cross.astype(np.float64, copy=False)
-        return cross @ self.neighborhood.dot(cross.T)
-
     def penalty_matvec(self, v: np.ndarray) -> np.ndarray:
         if self.cross.dtype == np.float32:
             # stay in float32 through the big gemvs; mixing dtypes would
@@ -283,11 +243,6 @@ class KfdaMatrices:
         if self.cross.dtype == np.float32:
             return (self.cross.T @ alpha.astype(np.float32)).astype(np.float64)
         return self.cross.T @ alpha
-
-    def roughness(self, alpha: np.ndarray) -> float:
-        """Sum of squared projection differences over graph edges."""
-        return -float(alpha @ self.penalty_matvec(alpha))
-
 
 # above this entry count the whole-subdomain cross kernel is stored in
 # float32: the matvec is memory-bandwidth bound and tests that need 1e-8
@@ -642,72 +597,58 @@ def classify_outliers_mahalanobis(features: np.ndarray, init_sides: np.ndarray,
     return out.astype(np.int8)
 
 
-def feature_space_distances(spec: KernelSpec, queries: np.ndarray,
-                            prototypes: np.ndarray) -> np.ndarray:
-    """Squared distances by which the k-NN ranks prototypes for a kernel.
-
-    For the positive semidefinite kernels (Gaussian RBF, polynomial) these
-    are kernel-trick feature-space distances d^2 = K(x,x) - 2 K(x,p) + K(p,p).
-    The sigmoid kernel is not positive semidefinite (Lin & Lin 2003), so it
-    has no feature space in which that expression is a squared norm: it goes
-    negative, most of all against low-norm prototypes, and ranks them first
-    whatever their intensity. For the sigmoid kernel the distances are
-    therefore squared Euclidean distances between the intensity vectors.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    prototypes = np.atleast_2d(np.asarray(prototypes, dtype=np.float64))
-    if spec.kind == "sigmoid":
-        # the linear kernel's kernel-trick distance is the Euclidean one
-        spec = KernelSpec.linear()
-    cross = kernel_matrix(spec, queries, prototypes)
-    return (kernel_diag(spec, queries)[:, None]
-            - 2.0 * cross
-            + kernel_diag(spec, prototypes)[None, :])
+# query rows per block when the polynomial kernel ranks prototypes by brute force
+_BRUTE_ROWS = 256
 
 
 def nearest_prototype_sides(spec: KernelSpec, queries: np.ndarray,
                             proto_features: np.ndarray, proto_sides: np.ndarray,
-                            k_max: int, chunk: int = 256) -> np.ndarray:
+                            k_max: int) -> np.ndarray:
     """(n_queries, k_max) class sides of each query's nearest prototypes.
 
-    Prototypes are ranked by feature_space_distances: kernel-trick distances
-    for the RBF and polynomial kernels (for RBF this is the Euclidean order),
-    squared Euclidean intensity distances for the sigmoid kernel, whose
-    kernel-trick expression is no distance. Queries are processed in chunks
-    so the full distance matrix never materializes.
+    Neighbours are ordered by distance, then by prototype index; quantized
+    intensities make exact ties real. The sigmoid and RBF kernels rank by
+    Euclidean distance between intensity vectors, answered exactly by a
+    KD-tree. For RBF that is its own order: the kernel-trick distance
+    2 - 2 exp(-d^2 / 2 sigma^2) is monotone in d. The sigmoid kernel is not
+    positive semidefinite (Lin & Lin 2003), so its kernel-trick expression
+    K(x,x) - 2K(x,p) + K(p,p) is no distance: it goes negative against
+    high-norm prototypes and would rank them first whatever their intensity.
+    The polynomial kernel alone ranks by its kernel-trick distance
+    (x.x)^d - 2(x.p)^d + (p.p)^d, which is not Euclidean-ordered, by brute
+    force over every prototype.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    protos = np.atleast_2d(np.asarray(proto_features, dtype=np.float64))
     proto_sides = np.asarray(proto_sides, dtype=np.int8)
+    n_q = len(queries)
     k_max = min(k_max, len(proto_sides))
-    out = np.empty((queries.shape[0], k_max), dtype=np.int8)
-    for start in range(0, queries.shape[0], chunk):
-        block = queries[start:start + chunk]
-        d2 = feature_space_distances(spec, block, proto_features)
-        if k_max < d2.shape[1]:
-            part = np.argpartition(d2, k_max - 1, axis=1)[:, :k_max]
-            rows = np.arange(d2.shape[0])[:, None]
-            order = part[rows, np.argsort(d2[rows, part], axis=1, kind="stable")]
-        else:
-            order = np.argsort(d2, axis=1, kind="stable")
-        out[start:start + chunk] = proto_sides[order]
-    return out
-
-
-def classify_overlap_knn(spec: KernelSpec, features: np.ndarray,
-                         proto_features: np.ndarray, proto_sides: np.ndarray,
-                         k: int) -> np.ndarray:
-    """Majority vote among the k nearest prototypes by feature_space_distances."""
-    proto_sides = np.asarray(proto_sides, dtype=np.int8)
-    if k < 1 or k > len(proto_sides):
-        raise ValueError(f"k={k} must be in [1, {len(proto_sides)}]")
-    if k % 2 == 0:
-        raise ValueError("k must be odd to preclude vote ties")
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[0] == 0:
-        return np.empty(0, dtype=np.int8)
-    sides = nearest_prototype_sides(spec, features, proto_features, proto_sides, k)
-    votes = sides.astype(np.int32).sum(axis=1)
-    return np.where(votes > 0, 1, -1).astype(np.int8)
+    if spec.kind == "polynomial":
+        order = np.empty((n_q, k_max), dtype=np.int64)
+        p_diag = np.sum(protos * protos, axis=1) ** spec.degree
+        for start in range(0, n_q, _BRUTE_ROWS):
+            block = queries[start:start + _BRUTE_ROWS]
+            d2 = ((np.sum(block * block, axis=1) ** spec.degree)[:, None]
+                  - 2.0 * kernel_matrix(spec, block, protos) + p_diag)
+            order[start:start + _BRUTE_ROWS] = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
+        return proto_sides[order]
+    if k_max == 0:
+        return np.empty((n_q, 0), dtype=np.int8)
+    # one neighbour past k_max shows whether a tie straddles the cut
+    k_query = min(k_max + 1, len(protos))
+    dist, idx = cKDTree(protos).query(queries, k=k_query)
+    dist = dist.reshape(n_q, k_query)
+    idx = idx.reshape(n_q, k_query)
+    cols = np.lexsort((idx, dist), axis=1)
+    rows = np.arange(n_q)[:, None]
+    dist, idx = dist[rows, cols], idx[rows, cols]
+    if k_query > k_max:
+        # the tree returns any of the tied prototypes; rank those rows over
+        # all prototypes so the lowest indices make the cut
+        for r in np.flatnonzero(dist[:, k_max - 1] == dist[:, k_max]):
+            d = np.sqrt(np.sum((protos - queries[r]) ** 2, axis=1))
+            idx[r, :k_max] = np.argsort(d, kind="stable")[:k_max]
+    return proto_sides[idx[:, :k_max]]
 
 
 # ---------------------------------------------------------------------------
@@ -721,13 +662,16 @@ def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
     """Refine outliers and the overlapping set, keeping the better labeling.
 
     Outliers are reassigned by Mahalanobis distance; the overlapping set is
-    reassigned by KNN for each k in k_grid on top of that, ranking the
-    prototypes by feature_space_distances (kernel-trick distance for the
-    positive semidefinite RBF and polynomial kernels, Euclidean intensity
-    distance for the sigmoid kernel, which has no kernel-trick distance);
-    the labeling with the larger classified-image MSSIM wins. render(sides)
-    must produce the mean-intensity image to compare with the reference. An
-    empty overlapping set returns the Mahalanobis labeling directly.
+    reassigned by KNN for each k in k_grid on top of that. One call to
+    nearest_prototype_sides ranks the prototypes for every k: an exact
+    KD-tree in Euclidean intensity order for the sigmoid and RBF kernels
+    (the RBF kernel-trick distance is monotone in it; the sigmoid kernel is
+    not positive semidefinite and has no kernel-trick distance), brute force
+    by kernel-trick distance for the polynomial kernel alone, ties broken by
+    prototype index. The labeling with the larger classified-image MSSIM
+    wins. render(sides) must produce the mean-intensity image to compare
+    with the reference. An empty overlapping set returns the Mahalanobis
+    labeling directly.
     """
     sides_mahal = np.asarray(init_sides, dtype=np.int8).copy()
     out_idx = categories.outliers

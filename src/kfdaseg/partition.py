@@ -298,19 +298,6 @@ def best_cut(vol: MultiChannelVolume, sub: Subdomain,
 # MIR over a leaf set
 # ---------------------------------------------------------------------------
 
-def total_mir(tree: PartitionTree) -> float:
-    """Weighted MI over the tree's leaves, normalized by weighted entropy.
-
-    MI_t = sum_i (N_i/N) MI_i and H_t = sum_i (N_i/N) H_i over the current
-    leaves; the ratio lies in [0, 1] (0 when no leaf carries entropy).
-    Raises ValueError on an empty tree.
-    """
-    leaves = tree.leaf_nodes()
-    if not leaves:
-        raise ValueError("partition tree has no leaves")
-    return _mir_over(leaves)
-
-
 def _mir_over(nodes: list[Subdomain]) -> float:
     total = sum(n.voxel_count for n in nodes)
     if total == 0:
@@ -323,7 +310,7 @@ def _mir_over(nodes: list[Subdomain]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Noise, SNR, CNR
+# Noise and SNR
 # ---------------------------------------------------------------------------
 
 def noise_sigma(vol: MultiChannelVolume, sub: Subdomain, channel: int = 0) -> float:
@@ -384,28 +371,6 @@ def normalize_snr_curve(snr_values, mir_values) -> list[float]:
             out[finite] = (snr_arr[finite] - lo) / (hi - lo) * (mir_hi - mir_lo) + mir_lo
     out[~finite] = mir_hi
     return [float(v) for v in out]
-
-
-def cnr(vol: MultiChannelVolume, sub: Subdomain, labels: np.ndarray,
-        class_a, class_b, channel: int = 0) -> float | None:
-    """Contrast-to-noise between two label groups on the reference channel.
-
-    class_a / class_b are labels or label tuples (e.g. (2, 3) for G+WM).
-    Returns None when either class is absent from the subdomain.
-    """
-    sl = sub.slices()
-    box = vol.data[sl][..., channel].astype(np.float64)
-    mask = vol.mask[sl]
-    lab = labels[sl]
-    sel_a = np.isin(lab, np.atleast_1d(class_a)) & mask
-    sel_b = np.isin(lab, np.atleast_1d(class_b)) & mask
-    if not sel_a.any() or not sel_b.any():
-        return None
-    sigma = noise_sigma(vol, sub, channel)
-    contrast = abs(float(box[sel_a].mean()) - float(box[sel_b].mean()))
-    if sigma <= 0.0:
-        return math.inf if contrast > 0 else 0.0
-    return contrast / sigma
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one status line per
 criterion. Phantom-scale analogues stand in for the original templates.
 """
 
-import itertools
 import math
 import time
 
@@ -12,8 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kfdaseg.kfda import (KernelSpec, SubdomainData, TrainingSet, build_matrices,
-                          graph_edges, solve_alpha)
+from kfdaseg.kfda import KernelSpec, SubdomainData, TrainingSet, build_matrices, solve_alpha
 from kfdaseg.partition import (Histogram2, PartitionConfig, SlabClustering,
                                Subdomain, best_cut, histogram_2bin,
                                mutual_information, partition)
@@ -24,6 +22,7 @@ from kfdaseg.ssim import SsimConstants, gaussian_window, ssim_patch
 from kfdaseg.stitch import (AnnealSchedule, StitchProblem, build_potentials,
                             composite_init, log_posterior, simulated_anneal)
 from kfdaseg.volume import CSF, MultiChannelVolume
+from oracles import enumerate_map_vectorized, graph_edges
 
 # acceptance pipeline configuration: method constants stay at their published
 # defaults; l_max is reduced from the 4000 default to meet the runtime bound
@@ -280,36 +279,6 @@ def test_criterion_5_ssim_correctness():
 # ---------------------------------------------------------------------------
 # 6. SA stitching optimality
 # ---------------------------------------------------------------------------
-
-def enumerate_map_vectorized(problem: StitchProblem):
-    """Exhaustive MAP by vectorized enumeration of all 4^n configurations."""
-    pt = build_potentials(problem)
-    h, w = problem.shape
-    n = h * w
-    with np.errstate(divide="ignore"):
-        log_phi = np.log(pt.phi)
-        log_h = np.log(pt.psi_h) if pt.psi_h.size else pt.psi_h
-        log_v = np.log(pt.psi_v) if pt.psi_v.size else pt.psi_v
-    best = -np.inf
-    chunk = 1 << 18
-    total = 4 ** n
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        configs = np.stack(np.unravel_index(idx, (4,) * n), axis=1)  # (m, n)
-        grid = configs.reshape(-1, h, w)
-        lp = np.zeros(len(idx))
-        for r in range(h):
-            for col in range(w):
-                lp += log_phi[r, col, grid[:, r, col]]
-        for r in range(h):
-            for col in range(w - 1):
-                lp += log_h[r, col, grid[:, r, col], grid[:, r, col + 1]]
-        for r in range(h - 1):
-            for col in range(w):
-                lp += log_v[r, col, grid[:, r, col], grid[:, r + 1, col]]
-        best = max(best, float(lp.max()))
-    return best
-
 
 def test_criterion_6_sa_optimality():
     rng = np.random.default_rng(1006)

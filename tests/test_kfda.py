@@ -8,12 +8,13 @@ import scipy.linalg as sla
 
 from kfdaseg.kfda import (ConvergenceError, KernelSpec, KfdaConfig, SubdomainData,
                           TrainingSet, build_matrices, categorize,
-                          classify_outliers_mahalanobis, classify_overlap_knn,
-                          classify_subdomain, default_beta, feature_space_distances,
-                          graph_edges, kernel_eval, kernel_matrix,
+                          classify_outliers_mahalanobis, classify_subdomain,
+                          default_beta, kernel_matrix, nearest_prototype_sides,
                           neighborhood_matrix, project, solve_alpha,
                           ssim_guided_decision)
 from kfdaseg.volume import BG, CSF, GM, WM
+from oracles import (between, classify_overlap_knn, graph_edges, kernel_eval,
+                     penalty, roughness)
 
 
 def subdata_line(features):
@@ -93,7 +94,7 @@ def test_single_sample_classes_give_zero_within():
     ts = simple_training(feats, np.array([-1, 1]))
     mats = build_matrices(ts, KernelSpec.linear(), subdata_line(feats))
     m_diff = mats.m_neg - mats.m_pos
-    assert np.allclose(mats.between, np.outer(m_diff, m_diff), atol=1e-12)
+    assert np.allclose(between(mats), np.outer(m_diff, m_diff), atol=1e-12)
     assert np.allclose(mats.within, 0.0, atol=1e-10)
 
 
@@ -214,7 +215,7 @@ def test_small_instances_match_dense_eigendecomposition():
         beta = default_beta(mats.within)
         pencil = mats.within + beta * np.eye(l)
         for lam in (0.0, 0.1, 10.0):
-            a = mats.between + lam * mats.penalty()
+            a = between(mats) + lam * penalty(mats)
             evals, evecs = sla.eigh(0.5 * (a + a.T), pencil)
             model = solve_alpha(mats, lam, beta=beta)
             assert model.gamma == pytest.approx(float(evals[-1]),
@@ -255,14 +256,14 @@ def test_lambda_monotonically_smooths_projections():
     ts = TrainingSet(sub.features, labels, np.arange(n))
     mats = build_matrices(ts, KernelSpec.rbf(0.5), sub)
     grid = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
-    roughness = []
+    rough = []
     warm = None
     for lam in grid:
         model = solve_alpha(mats, lam, x0=warm)
         warm = model.alpha
-        roughness.append(mats.roughness(model.alpha))
-    for a, b in zip(roughness, roughness[1:]):
-        assert b <= a * (1 + 1e-6) + 1e-9, roughness
+        rough.append(roughness(mats, model.alpha))
+    for a, b in zip(rough, rough[1:]):
+        assert b <= a * (1 + 1e-6) + 1e-9, rough
 
 
 def test_projection_sign_convention_and_midpoint():
@@ -439,6 +440,41 @@ def test_knn_validates_k():
         classify_overlap_knn(KernelSpec.rbf(0.5), np.zeros((1, 2)), protos, sides, 2)
     with pytest.raises(ValueError):
         classify_overlap_knn(KernelSpec.rbf(0.5), np.zeros((1, 2)), protos, sides, 9)
+
+
+def test_knn_ties_break_by_prototype_index():
+    # quantized intensities tie exactly: every prototype intensity appears
+    # twice, once per side, so a tie not broken by index (inside the k
+    # nearest or straddling the k cut) returns a wrong side. Quarter steps
+    # keep every distance exact, so the oracle sees the same ties.
+    rng = np.random.default_rng(20)
+    levels = rng.integers(0, 4, size=(15, 3)) / 4.0
+    shuffle = rng.permutation(30)
+    protos = np.vstack([levels, levels])[shuffle]
+    sides = np.repeat(np.array([1, -1], dtype=np.int8), 15)[shuffle]
+    queries = rng.integers(0, 4, size=(40, 3)) / 4.0
+
+    def distances(spec, q):
+        if spec.kind == "polynomial":
+            p = spec.degree
+            return (q @ q) ** p - 2 * (protos @ q) ** p + np.sum(protos * protos, axis=1) ** p
+        return ((protos - q) ** 2).sum(axis=1)
+
+    for spec in (KernelSpec.rbf(0.5), KernelSpec.sigmoid(8.0, -0.0005),
+                 KernelSpec.polynomial(2)):
+        straddling = 0
+        for k_max in (1, 4, 11, 30, 35):
+            got = nearest_prototype_sides(spec, queries, protos, sides, k_max)
+            k = min(k_max, 30)
+            assert got.shape == (40, k)
+            for qi, q in enumerate(queries):
+                d = distances(spec, q)
+                order = np.argsort(d, kind="stable")
+                assert np.array_equal(got[qi], sides[order[:k]]), (spec.kind, k_max, qi)
+                straddling += k < 30 and d[order[k - 1]] == d[order[k]]
+        assert straddling >= 20, spec.kind
+        empty = nearest_prototype_sides(spec, np.empty((0, 3)), protos, sides, 5)
+        assert empty.shape == (0, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Overlap potentials, exact and annealed MAP strips, slice/volume assembly."""
 
-import itertools
 import math
 import time
 from dataclasses import replace
@@ -14,6 +13,7 @@ from kfdaseg.stitch import (EXACT_MAX_WIDTH, AnnealSchedule, ClassifiedFragment,
                             simulated_anneal, spawn_seed, stitch_slice,
                             stitch_volume)
 from kfdaseg.volume import BG, CSF, GM, WM
+from oracles import enumerate_map_vectorized
 
 FAST = AnnealSchedule(t0=1.0, rho=0.8, sweeps=5, t_min=0.05, seed=7)
 
@@ -108,19 +108,6 @@ def test_unobserved_edge_costs_log_100():
     assert base - degraded == pytest.approx(3 * math.log(100.0), abs=1e-9)
 
 
-def enumerate_map(p: StitchProblem):
-    """Exhaustive search over all |S|^nodes configurations."""
-    pt = build_potentials(p)
-    h, w = p.shape
-    best = None
-    for assignment in itertools.product((CSF, GM, WM, BG), repeat=h * w):
-        config = np.asarray(assignment, dtype=np.uint8).reshape(h, w)
-        lp = log_posterior(config, pt)
-        if best is None or lp > best[1]:
-            best = (config, lp)
-    return best
-
-
 def test_enumeration_orders_configs_like_log_posterior():
     rng = np.random.default_rng(1)
     a = rng.integers(1, 5, size=(2, 3)).astype(np.uint8)
@@ -188,7 +175,7 @@ def test_sa_reaches_exhaustive_map_on_small_problems():
         b = rng.integers(1, 5, size=(2, 3)).astype(np.uint8)
         p = hproblem(a, b)
         pt = build_potentials(p)
-        _, best_lp = enumerate_map(p)
+        best_lp = enumerate_map_vectorized(p)
         result = simulated_anneal(p, AnnealSchedule(seed=seed), tables=pt)
         if log_posterior(result, pt) >= best_lp - 1e-9:
             hits += 1
@@ -211,7 +198,7 @@ def test_exact_map_matches_enumeration():
             a, b = a % 2 + 1, b % 2 + 1
         p = StitchProblem("horizontal" if trial % 2 else "vertical", a, b)
         pt = build_potentials(p)
-        _, best_lp = enumerate_map(p)
+        best_lp = enumerate_map_vectorized(p)
         result = exact_map(p, pt)
         assert log_posterior(result, pt) == pytest.approx(best_lp, abs=1e-9), trial
         assert np.all((result == a) | (result == b)), trial
