@@ -4,9 +4,14 @@ A subdomain is classified in the implicit kernel feature space: the
 discriminant direction maximizes between-class over within-class scatter
 plus a graph penalty that discourages projection differences between
 neighbouring voxels (26-connected grid). The direction solves a generalized
-eigenproblem; voxels are then categorized by projection sign into tissue
-prototypes, an overlapping set and class outliers, which are refined by
-Mahalanobis and k-nearest-neighbour classifiers under MSSIM guidance.
+eigenproblem. Each step factors the within-class pencil once and builds one
+Krylov basis of N^-1 P started from N^-1 m and a fixed-seed vector; every
+regularization weight of the sweep is a Rayleigh-Ritz solve on that basis,
+exact for a positive top eigenvalue because the penalty is negative
+semidefinite (see solve_alpha). Voxels are then categorized by projection
+sign into tissue prototypes, an overlapping set and class outliers, which
+are refined by Mahalanobis and k-nearest-neighbour classifiers under MSSIM
+guidance.
 """
 
 from __future__ import annotations
@@ -27,11 +32,7 @@ logger = logging.getLogger(__name__)
 
 
 class ConvergenceError(RuntimeError):
-    """Eigen iteration failed to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
+    """No ridge made the within-class pencil factorable for the eigen solve."""
 
 
 # ---------------------------------------------------------------------------
@@ -299,175 +300,168 @@ def default_beta(within: np.ndarray, scale: float = 1e-3) -> float:
     return beta if beta > 0 else 1e-10
 
 
+# expanded basis vectors per step, at most min(l, MAX_EXPANSIONS); a lambda
+# that reaches the cap keeps its Ritz pair with its residual as is
+MAX_EXPANSIONS = 320
+
+
+class KrylovBasis:
+    """N-orthonormal Krylov basis of N^-1 P shared by every lambda of a step.
+
+    N = within + beta I is factored once, with the ridge raised tenfold on
+    each failed factorization (singular N is absorbed by the ridge, never an
+    error). The basis starts from N^-1 m and from a fixed-seed (9999) vector
+    and grows by applying N^-1 P to its oldest vector not yet expanded, with
+    full reorthogonalization in the N inner product. Every expanded vector
+    keeps its product P v, so the projected penalty T = V^T P V over the
+    expanded vectors and the residual coupling to the unexpanded ones cost
+    no further penalty matvecs. Raises ConvergenceError when no ridge makes
+    the pencil factorable.
+    """
+
+    def __init__(self, mats: KfdaMatrices, beta: float | None = None):
+        l = mats.gram.shape[0]
+        if beta is None:
+            beta = default_beta(mats.within)
+        # the within matrix is assembled through gram @ gram, whose rounding
+        # noise scales with ||gram||_F^2; the ridge must stay above that floor
+        noise_floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum(
+            "ij,ij->", mats.gram, mats.gram))
+        beta = max(beta, noise_floor, 1e-300)
+        for _ in range(8):
+            pencil = mats.within + beta * np.eye(l)
+            try:
+                self.chol = cho_factor(pencil, lower=True)
+                break
+            except np.linalg.LinAlgError:
+                beta *= 10.0
+        else:
+            raise ConvergenceError("within-class pencil could not be made "
+                                   "positive definite")
+        self.mats, self.pencil, self.beta = mats, pencil, beta
+        self.cap = min(l, MAX_EXPANSIONS)
+        self.vecs = np.empty((self.cap + 2, l))       # V, N-orthonormal rows
+        self.n_vecs = np.empty((self.cap + 2, l))     # N V
+        self.p_vecs = np.empty((self.cap, l))         # P V, expanded rows
+        self.proj = np.zeros((self.cap + 2, self.cap))  # V^T P V[:expanded]
+        self.size = 0
+        self.expanded = 0
+        u = cho_solve(self.chol, mats.m_diff)
+        # V^T m = sqrt(c) e_0: every later vector is N-orthogonal to N^-1 m
+        self.c = float(mats.m_diff @ u)
+        if not self._append(u):
+            self.c = 0.0
+        self._append(np.random.default_rng(9999).standard_normal(l))
+
+    def _append(self, w: np.ndarray) -> bool:
+        """N-orthonormalize w against the basis and add it unless it vanishes."""
+        k = self.size
+        if k == len(self.pencil):
+            return False
+        norm_in = math.sqrt(max(float(w @ (self.pencil @ w)), 0.0))
+        for _ in range(2):
+            w = w - (self.n_vecs[:k] @ w) @ self.vecs[:k]
+        n_w = self.pencil @ w
+        norm = math.sqrt(max(float(w @ n_w), 0.0))
+        if norm <= 1e-12 * norm_in:
+            return False
+        self.vecs[k] = w / norm
+        self.n_vecs[k] = n_w / norm
+        self.proj[k, :self.expanded] = self.p_vecs[:self.expanded] @ self.vecs[k]
+        self.size += 1
+        return True
+
+    def expand(self) -> bool:
+        """Apply N^-1 P to the oldest unexpanded vector; False at the cap
+        or once every vector is expanded (an invariant subspace)."""
+        j = self.expanded
+        if j == self.cap or j == self.size:
+            return False
+        pv = self.mats.penalty_matvec(self.vecs[j])
+        self.p_vecs[j] = pv
+        self.proj[:self.size, j] = self.vecs[:self.size] @ pv
+        self.expanded += 1
+        self._append(cho_solve(self.chol, pv, check_finite=False))
+        return True
+
+    def ritz(self, lam: float) -> tuple[float, np.ndarray, float]:
+        """Top Ritz pair of (c e_0 e_0^T + lam T) y = gamma y and its bound.
+
+        Rayleigh-Ritz runs on the expanded vectors, or on N^-1 m alone
+        before any expansion. N^-1 P maps each expanded vector into the
+        basis, so the N-norm residual of the Ritz vector is
+        |lam| ||T_UE y|| over the unexpanded vectors U; it is unknown
+        (infinite) for lam != 0 before the first expansion.
+        """
+        k = max(self.expanded, 1)
+        a = lam * self.proj[:k, :k]
+        a = 0.5 * (a + a.T)
+        a[0, 0] += self.c
+        evals, evecs = np.linalg.eigh(a)
+        y = evecs[:, -1]
+        if lam == 0.0:
+            bound = 0.0
+        elif not self.expanded:
+            bound = math.inf
+        else:
+            bound = abs(lam) * float(np.linalg.norm(self.proj[k:self.size, :k] @ y))
+        return float(evals[-1]), y, bound
+
+
 def solve_alpha(mats: KfdaMatrices, lam: float, beta: float | None = None,
-                tol: float = 1e-10, max_iters: int = 10000,
-                x0: np.ndarray | None = None) -> KfdaModel:
+                basis: KrylovBasis | None = None) -> KfdaModel:
     """Leading eigenpair of the regularized discriminant criterion.
 
-    Krylov (Lanczos) iteration through a Cholesky factorization of the
-    within-class pencil: the iterated operator is self-adjoint in the
-    pencil's inner product, so its algebraically largest Ritz pair
-    converges to the criterion's maximum even though the graph penalty
-    makes the numerator indefinite. Restarts from the current Ritz vector
-    until the explicit residual meets 1e-8 (or stops improving at its
-    numerical floor, tracked against tol on the eigenvalue). Returns alpha
-    scaled to unit constraint and signed so the positive class projects
-    positive. Raises ConvergenceError past max_iters total operator
-    applications.
+    The criterion's numerator m m^T + lam P varies with lam only through a
+    multiple of one fixed operator, so one KrylovBasis per step serves
+    every lam of its sweep by Rayleigh-Ritz (Saad, Numerical Methods for
+    Large Eigenvalue Problems, 2011); a call without a basis builds its
+    own. The basis grows only until this lam's residual bound meets
+    1e-9 * max(1, |gamma|), or until it holds min(l, 320) expanded
+    vectors, where the Ritz pair is returned with its residual as is.
+
+    The penalty P = C H C^T is negative semidefinite (H is adjacency minus
+    degree), so for gamma > 0 the top eigenvector is proportional to
+    (gamma N - lam P)^-1 m, which lies in K(N^-1 P, N^-1 m) for every lam.
+    The fixed-seed start vector covers gamma <= 0: when a training set is
+    the whole leaf, constant voxel projections null both terms, and at
+    large lam the top can lie outside that space.
+
+    iterations counts the penalty matvecs this lam added to the basis, so a
+    step's iterations sum to its penalty_matvec calls. residual is the
+    explicit Euclidean residual of the unit Ritz vector, computed from the
+    stored P V products. Returns alpha scaled to unit constraint and signed
+    so the positive class projects positive.
     """
-    l = mats.gram.shape[0]
-    if beta is None:
-        beta = default_beta(mats.within)
-    # the within matrix is assembled through gram @ gram, whose rounding
-    # noise scales with ||gram||_F^2; the ridge must stay above that floor
-    # (and grows on a failed factorization: singular N is absorbed by the
-    # ridge, never an error)
-    noise_floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum(
-        "ij,ij->", mats.gram, mats.gram))
-    beta = max(beta, noise_floor, 1e-300)
-    for _ in range(8):
-        pencil = mats.within + beta * np.eye(l)
-        try:
-            chol = cho_factor(pencil, lower=True)
+    if basis is None:
+        basis = KrylovBasis(mats, beta)
+    start = basis.expanded
+    while True:
+        gamma, y, bound = basis.ritz(lam)
+        if bound <= 1e-9 * max(1.0, abs(gamma)):
             break
-        except np.linalg.LinAlgError:
-            beta *= 10.0
-    else:
-        raise ConvergenceError("within-class pencil could not be made "
-                               "positive definite", math.inf)
+        if not basis.expand():
+            logger.debug("eigen basis cap reached at gamma %.6g, residual "
+                         "bound %.3e", gamma, bound)
+            break
+    k = len(y)
+    v = y @ basis.vecs[:k]                      # N-norm 1
     m_diff = mats.m_diff
-
-    def apply_num(v):
-        out = m_diff * float(m_diff @ v)
-        if lam != 0.0:
-            out = out + lam * mats.penalty_matvec(v)
-        return out
-
-    if x0 is not None:
-        start = np.asarray(x0, dtype=np.float64).copy()
-    else:
-        start = cho_solve(chol, m_diff)
-    norm0 = float(np.linalg.norm(start))
-    if norm0 == 0.0:
-        start = np.full(l, 1.0 / math.sqrt(l))
-        norm0 = 1.0
-    # a tiny fixed-seed admixture guarantees overlap with every eigenvector,
-    # so the Krylov space cannot get trapped in an invariant subspace that
-    # misses the spectrum top
-    noise = np.random.default_rng(9999).standard_normal(l)
-    start = start / norm0 + 1e-6 * noise / np.linalg.norm(noise)
-
-    block = min(l, 80)
-    gamma = 0.0
-    residual = math.inf
-    prev_gamma = math.inf
-    best = None          # (gamma, vector, residual) with the largest gamma
-    iterations = 0
-    blocks = 0
-    max_blocks = 4
-    converged = False
-    vec = start
-    while iterations < max_iters and blocks < max_blocks and not converged:
-        blocks += 1
-        basis = np.empty((block, l))
-        basis_b = np.empty((block, l))      # pencil @ basis rows
-        alphas = np.zeros(block)
-        betas = np.zeros(block)
-        b_vec = pencil @ vec
-        norm_b = math.sqrt(max(float(vec @ b_vec), 0.0))
-        if norm_b == 0.0:
-            raise ConvergenceError("start vector has zero pencil norm", residual)
-        basis[0] = vec / norm_b
-        basis_b[0] = b_vec / norm_b
-        size = 0
-        for j in range(block):
-            iterations += 1
-            av = apply_num(basis[j])
-            w = cho_solve(chol, av, check_finite=False)
-            alphas[j] = float(av @ basis[j])
-            # full reorthogonalization in the pencil inner product
-            coeffs = basis_b[: j + 1] @ w
-            w = w - coeffs @ basis[: j + 1]
-            coeffs = basis_b[: j + 1] @ w
-            w = w - coeffs @ basis[: j + 1]
-            size = j + 1
-            if j + 1 == block or iterations >= max_iters:
-                break
-            b_w = pencil @ w
-            beta_j = math.sqrt(max(float(w @ b_w), 0.0))
-            if beta_j <= 1e-14 * max(1.0, abs(alphas[j])):
-                break                        # invariant subspace reached
-            if j >= 1:
-                # cheap per-step Ritz diagnostics: stop the block early once
-                # the top Ritz pair has settled, either by its residual bound
-                # or by the eigenvalue estimate stalling (the top of the
-                # spectrum can be a tight cluster of near-smooth directions
-                # whose exact eigenvector is irrelevant downstream)
-                tri = np.diag(alphas[: j + 1])
-                for i in range(j):
-                    tri[i, i + 1] = tri[i + 1, i] = betas[i]
-                theta_all, y = np.linalg.eigh(tri)
-                theta = float(theta_all[-1])
-                bound = beta_j * abs(float(y[-1, -1]))
-                if bound <= 1e-9 * max(1.0, abs(theta)):
-                    break
-                if j >= 10 and abs(theta - theta_prev) <= tol * max(1.0, abs(theta)):
-                    break
-                theta_prev = theta
-            else:
-                theta_prev = math.inf
-            betas[j] = beta_j
-            basis[j + 1] = w / beta_j
-            basis_b[j + 1] = b_w / beta_j
-
-        tri = np.diag(alphas[:size])
-        for j in range(size - 1):
-            tri[j, j + 1] = tri[j + 1, j] = betas[j]
-        evals, evecs = np.linalg.eigh(tri)
-        gamma = float(evals[-1])
-        ritz = evecs[:, -1] @ basis[:size]
-        nr = float(np.linalg.norm(ritz))
-        if nr == 0.0:
-            raise ConvergenceError("Ritz vector collapsed to zero", residual)
-        ritz /= nr
-        residual = float(np.linalg.norm(
-            cho_solve(chol, apply_num(ritz), check_finite=False) - gamma * ritz))
-        vec = ritz
-        if best is None or gamma > best[0]:
-            best = (gamma, ritz.copy(), residual)
-        gamma_settled = abs(gamma - prev_gamma) <= tol * max(1.0, abs(gamma))
-        if residual <= 1e-8:
-            converged = True
-        elif gamma_settled:
-            # the leading eigenvalue has converged to tolerance; the residual
-            # records how well the vector itself is pinned down (a clustered
-            # spectrum top or a float32 cross kernel floors it above 1e-8)
-            logger.debug("eigenvalue settled at %.6g with residual %.3e "
-                         "after %d matvecs", gamma, residual, iterations)
-            converged = True
-        prev_gamma = gamma
-    if not converged:
-        if iterations >= max_iters:
-            raise ConvergenceError(
-                f"no convergence within {iterations} operator applications",
-                residual)
-        # block budget exhausted on an unresolved (clustered) spectrum top:
-        # return the best Rayleigh pair seen, residual reported as-is
-        gamma, vec, residual = best
-        logger.debug("eigen block budget used up; best gamma %.6g at "
-                     "residual %.3e", gamma, residual)
-    v = vec
-
-    scale = float(v @ (pencil @ v))
-    alpha = v / math.sqrt(scale)
+    num = m_diff * float(m_diff @ v)
+    if lam != 0.0:
+        num += lam * (y @ basis.p_vecs[:k])
+    residual = float(np.linalg.norm(
+        cho_solve(basis.chol, num, check_finite=False) - gamma * v)
+        / np.linalg.norm(v))
+    alpha = v / math.sqrt(float(v @ (y @ basis.n_vecs[:k])))
     if float(alpha @ m_diff) > 0:     # positive class must project positive
         alpha = -alpha
     proj_neg = float(alpha @ mats.m_neg)
     proj_pos = float(alpha @ mats.m_pos)
     b_offset = -(proj_neg + proj_pos) / 2.0
     return KfdaModel(alpha=alpha, gamma=gamma, b_offset=b_offset,
-                     kernel=mats.spec, lam=lam, beta=beta,
-                     iterations=iterations, residual=residual,
+                     kernel=mats.spec, lam=lam, beta=basis.beta,
+                     iterations=basis.expanded - start, residual=residual,
                      training=mats.training)
 
 
@@ -741,6 +735,12 @@ class KfdaConfig:
     reference_channel: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.lambda_grid:
+            raise ValueError("lambda grid must not be empty")
+        if self.l_max < 4:
+            raise ValueError("l_max must be at least 4: two training rows per class")
+
 
 def _stratified_cap(sides: np.ndarray, l_max: int, rng: np.random.Generator) -> np.ndarray:
     """Indices of a per-class proportional subsample of at most l_max rows."""
@@ -751,7 +751,8 @@ def _stratified_cap(sides: np.ndarray, l_max: int, rng: np.random.Generator) -> 
     neg = np.flatnonzero(sides < 0)
     pos = np.flatnonzero(sides > 0)
     n_neg = max(2, int(round(l_max * len(neg) / n)))
-    n_neg = min(n_neg, len(neg))
+    # each class keeps at least min(2, its count) rows
+    n_neg = min(n_neg, len(neg), l_max - min(2, len(pos)))
     n_pos = min(l_max - n_neg, len(pos))
     chosen.append(rng.choice(neg, size=n_neg, replace=False))
     chosen.append(rng.choice(pos, size=n_pos, replace=False))
@@ -783,18 +784,18 @@ def _run_step(data_box, mask_box, ref_box, member, sides_init, kernel,
     mats = build_matrices(ts, kernel, subdata)
     beta = default_beta(mats.within, cfg.beta_scale)
 
+    try:
+        basis = KrylovBasis(mats, beta)
+    except ConvergenceError as exc:
+        logger.warning("eigen solves failed for every lambda: %s", exc)
+        diag["sweep"] = [{"lambda": lam, "error": str(exc)} for lam in cfg.lambda_grid]
+        diag["skipped"] = "all solves failed"
+        return sides_init, diag
+
     best = None
-    warm = None
     for lam in cfg.lambda_grid:
         entry = {"lambda": lam}
-        try:
-            model = solve_alpha(mats, lam, beta=beta, x0=warm)
-            warm = model.alpha
-        except ConvergenceError as exc:
-            logger.warning("eigen solve failed at lambda=%g: %s", lam, exc)
-            entry["error"] = str(exc)
-            diag["sweep"].append(entry)
-            continue
+        model = solve_alpha(mats, lam, basis=basis)
         projections = mats.voxel_projections(model.alpha) + model.b_offset
         cats = categorize(projections, sides_init, cfg.tau_band, cfg.tau_outlier)
         entry.update({"gamma": model.gamma, "iterations": model.iterations,
@@ -815,9 +816,6 @@ def _run_step(data_box, mask_box, ref_box, member, sides_init, kernel,
         if best is None or value > best[1]:
             best = (sides_lam, value, lam)
 
-    if best is None:
-        diag["skipped"] = "all solves failed"
-        return sides_init, diag
     diag["chosen_lambda"] = best[2]
     diag["mssim"] = best[1]
     return best[0], diag

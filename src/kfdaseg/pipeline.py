@@ -77,12 +77,13 @@ class PipelineConfig:
     sa_t_min: float = 0.01
 
     def validate(self, check_paths: bool = True):
-        if not self.lambda_grid:
-            raise ValueError("lambda grid must not be empty")
         if not self.k_grid:
             raise ValueError("k grid must not be empty")
         if self.pad_slices < 1:
             raise ValueError("pad_slices must be at least 1")
+        # the stage constructors' own checks, run before any stage does
+        self.anneal_schedule(0)
+        self.kfda_config()
         if check_paths:
             if not self.volume:
                 raise ValueError("config must name an input volume")

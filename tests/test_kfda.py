@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kfdaseg.kfda import (ConvergenceError, KernelSpec, KfdaConfig, SubdomainData,
-                          TrainingSet, build_matrices, categorize,
+from kfdaseg.kfda import (KernelSpec, KfdaConfig, KrylovBasis, SubdomainData,
+                          TrainingSet, _stratified_cap, build_matrices, categorize,
                           classify_outliers_mahalanobis, classify_subdomain,
                           default_beta, kernel_matrix, nearest_prototype_sides,
                           neighborhood_matrix, project, solve_alpha,
@@ -227,6 +227,55 @@ def test_small_instances_match_dense_eigendecomposition():
                 assert cos == pytest.approx(1.0, abs=1e-6)
 
 
+def test_shared_basis_matches_dense_eigendecomposition():
+    # every lambda of a sweep solved on one basis, as a classification step
+    # does; gamma cannot rise with lambda because the penalty is negative
+    # semidefinite, beyond the rounding-level rises dense eigh shows too
+    rng = np.random.default_rng(22)
+    grid = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
+    for _ in range(12):
+        l = int(rng.integers(6, 121))
+        n = l + int(rng.integers(0, 40))
+        feats = rng.normal(size=(n, 3))
+        rows = np.sort(rng.choice(n, size=l, replace=False))
+        labels = np.where(rng.random(l) < 0.5, -1, 1)
+        labels[0], labels[-1] = -1, 1
+        ts = TrainingSet(feats[rows], labels, rows)
+        for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(1.0)):
+            mats = build_matrices(ts, spec, subdata_line(feats))
+            b, p = between(mats), penalty(mats)
+            calls = []
+
+            def counted(v, matvec=mats.penalty_matvec):
+                calls.append(1)
+                return matvec(v)
+
+            mats.penalty_matvec = counted
+            basis = KrylovBasis(mats, default_beta(mats.within))
+            pencil = mats.within + basis.beta * np.eye(l)
+            gammas, iterations = [], 0
+            for lam in grid:
+                model = solve_alpha(mats, lam, basis=basis)
+                a = b + lam * p
+                top = float(sla.eigh(0.5 * (a + a.T), pencil, eigvals_only=True)[-1])
+                assert model.gamma == pytest.approx(top, abs=1e-8, rel=1e-7), (spec.kind, l, lam)
+                gammas.append(model.gamma)
+                iterations += model.iterations
+            assert iterations == len(calls)
+            for g_prev, g_next in zip(gammas, gammas[1:]):
+                assert g_next <= g_prev + 1e-8 * gammas[0], (spec.kind, l, gammas)
+
+
+def test_stratified_cap_keeps_two_rows_of_each_class():
+    rng = np.random.default_rng(23)
+    for n_neg, n_pos in ((9995, 5), (5, 9995), (9998, 2), (2, 9998)):
+        sides = np.repeat(np.array([-1, 1], dtype=np.int8), (n_neg, n_pos))
+        keep = _stratified_cap(sides, 400, rng)
+        assert len(keep) == 400 and len(np.unique(keep)) == 400
+        assert min(np.count_nonzero(sides[keep] < 0),
+                   np.count_nonzero(sides[keep] > 0)) >= 2
+
+
 def test_lambda_zero_maximizes_classical_criterion():
     rng = np.random.default_rng(7)
     feats = rng.random((20, 3))
@@ -257,10 +306,8 @@ def test_lambda_monotonically_smooths_projections():
     mats = build_matrices(ts, KernelSpec.rbf(0.5), sub)
     grid = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
     rough = []
-    warm = None
     for lam in grid:
-        model = solve_alpha(mats, lam, x0=warm)
-        warm = model.alpha
+        model = solve_alpha(mats, lam)
         rough.append(roughness(mats, model.alpha))
     for a, b in zip(rough, rough[1:]):
         assert b <= a * (1 + 1e-6) + 1e-9, rough

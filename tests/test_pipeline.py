@@ -159,6 +159,14 @@ def test_config_json_round_trip(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError, match="lambda"):
         PipelineConfig(lambda_grid=()).validate(check_paths=False)
+    with pytest.raises(ValueError, match="cooling"):
+        PipelineConfig(sa_rho=1.5).validate(check_paths=False)
+    with pytest.raises(ValueError, match="bandwidth"):
+        PipelineConfig(rbf_sigma=0).validate(check_paths=False)
+    with pytest.raises(ValueError, match="l_max"):
+        PipelineConfig(l_max=2).validate(check_paths=False)
+    with pytest.raises(ValueError, match="l_max"):
+        PipelineConfig(l_max=3).validate(check_paths=False)
     with pytest.raises(FileNotFoundError):
         PipelineConfig(volume="/nonexistent/v.f32raw").validate()
 

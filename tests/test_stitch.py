@@ -13,7 +13,7 @@ from kfdaseg.stitch import (EXACT_MAX_WIDTH, AnnealSchedule, ClassifiedFragment,
                             simulated_anneal, spawn_seed, stitch_slice,
                             stitch_volume)
 from kfdaseg.volume import BG, CSF, GM, WM
-from oracles import enumerate_map_vectorized
+from oracles import enumerate_map_vectorized, row_transfer_map
 
 FAST = AnnealSchedule(t0=1.0, rho=0.8, sweeps=5, t_min=0.05, seed=7)
 
@@ -202,6 +202,19 @@ def test_exact_map_matches_enumeration():
         result = exact_map(p, pt)
         assert log_posterior(result, pt) == pytest.approx(best_lp, abs=1e-9), trial
         assert np.all((result == a) | (result == b)), trial
+
+
+def test_row_transfer_oracle_matches_enumeration():
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        shape = tuple(int(x) for x in rng.integers(1, 4, size=2))
+        a = rng.integers(1, 5, size=shape).astype(np.uint8)
+        b = rng.integers(1, 5, size=shape).astype(np.uint8)
+        if trial % 2:
+            b = np.where(rng.random(shape) < 0.5, a, b).astype(np.uint8)
+        p = StitchProblem("horizontal" if shape[1] >= shape[0] else "vertical", a, b)
+        assert row_transfer_map(p) == pytest.approx(enumerate_map_vectorized(p),
+                                                    abs=1e-9), (trial, shape)
 
 
 def test_exact_map_not_below_annealer():
