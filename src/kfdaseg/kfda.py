@@ -11,7 +11,10 @@ exact for a positive top eigenvalue because the penalty is negative
 semidefinite (see solve_alpha). Voxels are then categorized by projection
 sign into tissue prototypes, an overlapping set and class outliers, which
 are refined by Mahalanobis and k-nearest-neighbour classifiers under MSSIM
-guidance.
+guidance. classify_subdomain runs both binary steps, CSF vs G+WM and then
+GM vs WM, as one loop over a step table; each step's scorer renders a
+labeling's classified mean image, scores it against the reference and
+caches the result, so every distinct labeling is scored once per step.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
 
 from .ssim import classified_mean_image, mssim
-from .volume import BG, CSF, GM, WM, MultiChannelVolume, box_slices
+from .volume import BG, CSF, GM, TISSUE_LABELS, WM, MultiChannelVolume, box_slices
 
 logger = logging.getLogger(__name__)
 
@@ -149,23 +152,17 @@ class TrainingSet:
 class SubdomainData:
     """Masked-voxel view of one subdomain box.
 
-    features holds the (n, channels) intensity vectors of the box's masked
-    voxels in C order; voxel_index maps box coordinates to rows (-1 off
-    graph).
+    features holds the (n, channels) intensity vectors of the box's member
+    voxels in C order.
     """
 
     features: np.ndarray
     member_box: np.ndarray
-    voxel_index: np.ndarray
 
     @classmethod
     def from_mask(cls, data_box: np.ndarray, member_box: np.ndarray) -> "SubdomainData":
         member_box = np.asarray(member_box, dtype=bool)
-        index = np.full(member_box.shape, -1, dtype=np.int64)
-        n = int(member_box.sum())
-        index[member_box] = np.arange(n)
-        features = data_box[member_box].astype(np.float64)
-        return cls(features=features, member_box=member_box, voxel_index=index)
+        return cls(features=data_box[member_box].astype(np.float64), member_box=member_box)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -651,8 +648,7 @@ def nearest_prototype_sides(spec: KernelSpec, queries: np.ndarray,
 
 def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
                          categories: VoxelCategories, kernel: KernelSpec,
-                         render, reference: np.ndarray, mask: np.ndarray,
-                         k_grid=(1, 3, 5, 7, 9, 11)) -> tuple[np.ndarray, float, dict]:
+                         score, k_grid=(1, 3, 5, 7, 9, 11)) -> tuple[np.ndarray, float, dict]:
     """Refine outliers and the overlapping set, keeping the better labeling.
 
     Outliers are reassigned by Mahalanobis distance; the overlapping set is
@@ -662,21 +658,18 @@ def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
     (the RBF kernel-trick distance is monotone in it; the sigmoid kernel is
     not positive semidefinite and has no kernel-trick distance), brute force
     by kernel-trick distance for the polynomial kernel alone, ties broken by
-    prototype index. The labeling with the larger classified-image MSSIM
-    wins. render(sides) must produce the mean-intensity image to compare
-    with the reference. An empty overlapping set returns the Mahalanobis
-    labeling directly.
+    prototype index. score(sides) gives a labeling's MSSIM against the
+    reference; the larger wins. An empty overlapping set returns the
+    Mahalanobis labeling directly.
     """
-    sides_mahal = np.asarray(init_sides, dtype=np.int8).copy()
+    init_sides = np.asarray(init_sides, dtype=np.int8)
+    sides_mahal = init_sides.copy()
     out_idx = categories.outliers
     proto_neg_f = features[categories.prototypes_neg]
     proto_pos_f = features[categories.prototypes_pos]
     if len(out_idx):
         sides_mahal[out_idx] = classify_outliers_mahalanobis(
             features[out_idx], sides_mahal[out_idx], proto_neg_f, proto_pos_f)
-
-    def score(sides):
-        return mssim(render(sides), reference, mask)
 
     mssim_mahal = score(sides_mahal)
     info = {"mssim_mahal": mssim_mahal, "mssim_knn": None, "best_k": None,
@@ -690,9 +683,9 @@ def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
     usable = [k for k in k_grid if k % 2 == 1 and k <= len(proto_idx)]
     if not usable:
         return sides_mahal, mssim_mahal, info
-    proto_sides = np.where(np.isin(proto_idx, categories.prototypes_neg), -1, 1).astype(np.int8)
+    # a prototype keeps its initial side by definition
     ranked_sides = nearest_prototype_sides(kernel, features[ov_idx],
-                                           features[proto_idx], proto_sides,
+                                           features[proto_idx], init_sides[proto_idx],
                                            max(usable))
 
     best_k = None
@@ -759,25 +752,18 @@ def _stratified_cap(sides: np.ndarray, l_max: int, rng: np.random.Generator) -> 
     return np.sort(np.concatenate(chosen))
 
 
-def _run_step(data_box, mask_box, ref_box, member, sides_init, kernel,
-              render, cfg: KfdaConfig, rng) -> tuple[np.ndarray, dict]:
+def _run_step(data_box, member, sides_init, kernel, score, cfg: KfdaConfig,
+              rng) -> tuple[np.ndarray, dict]:
     """One binary KFDA step with its regularization sweep.
 
     member selects the step's voxels inside the box; sides_init gives their
-    initial class side. Returns refined sides for the member voxels plus
-    diagnostics. Falls back to the initial sides when the step degenerates.
+    initial class side, with at least 2 voxels on each side. score(sides)
+    is the step's MSSIM of a labeling of the member voxels. Returns the
+    best-scoring sides over the sweep plus diagnostics; falls back to the
+    initial sides when no ridge makes the eigen solve factorable.
     """
     subdata = SubdomainData.from_mask(data_box, member)
-    n = len(subdata)
-    diag = {"n_voxels": n, "sweep": [], "chosen_lambda": None, "skipped": None}
-    if n == 0:
-        diag["skipped"] = "empty"
-        return sides_init, diag
-    n_neg = int(np.count_nonzero(sides_init < 0))
-    if min(n_neg, n - n_neg) < 2:
-        diag["skipped"] = "class with fewer than 2 samples"
-        return sides_init, diag
-
+    diag = {"n_voxels": len(subdata), "sweep": [], "chosen_lambda": None, "skipped": None}
     keep = _stratified_cap(sides_init, cfg.l_max, rng)
     ts = TrainingSet(features=subdata.features[keep], labels=sides_init[keep],
                      sample_indices=keep)
@@ -802,13 +788,11 @@ def _run_step(data_box, mask_box, ref_box, member, sides_init, kernel,
                       "categories": cats.sizes()})
         if min(len(cats.prototypes_neg), len(cats.prototypes_pos)) < 2:
             logger.warning("fewer than 2 prototypes in a class; keeping initial labels")
-            sides_lam = sides_init.copy()
-            value = mssim(render(sides_lam), ref_box, mask_box)
+            sides_lam, value = sides_init, score(sides_init)
             entry.update({"mssim": value, "fallback": "prototypes"})
         else:
             sides_lam, value, info = ssim_guided_decision(
-                subdata.features, sides_init, cats, kernel, render,
-                ref_box, mask_box, cfg.k_grid)
+                subdata.features, sides_init, cats, kernel, score, cfg.k_grid)
             entry.update({"mssim": value, "mssim_mahal": info["mssim_mahal"],
                           "mssim_knn": info["mssim_knn"], "best_k": info["best_k"],
                           "route": info["route"]})
@@ -821,6 +805,33 @@ def _run_step(data_box, mask_box, ref_box, member, sides_init, kernel,
     return best[0], diag
 
 
+# the two binary steps, in order: (diag key, negative labels, positive
+# labels, KfdaConfig kernel field)
+_STEPS = (("csf_vs_gwm", (CSF,), (GM, WM), "kernel_csf"),
+          ("gm_vs_wm", (GM,), (WM,), "kernel_gm_wm"))
+
+
+def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box):
+    """score(sides) of one step: the MSSIM against the reference of the
+    label box with each member voxel set to neg[0] or pos[0] by side, its
+    mean image taken over the step's two class groups and a singleton for
+    each other tissue label. Each distinct labeling is scored once."""
+    groups = (neg, pos) + tuple((t,) for t in TISSUE_LABELS if t not in neg + pos)
+    cache = {}
+
+    def score(sides):
+        key = sides.tobytes()
+        if key not in cache:
+            lab = labels_box.copy()
+            lab[member] = np.where(sides < 0, neg[0], pos[0])
+            cache[key] = mssim(classified_mean_image(lab, ref_box, mask_box,
+                                                     class_groups=groups),
+                               ref_box, mask_box)
+        return cache[key]
+
+    return score
+
+
 def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
                        cfg: KfdaConfig | None = None,
                        seed: int | None = None) -> tuple[np.ndarray, dict]:
@@ -829,9 +840,11 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
     Step 1 separates CSF from G+WM with the sigmoid kernel; step 2 separates
     GM from WM inside the G+WM set with the Gaussian RBF kernel. Each step
     sweeps the regularization grid and keeps the labeling with the best
-    MSSIM against the reference channel. Returns the classified label box
-    (background outside the mask) and a diagnostics dict. A step whose
-    classes are missing from the initial labels passes labels through.
+    MSSIM against the reference channel, every distinct labeling scored
+    once by the step's scorer. Voxels leaving CSF in step 1 get a
+    provisional GM/WM label. Returns the classified label box (background
+    outside the mask) and a diagnostics dict. A step with fewer than 2
+    voxels in a class of the current labels passes labels through.
     """
     cfg = cfg or KfdaConfig()
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
@@ -845,63 +858,24 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
     if not mask_box.any():
         return labels_box, diag
 
-    labels_vec = labels_box[mask_box].astype(np.int16)
-
-    # Step 1: CSF vs G+WM over all masked voxels.
-    is_csf = labels_vec == CSF
-    is_gwm = (labels_vec == GM) | (labels_vec == WM)
-    if is_csf.sum() >= 2 and is_gwm.sum() >= 2:
-        member = mask_box.copy()
-        sides_init = np.where(is_csf, -1, 1).astype(np.int8)
-
-        def render_step1(sides):
-            lab = labels_box.copy()
-            tmp = np.where(sides < 0, CSF, GM).astype(np.uint8)
-            lab[mask_box] = tmp
-            return classified_mean_image(lab, ref_box, mask_box,
-                                         class_groups=((CSF,), (GM, WM)))
-
-        sides, step_diag = _run_step(data_box, mask_box, ref_box, member,
-                                     sides_init, cfg.kernel_csf, render_step1,
-                                     cfg, rng)
-        diag["steps"]["csf_vs_gwm"] = step_diag
-        new_csf = sides < 0
-        became_gwm = (~new_csf) & is_csf
-        labels_vec[new_csf] = CSF
-        if became_gwm.any():
-            labels_vec[became_gwm] = _provisional_gm_wm(
-                data_box[mask_box], labels_vec, became_gwm)
-    else:
-        diag["steps"]["csf_vs_gwm"] = {"skipped": "class absent from initial labels"}
-
-    # Step 2: GM vs WM inside the G+WM set.
-    in_gwm = (labels_vec == GM) | (labels_vec == WM)
-    n_gm = int(np.count_nonzero(labels_vec == GM))
-    n_wm = int(np.count_nonzero(labels_vec == WM))
-    if n_gm >= 2 and n_wm >= 2:
-        member = np.zeros_like(mask_box)
-        member[mask_box] = in_gwm
-        sides_init = np.where(labels_vec[in_gwm] == GM, -1, 1).astype(np.int8)
-        gwm_positions = np.flatnonzero(in_gwm)
-
-        def render_step2(sides):
-            vec = labels_vec.copy()
-            vec[gwm_positions] = np.where(sides < 0, GM, WM)
-            lab = labels_box.copy()
-            lab[mask_box] = vec.astype(np.uint8)
-            return classified_mean_image(lab, ref_box, mask_box,
-                                         class_groups=((CSF,), (GM,), (WM,)))
-
-        sides, step_diag = _run_step(data_box, mask_box, ref_box, member,
-                                     sides_init, cfg.kernel_gm_wm, render_step2,
-                                     cfg, rng)
-        diag["steps"]["gm_vs_wm"] = step_diag
-        labels_vec[gwm_positions] = np.where(sides < 0, GM, WM)
-    else:
-        diag["steps"]["gm_vs_wm"] = {"skipped": "class absent from initial labels"}
-
-    labels_box[mask_box] = labels_vec.astype(np.uint8)
-    labels_box[~mask_box] = BG
+    for key, neg, pos, kernel_field in _STEPS:
+        member = np.isin(labels_box, neg + pos)
+        is_neg = np.isin(labels_box[member], neg)
+        n_neg = int(is_neg.sum())
+        if min(n_neg, is_neg.size - n_neg) < 2:
+            diag["steps"][key] = {"skipped": "class absent from initial labels"}
+            continue
+        score = _step_scorer(labels_box, member, neg, pos, ref_box, mask_box)
+        sides, diag["steps"][key] = _run_step(
+            data_box, member, np.where(is_neg, -1, 1).astype(np.int8),
+            getattr(cfg, kernel_field), score, cfg, rng)
+        vec = labels_box[member]
+        vec[sides < 0] = neg[0]
+        left = is_neg & (sides > 0)
+        if left.any():
+            vec[left] = (pos[0] if len(pos) == 1
+                         else _provisional_gm_wm(data_box[member], vec, left))
+        labels_box[member] = vec
     return labels_box, diag
 
 

@@ -253,7 +253,10 @@ def load_stage(cfg: PipelineConfig, vol: MultiChannelVolume | None = None,
 def init_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                init_labels: LabelVolume | None = None,
                timing: dict | None = None) -> LabelVolume:
-    """The initial labeling: given, k-means on vol, or read from cfg.init_labels."""
+    """The initial labeling: given, k-means on vol, or read from cfg.init_labels.
+
+    Raises PipelineStageError("init") on labels whose dims differ from the
+    volume's or that put background inside the mask."""
     if init_labels is None:
         if cfg.init_labels == "kmeans":
             init_labels = _staged(timing, "init", phantom.kmeans_init, vol, seed=cfg.seed)
@@ -262,6 +265,14 @@ def init_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
     if init_labels.dims != vol.dims:
         raise PipelineStageError("init", ValueError(
             f"initial labels dims {init_labels.dims} != volume dims {vol.dims}"))
+    # tissue labels off the mask become background in classification, but
+    # background inside it would pass through unclassified
+    holes = vol.mask & (init_labels.labels == BG)
+    if holes.any():
+        voxel = tuple(int(v) for v in np.argwhere(holes)[0])
+        raise PipelineStageError("init", ValueError(
+            f"initial labels have {int(holes.sum())} background voxels inside "
+            f"the mask, first at voxel {voxel}"))
     return init_labels
 
 

@@ -12,6 +12,7 @@ from kfdaseg.kfda import (KernelSpec, KfdaConfig, KrylovBasis, SubdomainData,
                           default_beta, kernel_matrix, nearest_prototype_sides,
                           neighborhood_matrix, project, solve_alpha,
                           ssim_guided_decision)
+from kfdaseg.ssim import mssim
 from kfdaseg.volume import BG, CSF, GM, WM
 from oracles import (between, classify_overlap_knn, graph_edges, kernel_eval,
                      penalty, roughness)
@@ -528,14 +529,11 @@ def test_knn_ties_break_by_prototype_index():
 # SSIM-guided decision
 # ---------------------------------------------------------------------------
 
-def _trivial_render(shape):
-    def render(sides):
-        img = np.zeros(shape)
-        img[: len(sides) // shape[1] + 1, :] = 0.0
-        flat = np.where(sides < 0, 0.2, 0.8)
-        img.ravel()[: flat.size] = flat
-        return img
-    return render
+def _scorer(reference, mask, shape):
+    """score(sides): MSSIM of the image painting each side one intensity."""
+    def score(sides):
+        return mssim(np.where(sides < 0, 0.25, 0.75).reshape(shape), reference, mask)
+    return score
 
 
 def test_ssim_guided_empty_sets_keep_labels():
@@ -550,12 +548,8 @@ def test_ssim_guided_empty_sets_keep_labels():
     reference = rng.random((12, 12))
     mask = np.ones((12, 12), dtype=bool)
 
-    def render(s):
-        return np.where(s < 0, 0.2, 0.8).reshape(12, 12)
-
-    out, value, info = ssim_guided_decision(feats, sides, cats,
-                                            KernelSpec.rbf(0.5), render,
-                                            reference, mask)
+    out, value, info = ssim_guided_decision(feats, sides, cats, KernelSpec.rbf(0.5),
+                                            _scorer(reference, mask, (12, 12)))
     assert np.array_equal(out, sides)
     assert info["route"] == "mahalanobis"
 
@@ -578,16 +572,11 @@ def test_ssim_guided_improves_noisy_boundary():
 
     proj = np.where(sides_true < 0, -1.0, 1.0) + rng.normal(0, 0.3, h * w)
     cats = categorize(proj, sides_init, tau_band=1.0, tau_outlier=2.5)
-    mask = np.ones((h, w), dtype=bool)
+    score = _scorer(reference, np.ones((h, w), dtype=bool), (h, w))
 
-    def render(s):
-        return np.where(s < 0, 0.25, 0.75).reshape(h, w)
-
-    from kfdaseg.ssim import mssim
     out, value, info = ssim_guided_decision(feats, sides_init, cats,
-                                            KernelSpec.rbf(0.5), render,
-                                            reference, mask)
-    assert value >= mssim(render(sides_init), reference, mask)
+                                            KernelSpec.rbf(0.5), score)
+    assert value >= score(sides_init)
     assert (out == sides_true).mean() >= (sides_init == sides_true).mean()
 
 
@@ -646,3 +635,32 @@ def test_classify_subdomain_total_labeling():
     on_mask = labels[vol.mask]
     assert np.all((on_mask >= CSF) & (on_mask <= WM))
     assert np.all(labels[~vol.mask] == BG)
+
+
+def test_each_labeling_scored_once_per_step(monkeypatch):
+    # the sweep meets the same labeling under several lambdas and k; its
+    # classified image must reach MSSIM once per step
+    import kfdaseg.kfda as kfda
+    from kfdaseg.phantom import PhantomSpec, corrupt_boundary_labels, generate_phantom
+
+    spec = PhantomSpec(dims=(18, 18, 18), noise_sigma=0.03, pv_blur=0.8,
+                       bias_amplitude=0.05, seed=30)
+    vol, truth = generate_phantom(spec)
+    init = corrupt_boundary_labels(truth, vol.mask, fraction=0.25, seed=1)
+    scored = []          # per step, the classified images scored
+    run_step, score = kfda._run_step, kfda.mssim
+
+    def step(*args, **kwargs):
+        scored.append([])
+        return run_step(*args, **kwargs)
+
+    def recording(classified, *args, **kwargs):
+        scored[-1].append(classified.tobytes())
+        return score(classified, *args, **kwargs)
+
+    monkeypatch.setattr(kfda, "_run_step", step)
+    monkeypatch.setattr(kfda, "mssim", recording)
+    cfg = KfdaConfig(l_max=1200, lambda_grid=(0.0, 0.00005), k_grid=(1, 3, 5))
+    classify_subdomain(vol, ((0, 17), (0, 17), (0, 17)), init.labels, cfg, seed=0)
+    assert len(scored) == 2 and all(scored)
+    assert [len(set(images)) for images in scored] == [len(images) for images in scored]

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from kfdaseg import cli
 from kfdaseg.phantom import PhantomSpec, corrupt_boundary_labels, generate_phantom, kmeans_init
-from kfdaseg.pipeline import (PipelineConfig, REPORT_SCHEMA, dice_scores,
-                              partition_stage, run_pipeline, stitch_stage)
+from kfdaseg.pipeline import (PipelineConfig, PipelineStageError, REPORT_SCHEMA,
+                              dice_scores, partition_stage, run_pipeline, stitch_stage)
 from kfdaseg.ssim import SsimConstants, classified_mean_image, mssim
 from kfdaseg.stitch import ClassifiedFragment
 from kfdaseg.volume import (BG, MultiChannelVolume, box_slices, check_mask_consistency,
-                            load_labels, load_volume, normalize_intensities)
+                            load_labels, load_volume, normalize_intensities, save_labels,
+                            save_volume)
 
 
 def small_config(out_dir, **overrides):
@@ -154,6 +155,29 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps(bad))
     with pytest.raises(ValueError, match="unknown config fields"):
         PipelineConfig.from_json(path)
+
+
+def test_background_inside_mask_rejected(tmp_path):
+    # background inside the mask would pass classification unlabeled and
+    # leave labels that fail the mask consistency check
+    spec = PhantomSpec(dims=(20, 20, 20), noise_sigma=0.03, pv_blur=0.5, seed=5)
+    vol, _ = generate_phantom(spec)
+    init = kmeans_init(vol, seed=0)
+    holes = np.argwhere(vol.mask)[::25][:40]
+    init.labels[tuple(holes.T)] = BG
+    first = tuple(int(v) for v in holes[0])
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(small_config(tmp_path / "out"), vol=vol, init_labels=init)
+    assert err.value.stage == "init"
+    assert isinstance(err.value.__cause__, ValueError)
+    assert f"first at voxel {first}" in str(err.value)
+
+    save_volume(vol, tmp_path / "vol.f32raw")
+    save_labels(init, tmp_path / "init.u8raw")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(small_config(tmp_path / "cli", volume=str(tmp_path / "vol.f32raw"),
+                                     init_labels=str(tmp_path / "init.u8raw")).to_json())
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
 
 
 def test_config_validation():
