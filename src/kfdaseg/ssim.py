@@ -3,10 +3,10 @@
 SSIM multiplies luminance, contrast and structure comparisons of local
 Gaussian-weighted patch statistics; MSSIM averages it over an 11x11 sliding
 window on each axial slice (windows without any brain voxel are skipped) and
-over slices. A box is scored in one pass, one correlation per moment, with the
-window shrunk to fit thin boxes. Classified volumes are compared to the
-reference channel after replacing each voxel by its tissue-class mean
-intensity."""
+over slices. A box is scored in one pass, two 1-D Gaussian passes per moment
+(the window is separable), with the window shrunk to fit thin boxes.
+Classified volumes are compared to the reference channel after replacing each
+voxel by its tissue-class mean intensity."""
 
 from __future__ import annotations
 
@@ -18,32 +18,34 @@ from scipy import ndimage
 from .volume import BG
 
 
-def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    """Normalized 2D Gaussian weight mask (weights sum to 1)."""
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
+def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
+    """Normalized 1D Gaussian taps (sum to 1) of the separable window."""
+    coords = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(coords ** 2) / (2.0 * sigma ** 2))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
+
+
+def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    """Normalized 2D Gaussian weight mask: the outer product of the 1D taps."""
+    g = _gaussian_taps(size, sigma)
+    return np.outer(g, g)
 
 
 @dataclass(frozen=True)
 class SsimConstants:
-    """Stabilizers and window for SSIM on a dynamic range L.
+    """Stabilizers and window for SSIM.
 
-    Defaults follow the published reference configuration: C1 = (0.01 L)^2,
-    C2 = (0.03 L)^2, C3 = C2/2, 11x11 Gaussian window with sigma 1.5.
+    Defaults follow the published reference configuration for intensities
+    normalized to [0, 1] (dynamic range L = 1, as `normalize_intensities`
+    leaves every channel): C1 = (0.01 L)^2, C2 = (0.03 L)^2, C3 = C2/2, 11x11
+    Gaussian window with sigma 1.5.
     """
 
-    dynamic_range: float = 1.0
     c1: float = field(default=0.01 ** 2)
     c2: float = field(default=0.03 ** 2)
     c3: float = field(default=0.03 ** 2 / 2)
     window_size: int = 11
     window_sigma: float = 1.5
-
-    def window(self) -> np.ndarray:
-        return gaussian_window(self.window_size, self.window_sigma)
 
 
 def fit_constants(c: SsimConstants, shape) -> SsimConstants:
@@ -134,12 +136,17 @@ def _interior(size: int) -> tuple:
 
 
 def _ssim_map(x: np.ndarray, y: np.ndarray, c: SsimConstants) -> np.ndarray:
-    """SSIM at every fully interior in-plane window position of a 3D box."""
-    w = c.window()[:, :, None]
+    """SSIM at every fully interior in-plane window position of a 3D box.
+
+    Each moment is two 1-D Gaussian passes, along axis 0 and then axis 1: on
+    the interior positions, the same linear map as the 2D window up to rounding.
+    """
+    g = _gaussian_taps(c.window_size, c.window_sigma)
     crop = _interior(c.window_size)
 
     def smooth(img):
-        return ndimage.correlate(img, w, mode="constant")[crop]
+        rows = ndimage.correlate1d(img, g, axis=0, mode="constant")
+        return ndimage.correlate1d(rows, g, axis=1, mode="constant")[crop]
 
     mu_x = smooth(x)
     mu_y = smooth(y)
@@ -161,11 +168,11 @@ def mssim(classified: np.ndarray, reference: np.ndarray, mask: np.ndarray,
     """MSSIM between a classified image and the reference.
 
     The window is first fitted to the in-plane shape (fit_constants). A 3D
-    box is scored in one pass: every moment is one correlation with the 2D
-    window laid in the axial plane. Each axial slice's MSSIM is the mean
-    SSIM over its windows containing a masked voxel, and the result is the
-    mean over the slices that have such a window. A 2D input is a one-slice
-    box. Raises ValueError when no window touches the mask.
+    box is scored in one pass: every moment is two 1-D Gaussian passes along
+    the in-plane axes. Each axial slice's MSSIM is the mean SSIM over its
+    windows containing a masked voxel, and the result is the mean over the
+    slices that have such a window. A 2D input is a one-slice box. Raises
+    ValueError when no window touches the mask.
     """
     classified = np.asarray(classified, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)

@@ -10,7 +10,7 @@ from kfdaseg.partition import (Histogram2, PartitionConfig, PartitionTree,
                                SlabClustering, Subdomain, best_cut,
                                histogram_2bin, mutual_information, noise_sigma,
                                partition, snr)
-from kfdaseg.volume import MultiChannelVolume
+from kfdaseg.volume import MultiChannelVolume, box_slices
 from oracles import cnr, total_mir
 
 LOG2 = 0.6931471805599453
@@ -381,7 +381,7 @@ def test_leaves_tile_and_overlap_by_four():
     dims = vol.dims
     coverage = np.zeros(dims, dtype=np.int32)
     for leaf in tree.leaf_nodes():
-        sl = tuple(slice(lo, hi + 1) for lo, hi in leaf.bounds)
+        sl = box_slices(leaf.bounds)
         coverage[sl] += 1
         for axis in range(3):
             lo, hi = leaf.bounds[axis]

@@ -71,7 +71,7 @@ def test_mssim_columns_recomputable(small_run):
     saved = load_labels(Path(cfg.out_dir) / "labels.u8raw")
     for row in report.subdomains:
         bounds = row["padded_bounds"]
-        box = tuple(slice(lo, hi + 1) for lo, hi in bounds)
+        box = box_slices(bounds)
         mask_box = vol.mask[box]
         if not mask_box.any() or row["mssim_kfda"] is None:
             continue

@@ -121,6 +121,21 @@ def test_mssim_window_positions_match_patch_ssim():
                 ssim_patch(patch_x, patch_y, c, weights=w), abs=1e-10)
     value = mssim(x, y, mask, c)
     assert value == pytest.approx(float(ssim_map.mean()), abs=1e-12)
+    # the windows fitted to thin boxes, at every position of a 3-slice box
+    for size in (3, 5, 7, 9):
+        fitted = fit_constants(c, (size, size))
+        assert fitted.window_size == size
+        assert fitted.window_sigma == pytest.approx(1.5 * size / 11)
+        w = gaussian_window(fitted.window_size, fitted.window_sigma)
+        bx = rng.random((size + 3, size + 2, 3))
+        by = rng.random((size + 3, size + 2, 3))
+        ssim_map = _ssim_map(bx, by, fitted)
+        assert ssim_map.shape == (4, 3, 3)
+        for r, col, k in np.ndindex(ssim_map.shape):
+            patch_x = bx[r:r + size, col:col + size, k]
+            patch_y = by[r:r + size, col:col + size, k]
+            assert ssim_map[r, col, k] == pytest.approx(
+                ssim_patch(patch_x, patch_y, fitted, weights=w), abs=1e-10)
 
 
 def test_mssim_background_windows_excluded():

@@ -12,7 +12,7 @@ from kfdaseg.stitch import (EXACT_MAX_WIDTH, AnnealSchedule, ClassifiedFragment,
                             composite_init, exact_map, log_posterior,
                             simulated_anneal, spawn_seed, stitch_slice,
                             stitch_volume)
-from kfdaseg.volume import BG, CSF, GM, WM
+from kfdaseg.volume import BG, CSF, GM, WM, box_slices
 from oracles import enumerate_map_vectorized, row_transfer_map
 
 FAST = AnnealSchedule(t0=1.0, rho=0.8, sweeps=5, t_min=0.05, seed=7)
@@ -392,7 +392,7 @@ def test_stitched_phantom_overlap_quality():
     rng = np.random.default_rng(14)
 
     def fragment(core, padded):
-        sl = tuple(slice(lo, hi + 1) for lo, hi in padded)
+        sl = box_slices(padded)
         labels = truth.labels[sl].copy()
         flip = rng.random(labels.shape) < 0.10
         labels[flip & (labels != BG)] = rng.integers(1, 4, size=int((flip & (labels != BG)).sum()))
