@@ -2,8 +2,9 @@
 
 Verbs: phantom, init, partition, classify, stitch, run, report. The stage
 verbs call the stage functions that `run` chains (`pipeline.*_stage`) and
-add only their own file I/O, so they write the same bytes as `run`; report
-rewrites the report files of an existing run output. Exit codes: 0 success,
+add only their own file I/O, so they write the same bytes as `run`: report
+rebuilds the report files from the labels and diagnostics that stitch and
+classify (or run) left in the output directory. Exit codes: 0 success,
 2 validation error, 3 numerical failure.
 """
 
@@ -43,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stage", choices=COMMANDS,
                         help="alternative to the positional verb")
     _add_common(parser, suppress=False)
-    parser.add_argument("--plots", action="store_true", default=False)
     sub = parser.add_subparsers(dest="verb")
 
     p = sub.add_parser("phantom", help="generate a synthetic volume + ground truth")
@@ -63,10 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of boundary voxels to corrupt")
 
     for verb in ("partition", "classify", "stitch", "run", "report"):
-        p = sub.add_parser(verb)
-        _add_common(p)
-        if verb == "report":
-            p.add_argument("--plots", action="store_true", default=argparse.SUPPRESS)
+        _add_common(sub.add_parser(verb))
 
     return parser
 
@@ -163,15 +160,14 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    report = pipeline.RunReport(
-        **json.loads((out / "report.json").read_text()),
-        diagnostics=json.loads((out / "subdomains.json").read_text()))
-    labels_path = out / "labels.u8raw"
-    if labels_path.exists():
-        report.labels = vol_io.load_labels(labels_path)
-    pipeline.emit_report(report, out, plots=getattr(args, "plots", False))
-    print(f"refreshed report files in {out}")
+    vol, tree, out = _partitioned(cfg)
+    init = pipeline.init_stage(cfg, vol)
+    truth = vol_io.load_labels(cfg.ground_truth) if cfg.ground_truth else None
+    final = vol_io.load_labels(out / "labels.u8raw")
+    diagnostics = json.loads((out / "subdomains.json").read_text())
+    report = pipeline.report_stage(cfg, vol, init, tree, final, diagnostics, truth)
+    pipeline.emit_report(report, out)
+    print(f"wrote the report files in {out}")
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -731,6 +732,15 @@ class KfdaConfig:
     def __post_init__(self):
         if not self.lambda_grid:
             raise ValueError("lambda grid must not be empty")
+        # solve_alpha is exact only while λ·P stays negative semidefinite
+        if not all(lam >= 0 for lam in self.lambda_grid):
+            raise ValueError(f"lambda grid values must be >= 0, got {self.lambda_grid}")
+        if not self.k_grid:
+            raise ValueError("k grid must not be empty")
+        if not all(isinstance(k, numbers.Integral) and k > 0 and k % 2 == 1
+                   for k in self.k_grid):
+            raise ValueError(f"k grid values must be odd positive integers, "
+                             f"got {self.k_grid}")
         if self.l_max < 4:
             raise ValueError("l_max must be at least 4: two training rows per class")
 

@@ -93,8 +93,8 @@ class Subdomain:
     prepared: bool = False
     padded_bounds: tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None = None
 
-    def slices(self, bounds=None):
-        return box_slices(bounds if bounds is not None else self.bounds)
+    def slices(self):
+        return box_slices(self.bounds)
 
 
 @dataclass
@@ -390,8 +390,7 @@ def _prepare_leaf(vol, node: Subdomain, channel: int):
         return
     hist = histogram_2bin(vol, node, channel)
     node.entropy = hist.entropy()
-    if node.snr is None:
-        node.snr = snr(vol, node, channel)
+    _node_snr(vol, node, channel)
     result = best_cut(vol, node, channel)
     if result is not None:
         node.cut, node.mi = result
@@ -476,7 +475,7 @@ def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) ->
             for child_bounds in _split_bounds(node.bounds, node.cut):
                 child = Subdomain(
                     bounds=child_bounds,
-                    voxel_count=int(vol.mask[node.slices(child_bounds)].sum()),
+                    voxel_count=int(vol.mask[box_slices(child_bounds)].sum()),
                     level=k,
                     parent=idx,
                 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -22,8 +21,6 @@ import numpy as np
 from . import kfda, phantom, ssim, stitch, volume as vol_io
 from .partition import PartitionConfig, PartitionTree, partition as build_partition
 from .volume import BG, CSF, GM, WM, LabelVolume, MultiChannelVolume, TISSUE_LABELS
-
-logger = logging.getLogger(__name__)
 
 CLASS_NAMES = {CSF: "csf", GM: "gm", WM: "wm", BG: "bg"}
 
@@ -55,7 +52,6 @@ class PipelineConfig:
     out_dir: str = "out"
     seed: int = 0
     workers: int = 1
-    normalize: bool = True
     reference_channel: int = 0
     # partitioner
     max_depth: int = 7
@@ -77,8 +73,6 @@ class PipelineConfig:
     sa_t_min: float = 0.01
 
     def validate(self, check_paths: bool = True):
-        if not self.k_grid:
-            raise ValueError("k grid must not be empty")
         if self.pad_slices < 1:
             raise ValueError("pad_slices must be at least 1")
         # the stage constructors' own checks, run before any stage does
@@ -242,12 +236,11 @@ def _staged(timing: dict | None, stage: str, fn, *args, **kwargs):
 
 def load_stage(cfg: PipelineConfig, vol: MultiChannelVolume | None = None,
                timing: dict | None = None) -> MultiChannelVolume:
-    """The input volume (read from cfg.volume unless given), normalized if asked."""
+    """The input volume (read from cfg.volume unless given), normalized to
+    [0, 1] as the SSIM constants and kernel parameters assume."""
     if vol is None:
         vol = _staged(timing, "load", vol_io.load_volume, cfg.volume)
-    if cfg.normalize:
-        vol = _staged(timing, "normalize", vol_io.normalize_intensities, vol)
-    return vol
+    return _staged(timing, "normalize", vol_io.normalize_intensities, vol)
 
 
 def init_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
@@ -439,12 +432,11 @@ def run_pipeline(cfg: PipelineConfig,
 # Output files
 # ---------------------------------------------------------------------------
 
-def emit_report(report: RunReport, outdir, plots: bool = False):
+def emit_report(report: RunReport, outdir):
     """Write labels, report.json, CSV tables and diagnostics to outdir.
 
     report.json is schema-validated and byte-deterministic; wall-clock data
-    goes to timing.json only. Plots are emitted on request when matplotlib
-    is importable.
+    goes to timing.json only, and only when the report carries timings.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -482,9 +474,6 @@ def emit_report(report: RunReport, outdir, plots: bool = False):
                     curves.get("snr_normalized", [])), start=1):
             writer.writerow([level, count, repr(mir), repr(snr)])
 
-    if plots:
-        _emit_plots(report, outdir)
-
 
 def write_json(path, obj):
     """Write obj as key-sorted, indented JSON (the form of every JSON output)."""
@@ -493,45 +482,6 @@ def write_json(path, obj):
 
 def _csv_num(value):
     return "" if value is None else repr(float(value))
-
-
-def _emit_plots(report: RunReport, outdir: Path):  # pragma: no cover - optional
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        logger.warning("matplotlib unavailable; skipping plots")
-        return
-    curves = report.curves
-    counts = curves.get("subdomain_counts", [])
-    if counts:
-        fig, ax = plt.subplots(figsize=(7, 5))
-        ax.plot(counts, curves["mir"], "o-", label="MIR")
-        ax.plot(counts, curves["snr_normalized"], "s-", label="SNR (rescaled)")
-        if report.optimal_count:
-            ax.axvline(report.optimal_count, color="gray", linestyle=":",
-                       label=f"selected = {report.optimal_count}")
-        ax.set_xlabel("number of subdomains")
-        ax.set_ylabel("ratio")
-        ax.legend()
-        fig.tight_layout()
-        fig.savefig(outdir / "curves.png", dpi=120)
-        plt.close(fig)
-    if report.labels is not None:
-        labels = report.labels.labels
-        picks = np.linspace(0, labels.shape[2] - 1, num=min(6, labels.shape[2]),
-                            dtype=int)
-        fig, axes = plt.subplots(1, len(picks), figsize=(3 * len(picks), 3))
-        for ax, k in zip(np.atleast_1d(axes), picks):
-            ax.imshow(labels[:, :, k].T, origin="lower", cmap="viridis",
-                      vmin=1, vmax=4)
-            ax.set_title(f"slice {k}")
-            ax.axis("off")
-        fig.tight_layout()
-        fig.savefig(outdir / "label_mosaic.png", dpi=120)
-        plt.close(fig)
 
 
 # ---------------------------------------------------------------------------

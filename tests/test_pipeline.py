@@ -150,11 +150,13 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(cfg.to_json())
     loaded = PipelineConfig.from_json(path)
     assert loaded == cfg
-    bad = json.loads(cfg.to_json())
-    bad["no_such_knob"] = 1
-    path.write_text(json.dumps(bad))
-    with pytest.raises(ValueError, match="unknown config fields"):
-        PipelineConfig.from_json(path)
+    # volumes are always normalized: the SSIM constants assume [0, 1]
+    for knob, value in (("no_such_knob", 1), ("normalize", False)):
+        bad = json.loads(cfg.to_json())
+        bad[knob] = value
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match="unknown config fields"):
+            PipelineConfig.from_json(path)
 
 
 def test_background_inside_mask_rejected(tmp_path):
@@ -191,6 +193,11 @@ def test_config_validation():
         PipelineConfig(l_max=2).validate(check_paths=False)
     with pytest.raises(ValueError, match="l_max"):
         PipelineConfig(l_max=3).validate(check_paths=False)
+    with pytest.raises(ValueError, match="lambda"):
+        PipelineConfig(lambda_grid=(0.0, -1e-3)).validate(check_paths=False)
+    for k_grid in ((), (-1,), (2, 4), (1, 1.5), (0,)):
+        with pytest.raises(ValueError, match="k grid"):
+            PipelineConfig(k_grid=k_grid).validate(check_paths=False)
     with pytest.raises(FileNotFoundError):
         PipelineConfig(volume="/nonexistent/v.f32raw").validate()
 
@@ -335,6 +342,7 @@ def test_cli_stagewise_classify_stitch(tmp_path):
     assert cli.main(["classify", "--config", str(cfg_path)]) == 0
     assert (out_dir / "fragments" / "fragments.json").exists()
     assert cli.main(["stitch", "--config", str(cfg_path)]) == 0
+    assert cli.main(["report", "--config", str(cfg_path)]) == 0
     labels = load_labels(out_dir / "labels.u8raw")
     truth = load_labels(data_dir / "truth.u8raw")
     vol = load_volume(data_dir / "phantom.f32raw")
@@ -344,5 +352,11 @@ def test_cli_stagewise_classify_stitch(tmp_path):
     # the stage verbs write what `run` writes for the same config
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
-    for name in ("labels.u8raw", "partition.json", "subdomains.json"):
+    for name in ("labels.u8raw", "partition.json", "subdomains.json",
+                 "mssim_table.csv", "curves.csv"):
         assert (out_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+    # report.json embeds the config, whose out_dir differs here
+    docs = [json.loads((d / "report.json").read_text()) for d in (out_dir, run_dir)]
+    for doc in docs:
+        doc["config"].pop("out_dir")
+    assert docs[0] == docs[1]
