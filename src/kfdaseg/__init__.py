@@ -10,91 +10,23 @@ wide for it, estimated by the published simulated annealing
 """
 
 from .volume import (
-    ALL_LABELS,
-    BG,
-    CSF,
-    GM,
-    TISSUE_LABELS,
-    WM,
     LabelVolume,
     MultiChannelVolume,
     VolumeFormatError,
-    check_mask_consistency,
-    load_labels,
     load_volume,
     normalize_intensities,
-    save_labels,
-    save_volume,
 )
-from .partition import (
-    Histogram2,
-    PartitionConfig,
-    PartitionTree,
-    SlabClustering,
-    Subdomain,
-    best_cut,
-    histogram_2bin,
-    mutual_information,
-    noise_sigma,
-    normalize_snr_curve,
-    partition,
-    snr,
-)
-from .ssim import (
-    PatchStats,
-    SsimConstants,
-    classified_mean_image,
-    gaussian_window,
-    mssim,
-    patch_stats,
-    ssim_patch,
-)
-from .kfda import (
-    ConvergenceError,
-    KernelSpec,
-    KfdaConfig,
-    KfdaMatrices,
-    KfdaModel,
-    SubdomainData,
-    TrainingSet,
-    VoxelCategories,
-    build_matrices,
-    categorize,
-    classify_outliers_mahalanobis,
-    classify_subdomain,
-    kernel_matrix,
-    neighborhood_matrix,
-    project,
-    solve_alpha,
-    ssim_guided_decision,
-)
+from .partition import PartitionConfig, PartitionTree, partition
+from .kfda import KernelSpec, KfdaConfig, classify_subdomain
 from .stitch import (
     AnnealSchedule,
     ClassifiedFragment,
-    PotentialTables,
-    SliceSubimage,
     StitchProblem,
-    build_potentials,
     exact_map,
-    log_posterior,
     simulated_anneal,
-    stitch_slice,
     stitch_volume,
 )
-from .phantom import (
-    PhantomSpec,
-    corrupt_boundary_labels,
-    generate_phantom,
-    kmeans_init,
-    underestimate_csf,
-)
-from .pipeline import (
-    PipelineConfig,
-    PipelineStageError,
-    RunReport,
-    dice_scores,
-    emit_report,
-    run_pipeline,
-)
+from .phantom import PhantomSpec, generate_phantom, kmeans_init
+from .pipeline import PipelineConfig, PipelineStageError, RunReport, run_pipeline
 
 __version__ = "0.1.0"

@@ -31,8 +31,6 @@ def _add_common(sub, suppress=True):
                      help="pipeline config JSON")
     sub.add_argument("--out", type=str, default=default,
                      help="output directory (overrides config)")
-    sub.add_argument("--workers", type=int, default=default,
-                     help="worker pool size (overrides config)")
     sub.add_argument("--seed", type=int, default=default,
                      help="root RNG seed (overrides config)")
 
@@ -75,8 +73,6 @@ def _load_config(args) -> pipeline.PipelineConfig:
         cfg = pipeline.PipelineConfig()
     if getattr(args, "out", None):
         cfg.out_dir = args.out
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return cfg
@@ -160,7 +156,12 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _load_config(args)
-    vol, tree, out = _partitioned(cfg)
+    cfg.validate()
+    vol = pipeline.load_stage(cfg)
+    # partition.json stays as classify left it: a partition that does not
+    # match subdomains.json is rejected before any file is written
+    tree = pipeline.partition_stage(cfg, vol)
+    out = Path(cfg.out_dir)
     init = pipeline.init_stage(cfg, vol)
     truth = vol_io.load_labels(cfg.ground_truth) if cfg.ground_truth else None
     final = vol_io.load_labels(out / "labels.u8raw")

@@ -47,19 +47,16 @@ class ConvergenceError(RuntimeError):
 class KernelSpec:
     """Kernel function choice with its scalar parameters."""
 
-    kind: str                # "sigmoid" | "gaussian_rbf" | "polynomial"
+    kind: str                # "sigmoid" | "gaussian_rbf" | "linear"
     a: float = 8.0           # sigmoid gain
     b: float = -0.0005       # sigmoid offset
     sigma: float = 0.5       # RBF bandwidth
-    degree: int = 1          # polynomial degree
 
     def __post_init__(self):
-        if self.kind not in ("sigmoid", "gaussian_rbf", "polynomial"):
+        if self.kind not in ("sigmoid", "gaussian_rbf", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian_rbf" and self.sigma <= 0:
             raise ValueError("RBF bandwidth must be positive")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
 
     @classmethod
     def sigmoid(cls, a: float = 8.0, b: float = -0.0005) -> "KernelSpec":
@@ -70,12 +67,8 @@ class KernelSpec:
         return cls(kind="gaussian_rbf", sigma=sigma)
 
     @classmethod
-    def polynomial(cls, degree: int) -> "KernelSpec":
-        return cls(kind="polynomial", degree=degree)
-
-    @classmethod
     def linear(cls) -> "KernelSpec":
-        return cls(kind="polynomial", degree=1)
+        return cls(kind="linear")
 
 
 def kernel_matrix(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -99,9 +92,6 @@ def kernel_matrix(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarra
         np.maximum(out, 0.0, out=out)
         out *= -1.0 / (2.0 * spec.sigma ** 2)
         np.exp(out, out=out)
-        return out
-    if spec.degree != 1:
-        np.power(out, spec.degree, out=out)
     return out
 
 
@@ -111,17 +101,14 @@ def kernel_matrix(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarra
 
 @dataclass
 class TrainingSet:
-    """Labeled samples: features (l, d), labels in {-1, +1}, and the sample's
-    index into the subdomain voxel list (position in feature space graph)."""
+    """Labeled samples: features (l, d) and labels in {-1, +1}."""
 
     features: np.ndarray
     labels: np.ndarray
-    sample_indices: np.ndarray
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int8)
-        self.sample_indices = np.asarray(self.sample_indices, dtype=np.int64)
         if self.features.ndim != 2 or len(self.labels) != len(self.features):
             raise ValueError("features must be (l, d) with one label per row")
         if not np.all(np.isin(self.labels, (-1, 1))):
@@ -229,19 +216,19 @@ class KfdaMatrices:
         return self.m_neg - self.m_pos
 
     def penalty_matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.cross.dtype == np.float32:
-            # stay in float32 through the big gemvs; mixing dtypes would
-            # silently copy the whole cross kernel up to float64
-            u = self.cross.T @ v.astype(np.float32)
-            w = self.neighborhood.dot(u.astype(np.float64))
-            return (self.cross @ w.astype(np.float32)).astype(np.float64)
-        return self.cross @ self.neighborhood.dot(self.cross.T @ v)
+        """cross H cross^T v in float64, the graph differences taken in it.
+
+        Vectors meet the cross kernel in its stored dtype: mixing dtypes
+        would silently copy a float32 cross kernel up to float64."""
+        dtype = self.cross.dtype
+        u = (self.cross.T @ v.astype(dtype, copy=False)).astype(np.float64, copy=False)
+        w = self.neighborhood.dot(u).astype(dtype, copy=False)
+        return (self.cross @ w).astype(np.float64, copy=False)
 
     def voxel_projections(self, alpha: np.ndarray) -> np.ndarray:
-        """cross^T alpha without promoting a float32 cross kernel."""
-        if self.cross.dtype == np.float32:
-            return (self.cross.T @ alpha.astype(np.float32)).astype(np.float64)
-        return self.cross.T @ alpha
+        """cross^T alpha in float64, the product taken in the cross kernel's dtype."""
+        return (self.cross.T @ alpha.astype(self.cross.dtype, copy=False)).astype(
+            np.float64, copy=False)
 
 # above this entry count the whole-subdomain cross kernel is stored in
 # float32: the matvec is memory-bandwidth bound and tests that need 1e-8
@@ -463,13 +450,6 @@ def solve_alpha(mats: KfdaMatrices, lam: float, beta: float | None = None,
                      training=mats.training)
 
 
-def project(model: KfdaModel, queries: np.ndarray) -> np.ndarray:
-    """Signed decision values sum_m alpha_m K(x_m, query) + b."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    k = kernel_matrix(model.kernel, queries, model.training.features)
-    return k @ model.alpha + model.b_offset
-
-
 # ---------------------------------------------------------------------------
 # Voxel categorization and refinement
 # ---------------------------------------------------------------------------
@@ -589,41 +569,26 @@ def classify_outliers_mahalanobis(features: np.ndarray, init_sides: np.ndarray,
     return out.astype(np.int8)
 
 
-# query rows per block when the polynomial kernel ranks prototypes by brute force
-_BRUTE_ROWS = 256
-
-
 def nearest_prototype_sides(spec: KernelSpec, queries: np.ndarray,
                             proto_features: np.ndarray, proto_sides: np.ndarray,
                             k_max: int) -> np.ndarray:
     """(n_queries, k_max) class sides of each query's nearest prototypes.
 
     Neighbours are ordered by distance, then by prototype index; quantized
-    intensities make exact ties real. The sigmoid and RBF kernels rank by
-    Euclidean distance between intensity vectors, answered exactly by a
-    KD-tree. For RBF that is its own order: the kernel-trick distance
-    2 - 2 exp(-d^2 / 2 sigma^2) is monotone in d. The sigmoid kernel is not
-    positive semidefinite (Lin & Lin 2003), so its kernel-trick expression
+    intensities make exact ties real. Every kernel spec ranks by Euclidean
+    distance between intensity vectors, answered exactly by a KD-tree. For
+    the linear kernel that is its own order: its kernel-trick distance
+    x.x - 2x.p + p.p is d^2. So it is for RBF, whose 2 - 2 exp(-d^2 / 2
+    sigma^2) is monotone in d. The sigmoid kernel is not positive
+    semidefinite (Lin & Lin 2003), so its kernel-trick expression
     K(x,x) - 2K(x,p) + K(p,p) is no distance: it goes negative against
     high-norm prototypes and would rank them first whatever their intensity.
-    The polynomial kernel alone ranks by its kernel-trick distance
-    (x.x)^d - 2(x.p)^d + (p.p)^d, which is not Euclidean-ordered, by brute
-    force over every prototype.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     protos = np.atleast_2d(np.asarray(proto_features, dtype=np.float64))
     proto_sides = np.asarray(proto_sides, dtype=np.int8)
     n_q = len(queries)
     k_max = min(k_max, len(proto_sides))
-    if spec.kind == "polynomial":
-        order = np.empty((n_q, k_max), dtype=np.int64)
-        p_diag = np.sum(protos * protos, axis=1) ** spec.degree
-        for start in range(0, n_q, _BRUTE_ROWS):
-            block = queries[start:start + _BRUTE_ROWS]
-            d2 = ((np.sum(block * block, axis=1) ** spec.degree)[:, None]
-                  - 2.0 * kernel_matrix(spec, block, protos) + p_diag)
-            order[start:start + _BRUTE_ROWS] = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
-        return proto_sides[order]
     if k_max == 0:
         return np.empty((n_q, 0), dtype=np.int8)
     # one neighbour past k_max shows whether a tie straddles the cut
@@ -655,10 +620,9 @@ def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
     Outliers are reassigned by Mahalanobis distance; the overlapping set is
     reassigned by KNN for each k in k_grid on top of that. One call to
     nearest_prototype_sides ranks the prototypes for every k: an exact
-    KD-tree in Euclidean intensity order for the sigmoid and RBF kernels
-    (the RBF kernel-trick distance is monotone in it; the sigmoid kernel is
-    not positive semidefinite and has no kernel-trick distance), brute force
-    by kernel-trick distance for the polynomial kernel alone, ties broken by
+    KD-tree in Euclidean intensity order (the RBF and linear kernel-trick
+    distances are monotone in it; the sigmoid kernel is not positive
+    semidefinite and has no kernel-trick distance), ties broken by
     prototype index. score(sides) gives a labeling's MSSIM against the
     reference; the larger wins. An empty overlapping set returns the
     Mahalanobis labeling directly.
@@ -775,8 +739,7 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: KfdaConfig,
     subdata = SubdomainData.from_mask(data_box, member)
     diag = {"n_voxels": len(subdata), "sweep": [], "chosen_lambda": None, "skipped": None}
     keep = _stratified_cap(sides_init, cfg.l_max, rng)
-    ts = TrainingSet(features=subdata.features[keep], labels=sides_init[keep],
-                     sample_indices=keep)
+    ts = TrainingSet(features=subdata.features[keep], labels=sides_init[keep])
     mats = build_matrices(ts, kernel, subdata)
     beta = default_beta(mats.within, cfg.beta_scale)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,7 +50,6 @@ class PipelineConfig:
     ground_truth: str = ""
     out_dir: str = "out"
     seed: int = 0
-    workers: int = 1
     reference_channel: int = 0
     # partitioner
     max_depth: int = 7
@@ -114,6 +112,10 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         raw = json.loads(Path(path).read_text())
+        # perfbench's configs still name the removed leaf-pool size; 1 is
+        # what every run does now, so that value alone is dropped
+        if raw.get("workers") == 1:
+            del raw["workers"]
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -281,47 +283,26 @@ def classify_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                    out_dir=None) -> tuple[list[stitch.ClassifiedFragment], list[dict]]:
     """KFDA-classify every leaf: (fragments, per-leaf diagnostics), in leaf order.
 
-    With cfg.workers > 1 leaves run on a thread pool; leaf i draws its
-    random streams from spawn key (1, i) of the root seed, so results do not
-    depend on the pool size. When a leaf fails and out_dir is given, the
-    diagnostics of the leaves finished before it go to
-    subdomains_partial.json there.
+    Leaf i draws its random streams from spawn key (1, i) of the root seed.
+    When a leaf fails and out_dir is given, the diagnostics of the leaves
+    finished before it go to subdomains_partial.json there.
     """
     kcfg = cfg.kfda_config()
-    leaves = tree.leaf_nodes()
     fragments: list[stitch.ClassifiedFragment] = []
     diagnostics: list[dict] = []
-
-    def one(index):
-        leaf = leaves[index]
-        labels_box, diag = kfda.classify_subdomain(
-            vol, leaf.padded_bounds, init_labels.labels, kcfg,
-            seed=stitch.spawn_seed(cfg.seed, 1, index))
+    for index, leaf in enumerate(tree.leaf_nodes()):
+        try:
+            labels_box, diag = _staged(
+                timing, "classify", kfda.classify_subdomain, vol, leaf.padded_bounds,
+                init_labels.labels, kcfg, seed=stitch.spawn_seed(cfg.seed, 1, index))
+        except PipelineStageError:
+            if out_dir is not None and diagnostics:
+                write_json(Path(out_dir) / "subdomains_partial.json", diagnostics)
+            raise
         diag["domain"] = index + 1
-        return stitch.ClassifiedFragment(
-            core_bounds=leaf.bounds, padded_bounds=leaf.padded_bounds,
-            labels=labels_box), diag
-
-    def collect(results):
-        for frag, diag in results:
-            fragments.append(frag)
-            diagnostics.append(diag)
-
-    def classify_all():
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                collect(pool.map(one, range(len(leaves))))
-        else:
-            # in this thread: a pool thread calling BLAS gets buffers of its
-            # own, about 10 MB more peak memory on a 24³ volume
-            collect(map(one, range(len(leaves))))
-
-    try:
-        _staged(timing, "classify", classify_all)
-    except PipelineStageError:
-        if out_dir is not None and diagnostics:
-            write_json(Path(out_dir) / "subdomains_partial.json", diagnostics)
-        raise
+        fragments.append(stitch.ClassifiedFragment(
+            core_bounds=leaf.bounds, padded_bounds=leaf.padded_bounds, labels=labels_box))
+        diagnostics.append(diag)
     return fragments, diagnostics
 
 
@@ -339,17 +320,24 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                  init_labels: LabelVolume, tree: PartitionTree, final: LabelVolume,
                  diagnostics: list[dict], ground_truth: LabelVolume | None = None,
                  timing: dict | None = None) -> RunReport:
-    """Per-leaf MSSIM before and after, curves, class counts and Dice."""
+    """Per-leaf MSSIM before and after, curves, class counts and Dice.
+
+    Raises PipelineStageError("report") on diagnostics that are not one
+    entry per leaf of tree, each over that leaf's padded bounds."""
     def build() -> RunReport:
+        leaves = tree.leaf_nodes()
+        if [diag.get("bounds") for diag in diagnostics] != \
+                [[list(b) for b in leaf.padded_bounds] for leaf in leaves]:
+            raise ValueError(f"the diagnostics of {len(diagnostics)} subdomains do "
+                             f"not match the {len(leaves)} leaves of the partition")
         rows = []
         improved = 0
         comparable = 0
-        for index, leaf in enumerate(tree.leaf_nodes()):
+        for index, (leaf, diag) in enumerate(zip(leaves, diagnostics)):
             m_init = _region_mssim(init_labels.labels, vol, leaf.padded_bounds,
                                    cfg.reference_channel)
             m_kfda = _region_mssim(final.labels, vol, leaf.padded_bounds,
                                    cfg.reference_channel)
-            diag = diagnostics[index]
             shape = (leaf.padded_bounds[0][1] - leaf.padded_bounds[0][0] + 1,
                      leaf.padded_bounds[1][1] - leaf.padded_bounds[1][0] + 1)
             rows.append({

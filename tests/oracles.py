@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy import sparse
 
-from kfdaseg.kfda import KernelSpec, KfdaMatrices, nearest_prototype_sides
+from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, kernel_matrix,
+                          nearest_prototype_sides)
 from kfdaseg.partition import PartitionTree, Subdomain, _mir_over, noise_sigma
 from kfdaseg.stitch import StitchProblem, build_potentials
 from kfdaseg.volume import MultiChannelVolume
@@ -33,7 +34,14 @@ def kernel_eval(spec: KernelSpec, x, z) -> float:
     if spec.kind == "gaussian_rbf":
         d = x - z
         return float(np.exp(-float(d @ d) / (2.0 * spec.sigma ** 2)))
-    return float(x @ z) ** spec.degree
+    return float(x @ z)
+
+
+def project(model: KfdaModel, queries: np.ndarray) -> np.ndarray:
+    """Signed decision values sum_m alpha_m K(x_m, query) + b."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    k = kernel_matrix(model.kernel, queries, model.training.features)
+    return k @ model.alpha + model.b_offset
 
 
 def between(mats: KfdaMatrices) -> np.ndarray:

@@ -167,7 +167,7 @@ def test_criterion_3_eigen_solve():
         labels = np.where(rng.random(l) < 0.5, -1, 1)
         if abs(int(labels.sum())) == l:
             labels[0] = -labels[0]
-        ts = TrainingSet(feats, labels, np.arange(l))
+        ts = TrainingSet(feats, labels)
         mats = build_matrices(ts, KernelSpec.rbf(0.5), line_subdata(feats))
         for lam in (0.0, 5e-5, 0.1):
             model = solve_alpha(mats, lam)
@@ -182,7 +182,7 @@ def test_criterion_3_eigen_solve():
     x_neg = gen.multivariate_normal([0, 0], cov, size=n)
     x_pos = gen.multivariate_normal([3.0, 1.0], cov, size=n)
     feats = np.vstack([x_neg, x_pos])
-    ts = TrainingSet(feats, np.array([-1] * n + [1] * n), np.arange(2 * n))
+    ts = TrainingSet(feats, np.array([-1] * n + [1] * n))
     mats = build_matrices(ts, KernelSpec.linear(), line_subdata(feats))
     model = solve_alpha(mats, 0.0)
     w_kfda = feats.T @ model.alpha
@@ -217,7 +217,7 @@ def test_criterion_4_penalty_identity():
         sub = SubdomainData.from_mask(data, mask)
         l = min(12, len(sub))
         labels = np.array([-1] * (l // 2) + [1] * (l - l // 2))
-        ts = TrainingSet(sub.features[:l], labels, np.arange(l))
+        ts = TrainingSet(sub.features[:l], labels)
         mats = build_matrices(ts, KernelSpec.rbf(0.5), sub)
         edges = graph_edges(mats.neighborhood)
         for _ in range(10):

@@ -10,12 +10,11 @@ from kfdaseg.kfda import (KernelSpec, KfdaConfig, KrylovBasis, SubdomainData,
                           TrainingSet, _stratified_cap, build_matrices, categorize,
                           classify_outliers_mahalanobis, classify_subdomain,
                           default_beta, kernel_matrix, nearest_prototype_sides,
-                          neighborhood_matrix, project, solve_alpha,
-                          ssim_guided_decision)
+                          neighborhood_matrix, solve_alpha, ssim_guided_decision)
 from kfdaseg.ssim import mssim
 from kfdaseg.volume import BG, CSF, GM, WM
 from oracles import (between, classify_overlap_knn, graph_edges, kernel_eval,
-                     penalty, roughness)
+                     penalty, project, roughness)
 
 
 def subdata_line(features):
@@ -27,7 +26,7 @@ def subdata_line(features):
 
 
 def simple_training(features, labels):
-    return TrainingSet(features, labels, np.arange(len(labels)))
+    return TrainingSet(features, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +54,12 @@ def test_rbf_published_bandwidth():
     assert value == pytest.approx(0.6065306597126334, abs=1e-12)
 
 
-def test_polynomial_kernel():
-    x = np.array([1.0, 2.0])
-    z = np.array([3.0, 0.5])
-    assert kernel_eval(KernelSpec.polynomial(3), x, z) == pytest.approx(4.0 ** 3)
-
-
 def test_kernel_matrix_matches_pointwise():
     rng = np.random.default_rng(0)
     xs = rng.random((6, 3))
     zs = rng.random((4, 3))
     for spec in (KernelSpec.rbf(0.7), KernelSpec.sigmoid(3, -0.01),
-                 KernelSpec.polynomial(2)):
+                 KernelSpec.linear()):
         mat = kernel_matrix(spec, xs, zs)
         for i in range(6):
             for j in range(4):
@@ -79,7 +72,7 @@ def test_gram_symmetric_and_rbf_psd():
     for _ in range(5):
         xs = rng.random((40, 3))
         for spec in (KernelSpec.rbf(0.5), KernelSpec.sigmoid(8, -0.0005),
-                     KernelSpec.polynomial(2)):
+                     KernelSpec.linear()):
             gram = kernel_matrix(spec, xs, xs)
             assert np.allclose(gram, gram.T, atol=1e-12)
         rbf = kernel_matrix(KernelSpec.rbf(0.5), xs, xs)
@@ -153,7 +146,7 @@ def test_penalty_identity_with_kernel_projection():
         sub = SubdomainData.from_mask(data, mask)
         l = min(10, len(sub))
         labels = np.array([-1] * (l // 2) + [1] * (l - l // 2))
-        ts = TrainingSet(sub.features[:l], labels, np.arange(l))
+        ts = TrainingSet(sub.features[:l], labels)
         mats = build_matrices(ts, KernelSpec.rbf(0.5), sub)
         edges = graph_edges(mats.neighborhood)
         for _ in range(10):
@@ -241,7 +234,7 @@ def test_shared_basis_matches_dense_eigendecomposition():
         rows = np.sort(rng.choice(n, size=l, replace=False))
         labels = np.where(rng.random(l) < 0.5, -1, 1)
         labels[0], labels[-1] = -1, 1
-        ts = TrainingSet(feats[rows], labels, rows)
+        ts = TrainingSet(feats[rows], labels)
         for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(1.0)):
             mats = build_matrices(ts, spec, subdata_line(feats))
             b, p = between(mats), penalty(mats)
@@ -299,11 +292,10 @@ def test_lambda_monotonically_smooths_projections():
     data = rng.random(dims + (3,))
     mask = np.ones(dims, dtype=bool)
     sub = SubdomainData.from_mask(data, mask)
-    n = len(sub)
     labels = np.where(sub.features[:, 0] > np.median(sub.features[:, 0]), 1, -1)
     labels[0] = -1
     labels[1] = 1
-    ts = TrainingSet(sub.features, labels, np.arange(n))
+    ts = TrainingSet(sub.features, labels)
     mats = build_matrices(ts, KernelSpec.rbf(0.5), sub)
     grid = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
     rough = []
@@ -462,21 +454,16 @@ def test_knn_matches_exhaustive_sort_oracle():
     sides = np.where(rng.random(30) < 0.5, -1, 1)
     queries = rng.random((12, 3))
 
-    def kernel_trick(spec):
-        return lambda q, p: (kernel_eval(spec, q, q) - 2 * kernel_eval(spec, q, p)
-                             + kernel_eval(spec, p, p))
-
     def euclidean(q, p):
         return float(((q - p) ** 2).sum())
 
-    # a PSD kernel ranks by its kernel-trick distance; the sigmoid kernel,
-    # which is not PSD, ranks by Euclidean distance between intensity vectors
-    poly = KernelSpec.polynomial(2)
-    for spec, dist in ((poly, kernel_trick(poly)),
-                       (KernelSpec.sigmoid(4.0, -0.001), euclidean)):
+    # the linear kernel's kernel-trick distance is the squared Euclidean
+    # distance; the sigmoid kernel, which is not PSD, has none and ranks by
+    # Euclidean distance between intensity vectors
+    for spec in (KernelSpec.linear(), KernelSpec.sigmoid(4.0, -0.001)):
         got = classify_overlap_knn(spec, queries, protos, sides, 5)
         for qi, q in enumerate(queries):
-            order = np.argsort([dist(q, p) for p in protos], kind="stable")[:5]
+            order = np.argsort([euclidean(q, p) for p in protos], kind="stable")[:5]
             vote = sides[order].sum()
             assert got[qi] == (1 if vote > 0 else -1), spec
 
@@ -502,21 +489,15 @@ def test_knn_ties_break_by_prototype_index():
     sides = np.repeat(np.array([1, -1], dtype=np.int8), 15)[shuffle]
     queries = rng.integers(0, 4, size=(40, 3)) / 4.0
 
-    def distances(spec, q):
-        if spec.kind == "polynomial":
-            p = spec.degree
-            return (q @ q) ** p - 2 * (protos @ q) ** p + np.sum(protos * protos, axis=1) ** p
-        return ((protos - q) ** 2).sum(axis=1)
-
     for spec in (KernelSpec.rbf(0.5), KernelSpec.sigmoid(8.0, -0.0005),
-                 KernelSpec.polynomial(2)):
+                 KernelSpec.linear()):
         straddling = 0
         for k_max in (1, 4, 11, 30, 35):
             got = nearest_prototype_sides(spec, queries, protos, sides, k_max)
             k = min(k_max, 30)
             assert got.shape == (40, k)
             for qi, q in enumerate(queries):
-                d = distances(spec, q)
+                d = ((protos - q) ** 2).sum(axis=1)
                 order = np.argsort(d, kind="stable")
                 assert np.array_equal(got[qi], sides[order[:k]]), (spec.kind, k_max, qi)
                 straddling += k < 30 and d[order[k - 1]] == d[order[k]]

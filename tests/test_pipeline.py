@@ -132,26 +132,20 @@ def test_determinism_byte_identical(tmp_path):
     assert doc_a == doc_b
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    spec = PhantomSpec(dims=(24, 24, 24), noise_sigma=0.04, bias_amplitude=0.05,
-                       pv_blur=0.8, seed=24)
-    vol, truth = generate_phantom(spec)
-    init = kmeans_init(vol, seed=1)
-    out_a = tmp_path / "w1"
-    out_b = tmp_path / "w2"
-    run_pipeline(small_config(out_a, seed=4, workers=1), vol=vol, init_labels=init)
-    run_pipeline(small_config(out_b, seed=4, workers=3), vol=vol, init_labels=init)
-    assert (out_a / "labels.u8raw").read_bytes() == (out_b / "labels.u8raw").read_bytes()
-
-
 def test_config_json_round_trip(tmp_path):
-    cfg = small_config(tmp_path, volume="vol.f32raw", workers=2)
+    cfg = small_config(tmp_path, volume="vol.f32raw")
     path = tmp_path / "config.json"
     path.write_text(cfg.to_json())
     loaded = PipelineConfig.from_json(path)
     assert loaded == cfg
+    # leaves always run one after another: a config naming the retired
+    # pool size loads when that size is 1, as perfbench's configs do
+    doc = json.loads(cfg.to_json())
+    doc["workers"] = 1
+    path.write_text(json.dumps(doc))
+    assert PipelineConfig.from_json(path) == cfg
     # volumes are always normalized: the SSIM constants assume [0, 1]
-    for knob, value in (("no_such_knob", 1), ("normalize", False)):
+    for knob, value in (("no_such_knob", 1), ("normalize", False), ("workers", 2)):
         bad = json.loads(cfg.to_json())
         bad[knob] = value
         path.write_text(json.dumps(bad))
@@ -360,3 +354,27 @@ def test_cli_stagewise_classify_stitch(tmp_path):
     for doc in docs:
         doc["config"].pop("out_dir")
     assert docs[0] == docs[1]
+
+
+def test_cli_report_rejects_another_partition(tmp_path):
+    data_dir = tmp_path / "data"
+    out_dir = tmp_path / "out"
+    cli.main(["phantom", "--out", str(data_dir), "--dims", "24", "24", "24",
+              "--noise", "0.03", "--bias", "0.0", "--blur", "0.5", "--seed", "4"])
+    cfg = PipelineConfig(volume=str(data_dir / "phantom.f32raw"),
+                         init_labels=str(data_dir / "truth.u8raw"),
+                         out_dir=str(out_dir), seed=0, l_max=300, max_depth=2,
+                         lambda_grid=(0.0,), k_grid=(1,))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(cfg.to_json())
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    leaves = len(json.loads((out_dir / "subdomains.json").read_text()))
+    assert leaves > 1
+    written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    # one leaf against several, then as many leaves with wider padding
+    for knob, value in (("max_depth", 0), ("pad_slices", 3)):
+        doc = json.loads(cfg.to_json())
+        doc[knob] = value
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["report", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, knob
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == written, knob
