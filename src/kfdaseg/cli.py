@@ -135,8 +135,11 @@ def cmd_stitch(args) -> int:
     cfg = _load_config(args)
     cfg.validate()
     vol = pipeline.load_stage(cfg)
+    # fragments from another partition are rejected before any file is written
+    tree = pipeline.partition_stage(cfg, vol)
     out = Path(cfg.out_dir)
-    final = pipeline.stitch_stage(cfg, vol, pipeline.load_fragments(out / "fragments"))
+    fragments = pipeline.load_fragments(out / "fragments")
+    final = pipeline.stitch_stage(cfg, vol, tree, fragments)
     vol_io.save_labels(final, out / "labels.u8raw")
     print(f"wrote {out / 'labels.u8raw'}")
     return EXIT_OK

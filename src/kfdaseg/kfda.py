@@ -15,6 +15,13 @@ guidance. classify_subdomain runs both binary steps, CSF vs G+WM and then
 GM vs WM, as one loop over a step table; each step's scorer renders a
 labeling's classified mean image, scores it against the reference and
 caches the result, so every distinct labeling is scored once per step.
+
+Every dense factorization and product runs in numpy's BLAS; scipy adds only
+the unthreaded level-2 triangular solves (dtrsv) that apply the factored
+pencil. The numpy and scipy wheels bundle separate OpenBLAS builds, each
+with a thread pool as wide as the machine: calling scipy's threaded LAPACK
+between numpy products woke both pools at once and put more BLAS threads
+than cores to work, mostly spinning.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsv
 from scipy.spatial import cKDTree
 
-from .ssim import classified_mean_image, mssim
+from .ssim import classified_mean_image, mssim, reference_windows
 from .volume import BG, CSF, GM, TISSUE_LABELS, WM, MultiChannelVolume, box_slices
 
 logger = logging.getLogger(__name__)
@@ -301,7 +308,9 @@ class KrylovBasis:
     keeps its product P v, so the projected penalty T = V^T P V over the
     expanded vectors and the residual coupling to the unexpanded ones cost
     no further penalty matvecs. Raises ConvergenceError when no ridge makes
-    the pencil factorable.
+    the pencil factorable and ValueError on a non-finite pencil, which no
+    ridge can mend. N is factored in numpy's BLAS and N^-1 applied with
+    scipy's unthreaded dtrsv (see the module docstring for why).
     """
 
     def __init__(self, mats: KfdaMatrices, beta: float | None = None):
@@ -313,10 +322,13 @@ class KrylovBasis:
         noise_floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum(
             "ij,ij->", mats.gram, mats.gram))
         beta = max(beta, noise_floor, 1e-300)
+        if not (math.isfinite(beta) and np.isfinite(mats.within).all()):
+            raise ValueError("within-class pencil has non-finite entries")
         for _ in range(8):
             pencil = mats.within + beta * np.eye(l)
             try:
-                self.chol = cho_factor(pencil, lower=True)
+                # N = U^T U with U = L^T, F-ordered as dtrsv reads it
+                self.factor = np.linalg.cholesky(pencil).T
                 break
             except np.linalg.LinAlgError:
                 beta *= 10.0
@@ -331,12 +343,16 @@ class KrylovBasis:
         self.proj = np.zeros((self.cap + 2, self.cap))  # V^T P V[:expanded]
         self.size = 0
         self.expanded = 0
-        u = cho_solve(self.chol, mats.m_diff)
+        u = self.solve(mats.m_diff)
         # V^T m = sqrt(c) e_0: every later vector is N-orthogonal to N^-1 m
         self.c = float(mats.m_diff @ u)
         if not self._append(u):
             self.c = 0.0
         self._append(np.random.default_rng(9999).standard_normal(l))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """N^-1 b: two unthreaded level-2 triangular solves, U^T then U."""
+        return dtrsv(self.factor, dtrsv(self.factor, b, trans=1), overwrite_x=1)
 
     def _append(self, w: np.ndarray) -> bool:
         """N-orthonormalize w against the basis and add it unless it vanishes."""
@@ -366,7 +382,7 @@ class KrylovBasis:
         self.p_vecs[j] = pv
         self.proj[:self.size, j] = self.vecs[:self.size] @ pv
         self.expanded += 1
-        self._append(cho_solve(self.chol, pv, check_finite=False))
+        self._append(self.solve(pv))
         return True
 
     def ritz(self, lam: float) -> tuple[float, np.ndarray, float]:
@@ -436,7 +452,7 @@ def solve_alpha(mats: KfdaMatrices, lam: float, beta: float | None = None,
     if lam != 0.0:
         num += lam * (y @ basis.p_vecs[:k])
     residual = float(np.linalg.norm(
-        cho_solve(basis.chol, num, check_finite=False) - gamma * v)
+        basis.solve(num) - gamma * v)
         / np.linalg.norm(v))
     alpha = v / math.sqrt(float(v @ (y @ basis.n_vecs[:k])))
     if float(alpha @ m_diff) > 0:     # positive class must project positive
@@ -788,18 +804,23 @@ def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box):
     """score(sides) of one step: the MSSIM against the reference of the
     label box with each member voxel set to neg[0] or pos[0] by side, its
     mean image taken over the step's two class groups and a singleton for
-    each other tissue label. Each distinct labeling is scored once."""
+    each other tissue label. Each distinct labeling is scored once, and the
+    reference's window statistics are computed once, at the first score."""
     groups = (neg, pos) + tuple((t,) for t in TISSUE_LABELS if t not in neg + pos)
     cache = {}
+    windows = None
 
     def score(sides):
+        nonlocal windows
         key = sides.tobytes()
         if key not in cache:
+            if windows is None:
+                windows = reference_windows(ref_box, mask_box)
             lab = labels_box.copy()
             lab[member] = np.where(sides < 0, neg[0], pos[0])
             cache[key] = mssim(classified_mean_image(lab, ref_box, mask_box,
                                                      class_groups=groups),
-                               ref_box, mask_box)
+                               ref_box, mask_box, windows=windows)
         return cache[key]
 
     return score

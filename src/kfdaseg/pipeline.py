@@ -306,14 +306,35 @@ def classify_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
     return fragments, diagnostics
 
 
-def stitch_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
+def stitch_stage(cfg: PipelineConfig, vol: MultiChannelVolume, tree: PartitionTree,
                  fragments: list[stitch.ClassifiedFragment],
                  timing: dict | None = None) -> LabelVolume:
     """Fuse the fragments over their 2*pad_slices-wide overlaps; strips too
-    wide to solve exactly anneal on spawn key (2,)."""
-    sched = cfg.anneal_schedule(stitch.spawn_seed(cfg.seed, 2))
-    return _staged(timing, "stitch", stitch.stitch_volume, fragments, vol.dims,
-                   mask=vol.mask, sched=sched, overlap=2 * cfg.pad_slices)
+    wide to solve exactly anneal on spawn key (2,).
+
+    Raises PipelineStageError("stitch") unless the fragments are one per
+    leaf of tree, each with that leaf's core and padded bounds."""
+    def fuse() -> LabelVolume:
+        _require_leaves(tree, "fragments", [
+            (frag.core_bounds, frag.padded_bounds) for frag in fragments],
+            lambda leaf: (leaf.bounds, leaf.padded_bounds))
+        sched = cfg.anneal_schedule(stitch.spawn_seed(cfg.seed, 2))
+        return stitch.stitch_volume(fragments, vol.dims, mask=vol.mask, sched=sched,
+                                    overlap=2 * cfg.pad_slices)
+
+    return _staged(timing, "stitch", fuse)
+
+
+def _require_leaves(tree: PartitionTree, what: str, found: list, expected_of) -> None:
+    """Raise ValueError unless found lists expected_of(leaf) for every leaf
+    of tree, in leaf order, tuples and lists compared alike."""
+    def plain(bounds):
+        return [plain(b) for b in bounds] if isinstance(bounds, (list, tuple)) else bounds
+
+    leaves = tree.leaf_nodes()
+    if plain(found) != plain([expected_of(leaf) for leaf in leaves]):
+        raise ValueError(f"the {what} of {len(found)} subdomains do not match "
+                         f"the {len(leaves)} leaves of the partition")
 
 
 def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
@@ -325,11 +346,9 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
     Raises PipelineStageError("report") on diagnostics that are not one
     entry per leaf of tree, each over that leaf's padded bounds."""
     def build() -> RunReport:
+        _require_leaves(tree, "diagnostics", [diag.get("bounds") for diag in diagnostics],
+                        lambda leaf: leaf.padded_bounds)
         leaves = tree.leaf_nodes()
-        if [diag.get("bounds") for diag in diagnostics] != \
-                [[list(b) for b in leaf.padded_bounds] for leaf in leaves]:
-            raise ValueError(f"the diagnostics of {len(diagnostics)} subdomains do "
-                             f"not match the {len(leaves)} leaves of the partition")
         rows = []
         improved = 0
         comparable = 0
@@ -407,7 +426,7 @@ def run_pipeline(cfg: PipelineConfig,
     if emit:
         (out_dir / "partition.json").write_text(tree.to_json())
     fragments, diagnostics = classify_stage(cfg, vol, init_labels, tree, timing, out_dir)
-    final = stitch_stage(cfg, vol, fragments, timing)
+    final = stitch_stage(cfg, vol, tree, fragments, timing)
     report = report_stage(cfg, vol, init_labels, tree, final, diagnostics,
                           ground_truth, timing)
     report.timing = timing

@@ -4,9 +4,10 @@ SSIM multiplies luminance, contrast and structure comparisons of local
 Gaussian-weighted patch statistics; MSSIM averages it over an 11x11 sliding
 window on each axial slice (windows without any brain voxel are skipped) and
 over slices. A box is scored in one pass, two 1-D Gaussian passes per moment
-(the window is separable), with the window shrunk to fit thin boxes.
-Classified volumes are compared to the reference channel after replacing each
-voxel by its tissue-class mean intensity."""
+(the window is separable), with the window shrunk to fit thin boxes; the
+reference's moments can be computed once for many scored images
+(reference_windows). Classified volumes are compared to the reference
+channel after replacing each voxel by its tissue-class mean intensity."""
 
 from __future__ import annotations
 
@@ -135,12 +136,10 @@ def _interior(size: int) -> tuple:
     return (slice(half, -half) if half else slice(None),) * 2
 
 
-def _ssim_map(x: np.ndarray, y: np.ndarray, c: SsimConstants) -> np.ndarray:
-    """SSIM at every fully interior in-plane window position of a 3D box.
-
-    Each moment is two 1-D Gaussian passes, along axis 0 and then axis 1: on
-    the interior positions, the same linear map as the 2D window up to rounding.
-    """
+def _smoother(c: SsimConstants):
+    """The window's linear map: two 1-D Gaussian passes, along axis 0 and
+    then axis 1, cropped to the fully interior in-plane positions; there
+    it equals the 2D window up to rounding."""
     g = _gaussian_taps(c.window_size, c.window_sigma)
     crop = _interior(c.window_size)
 
@@ -148,10 +147,23 @@ def _ssim_map(x: np.ndarray, y: np.ndarray, c: SsimConstants) -> np.ndarray:
         rows = ndimage.correlate1d(img, g, axis=0, mode="constant")
         return ndimage.correlate1d(rows, g, axis=1, mode="constant")[crop]
 
-    mu_x = smooth(x)
-    mu_y = smooth(y)
-    var_x = smooth(x * x) - mu_x * mu_x
-    var_y = smooth(y * y) - mu_y * mu_y
+    return smooth
+
+
+def _mean_var(img: np.ndarray, smooth) -> tuple[np.ndarray, np.ndarray]:
+    """Windowed mean G*x and variance G*x^2 - (G*x)^2 of a box."""
+    mu = smooth(img)
+    return mu, smooth(img * img) - mu * mu
+
+
+def _ssim_map(x: np.ndarray, y: np.ndarray, c: SsimConstants,
+              y_mean_var: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """SSIM at every fully interior in-plane window position of a 3D box.
+
+    y_mean_var is _mean_var(y) under c's window when already known."""
+    smooth = _smoother(c)
+    mu_x, var_x = _mean_var(x, smooth)
+    mu_y, var_y = y_mean_var if y_mean_var is not None else _mean_var(y, smooth)
     cov = smooth(x * y) - mu_x * mu_y
     return _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov, c)
 
@@ -163,8 +175,44 @@ def _window_counts(mask: np.ndarray, size: int) -> np.ndarray:
     return np.rint(counts[_interior(size)]).astype(np.int64)
 
 
+def _as_box(a: np.ndarray) -> np.ndarray:
+    """A 2D image as a one-slice 3D box; a 3D box as is."""
+    if a.ndim == 2:
+        return a[:, :, None]
+    if a.ndim != 3:
+        raise ValueError(f"expected 2D or 3D input, got {a.ndim}D")
+    return a
+
+
+@dataclass(frozen=True)
+class ReferenceWindows:
+    """What MSSIM uses of a reference box and its mask, whatever image is
+    scored against them: the constants with the window fitted to the box,
+    the reference's windowed mean and variance, and the windows that
+    contain a masked voxel."""
+
+    constants: SsimConstants
+    mean: np.ndarray
+    var: np.ndarray
+    keep: np.ndarray
+
+
+def reference_windows(reference: np.ndarray, mask: np.ndarray,
+                      c: SsimConstants | None = None) -> ReferenceWindows:
+    """The window statistics of a reference box that mssim needs; compute
+    them once to score many images against one reference."""
+    reference = _as_box(np.asarray(reference, dtype=np.float64))
+    mask = _as_box(mask)
+    c = fit_constants(c or SsimConstants(), reference.shape)
+    if min(reference.shape[:2]) < c.window_size:
+        raise ValueError("no sliding window contains a masked voxel")
+    mean, var = _mean_var(reference, _smoother(c))
+    return ReferenceWindows(c, mean, var, _window_counts(mask, c.window_size) > 0)
+
+
 def mssim(classified: np.ndarray, reference: np.ndarray, mask: np.ndarray,
-          c: SsimConstants | None = None) -> float:
+          c: SsimConstants | None = None,
+          windows: ReferenceWindows | None = None) -> float:
     """MSSIM between a classified image and the reference.
 
     The window is first fitted to the in-plane shape (fit_constants). A 3D
@@ -172,22 +220,18 @@ def mssim(classified: np.ndarray, reference: np.ndarray, mask: np.ndarray,
     the in-plane axes. Each axial slice's MSSIM is the mean SSIM over its
     windows containing a masked voxel, and the result is the mean over the
     slices that have such a window. A 2D input is a one-slice box. Raises
-    ValueError when no window touches the mask.
+    ValueError when no window touches the mask. windows, when given, is
+    reference_windows(reference, mask, c), and c is then not read.
     """
     classified = np.asarray(classified, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if classified.shape != reference.shape or classified.shape != mask.shape:
         raise ValueError("classified, reference and mask shapes must agree")
-    if classified.ndim == 2:
-        classified, reference, mask = (a[:, :, None] for a in (classified, reference, mask))
-    elif classified.ndim != 3:
-        raise ValueError(f"expected 2D or 3D input, got {classified.ndim}D")
-    c = fit_constants(c or SsimConstants(), classified.shape)
-    if min(classified.shape[:2]) < c.window_size:
-        raise ValueError("no sliding window contains a masked voxel")
-
-    keep = _window_counts(mask, c.window_size) > 0
-    ssim_map = _ssim_map(classified, reference, c)
+    if windows is None:
+        windows = reference_windows(reference, mask, c)
+    keep = windows.keep
+    ssim_map = _ssim_map(_as_box(classified), _as_box(reference), windows.constants,
+                         (windows.mean, windows.var))
     per_slice = [float(ssim_map[:, :, k][keep[:, :, k]].mean())
                  for k in range(keep.shape[2]) if keep[:, :, k].any()]
     if not per_slice:

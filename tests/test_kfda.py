@@ -1,14 +1,15 @@
 """Kernel evaluation, discriminant matrices, eigen solve and refinement."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kfdaseg.kfda import (KernelSpec, KfdaConfig, KrylovBasis, SubdomainData,
-                          TrainingSet, _stratified_cap, build_matrices, categorize,
-                          classify_outliers_mahalanobis, classify_subdomain,
+from kfdaseg.kfda import (ConvergenceError, KernelSpec, KfdaConfig, KrylovBasis,
+                          SubdomainData, TrainingSet, _stratified_cap, build_matrices,
+                          categorize, classify_outliers_mahalanobis, classify_subdomain,
                           default_beta, kernel_matrix, nearest_prototype_sides,
                           neighborhood_matrix, solve_alpha, ssim_guided_decision)
 from kfdaseg.ssim import mssim
@@ -258,6 +259,48 @@ def test_shared_basis_matches_dense_eigendecomposition():
             assert iterations == len(calls)
             for g_prev, g_next in zip(gammas, gammas[1:]):
                 assert g_next <= g_prev + 1e-8 * gammas[0], (spec.kind, l, gammas)
+
+
+def _mats_with_within(within):
+    """Discriminant matrices of a small random training set, the within-class
+    matrix replaced by the given one."""
+    rng = np.random.default_rng(31)
+    l = within.shape[0]
+    feats = rng.normal(size=(l, 3))
+    labels = np.where(np.arange(l) < l // 2, -1, 1)
+    mats = build_matrices(TrainingSet(feats, labels), KernelSpec.rbf(1.0),
+                          subdata_line(feats))
+    return dataclasses.replace(mats, within=within)
+
+
+def test_pencil_solve_matches_dense_solve():
+    rng = np.random.default_rng(32)
+    for l in (5, 60, 240):
+        g = rng.normal(size=(l, l))
+        mats = _mats_with_within(g @ g.T / l + 0.1 * np.eye(l))
+        basis = KrylovBasis(mats, 1e-3)
+        for _ in range(3):
+            b = rng.normal(size=l)
+            expected = np.linalg.solve(basis.pencil, b)
+            got = basis.solve(b)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), l
+
+
+def test_pencil_never_definite_raises_convergence_error():
+    # eight tenfold ridges from 1e-6 reach 10, short of the -1000 eigenvalue
+    mats = _mats_with_within(-1e3 * np.eye(8))
+    with pytest.raises(ConvergenceError, match="positive definite"):
+        KrylovBasis(mats, 1e-6)
+    with pytest.raises(ConvergenceError):
+        solve_alpha(mats, 0.0, beta=1e-6)
+
+
+def test_non_finite_pencil_raises_instead_of_ridging():
+    for bad in (np.nan, np.inf):
+        within = np.eye(8)
+        within[2, 5] = within[5, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            KrylovBasis(_mats_with_within(within), 1e-3)
 
 
 def test_stratified_cap_keeps_two_rows_of_each_class():

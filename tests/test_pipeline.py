@@ -218,13 +218,14 @@ def test_partition_pad_stitch_round_trip(dims, pad, max_depth, density, seed):
     truth = np.where(mask, rng.integers(1, 4, size=dims), BG).astype(np.uint8)
     coverage = np.zeros(dims, dtype=np.int32)
     fragments = []
-    for leaf in partition_stage(cfg, vol).leaf_nodes():
+    tree = partition_stage(cfg, vol)
+    for leaf in tree.leaf_nodes():
         core, padded = (box_slices(b) for b in (leaf.bounds, leaf.padded_bounds))
         coverage[core] += 1
         assert all(p.start <= c.start and c.stop <= p.stop for c, p in zip(core, padded))
         fragments.append(ClassifiedFragment(leaf.bounds, leaf.padded_bounds, truth[padded]))
     assert np.all(coverage == 1), "leaf cores must tile the volume"
-    assert np.array_equal(stitch_stage(cfg, vol, fragments).labels, truth)
+    assert np.array_equal(stitch_stage(cfg, vol, tree, fragments).labels, truth)
 
 
 def test_wide_overlap_runs_with_default_config(monkeypatch):
@@ -250,15 +251,16 @@ def test_wide_overlap_runs_with_default_config(monkeypatch):
     cfg.validate(check_paths=False)
     truth = rng.integers(1, 4, size=dims).astype(np.uint8)
     fragments = []
-    for leaf in partition_stage(cfg, vol).leaf_nodes():
+    tree = partition_stage(cfg, vol)
+    for leaf in tree.leaf_nodes():
         labels = truth[box_slices(leaf.padded_bounds)].copy()
         flip = rng.random(labels.shape) < 0.2
         labels[flip] = rng.integers(1, 4, size=int(flip.sum()))
         fragments.append(ClassifiedFragment(leaf.bounds, leaf.padded_bounds, labels))
     assert [f.core_bounds[0] for f in fragments] == [(0, 15), (16, 31)]
-    first = stitch_stage(cfg, vol, fragments).labels
+    first = stitch_stage(cfg, vol, tree, fragments).labels
     assert annealed and all(min(shape) > stitch.EXACT_MAX_WIDTH for shape in annealed)
-    assert np.array_equal(stitch_stage(cfg, vol, fragments).labels, first)
+    assert np.array_equal(stitch_stage(cfg, vol, tree, fragments).labels, first)
     assert np.all(first != BG)
 
 
@@ -356,7 +358,15 @@ def test_cli_stagewise_classify_stitch(tmp_path):
     assert docs[0] == docs[1]
 
 
-def test_cli_report_rejects_another_partition(tmp_path):
+def _files(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _rejects_another_partition(tmp_path, first, verb):
+    """Fill a directory with `first` on a several-leaf config, then run `verb`
+    on it with the configs of other partitions: each exits 2 and leaves every
+    file unchanged. Returns the config path, holding the original config."""
     data_dir = tmp_path / "data"
     out_dir = tmp_path / "out"
     cli.main(["phantom", "--out", str(data_dir), "--dims", "24", "24", "24",
@@ -367,14 +377,28 @@ def test_cli_report_rejects_another_partition(tmp_path):
                          lambda_grid=(0.0,), k_grid=(1,))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(cfg.to_json())
-    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    assert cli.main([first, "--config", str(cfg_path)]) == 0
     leaves = len(json.loads((out_dir / "subdomains.json").read_text()))
     assert leaves > 1
-    written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    written = _files(out_dir)
     # one leaf against several, then as many leaves with wider padding
     for knob, value in (("max_depth", 0), ("pad_slices", 3)):
         doc = json.loads(cfg.to_json())
         doc[knob] = value
         cfg_path.write_text(json.dumps(doc))
-        assert cli.main(["report", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, knob
-        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == written, knob
+        assert cli.main([verb, "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, knob
+        assert _files(out_dir) == written, knob
+    cfg_path.write_text(cfg.to_json())
+    return cfg_path
+
+
+def test_cli_report_rejects_another_partition(tmp_path):
+    _rejects_another_partition(tmp_path, "run", "report")
+
+
+def test_cli_stitch_rejects_another_partition(tmp_path):
+    cfg_path = _rejects_another_partition(tmp_path, "classify", "stitch")
+    assert not (tmp_path / "out" / "labels.u8raw").exists()
+    # the config's own partition stitches
+    assert cli.main(["stitch", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / "labels.u8raw").exists()

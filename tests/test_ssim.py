@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kfdaseg.ssim import (SsimConstants, _ssim_map, _window_counts,
                           classified_mean_image, fit_constants, gaussian_window,
-                          mssim, patch_stats, ssim_patch)
+                          mssim, patch_stats, reference_windows, ssim_patch)
 from kfdaseg.volume import BG, CSF, GM, WM
 
 
@@ -191,6 +191,19 @@ def test_mssim_box_is_mean_of_slice_mssims(dims, density, seed):
         return
     per_slice = [mssim(x[:, :, k], y[:, :, k], mask[:, :, k]) for k in touched]
     assert mssim(x, y, mask) == float(np.mean(per_slice))
+
+
+def test_mssim_with_reference_windows_is_bit_identical():
+    # the reference statistics computed once give the same bits as mssim
+    # computing them per call, on boxes, slices and fitted windows
+    rng = np.random.default_rng(11)
+    for dims in ((24, 20, 5), (9, 12, 3), (16, 16)):
+        y = rng.random(dims)
+        mask = rng.random(dims) < 0.6
+        windows = reference_windows(y, mask)
+        for _ in range(3):
+            x = rng.random(dims)
+            assert mssim(x, y, mask, windows=windows) == mssim(x, y, mask), dims
 
 
 def test_mssim_prefers_true_labels_on_phantom():
