@@ -4,8 +4,12 @@ A subdomain is classified in the implicit kernel feature space: the
 discriminant direction maximizes between-class over within-class scatter
 plus a graph penalty that discourages projection differences between
 neighbouring voxels (26-connected grid). The direction solves a generalized
-eigenproblem. Each step factors the within-class pencil once and builds one
-Krylov basis of N^-1 P started from N^-1 m and a fixed-seed vector; every
+eigenproblem. Each step builds the within-class matrix as one symmetric
+product of the class-centred gram matrix, factors the within-class pencil
+N = U^T U once and builds one Krylov basis of N^-1 P started from N^-1 m
+and a fixed-seed vector. The basis is held in the factor's coordinates
+x = U v, where N-orthonormality is plain orthonormality, so growing it
+takes triangular solves and penalty matvecs but no product with N; every
 regularization weight of the sweep is a Rayleigh-Ritz solve on that basis,
 exact for a positive top eigenvalue because the penalty is negative
 semidefinite (see solve_alpha). Voxels are then categorized by projection
@@ -17,8 +21,8 @@ labeling's classified mean image, scores it against the reference and
 caches the result, so every distinct labeling is scored once per step.
 
 Every dense factorization and product runs in numpy's BLAS; scipy adds only
-the unthreaded level-2 triangular solves (dtrsv) that apply the factored
-pencil. The numpy and scipy wheels bundle separate OpenBLAS builds, each
+the unthreaded level-2 triangular solves (dtrsv) that apply the factor's
+inverse. The numpy and scipy wheels bundle separate OpenBLAS builds, each
 with a thread pool as wide as the machine: calling scipy's threaded LAPACK
 between numpy products woke both pools at once and put more BLAS threads
 than cores to work, mostly spinning.
@@ -247,18 +251,22 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec,
                    subdata: SubdomainData) -> KfdaMatrices:
     """Assemble the kernelized scatter matrices and the graph penalty factors.
 
-    The within-class matrix uses the centering identity
-    k_m (I - 1_m) k_m^T = k_m k_m^T - l_m M_m M_m^T summed over both
-    classes; duplicates making it singular are absorbed later by the ridge.
+    The within-class matrix sum_m k_m (I - 1_m) k_m^T is Z Z^T, where Z is
+    the gram matrix with each column centred on its class's mean column
+    M_m. numpy computes a product of one buffer with its own transpose as
+    a symmetric rank-k update (syrk): half the flops of a general product,
+    exactly symmetric, and positive semidefinite to rounding, where the
+    identity k_m k_m^T - l_m M_m M_m^T cancels large terms. Duplicates
+    making it singular are absorbed later by the ridge.
     """
     gram = kernel_matrix(spec, ts.features, ts.features)
     gram = 0.5 * (gram + gram.T)
     m_neg = gram[:, ts.neg_idx].mean(axis=1)
     m_pos = gram[:, ts.pos_idx].mean(axis=1)
-    within = gram @ gram
-    within -= ts.count_neg * np.outer(m_neg, m_neg)
-    within -= ts.count_pos * np.outer(m_pos, m_pos)
-    within = 0.5 * (within + within.T)
+    centred = np.subtract(gram, m_pos[:, None])
+    np.subtract(gram, m_neg[:, None], out=centred, where=ts.labels < 0)
+    within = centred @ centred.T
+    del centred       # before the cross kernel, the largest buffer, is built
     h = neighborhood_matrix(subdata.member_box)
     cross = kernel_matrix(spec, ts.features, subdata.features)
     if cross.size > CROSS_F32_THRESHOLD:
@@ -283,6 +291,7 @@ class KfdaModel:
     beta: float
     iterations: int
     residual: float
+    capped: bool
     training: TrainingSet
 
 
@@ -298,91 +307,108 @@ MAX_EXPANSIONS = 320
 
 
 class KrylovBasis:
-    """N-orthonormal Krylov basis of N^-1 P shared by every lambda of a step.
+    """Krylov basis of N^-1 P shared by every lambda of a step.
 
-    N = within + beta I is factored once, with the ridge raised tenfold on
-    each failed factorization (singular N is absorbed by the ridge, never an
-    error). The basis starts from N^-1 m and from a fixed-seed (9999) vector
-    and grows by applying N^-1 P to its oldest vector not yet expanded, with
-    full reorthogonalization in the N inner product. Every expanded vector
-    keeps its product P v, so the projected penalty T = V^T P V over the
-    expanded vectors and the residual coupling to the unexpanded ones cost
-    no further penalty matvecs. Raises ConvergenceError when no ridge makes
-    the pencil factorable and ValueError on a non-finite pencil, which no
-    ridge can mend. N is factored in numpy's BLAS and N^-1 applied with
-    scipy's unthreaded dtrsv (see the module docstring for why).
+    N = within + beta I is factored once as U^T U, with the ridge raised
+    tenfold on each failed factorization (singular N is absorbed by the
+    ridge, never an error). The basis is held in the factor's coordinates
+    x = U v, where the N inner product is the Euclidean one and N^-1 P
+    becomes U^-T P U^-1: the rows X = U V are orthonormal, kept so by two
+    passes of classical Gram-Schmidt, and no product with N is ever formed,
+    nor N itself kept. The basis starts from U N^-1 m = U^-T m and from a
+    fixed-seed (9999) vector and grows by applying U^-T P U^-1 to its oldest
+    row not yet expanded: one triangular solve gives v = U^-1 x for the
+    penalty matvec, one more gives s = U^-T P v, which is both the new
+    Krylov direction and the row that couples x to P. Every expanded row
+    keeps its s, so the projected penalty T = V^T P V = X S^T over the
+    expanded rows and the residual coupling to the unexpanded ones cost no
+    further penalty matvecs. Raises ConvergenceError when no ridge makes the
+    pencil factorable and ValueError on a non-finite pencil, which no ridge
+    can mend. N is factored and U applied in numpy's BLAS, and U^-1 applied
+    with scipy's unthreaded dtrsv (see the module docstring for why).
     """
 
     def __init__(self, mats: KfdaMatrices, beta: float | None = None):
         l = mats.gram.shape[0]
         if beta is None:
             beta = default_beta(mats.within)
-        # the within matrix is assembled through gram @ gram, whose rounding
-        # noise scales with ||gram||_F^2; the ridge must stay above that floor
+        # the ridge must stay above the rounding noise of the within matrix,
+        # Z Z^T with Z the class-centred gram; that noise scales with
+        # ||Z||_F^2, which ||gram||_F^2 bounds (centring projects each row)
         noise_floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum(
             "ij,ij->", mats.gram, mats.gram))
         beta = max(beta, noise_floor, 1e-300)
         if not (math.isfinite(beta) and np.isfinite(mats.within).all()):
             raise ValueError("within-class pencil has non-finite entries")
-        for _ in range(8):
-            pencil = mats.within + beta * np.eye(l)
-            try:
-                # N = U^T U with U = L^T, F-ordered as dtrsv reads it
-                self.factor = np.linalg.cholesky(pencil).T
-                break
-            except np.linalg.LinAlgError:
-                beta *= 10.0
-        else:
-            raise ConvergenceError("within-class pencil could not be made "
-                                   "positive definite")
-        self.mats, self.pencil, self.beta = mats, pencil, beta
+        # the pencil is within with its diagonal ridged in place and restored
+        # bit for bit, so no second l x l buffer is held while factoring
+        diagonal = mats.within.diagonal().copy()
+        try:
+            for _ in range(8):
+                np.fill_diagonal(mats.within, diagonal + beta)
+                try:
+                    # N = U^T U with U = L^T, F-ordered as dtrsv reads it
+                    self.factor = np.linalg.cholesky(mats.within).T
+                    break
+                except np.linalg.LinAlgError:
+                    beta *= 10.0
+            else:
+                raise ConvergenceError("within-class pencil could not be made "
+                                       "positive definite")
+        finally:
+            np.fill_diagonal(mats.within, diagonal)
+        self.mats, self.beta = mats, beta
         self.cap = min(l, MAX_EXPANSIONS)
-        self.vecs = np.empty((self.cap + 2, l))       # V, N-orthonormal rows
-        self.n_vecs = np.empty((self.cap + 2, l))     # N V
-        self.p_vecs = np.empty((self.cap, l))         # P V, expanded rows
-        self.proj = np.zeros((self.cap + 2, self.cap))  # V^T P V[:expanded]
+        self.coords = np.empty((self.cap + 2, l))     # X = U V, orthonormal rows
+        self.s_vecs = np.empty((self.cap, l))         # S = U^-T P V, expanded rows
+        self.proj = np.zeros((self.cap + 2, self.cap))  # X S^T = V^T P V[:expanded]
         self.size = 0
         self.expanded = 0
-        u = self.solve(mats.m_diff)
-        # V^T m = sqrt(c) e_0: every later vector is N-orthogonal to N^-1 m
-        self.c = float(mats.m_diff @ u)
-        if not self._append(u):
+        # V^T m = sqrt(c) e_0: every later row is orthogonal to U^-T m
+        self.m_coords = self.coordinates(mats.m_diff)
+        self.c = float(self.m_coords @ self.m_coords)
+        if not self._append(self.m_coords):
             self.c = 0.0
-        self._append(np.random.default_rng(9999).standard_normal(l))
+        seed = np.random.default_rng(9999).standard_normal(l)
+        self._append(self.factor @ seed)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """N^-1 b: two unthreaded level-2 triangular solves, U^T then U."""
-        return dtrsv(self.factor, dtrsv(self.factor, b, trans=1), overwrite_x=1)
+    def coordinates(self, b: np.ndarray) -> np.ndarray:
+        """U^-T b = U N^-1 b, the coordinates of N^-1 b: one unthreaded
+        level-2 triangular solve."""
+        return dtrsv(self.factor, b, trans=1)
 
-    def _append(self, w: np.ndarray) -> bool:
-        """N-orthonormalize w against the basis and add it unless it vanishes."""
+    def vector(self, x: np.ndarray) -> np.ndarray:
+        """U^-1 x, the coefficient vector of coordinates x; so N^-1 b is
+        vector(coordinates(b))."""
+        return dtrsv(self.factor, x)
+
+    def _append(self, x: np.ndarray) -> bool:
+        """Orthonormalize x against the basis and add it unless it vanishes."""
         k = self.size
-        if k == len(self.pencil):
+        if k == len(x):
             return False
-        norm_in = math.sqrt(max(float(w @ (self.pencil @ w)), 0.0))
+        norm_in = math.sqrt(float(x @ x))
         for _ in range(2):
-            w = w - (self.n_vecs[:k] @ w) @ self.vecs[:k]
-        n_w = self.pencil @ w
-        norm = math.sqrt(max(float(w @ n_w), 0.0))
+            x = x - (self.coords[:k] @ x) @ self.coords[:k]
+        norm = math.sqrt(float(x @ x))
         if norm <= 1e-12 * norm_in:
             return False
-        self.vecs[k] = w / norm
-        self.n_vecs[k] = n_w / norm
-        self.proj[k, :self.expanded] = self.p_vecs[:self.expanded] @ self.vecs[k]
+        self.coords[k] = x / norm
+        self.proj[k, :self.expanded] = self.s_vecs[:self.expanded] @ self.coords[k]
         self.size += 1
         return True
 
     def expand(self) -> bool:
-        """Apply N^-1 P to the oldest unexpanded vector; False at the cap
-        or once every vector is expanded (an invariant subspace)."""
+        """Apply U^-T P U^-1 to the oldest unexpanded row; False at the cap
+        or once every row is expanded (an invariant subspace)."""
         j = self.expanded
         if j == self.cap or j == self.size:
             return False
-        pv = self.mats.penalty_matvec(self.vecs[j])
-        self.p_vecs[j] = pv
-        self.proj[:self.size, j] = self.vecs[:self.size] @ pv
+        s = self.coordinates(self.mats.penalty_matvec(self.vector(self.coords[j])))
+        self.s_vecs[j] = s
+        self.proj[:self.size, j] = self.coords[:self.size] @ s
         self.expanded += 1
-        self._append(self.solve(pv))
+        self._append(s)
         return True
 
     def ritz(self, lam: float) -> tuple[float, np.ndarray, float]:
@@ -419,7 +445,8 @@ def solve_alpha(mats: KfdaMatrices, lam: float, beta: float | None = None,
     Large Eigenvalue Problems, 2011); a call without a basis builds its
     own. The basis grows only until this lam's residual bound meets
     1e-9 * max(1, |gamma|), or until it holds min(l, 320) expanded
-    vectors, where the Ritz pair is returned with its residual as is.
+    vectors or spans an invariant subspace, where the Ritz pair is returned
+    with its residual as is and capped is set.
 
     The penalty P = C H C^T is negative semidefinite (H is adjacency minus
     degree), so for gamma > 0 the top eigenvector is proportional to
@@ -431,30 +458,32 @@ def solve_alpha(mats: KfdaMatrices, lam: float, beta: float | None = None,
     iterations counts the penalty matvecs this lam added to the basis, so a
     step's iterations sum to its penalty_matvec calls. residual is the
     explicit Euclidean residual of the unit Ritz vector, computed from the
-    stored P V products. Returns alpha scaled to unit constraint and signed
-    so the positive class projects positive.
+    stored U^-T P V products. Returns alpha scaled to unit constraint and
+    signed so the positive class projects positive.
     """
     if basis is None:
         basis = KrylovBasis(mats, beta)
     start = basis.expanded
+    capped = False
     while True:
         gamma, y, bound = basis.ritz(lam)
         if bound <= 1e-9 * max(1.0, abs(gamma)):
             break
         if not basis.expand():
+            capped = True
             logger.debug("eigen basis cap reached at gamma %.6g, residual "
                          "bound %.3e", gamma, bound)
             break
     k = len(y)
-    v = y @ basis.vecs[:k]                      # N-norm 1
+    x = y @ basis.coords[:k]                    # U v, so v has N-norm |x| = 1
+    v = basis.vector(x)
     m_diff = mats.m_diff
-    num = m_diff * float(m_diff @ v)
+    # U^-T (m m^T + lam P) v - gamma U v, mapped back by U^-1
+    num = basis.m_coords * float(m_diff @ v) - gamma * x
     if lam != 0.0:
-        num += lam * (y @ basis.p_vecs[:k])
-    residual = float(np.linalg.norm(
-        basis.solve(num) - gamma * v)
-        / np.linalg.norm(v))
-    alpha = v / math.sqrt(float(v @ (y @ basis.n_vecs[:k])))
+        num += lam * (y @ basis.s_vecs[:k])
+    residual = float(np.linalg.norm(basis.vector(num)) / np.linalg.norm(v))
+    alpha = v / math.sqrt(float(x @ x))
     if float(alpha @ m_diff) > 0:     # positive class must project positive
         alpha = -alpha
     proj_neg = float(alpha @ mats.m_neg)
@@ -463,7 +492,7 @@ def solve_alpha(mats: KfdaMatrices, lam: float, beta: float | None = None,
     return KfdaModel(alpha=alpha, gamma=gamma, b_offset=b_offset,
                      kernel=mats.spec, lam=lam, beta=basis.beta,
                      iterations=basis.expanded - start, residual=residual,
-                     training=mats.training)
+                     capped=capped, training=mats.training)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +803,7 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: KfdaConfig,
         projections = mats.voxel_projections(model.alpha) + model.b_offset
         cats = categorize(projections, sides_init, cfg.tau_band, cfg.tau_outlier)
         entry.update({"gamma": model.gamma, "iterations": model.iterations,
+                      "residual": model.residual, "capped": model.capped,
                       "categories": cats.sizes()})
         if min(len(cats.prototypes_neg), len(cats.prototypes_pos)) < 2:
             logger.warning("fewer than 2 prototypes in a class; keeping initial labels")

@@ -135,6 +135,7 @@ class RunReport:
     class_counts: dict = field(default_factory=dict)
     dice: dict | None = None
     improved_fraction: float | None = None
+    unchanged_count: int = 0
     optimal_count: int | None = None
     converged: bool = True
     config: dict = field(default_factory=dict)
@@ -150,7 +151,8 @@ class RunReport:
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["subdomains", "curves", "class_counts", "dice",
-                 "improved_fraction", "optimal_count", "converged", "config"],
+                 "improved_fraction", "unchanged_count", "optimal_count", "converged",
+                 "config"],
     "properties": {
         "subdomains": {
             "type": "array",
@@ -181,6 +183,7 @@ REPORT_SCHEMA = {
         "class_counts": {"type": "object"},
         "dice": {"type": ["object", "null"]},
         "improved_fraction": {"type": ["number", "null"]},
+        "unchanged_count": {"type": "integer", "minimum": 0},
         "optimal_count": {"type": ["integer", "null"]},
         "converged": {"type": "boolean"},
         "config": {"type": "object"},
@@ -351,6 +354,7 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
         leaves = tree.leaf_nodes()
         rows = []
         improved = 0
+        unchanged = 0
         comparable = 0
         for index, (leaf, diag) in enumerate(zip(leaves, diagnostics)):
             m_init = _region_mssim(init_labels.labels, vol, leaf.padded_bounds,
@@ -373,8 +377,11 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
             })
             if m_init is not None and m_kfda is not None:
                 comparable += 1
+                # an unchanged leaf counts as improved; unchanged_count
+                # tells the two apart
                 if m_kfda >= m_init:
                     improved += 1
+                unchanged += m_kfda == m_init
         return RunReport(
             subdomains=rows,
             curves={
@@ -389,6 +396,7 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
             dice=(dice_scores(final, ground_truth, vol.mask)
                   if ground_truth is not None else None),
             improved_fraction=(improved / comparable) if comparable else None,
+            unchanged_count=unchanged,
             optimal_count=tree.optimal_count,
             converged=tree.converged,
             config=asdict(cfg),

@@ -107,6 +107,24 @@ def test_within_matches_literal_centering_formula():
     assert np.allclose(mats.m_neg, k_neg.mean(axis=1), atol=1e-12)
 
 
+def test_within_is_symmetric_and_psd_to_rounding():
+    # CSF vs the rest on the benchmark's global phantom, sigmoid kernel: the
+    # within-class scatter is a sum of outer products, so it is symmetric
+    # and its negative eigenvalues can only be rounding
+    from kfdaseg.phantom import PhantomSpec, generate_phantom
+    spec = PhantomSpec(dims=(24, 24, 24), noise_sigma=0.05, bias_amplitude=0.10,
+                       pv_blur=1.0, seed=11)
+    vol, truth = generate_phantom(spec)
+    features = vol.data[vol.mask]
+    sides = np.where(truth.labels[vol.mask] == CSF, -1, 1).astype(np.int8)
+    keep = _stratified_cap(sides, 300, np.random.default_rng(0))
+    ts = TrainingSet(features[keep], sides[keep])
+    mats = build_matrices(ts, KernelSpec.sigmoid(), subdata_line(ts.features))
+    assert np.array_equal(mats.within, mats.within.T)
+    evals = np.linalg.eigvalsh(mats.within)
+    assert evals[0] >= -1e-12 * evals[-1], evals[0] / evals[-1]
+
+
 def test_two_voxel_neighborhood_matrix():
     h = neighborhood_matrix(np.ones((1, 1, 2), dtype=bool)).toarray()
     assert np.array_equal(h, np.array([[-1.0, 1.0], [1.0, -1.0]]))
@@ -281,9 +299,35 @@ def test_pencil_solve_matches_dense_solve():
         basis = KrylovBasis(mats, 1e-3)
         for _ in range(3):
             b = rng.normal(size=l)
-            expected = np.linalg.solve(basis.pencil, b)
-            got = basis.solve(b)
+            expected = np.linalg.solve(mats.within + basis.beta * np.eye(l), b)
+            got = basis.vector(basis.coordinates(b))
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), l
+
+
+def test_basis_stays_orthonormal_without_pencil_products():
+    # the basis is grown in the factor's coordinates and never multiplies by
+    # N; across every expansion V must stay N-orthonormal and the stored
+    # projected penalty must stay V^T P V. Carrying N V through the
+    # Gram-Schmidt updates instead lost N-orthonormality on this instance:
+    # 1e-7 after 100 expansions, O(1) after 150
+    rng = np.random.default_rng(41)
+    member = np.ones((8, 8, 8), dtype=bool)
+    subdata = SubdomainData.from_mask(rng.normal(size=member.shape + (3,)), member)
+    rows = np.sort(rng.choice(len(subdata), size=200, replace=False))
+    labels = np.where(rng.random(200) < 0.5, -1, 1)
+    mats = build_matrices(TrainingSet(subdata.features[rows], labels),
+                          KernelSpec.sigmoid(), subdata)
+    basis = KrylovBasis(mats, default_beta(mats.within))
+    solve_alpha(mats, 5e-5, basis=basis)
+    while basis.expand():
+        pass
+    size, expanded = basis.size, basis.expanded
+    assert expanded >= 30
+    vecs = np.array([basis.vector(x) for x in basis.coords[:size]])
+    gram_n = vecs @ (mats.within + basis.beta * np.eye(200)) @ vecs.T
+    assert np.abs(gram_n - np.eye(size)).max() <= 1e-10
+    t = vecs @ penalty(mats) @ vecs[:expanded].T
+    assert np.abs(basis.proj[:size, :expanded] - t).max() <= 1e-10 * np.abs(t).max()
 
 
 def test_pencil_never_definite_raises_convergence_error():
@@ -293,6 +337,18 @@ def test_pencil_never_definite_raises_convergence_error():
         KrylovBasis(mats, 1e-6)
     with pytest.raises(ConvergenceError):
         solve_alpha(mats, 0.0, beta=1e-6)
+    # each try ridges the diagonal in place; a failed build restores it
+    assert np.array_equal(mats.within, -1e3 * np.eye(8))
+
+
+def test_factoring_leaves_within_bit_identical():
+    rng = np.random.default_rng(33)
+    g = rng.normal(size=(40, 40))
+    within = g @ g.T / 40
+    within[np.diag_indices(40)] += rng.random(40) * 1e-3
+    mats = _mats_with_within(within.copy())
+    KrylovBasis(mats, 0.37)
+    assert np.array_equal(mats.within, within)
 
 
 def test_non_finite_pencil_raises_instead_of_ridging():

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from kfdaseg import cli
 from kfdaseg.phantom import PhantomSpec, corrupt_boundary_labels, generate_phantom, kmeans_init
 from kfdaseg.pipeline import (PipelineConfig, PipelineStageError, REPORT_SCHEMA,
-                              dice_scores, partition_stage, run_pipeline, stitch_stage)
+                              dice_scores, partition_stage, report_stage, run_pipeline,
+                              stitch_stage)
 from kfdaseg.ssim import SsimConstants, classified_mean_image, mssim
 from kfdaseg.stitch import ClassifiedFragment
 from kfdaseg.volume import (BG, MultiChannelVolume, box_slices, check_mask_consistency,
@@ -54,6 +55,31 @@ def test_report_schema_round_trip(small_run):
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert len(doc["subdomains"]) >= 1
     assert doc["class_counts"]["final"].keys() == {"csf", "gm", "wm"}
+    assert doc["unchanged_count"] == sum(
+        row["mssim_kfda"] is not None and row["mssim_kfda"] == row["mssim_initial"]
+        for row in doc["subdomains"])
+
+
+def test_report_counts_unchanged_leaves(small_run):
+    # a leaf handed back as it came in counts as improved, so only
+    # unchanged_count tells that nothing was done
+    cfg, vol, truth, init, report = small_run
+    vol = normalize_intensities(vol)
+    tree = partition_stage(cfg, vol)
+    passed = report_stage(cfg, vol, init, tree, init, report.diagnostics)
+    assert passed.unchanged_count == len(tree.leaf_nodes())
+    assert passed.improved_fraction == 1.0
+
+
+def test_sweep_entries_record_each_solve(small_run):
+    cfg, *_ = small_run
+    diags = json.loads((Path(cfg.out_dir) / "subdomains.json").read_text())
+    entries = [entry for diag in diags for step in diag["steps"].values()
+               for entry in step.get("sweep", [])]
+    assert entries
+    for entry in entries:
+        assert entry["residual"] >= 0.0 and np.isfinite(entry["residual"])
+        assert entry["capped"] in (True, False)
 
 
 def test_labels_mask_consistency(small_run):
