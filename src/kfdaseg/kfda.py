@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -41,7 +41,8 @@ from scipy.linalg.blas import dtrsv
 from scipy.spatial import cKDTree
 
 from .ssim import classified_mean_image, mssim, reference_windows
-from .volume import BG, CSF, GM, TISSUE_LABELS, WM, MultiChannelVolume, box_slices
+from .volume import (BG, CSF, GM, REFERENCE_CHANNEL, TISSUE_LABELS, WM, MultiChannelVolume,
+                     box_slices)
 
 logger = logging.getLogger(__name__)
 
@@ -725,29 +726,26 @@ def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
 
 @dataclass
 class KfdaConfig:
-    """Knobs of the two-step subdomain classification."""
+    """Model-selection grids and training-set cap of the two-step subdomain
+    classification. The kernels (_STEPS), categorization thresholds
+    (categorize), ridge scale (default_beta) and reference channel
+    (volume.REFERENCE_CHANNEL) are the published method's constants."""
 
-    kernel_csf: KernelSpec = field(default_factory=KernelSpec.sigmoid)
-    kernel_gm_wm: KernelSpec = field(default_factory=KernelSpec.rbf)
     lambda_grid: tuple = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
     k_grid: tuple = (1, 3, 5, 7, 9, 11)
     l_max: int = 4000
-    tau_band: float = 1.0
-    tau_outlier: float = 2.5
-    beta_scale: float = 1e-3
-    reference_channel: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if not self.lambda_grid:
             raise ValueError("lambda grid must not be empty")
         # solve_alpha is exact only while λ·P stays negative semidefinite
-        if not all(lam >= 0 for lam in self.lambda_grid):
-            raise ValueError(f"lambda grid values must be >= 0, got {self.lambda_grid}")
+        if not all(isinstance(lam, numbers.Real) and not isinstance(lam, bool) and lam >= 0
+                   for lam in self.lambda_grid):
+            raise ValueError(f"lambda grid values must be numbers >= 0, got {self.lambda_grid}")
         if not self.k_grid:
             raise ValueError("k grid must not be empty")
-        if not all(isinstance(k, numbers.Integral) and k > 0 and k % 2 == 1
-                   for k in self.k_grid):
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                   and k > 0 and k % 2 == 1 for k in self.k_grid):
             raise ValueError(f"k grid values must be odd positive integers, "
                              f"got {self.k_grid}")
         if self.l_max < 4:
@@ -786,7 +784,7 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: KfdaConfig,
     keep = _stratified_cap(sides_init, cfg.l_max, rng)
     ts = TrainingSet(features=subdata.features[keep], labels=sides_init[keep])
     mats = build_matrices(ts, kernel, subdata)
-    beta = default_beta(mats.within, cfg.beta_scale)
+    beta = default_beta(mats.within)
 
     try:
         basis = KrylovBasis(mats, beta)
@@ -801,7 +799,7 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: KfdaConfig,
         entry = {"lambda": lam}
         model = solve_alpha(mats, lam, basis=basis)
         projections = mats.voxel_projections(model.alpha) + model.b_offset
-        cats = categorize(projections, sides_init, cfg.tau_band, cfg.tau_outlier)
+        cats = categorize(projections, sides_init)
         entry.update({"gamma": model.gamma, "iterations": model.iterations,
                       "residual": model.residual, "capped": model.capped,
                       "categories": cats.sizes()})
@@ -825,9 +823,9 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: KfdaConfig,
 
 
 # the two binary steps, in order: (diag key, negative labels, positive
-# labels, KfdaConfig kernel field)
-_STEPS = (("csf_vs_gwm", (CSF,), (GM, WM), "kernel_csf"),
-          ("gm_vs_wm", (GM,), (WM,), "kernel_gm_wm"))
+# labels, the published kernel: sigmoid a=8, b=-0.0005 and RBF sigma=0.5)
+_STEPS = (("csf_vs_gwm", (CSF,), (GM, WM), KernelSpec.sigmoid()),
+          ("gm_vs_wm", (GM,), (WM,), KernelSpec.rbf()))
 
 
 def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box):
@@ -857,8 +855,7 @@ def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box):
 
 
 def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
-                       cfg: KfdaConfig | None = None,
-                       seed: int | None = None) -> tuple[np.ndarray, dict]:
+                       cfg: KfdaConfig, seed: int) -> tuple[np.ndarray, dict]:
     """Two-step classification of one subdomain box.
 
     Step 1 separates CSF from G+WM with the sigmoid kernel; step 2 separates
@@ -866,23 +863,23 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
     sweeps the regularization grid and keeps the labeling with the best
     MSSIM against the reference channel, every distinct labeling scored
     once by the step's scorer. Voxels leaving CSF in step 1 get a
-    provisional GM/WM label. Returns the classified label box (background
-    outside the mask) and a diagnostics dict. A step with fewer than 2
-    voxels in a class of the current labels passes labels through.
+    provisional GM/WM label; seed draws the training subsamples. Returns the
+    classified label box (background outside the mask) and a diagnostics
+    dict. A step with fewer than 2 voxels in a class of the current labels
+    passes labels through.
     """
-    cfg = cfg or KfdaConfig()
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     box = box_slices(bounds)
     data_box = vol.data[box].astype(np.float64)
     mask_box = vol.mask[box]
-    ref_box = data_box[..., cfg.reference_channel]
+    ref_box = data_box[..., REFERENCE_CHANNEL]
     labels_box = init_labels[box].copy()
     labels_box[~mask_box] = BG
     diag = {"bounds": [list(b) for b in bounds], "steps": {}}
     if not mask_box.any():
         return labels_box, diag
 
-    for key, neg, pos, kernel_field in _STEPS:
+    for key, neg, pos, kernel in _STEPS:
         member = np.isin(labels_box, neg + pos)
         is_neg = np.isin(labels_box[member], neg)
         n_neg = int(is_neg.sum())
@@ -892,7 +889,7 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
         score = _step_scorer(labels_box, member, neg, pos, ref_box, mask_box)
         sides, diag["steps"][key] = _run_step(
             data_box, member, np.where(is_neg, -1, 1).astype(np.int8),
-            getattr(cfg, kernel_field), score, cfg, rng)
+            kernel, score, cfg, rng)
         vec = labels_box[member]
         vec[sides < 0] = neg[0]
         left = is_neg & (sides > 0)

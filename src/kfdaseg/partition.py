@@ -2,10 +2,11 @@
 
 Each subdomain is scored by the mutual information between a two-bin Otsu
 histogram of its masked intensities and a two-slab spatial clustering; the
-split maximizing MI over all axis-aligned cut planes wins. Partition depth is
-selected where the mutual-information-ratio curve meets the (rescaled)
-signal-to-noise curve, and the chosen leaves are padded so adjacent
-subdomains share a 4-slice overlap.
+split maximizing MI over all axis-aligned cut planes wins. Every intensity
+read is of the reference channel (t1w). Partition depth is selected where
+the mutual-information-ratio curve meets the (rescaled) signal-to-noise
+curve, and the chosen leaves are padded so adjacent subdomains share a
+4-slice overlap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .volume import MultiChannelVolume, box_slices
+from .volume import REFERENCE_CHANNEL, MultiChannelVolume, box_slices
 
 logger = logging.getLogger(__name__)
 
@@ -145,20 +146,25 @@ class PartitionTree:
 # Two-bin Otsu histogram
 # ---------------------------------------------------------------------------
 
-def _masked_values(vol: MultiChannelVolume, sub: Subdomain, channel: int) -> np.ndarray:
+def _reference_box(vol: MultiChannelVolume, sub: Subdomain) -> tuple[np.ndarray, np.ndarray]:
+    """The subdomain box's reference-channel intensities (float64) and mask."""
     sl = sub.slices()
-    box = vol.data[sl][..., channel]
-    return box[vol.mask[sl]].astype(np.float64)
+    return vol.data[sl][..., REFERENCE_CHANNEL].astype(np.float64), vol.mask[sl]
 
 
-def histogram_2bin(vol: MultiChannelVolume, sub: Subdomain, channel: int = 0) -> Histogram2:
-    """Otsu-split the subdomain's masked intensities into two bins.
+def _masked_values(vol: MultiChannelVolume, sub: Subdomain) -> np.ndarray:
+    box, mask = _reference_box(vol, sub)
+    return box[mask]
+
+
+def histogram_2bin(vol: MultiChannelVolume, sub: Subdomain) -> Histogram2:
+    """Otsu-split the subdomain's masked reference intensities into two bins.
 
     The threshold maximizes between-class variance over 256 candidate cuts;
     tied maxima resolve to the middle candidate. A constant subdomain yields
     a degenerate single-bin histogram (its MI is defined as 0).
     """
-    values = _masked_values(vol, sub, channel)
+    values = _masked_values(vol, sub)
     if values.size == 0:
         return Histogram2(bin_counts=(0, 0), total=0, threshold=0.0, degenerate=True)
     lo, hi = float(values.min()), float(values.max())
@@ -245,18 +251,15 @@ def mutual_information(h: Histogram2, c: SlabClustering) -> float:
 # Optimal cut search
 # ---------------------------------------------------------------------------
 
-def best_cut(vol: MultiChannelVolume, sub: Subdomain,
-             channel: int = 0) -> tuple[SlabClustering, float] | None:
+def best_cut(vol: MultiChannelVolume, sub: Subdomain) -> tuple[SlabClustering, float] | None:
     """Exhaustively scan all feasible cut planes and return the argmax-MI cut.
 
     Feasible cuts leave at least MIN_SLAB slices on each side. Ties break by
     axis order (sagittal < coronal < axial), then by smaller cut index.
     Returns None when no axis admits a cut.
     """
-    hist = histogram_2bin(vol, sub, channel)
-    sl = sub.slices()
-    box = vol.data[sl][..., channel].astype(np.float64)
-    mask = vol.mask[sl]
+    hist = histogram_2bin(vol, sub)
+    box, mask = _reference_box(vol, sub)
     low = (box < hist.threshold) & mask if not hist.degenerate else np.zeros_like(mask)
 
     best_result = None
@@ -313,16 +316,14 @@ def _mir_over(nodes: list[Subdomain]) -> float:
 # Noise and SNR
 # ---------------------------------------------------------------------------
 
-def noise_sigma(vol: MultiChannelVolume, sub: Subdomain, channel: int = 0) -> float:
-    """Robust noise std: scaled MAD of the Laplacian over interior voxels.
+def noise_sigma(vol: MultiChannelVolume, sub: Subdomain) -> float:
+    """Robust reference-channel noise std: scaled MAD of the interior Laplacian.
 
     Interior voxels have all six face neighbours masked and inside the
     subdomain box, so edges and mask boundaries do not contaminate the
     estimate. Returns 0.0 when fewer than 8 interior voxels exist.
     """
-    sl = sub.slices()
-    box = vol.data[sl][..., channel].astype(np.float64)
-    mask = vol.mask[sl]
+    box, mask = _reference_box(vol, sub)
     if min(box.shape) < 3:
         return 0.0
     lap = ndimage.laplace(box)
@@ -340,12 +341,12 @@ def noise_sigma(vol: MultiChannelVolume, sub: Subdomain, channel: int = 0) -> fl
     return mad / _MAD_SCALE / _LAPLACIAN_GAIN
 
 
-def snr(vol: MultiChannelVolume, sub: Subdomain, channel: int = 0) -> float:
-    """Mean masked intensity over the robust noise std; +inf when noiseless."""
-    values = _masked_values(vol, sub, channel)
+def snr(vol: MultiChannelVolume, sub: Subdomain) -> float:
+    """Mean masked reference intensity over the noise std; +inf when noiseless."""
+    values = _masked_values(vol, sub)
     if values.size == 0:
         return math.inf
-    sigma = noise_sigma(vol, sub, channel)
+    sigma = noise_sigma(vol, sub)
     if sigma <= 0.0:
         return math.inf
     return float(values.mean()) / sigma
@@ -379,19 +380,21 @@ def normalize_snr_curve(snr_values, mir_values) -> list[float]:
 
 @dataclass
 class PartitionConfig:
+    """Depth limit of the split recursion and the overlap half-width: each
+    leaf is padded by pad_slices on every internal side."""
+
     max_depth: int = 7
     pad_slices: int = 2
-    channel: int = 0
 
 
-def _prepare_leaf(vol, node: Subdomain, channel: int):
+def _prepare_leaf(vol, node: Subdomain):
     """Attach the node's own best cut, entropy and SNR (idempotent)."""
     if node.prepared:
         return
-    hist = histogram_2bin(vol, node, channel)
+    hist = histogram_2bin(vol, node)
     node.entropy = hist.entropy()
-    _node_snr(vol, node, channel)
-    result = best_cut(vol, node, channel)
+    _node_snr(vol, node)
+    result = best_cut(vol, node)
     if result is not None:
         node.cut, node.mi = result
     else:
@@ -399,17 +402,17 @@ def _prepare_leaf(vol, node: Subdomain, channel: int):
     node.prepared = True
 
 
-def _node_snr(vol, node: Subdomain, channel: int) -> float:
+def _node_snr(vol, node: Subdomain) -> float:
     if node.snr is None:
-        node.snr = snr(vol, node, channel)
+        node.snr = snr(vol, node)
     return node.snr
 
 
-def _level_snr(vol, nodes, channel) -> float:
+def _level_snr(vol, nodes) -> float:
     # degenerate subdomains (empty or noiseless) carry the +inf sentinel and
     # are excluded from the level mean; a level with no finite subdomain
     # keeps the sentinel and is excluded from curve normalization
-    vals = [_node_snr(vol, n, channel) for n in nodes]
+    vals = [_node_snr(vol, n) for n in nodes]
     finite = [v for v in vals if math.isfinite(v)]
     if not finite:
         return math.inf
@@ -444,21 +447,19 @@ def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) ->
     cfg = config or PartitionConfig()
     tree = PartitionTree()
     dims = vol.dims
-    root = Subdomain(
+    tree.nodes.append(Subdomain(
         bounds=((0, dims[0] - 1), (0, dims[1] - 1), (0, dims[2] - 1)),
         voxel_count=int(vol.mask.sum()),
         level=0,
-    )
-    tree.nodes.append(root)
+    ))
 
     leaf_sets: list[list[int]] = [[0]]   # index k: leaf ids after level k
     current = [0]
     for k in range(1, cfg.max_depth + 1):
         for idx in current:
-            _prepare_leaf(vol, tree.nodes[idx], cfg.channel)
-        splittable = [i for i in current if tree.nodes[i].cut is not None
-                      and tree.nodes[i].level == k - 1]
-        if not splittable:
+            _prepare_leaf(vol, tree.nodes[idx])
+        # a node left over from an earlier level has no cut
+        if all(tree.nodes[i].cut is None for i in current):
             break
 
         # MIR of the decomposition this level's cuts create, evaluated on
@@ -468,7 +469,7 @@ def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) ->
         next_leaves = []
         for idx in current:
             node = tree.nodes[idx]
-            if node.cut is None or node.level != k - 1:
+            if node.cut is None:
                 next_leaves.append(idx)
                 continue
             pair = []
@@ -488,42 +489,37 @@ def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) ->
         leaf_sets.append(list(current))
         tree.subdomain_counts.append(len(current))
         tree.mir_curve.append(mir_k)
-        tree.snr_raw_curve.append(
-            _level_snr(vol, [tree.nodes[i] for i in current], cfg.channel))
+        tree.snr_raw_curve.append(_level_snr(vol, [tree.nodes[i] for i in current]))
 
     if not tree.subdomain_counts:
         tree.leaves = [0]
         tree.optimal_count = 1
-        _prepare_leaf(vol, root, cfg.channel)
-        _pad_leaves(tree, dims, cfg.pad_slices)
-        return tree
+    else:
+        tree.snr_curve = normalize_snr_curve(tree.snr_raw_curve, tree.mir_curve)
+        intercept, converged = _find_intercept(
+            tree.subdomain_counts, tree.mir_curve, tree.snr_curve)
+        tree.converged = converged
+        if not converged:
+            logger.warning(
+                "MIR and SNR curves never intersect within %d levels; "
+                "using the deepest decomposition (%d subdomains)",
+                cfg.max_depth, tree.subdomain_counts[-1])
+        n_star = int(round(intercept))
+        n_star = max(min(n_star, tree.subdomain_counts[-1]), tree.subdomain_counts[0])
+        tree.optimal_count = n_star
 
-    tree.snr_curve = normalize_snr_curve(tree.snr_raw_curve, tree.mir_curve)
-    intercept, converged = _find_intercept(
-        tree.subdomain_counts, tree.mir_curve, tree.snr_curve)
-    tree.converged = converged
-    if not converged:
-        logger.warning(
-            "MIR and SNR curves never intersect within %d levels; "
-            "using the deepest decomposition (%d subdomains)",
-            cfg.max_depth, tree.subdomain_counts[-1])
-    n_star = int(round(intercept))
-    n_star = max(min(n_star, tree.subdomain_counts[-1]), tree.subdomain_counts[0])
-    tree.optimal_count = n_star
+        level_idx = 0
+        while (level_idx < len(tree.subdomain_counts)
+               and tree.subdomain_counts[level_idx] < n_star):
+            level_idx += 1
+        level_idx = min(level_idx, len(tree.subdomain_counts) - 1)
 
-    level_idx = 0
-    while (level_idx < len(tree.subdomain_counts)
-           and tree.subdomain_counts[level_idx] < n_star):
-        level_idx += 1
-    level_idx = min(level_idx, len(tree.subdomain_counts) - 1)
-
-    chosen = leaf_sets[level_idx + 1]
-    if tree.subdomain_counts[level_idx] > n_star:
-        chosen = _partial_selection(tree, chosen, n_star)
-    tree.leaves = chosen
+        tree.leaves = leaf_sets[level_idx + 1]
+        if tree.subdomain_counts[level_idx] > n_star:
+            tree.leaves = _partial_selection(tree, tree.leaves, n_star)
 
     for idx in tree.leaves:
-        _prepare_leaf(vol, tree.nodes[idx], cfg.channel)
+        _prepare_leaf(vol, tree.nodes[idx])
     _pad_leaves(tree, dims, cfg.pad_slices)
     return tree
 

@@ -16,7 +16,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.cluster.vq import kmeans2
 
-from .volume import BG, CSF, GM, WM, LabelVolume, MultiChannelVolume, TISSUE_LABELS
+from .volume import (BG, CSF, GM, REFERENCE_CHANNEL, WM, LabelVolume, MultiChannelVolume,
+                     TISSUE_LABELS)
 
 logger = logging.getLogger(__name__)
 
@@ -162,7 +163,8 @@ def kmeans_init(vol: MultiChannelVolume, n_classes: int = 3,
         raise ValueError(f"k-means failed to fill {n_classes} clusters "
                          f"after {max_retries} attempts")
 
-    t1w_means = [features[assignments == c, 0].mean() for c in range(n_classes)]
+    t1w_means = [features[assignments == c, REFERENCE_CHANNEL].mean()
+                 for c in range(n_classes)]
     ordering = np.argsort(t1w_means)               # ascending t1w
     remap = np.empty(n_classes, dtype=np.uint8)
     for rank, cluster in enumerate(ordering):

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import jsonschema
@@ -33,16 +34,21 @@ class PipelineStageError(RuntimeError):
         self.__cause__ = cause
 
 
+# what validate() accepts for each PipelineConfig field annotation
+_FIELD_TYPES = {"str": (str, "a string"), "int": (numbers.Integral, "an integer"),
+                "float": (numbers.Real, "a number"), "tuple": ((tuple, list), "a list")}
+
+
 @dataclass
 class PipelineConfig:
-    """Every pipeline knob, JSON round-trippable.
+    """The run's files, seed and settable method values, JSON round-trippable.
 
-    Numeric defaults follow the method's published configuration: sigmoid
-    kernel (a=8, b=-0.0005) for CSF, Gaussian RBF (sigma=0.5) for GM/WM,
-    regularization grid 0.000025*i for i=0..4, 4-slice overlaps, at most 7
-    partition levels. Overlap strips up to stitch.EXACT_MAX_WIDTH cells
-    wide are solved exactly; wider ones are annealed with the schedule in
-    the sa_* fields.
+    Defaults follow the method's published configuration: regularization
+    grid 0.000025*i for i=0..4, 4-slice overlaps, at most 7 partition
+    levels. Overlap strips up to stitch.EXACT_MAX_WIDTH cells wide are
+    solved exactly; wider ones are annealed with the sa_* schedule. The
+    kernels, categorization thresholds and ridge scale are the published
+    constants fixed in kfda; channel 0 (t1w) is the reference throughout.
     """
 
     volume: str = ""
@@ -50,20 +56,13 @@ class PipelineConfig:
     ground_truth: str = ""
     out_dir: str = "out"
     seed: int = 0
-    reference_channel: int = 0
     # partitioner
     max_depth: int = 7
     pad_slices: int = 2
     # per-subdomain classification
     lambda_grid: tuple = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
     k_grid: tuple = (1, 3, 5, 7, 9, 11)
-    sigmoid_a: float = 8.0
-    sigmoid_b: float = -0.0005
-    rbf_sigma: float = 0.5
     l_max: int = 4000
-    tau_band: float = 1.0
-    tau_outlier: float = 2.5
-    beta_scale: float = 1e-3
     # stitching
     sa_t0: float = 1.0
     sa_rho: float = 0.95
@@ -71,8 +70,17 @@ class PipelineConfig:
     sa_t_min: float = 0.01
 
     def validate(self, check_paths: bool = True):
-        if self.pad_slices < 1:
-            raise ValueError("pad_slices must be at least 1")
+        """Raise ValueError on a config no stage can run with and
+        FileNotFoundError on a missing input; callers run it first."""
+        # JSON true/false load as bools, which Python counts as integers
+        for f in fields(self):
+            kind, what = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        for name, low in (("seed", 0), ("max_depth", 0), ("pad_slices", 1), ("sa_sweeps", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
         # the stage constructors' own checks, run before any stage does
         self.anneal_schedule(0)
         self.kfda_config()
@@ -89,17 +97,11 @@ class PipelineConfig:
                 raise FileNotFoundError(f"ground truth not found: {self.ground_truth}")
 
     def partition_config(self) -> PartitionConfig:
-        return PartitionConfig(max_depth=self.max_depth, pad_slices=self.pad_slices,
-                               channel=self.reference_channel)
+        return PartitionConfig(max_depth=self.max_depth, pad_slices=self.pad_slices)
 
     def kfda_config(self) -> kfda.KfdaConfig:
-        return kfda.KfdaConfig(
-            kernel_csf=kfda.KernelSpec.sigmoid(self.sigmoid_a, self.sigmoid_b),
-            kernel_gm_wm=kfda.KernelSpec.rbf(self.rbf_sigma),
-            lambda_grid=tuple(self.lambda_grid), k_grid=tuple(self.k_grid),
-            l_max=self.l_max, tau_band=self.tau_band, tau_outlier=self.tau_outlier,
-            beta_scale=self.beta_scale, reference_channel=self.reference_channel,
-            seed=self.seed)
+        return kfda.KfdaConfig(lambda_grid=tuple(self.lambda_grid),
+                               k_grid=tuple(self.k_grid), l_max=self.l_max)
 
     def anneal_schedule(self, seed: int) -> stitch.AnnealSchedule:
         return stitch.AnnealSchedule(t0=self.sa_t0, rho=self.sa_rho,
@@ -121,7 +123,7 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for key in ("lambda_grid", "k_grid"):
-            if key in raw:
+            if isinstance(raw.get(key), list):
                 raw[key] = tuple(raw[key])
         return cls(**raw)
 
@@ -208,13 +210,12 @@ def _class_counts(labels: np.ndarray, mask: np.ndarray) -> dict:
             for cls in TISSUE_LABELS}
 
 
-def _region_mssim(labels_arr: np.ndarray, vol: MultiChannelVolume, bounds,
-                  channel: int) -> float | None:
+def _region_mssim(labels_arr: np.ndarray, vol: MultiChannelVolume, bounds) -> float | None:
     box = vol_io.box_slices(bounds)
     mask_box = vol.mask[box]
     if not mask_box.any():
         return None
-    ref_box = vol.data[box][..., channel].astype(np.float64)
+    ref_box = vol.data[box][..., vol_io.REFERENCE_CHANNEL].astype(np.float64)
     image = ssim.classified_mean_image(labels_arr[box], ref_box, mask_box)
     try:
         return ssim.mssim(image, ref_box, mask_box)
@@ -357,10 +358,8 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
         unchanged = 0
         comparable = 0
         for index, (leaf, diag) in enumerate(zip(leaves, diagnostics)):
-            m_init = _region_mssim(init_labels.labels, vol, leaf.padded_bounds,
-                                   cfg.reference_channel)
-            m_kfda = _region_mssim(final.labels, vol, leaf.padded_bounds,
-                                   cfg.reference_channel)
+            m_init = _region_mssim(init_labels.labels, vol, leaf.padded_bounds)
+            m_kfda = _region_mssim(final.labels, vol, leaf.padded_bounds)
             shape = (leaf.padded_bounds[0][1] - leaf.padded_bounds[0][0] + 1,
                      leaf.padded_bounds[1][1] - leaf.padded_bounds[1][0] + 1)
             rows.append({

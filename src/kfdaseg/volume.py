@@ -30,6 +30,7 @@ WM = 3
 BG = 4
 TISSUE_LABELS = (CSF, GM, WM)
 ALL_LABELS = (CSF, GM, WM, BG)
+REFERENCE_CHANNEL = 0  # t1w: orders k-means clusters, MI partition and MSSIM reference
 
 
 def box_slices(bounds) -> tuple[slice, ...]:

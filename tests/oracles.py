@@ -16,7 +16,7 @@ from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, kernel_matrix,
                           nearest_prototype_sides)
 from kfdaseg.partition import PartitionTree, Subdomain, _mir_over, noise_sigma
 from kfdaseg.stitch import StitchProblem, build_potentials
-from kfdaseg.volume import MultiChannelVolume
+from kfdaseg.volume import REFERENCE_CHANNEL, MultiChannelVolume
 
 # ---------------------------------------------------------------------------
 # Kernels and discriminant matrices
@@ -101,21 +101,21 @@ def total_mir(tree: PartitionTree) -> float:
 
 
 def cnr(vol: MultiChannelVolume, sub: Subdomain, labels: np.ndarray,
-        class_a, class_b, channel: int = 0) -> float | None:
+        class_a, class_b) -> float | None:
     """Contrast-to-noise between two label groups on the reference channel.
 
     class_a / class_b are labels or label tuples (e.g. (2, 3) for G+WM).
     Returns None when either class is absent from the subdomain.
     """
     sl = sub.slices()
-    box = vol.data[sl][..., channel].astype(np.float64)
+    box = vol.data[sl][..., REFERENCE_CHANNEL].astype(np.float64)
     mask = vol.mask[sl]
     lab = labels[sl]
     sel_a = np.isin(lab, np.atleast_1d(class_a)) & mask
     sel_b = np.isin(lab, np.atleast_1d(class_b)) & mask
     if not sel_a.any() or not sel_b.any():
         return None
-    sigma = noise_sigma(vol, sub, channel)
+    sigma = noise_sigma(vol, sub)
     contrast = abs(float(box[sel_a].mean()) - float(box[sel_b].mean()))
     if sigma <= 0.0:
         return math.inf if contrast > 0 else 0.0

@@ -676,7 +676,7 @@ def test_step_skipped_without_csf():
     bounds = ((0, 13), (0, 13), (0, 13))
     labels, diag = classify_subdomain(vol, bounds, init,
                                       KfdaConfig(l_max=600, lambda_grid=(0.0,),
-                                                 k_grid=(1, 3)))
+                                                 k_grid=(1, 3)), seed=0)
     assert diag["steps"]["csf_vs_gwm"]["skipped"] == "class absent from initial labels"
     assert set(np.unique(labels)) <= {GM, WM}
 

@@ -10,7 +10,7 @@ from kfdaseg.partition import (Histogram2, PartitionConfig, PartitionTree,
                                SlabClustering, Subdomain, best_cut,
                                histogram_2bin, mutual_information, noise_sigma,
                                partition, snr)
-from kfdaseg.volume import MultiChannelVolume, box_slices
+from kfdaseg.volume import REFERENCE_CHANNEL, MultiChannelVolume, box_slices
 from oracles import cnr, total_mir
 
 LOG2 = 0.6931471805599453
@@ -179,11 +179,11 @@ def test_mi_inconsistent_marginals_rejected():
 # Cut search
 # ---------------------------------------------------------------------------
 
-def exhaustive_best_cut(vol, sub, channel=0):
+def exhaustive_best_cut(vol, sub):
     """Enumerate every feasible cut, building each clustering explicitly."""
-    hist = histogram_2bin(vol, sub, channel)
+    hist = histogram_2bin(vol, sub)
     sl = sub.slices()
-    box = vol.data[sl][..., channel].astype(np.float64)
+    box = vol.data[sl][..., REFERENCE_CHANNEL].astype(np.float64)
     mask = vol.mask[sl]
     low = (box < hist.threshold) & mask
     best = None

@@ -170,8 +170,12 @@ def test_config_json_round_trip(tmp_path):
     doc["workers"] = 1
     path.write_text(json.dumps(doc))
     assert PipelineConfig.from_json(path) == cfg
-    # volumes are always normalized: the SSIM constants assume [0, 1]
-    for knob, value in (("no_such_knob", 1), ("normalize", False), ("workers", 2)):
+    # volumes are always normalized: the SSIM constants assume [0, 1]; the
+    # kernels, band, ridge scale and reference channel are fixed constants
+    for knob, value in (("no_such_knob", 1), ("normalize", False), ("workers", 2),
+                        ("reference_channel", 0), ("sigmoid_a", 8.0),
+                        ("sigmoid_b", -0.0005), ("rbf_sigma", 0.5), ("tau_band", 1.0),
+                        ("tau_outlier", 2.5), ("beta_scale", 1e-3)):
         bad = json.loads(cfg.to_json())
         bad[knob] = value
         path.write_text(json.dumps(bad))
@@ -207,17 +211,28 @@ def test_config_validation():
         PipelineConfig(lambda_grid=()).validate(check_paths=False)
     with pytest.raises(ValueError, match="cooling"):
         PipelineConfig(sa_rho=1.5).validate(check_paths=False)
-    with pytest.raises(ValueError, match="bandwidth"):
-        PipelineConfig(rbf_sigma=0).validate(check_paths=False)
     with pytest.raises(ValueError, match="l_max"):
         PipelineConfig(l_max=2).validate(check_paths=False)
     with pytest.raises(ValueError, match="l_max"):
         PipelineConfig(l_max=3).validate(check_paths=False)
     with pytest.raises(ValueError, match="lambda"):
         PipelineConfig(lambda_grid=(0.0, -1e-3)).validate(check_paths=False)
-    for k_grid in ((), (-1,), (2, 4), (1, 1.5), (0,)):
+    for k_grid in ((), (-1,), (2, 4), (1, 1.5), (0,), (True,)):
         with pytest.raises(ValueError, match="k grid"):
             PipelineConfig(k_grid=k_grid).validate(check_paths=False)
+    # values a JSON config can carry that no stage can run with
+    for knob, value, match in (
+            ("seed", -1, "seed"), ("seed", 1.5, "seed"), ("seed", "3", "seed"),
+            ("seed", True, "seed"), ("max_depth", -1, "max_depth"),
+            ("max_depth", 1.5, "max_depth"), ("pad_slices", 1.5, "pad_slices"),
+            ("pad_slices", False, "pad_slices"), ("l_max", 300.5, "l_max"),
+            ("sa_sweeps", 2.0, "sa_sweeps"), ("sa_sweeps", 0, "sa_sweeps"),
+            ("lambda_grid", ("a",), "lambda"),
+            ("lambda_grid", (True,), "lambda"), ("lambda_grid", 0.0, "lambda_grid"),
+            ("sa_t0", "1", "sa_t0"), ("sa_rho", "0.9", "sa_rho"),
+            ("sa_t_min", None, "sa_t_min"), ("out_dir", 5, "out_dir")):
+        with pytest.raises(ValueError, match=match):
+            PipelineConfig(**{knob: value}).validate(check_paths=False)
     with pytest.raises(FileNotFoundError):
         PipelineConfig(volume="/nonexistent/v.f32raw").validate()
 
@@ -347,6 +362,18 @@ def test_cli_stage_flag_equivalent(tmp_path):
 def test_cli_validation_exit_code(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "missing.json")])
     assert rc == cli.EXIT_VALIDATION
+    # a config no stage can run with is rejected before anything is written
+    cli.main(["phantom", "--out", str(tmp_path / "data"), "--dims", "16", "16", "16"])
+    out_dir = tmp_path / "out"
+    for knob, value in (("seed", -1), ("seed", 1.5), ("seed", "3"), ("pad_slices", 1.5),
+                        ("l_max", 300.5), ("max_depth", 1.5), ("lambda_grid", ["a"]),
+                        ("sa_rho", "0.9"), ("reference_channel", 5), ("sigmoid_a", 8.0)):
+        doc = {"volume": str(tmp_path / "data" / "phantom.f32raw"),
+               "out_dir": str(out_dir), knob: value}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, knob
+        assert not out_dir.exists(), knob
 
 
 def test_cli_stagewise_classify_stitch(tmp_path):
