@@ -16,7 +16,7 @@ from .volume import (
     load_volume,
     normalize_intensities,
 )
-from .partition import PartitionConfig, PartitionTree, partition
+from .partition import PartitionTree, partition
 from .kfda import KernelSpec, KfdaConfig, classify_subdomain
 from .stitch import (
     AnnealSchedule,

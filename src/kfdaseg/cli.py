@@ -166,7 +166,7 @@ def cmd_report(args) -> int:
     tree = pipeline.partition_stage(cfg, vol)
     out = Path(cfg.out_dir)
     init = pipeline.init_stage(cfg, vol)
-    truth = vol_io.load_labels(cfg.ground_truth) if cfg.ground_truth else None
+    truth = pipeline.truth_stage(cfg, vol)
     final = vol_io.load_labels(out / "labels.u8raw")
     diagnostics = json.loads((out / "subdomains.json").read_text())
     report = pipeline.report_stage(cfg, vol, init, tree, final, diagnostics, truth)

@@ -49,14 +49,7 @@ class Histogram2:
 
     def entropy(self) -> float:
         """Shannon entropy of the bin distribution, in nats."""
-        if self.degenerate or self.total == 0:
-            return 0.0
-        h = 0.0
-        for n in self.bin_counts:
-            if n > 0:
-                p = n / self.total
-                h -= p * math.log(p)
-        return h
+        return 0.0 if self.degenerate else _bin_entropy(self.bin_counts, self.total)
 
 
 @dataclass(frozen=True)
@@ -201,16 +194,22 @@ def histogram_2bin(vol: MultiChannelVolume, sub: Subdomain) -> Histogram2:
 # Mutual information
 # ---------------------------------------------------------------------------
 
+def _bin_entropy(bin_counts, total: int) -> float:
+    """H(X) of the histogram bins, in nats; 0 for an empty histogram."""
+    h = 0.0
+    for n in bin_counts:
+        if n > 0:
+            p = n / total
+            h -= p * math.log(p)
+    return h
+
+
 def _mi_from_counts(bin_counts, joint: np.ndarray, total: int) -> float:
     # MI = H(X) - H(X | clusters); both entropy terms are sums of
     # non-negative contributions, so MI <= H(X) holds in floating point.
     if total == 0:
         return 0.0
-    h_x = 0.0
-    for n in bin_counts:
-        if n > 0:
-            p = n / total
-            h_x -= p * math.log(p)
+    h_x = _bin_entropy(bin_counts, total)
     cluster_sizes = joint.sum(axis=0)
     h_cond = 0.0
     for j in range(joint.shape[1]):
@@ -378,15 +377,6 @@ def normalize_snr_curve(snr_values, mir_values) -> list[float]:
 # Partition driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PartitionConfig:
-    """Depth limit of the split recursion and the overlap half-width: each
-    leaf is padded by pad_slices on every internal side."""
-
-    max_depth: int = 7
-    pad_slices: int = 2
-
-
 def _prepare_leaf(vol, node: Subdomain):
     """Attach the node's own best cut, entropy and SNR (idempotent)."""
     if node.prepared:
@@ -433,7 +423,8 @@ def _find_intercept(counts, mir, snr_norm) -> tuple[float, bool]:
     return float(counts[-1]), False
 
 
-def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) -> PartitionTree:
+def partition(vol: MultiChannelVolume, max_depth: int = 7,
+              pad_slices: int = 2) -> PartitionTree:
     """Recursively split the masked volume and select the optimal leaf set.
 
     Levels are grown to max_depth while recording the MIR acquired by each
@@ -442,9 +433,9 @@ def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) ->
     the target subdomain count. A count falling strictly between two levels
     keeps that many of the deeper level's largest leaves and merges unkept
     sibling pairs back to their parents. Every internal planar boundary is
-    finally padded by pad_slices on each side.
+    finally padded by pad_slices on each side: adjacent leaves share a
+    2*pad_slices-wide overlap.
     """
-    cfg = config or PartitionConfig()
     tree = PartitionTree()
     dims = vol.dims
     tree.nodes.append(Subdomain(
@@ -455,7 +446,7 @@ def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) ->
 
     leaf_sets: list[list[int]] = [[0]]   # index k: leaf ids after level k
     current = [0]
-    for k in range(1, cfg.max_depth + 1):
+    for k in range(1, max_depth + 1):
         for idx in current:
             _prepare_leaf(vol, tree.nodes[idx])
         # a node left over from an earlier level has no cut
@@ -503,7 +494,7 @@ def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) ->
             logger.warning(
                 "MIR and SNR curves never intersect within %d levels; "
                 "using the deepest decomposition (%d subdomains)",
-                cfg.max_depth, tree.subdomain_counts[-1])
+                max_depth, tree.subdomain_counts[-1])
         n_star = int(round(intercept))
         n_star = max(min(n_star, tree.subdomain_counts[-1]), tree.subdomain_counts[0])
         tree.optimal_count = n_star
@@ -520,7 +511,7 @@ def partition(vol: MultiChannelVolume, config: PartitionConfig | None = None) ->
 
     for idx in tree.leaves:
         _prepare_leaf(vol, tree.nodes[idx])
-    _pad_leaves(tree, dims, cfg.pad_slices)
+    _pad_leaves(tree, dims, pad_slices)
     return tree
 
 

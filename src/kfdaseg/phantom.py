@@ -10,7 +10,7 @@ pipeline is expected to refine.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -27,6 +27,9 @@ DEFAULT_CLASS_MEANS = (
     (0.55, 0.50, 0.60),
     (0.85, 0.25, 0.40),
 )
+
+# reseeded k-means attempts before kmeans_init gives up on an empty cluster
+KMEANS_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -141,18 +144,19 @@ def generate_phantom(spec: PhantomSpec) -> tuple[MultiChannelVolume, LabelVolume
 # Naive initial labeling
 # ---------------------------------------------------------------------------
 
-def kmeans_init(vol: MultiChannelVolume, n_classes: int = 3,
-                seed: int = 0, max_retries: int = 5) -> LabelVolume:
-    """K-means on masked intensity vectors, classes ordered by t1w mean.
+def kmeans_init(vol: MultiChannelVolume, seed: int = 0) -> LabelVolume:
+    """K-means on masked intensity vectors into CSF, GM and WM.
 
-    The ascending-t1w ordering maps clusters onto CSF < GM < WM. Empty
-    clusters trigger a reseeded retry (up to max_retries) before raising.
+    Clusters are ordered by ascending t1w mean, which maps them onto
+    CSF < GM < WM. Empty clusters trigger a reseeded retry (up to
+    KMEANS_RETRIES attempts in all) before raising.
     """
+    n_classes = len(TISSUE_LABELS)
     features = vol.data[vol.mask].astype(np.float64)
     if len(np.unique(features, axis=0)) < n_classes:
         raise ValueError(f"need at least {n_classes} distinct intensity vectors")
     assignments = None
-    for attempt in range(max_retries):
+    for attempt in range(KMEANS_RETRIES):
         _, lab = kmeans2(features, n_classes, minit="++",
                          seed=np.random.default_rng(seed + attempt), iter=20)
         if len(np.unique(lab)) == n_classes:
@@ -161,14 +165,12 @@ def kmeans_init(vol: MultiChannelVolume, n_classes: int = 3,
         logger.warning("k-means produced an empty cluster (attempt %d)", attempt + 1)
     if assignments is None:
         raise ValueError(f"k-means failed to fill {n_classes} clusters "
-                         f"after {max_retries} attempts")
+                         f"after {KMEANS_RETRIES} attempts")
 
     t1w_means = [features[assignments == c, REFERENCE_CHANNEL].mean()
                  for c in range(n_classes)]
-    ordering = np.argsort(t1w_means)               # ascending t1w
     remap = np.empty(n_classes, dtype=np.uint8)
-    for rank, cluster in enumerate(ordering):
-        remap[cluster] = TISSUE_LABELS[rank]
+    remap[np.argsort(t1w_means)] = TISSUE_LABELS      # ascending t1w
 
     labels = np.full(vol.dims, BG, dtype=np.uint8)
     labels[vol.mask] = remap[assignments]

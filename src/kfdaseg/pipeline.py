@@ -19,7 +19,7 @@ import jsonschema
 import numpy as np
 
 from . import kfda, phantom, ssim, stitch, volume as vol_io
-from .partition import PartitionConfig, PartitionTree, partition as build_partition
+from .partition import PartitionTree, partition as build_partition
 from .volume import BG, CSF, GM, WM, LabelVolume, MultiChannelVolume, TISSUE_LABELS
 
 CLASS_NAMES = {CSF: "csf", GM: "gm", WM: "wm", BG: "bg"}
@@ -46,7 +46,8 @@ class PipelineConfig:
     Defaults follow the method's published configuration: regularization
     grid 0.000025*i for i=0..4, 4-slice overlaps, at most 7 partition
     levels. Overlap strips up to stitch.EXACT_MAX_WIDTH cells wide are
-    solved exactly; wider ones are annealed with the sa_* schedule. The
+    solved exactly; wider ones are annealed for sa_sweeps sweeps per
+    temperature on stitch.AnnealSchedule's published cooling schedule. The
     kernels, categorization thresholds and ridge scale are the published
     constants fixed in kfda; channel 0 (t1w) is the reference throughout.
     """
@@ -64,10 +65,7 @@ class PipelineConfig:
     k_grid: tuple = (1, 3, 5, 7, 9, 11)
     l_max: int = 4000
     # stitching
-    sa_t0: float = 1.0
-    sa_rho: float = 0.95
     sa_sweeps: int = 20
-    sa_t_min: float = 0.01
 
     def validate(self, check_paths: bool = True):
         """Raise ValueError on a config no stage can run with and
@@ -81,8 +79,7 @@ class PipelineConfig:
         for name, low in (("seed", 0), ("max_depth", 0), ("pad_slices", 1), ("sa_sweeps", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
-        # the stage constructors' own checks, run before any stage does
-        self.anneal_schedule(0)
+        # KfdaConfig's own checks, run before any stage does
         self.kfda_config()
         if check_paths:
             if not self.volume:
@@ -96,17 +93,9 @@ class PipelineConfig:
                     not Path(self.ground_truth).with_suffix(".u8raw").exists():
                 raise FileNotFoundError(f"ground truth not found: {self.ground_truth}")
 
-    def partition_config(self) -> PartitionConfig:
-        return PartitionConfig(max_depth=self.max_depth, pad_slices=self.pad_slices)
-
     def kfda_config(self) -> kfda.KfdaConfig:
         return kfda.KfdaConfig(lambda_grid=tuple(self.lambda_grid),
                                k_grid=tuple(self.k_grid), l_max=self.l_max)
-
-    def anneal_schedule(self, seed: int) -> stitch.AnnealSchedule:
-        return stitch.AnnealSchedule(t0=self.sa_t0, rho=self.sa_rho,
-                                     sweeps=self.sa_sweeps, t_min=self.sa_t_min,
-                                     seed=seed)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
@@ -114,6 +103,8 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {path} does not hold a JSON object")
         # perfbench's configs still name the removed leaf-pool size; 1 is
         # what every run does now, so that value alone is dropped
         if raw.get("workers") == 1:
@@ -275,10 +266,28 @@ def init_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
     return init_labels
 
 
+def truth_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
+                ground_truth: LabelVolume | None = None,
+                timing: dict | None = None) -> LabelVolume | None:
+    """The ground truth: given, read from cfg.ground_truth, or None if neither.
+
+    Raises PipelineStageError("load") on labels whose dims differ from the
+    volume's."""
+    if ground_truth is None:
+        if not cfg.ground_truth:
+            return None
+        ground_truth = _staged(timing, "load", vol_io.load_labels, cfg.ground_truth)
+    if ground_truth.dims != vol.dims:
+        raise PipelineStageError("load", ValueError(
+            f"ground truth dims {ground_truth.dims} != volume dims {vol.dims}"))
+    return ground_truth
+
+
 def partition_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                     timing: dict | None = None) -> PartitionTree:
     """MI partition of vol, leaves padded by cfg.pad_slices."""
-    return _staged(timing, "partition", build_partition, vol, cfg.partition_config())
+    return _staged(timing, "partition", build_partition, vol,
+                   max_depth=cfg.max_depth, pad_slices=cfg.pad_slices)
 
 
 def classify_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
@@ -314,7 +323,8 @@ def stitch_stage(cfg: PipelineConfig, vol: MultiChannelVolume, tree: PartitionTr
                  fragments: list[stitch.ClassifiedFragment],
                  timing: dict | None = None) -> LabelVolume:
     """Fuse the fragments over their 2*pad_slices-wide overlaps; strips too
-    wide to solve exactly anneal on spawn key (2,).
+    wide to solve exactly anneal for cfg.sa_sweeps sweeps per temperature
+    on AnnealSchedule's cooling schedule, on spawn key (2,).
 
     Raises PipelineStageError("stitch") unless the fragments are one per
     leaf of tree, each with that leaf's core and padded bounds."""
@@ -322,7 +332,8 @@ def stitch_stage(cfg: PipelineConfig, vol: MultiChannelVolume, tree: PartitionTr
         _require_leaves(tree, "fragments", [
             (frag.core_bounds, frag.padded_bounds) for frag in fragments],
             lambda leaf: (leaf.bounds, leaf.padded_bounds))
-        sched = cfg.anneal_schedule(stitch.spawn_seed(cfg.seed, 2))
+        sched = stitch.AnnealSchedule(sweeps=cfg.sa_sweeps,
+                                      seed=stitch.spawn_seed(cfg.seed, 2))
         return stitch.stitch_volume(fragments, vol.dims, mask=vol.mask, sched=sched,
                                     overlap=2 * cfg.pad_slices)
 
@@ -427,8 +438,7 @@ def run_pipeline(cfg: PipelineConfig,
 
     vol = load_stage(cfg, vol, timing)
     init_labels = init_stage(cfg, vol, init_labels, timing)
-    if ground_truth is None and cfg.ground_truth:
-        ground_truth = _staged(timing, "load", vol_io.load_labels, cfg.ground_truth)
+    ground_truth = truth_stage(cfg, vol, ground_truth, timing)
     tree = partition_stage(cfg, vol, timing)
     if emit:
         (out_dir / "partition.json").write_text(tree.to_json())

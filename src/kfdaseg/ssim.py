@@ -11,7 +11,7 @@ channel after replacing each voxel by its tissue-class mean intensity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -36,15 +36,16 @@ def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
 class SsimConstants:
     """Stabilizers and window for SSIM.
 
-    Defaults follow the published reference configuration for intensities
-    normalized to [0, 1] (dynamic range L = 1, as `normalize_intensities`
-    leaves every channel): C1 = (0.01 L)^2, C2 = (0.03 L)^2, C3 = C2/2, 11x11
-    Gaussian window with sigma 1.5.
+    The stabilizers are the published ones for intensities normalized to
+    [0, 1] (dynamic range L = 1, as `normalize_intensities` leaves every
+    channel): C1 = (0.01 L)^2, C2 = (0.03 L)^2, C3 = C2/2; they are class
+    constants, not fields. The window, 11x11 Gaussian with sigma 1.5 by
+    default, is settable because fit_constants shrinks it for thin boxes.
     """
 
-    c1: float = field(default=0.01 ** 2)
-    c2: float = field(default=0.03 ** 2)
-    c3: float = field(default=0.03 ** 2 / 2)
+    c1 = 0.01 ** 2
+    c2 = 0.03 ** 2
+    c3 = 0.03 ** 2 / 2
     window_size: int = 11
     window_sigma: float = 1.5
 
@@ -99,31 +100,24 @@ def patch_stats(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None)
     )
 
 
-def _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov_xy, c: SsimConstants):
+def _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov_xy):
     """SSIM from local moments; scalars or equally shaped arrays."""
+    c = SsimConstants
     lum = (2.0 * mu_x * mu_y + c.c1) / (mu_x * mu_x + mu_y * mu_y + c.c1)
-    if c.c3 == c.c2 / 2:
-        # contrast * structure collapses without any square root, which keeps
-        # SSIM(x, x) == 1 bit-exactly
-        cs = (2.0 * cov_xy + c.c2) / (var_x + var_y + c.c2)
-        return lum * cs
-    sx = np.sqrt(np.maximum(var_x, 0.0))
-    sy = np.sqrt(np.maximum(var_y, 0.0))
-    contrast = (2.0 * sx * sy + c.c2) / (var_x + var_y + c.c2)
-    structure = (cov_xy + c.c3) / (sx * sy + c.c3)
-    return lum * contrast * structure
+    # with C3 = C2/2, contrast * structure collapses without any square
+    # root, which keeps SSIM(x, x) == 1 bit-exactly
+    cs = (2.0 * cov_xy + c.c2) / (var_x + var_y + c.c2)
+    return lum * cs
 
 
-def ssim_patch(x: np.ndarray, y: np.ndarray, c: SsimConstants | None = None,
-               weights: np.ndarray | None = None) -> float:
+def ssim_patch(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> float:
     """SSIM between two equally shaped patches; value in [-1, 1].
 
     Identical patches score exactly 1.0. Pass weights to reproduce one
     position of the Gaussian sliding window.
     """
-    c = c or SsimConstants()
     s = patch_stats(x, y, weights)
-    return float(_ssim_from_moments(s.mu_x, s.mu_y, s.var_x, s.var_y, s.cov_xy, c))
+    return float(_ssim_from_moments(s.mu_x, s.mu_y, s.var_x, s.var_y, s.cov_xy))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +159,7 @@ def _ssim_map(x: np.ndarray, y: np.ndarray, c: SsimConstants,
     mu_x, var_x = _mean_var(x, smooth)
     mu_y, var_y = y_mean_var if y_mean_var is not None else _mean_var(y, smooth)
     cov = smooth(x * y) - mu_x * mu_y
-    return _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov, c)
+    return _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov)
 
 
 def _window_counts(mask: np.ndarray, size: int) -> np.ndarray:

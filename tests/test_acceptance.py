@@ -12,9 +12,8 @@ import pytest
 import scipy.linalg as sla
 
 from kfdaseg.kfda import KernelSpec, SubdomainData, TrainingSet, build_matrices, solve_alpha
-from kfdaseg.partition import (Histogram2, PartitionConfig, SlabClustering,
-                               Subdomain, best_cut, histogram_2bin,
-                               mutual_information, partition)
+from kfdaseg.partition import (Histogram2, SlabClustering, Subdomain, best_cut,
+                               histogram_2bin, mutual_information, partition)
 from kfdaseg.phantom import (PhantomSpec, corrupt_boundary_labels,
                              generate_phantom, kmeans_init, underestimate_csf)
 from kfdaseg.pipeline import PipelineConfig, dice_scores, run_pipeline
@@ -135,7 +134,7 @@ def test_criterion_2_partition_optimality():
                            bias_amplitude=0.05 + 0.01 * (seed % 4), pv_blur=1.0,
                            seed=seed)
         vol, _ = generate_phantom(spec)
-        tree = partition(vol, PartitionConfig(max_depth=5))
+        tree = partition(vol, max_depth=5)
         curve = tree.mir_curve
         assert len(curve) >= 5
         if any(b < a - 1e-9 for a, b in zip(curve, curve[1:])):
@@ -255,7 +254,7 @@ def test_criterion_5_ssim_correctness():
     w = gaussian_window()
     for _ in range(50):
         x = rng.random((11, 11))
-        assert ssim_patch(x, x, c) == 1.0
+        assert ssim_patch(x, x) == 1.0
     worst_sym = 0.0
     worst_oracle = 0.0
     out_of_bounds = 0
@@ -263,8 +262,8 @@ def test_criterion_5_ssim_correctness():
         x = rng.random((11, 11))
         y = rng.random((11, 11))
         weights = w if i % 2 else None
-        a = ssim_patch(x, y, c, weights=weights)
-        b = ssim_patch(y, x, c, weights=weights)
+        a = ssim_patch(x, y, weights=weights)
+        b = ssim_patch(y, x, weights=weights)
         worst_sym = max(worst_sym, abs(a - b))
         if not (-1.0 - 1e-12 <= a <= 1.0 + 1e-12):
             out_of_bounds += 1

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from kfdaseg.partition import (Histogram2, PartitionConfig, PartitionTree,
-                               SlabClustering, Subdomain, best_cut,
-                               histogram_2bin, mutual_information, noise_sigma,
-                               partition, snr)
+from kfdaseg.partition import (Histogram2, PartitionTree, SlabClustering,
+                               Subdomain, best_cut, histogram_2bin,
+                               mutual_information, noise_sigma, partition, snr)
 from kfdaseg.volume import REFERENCE_CHANNEL, MultiChannelVolume, box_slices
 from oracles import cnr, total_mir
 
@@ -349,7 +348,7 @@ def test_block_phantom_boundaries():
     spec = PhantomSpec(dims=(32, 32, 32), geometry="blocks", noise_sigma=0.02,
                        pv_blur=0.0, bias_amplitude=0.0, seed=3)
     vol, _ = generate_phantom(spec)
-    tree = partition(vol, PartitionConfig(max_depth=3))
+    tree = partition(vol, max_depth=3)
     for leaf in tree.leaf_nodes():
         for axis in range(3):
             lo, hi = leaf.bounds[axis]
@@ -368,7 +367,7 @@ def test_mir_curve_nondecreasing_on_tissue_phantoms():
         spec = PhantomSpec(dims=(32, 32, 32), noise_sigma=0.02 + 0.005 * seed,
                            bias_amplitude=0.05, pv_blur=1.0, seed=seed)
         vol, _ = generate_phantom(spec)
-        tree = partition(vol, PartitionConfig(max_depth=5))
+        tree = partition(vol, max_depth=5)
         curve = tree.mir_curve
         assert len(curve) >= 5
         for a, b in zip(curve, curve[1:]):
@@ -377,7 +376,7 @@ def test_mir_curve_nondecreasing_on_tissue_phantoms():
 
 def test_leaves_tile_and_overlap_by_four():
     vol = smooth_noisy_volume((32, 32, 32), seed=11, noise=0.02)
-    tree = partition(vol, PartitionConfig(max_depth=4))
+    tree = partition(vol, max_depth=4)
     dims = vol.dims
     coverage = np.zeros(dims, dtype=np.int32)
     for leaf in tree.leaf_nodes():
@@ -411,7 +410,7 @@ def test_leaves_tile_and_overlap_by_four():
 
 def test_partition_json_serializes():
     vol = smooth_noisy_volume((24, 24, 24), seed=1, noise=0.02)
-    tree = partition(vol, PartitionConfig(max_depth=3))
+    tree = partition(vol, max_depth=3)
     doc = tree.to_json()
     import json
     parsed = json.loads(doc)

@@ -14,14 +14,14 @@ from kfdaseg.pipeline import (PipelineConfig, PipelineStageError, REPORT_SCHEMA,
                               stitch_stage)
 from kfdaseg.ssim import SsimConstants, classified_mean_image, mssim
 from kfdaseg.stitch import ClassifiedFragment
-from kfdaseg.volume import (BG, MultiChannelVolume, box_slices, check_mask_consistency,
-                            load_labels, load_volume, normalize_intensities, save_labels,
-                            save_volume)
+from kfdaseg.volume import (BG, LabelVolume, MultiChannelVolume, box_slices,
+                            check_mask_consistency, load_labels, load_volume,
+                            normalize_intensities, save_labels, save_volume)
 
 
 def small_config(out_dir, **overrides):
     base = dict(out_dir=str(out_dir), seed=3, l_max=800, max_depth=3,
-                sa_sweeps=8, sa_t_min=0.05,
+                sa_sweeps=8,
                 lambda_grid=(0.0, 0.00005), k_grid=(1, 3))
     base.update(overrides)
     return PipelineConfig(**base)
@@ -171,11 +171,13 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps(doc))
     assert PipelineConfig.from_json(path) == cfg
     # volumes are always normalized: the SSIM constants assume [0, 1]; the
-    # kernels, band, ridge scale and reference channel are fixed constants
+    # kernels, band, ridge scale, reference channel and cooling schedule are
+    # fixed constants
     for knob, value in (("no_such_knob", 1), ("normalize", False), ("workers", 2),
                         ("reference_channel", 0), ("sigmoid_a", 8.0),
                         ("sigmoid_b", -0.0005), ("rbf_sigma", 0.5), ("tau_band", 1.0),
-                        ("tau_outlier", 2.5), ("beta_scale", 1e-3)):
+                        ("tau_outlier", 2.5), ("beta_scale", 1e-3), ("sa_t0", 1.0),
+                        ("sa_rho", 0.95), ("sa_t_min", 0.01)):
         bad = json.loads(cfg.to_json())
         bad[knob] = value
         path.write_text(json.dumps(bad))
@@ -209,8 +211,6 @@ def test_background_inside_mask_rejected(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError, match="lambda"):
         PipelineConfig(lambda_grid=()).validate(check_paths=False)
-    with pytest.raises(ValueError, match="cooling"):
-        PipelineConfig(sa_rho=1.5).validate(check_paths=False)
     with pytest.raises(ValueError, match="l_max"):
         PipelineConfig(l_max=2).validate(check_paths=False)
     with pytest.raises(ValueError, match="l_max"):
@@ -229,8 +229,7 @@ def test_config_validation():
             ("sa_sweeps", 2.0, "sa_sweeps"), ("sa_sweeps", 0, "sa_sweeps"),
             ("lambda_grid", ("a",), "lambda"),
             ("lambda_grid", (True,), "lambda"), ("lambda_grid", 0.0, "lambda_grid"),
-            ("sa_t0", "1", "sa_t0"), ("sa_rho", "0.9", "sa_rho"),
-            ("sa_t_min", None, "sa_t_min"), ("out_dir", 5, "out_dir")):
+            ("out_dir", 5, "out_dir")):
         with pytest.raises(ValueError, match=match):
             PipelineConfig(**{knob: value}).validate(check_paths=False)
     with pytest.raises(FileNotFoundError):
@@ -327,7 +326,7 @@ def test_cli_phantom_init_run_report(tmp_path):
                          init_labels=str(data_dir / "init.u8raw"),
                          ground_truth=str(data_dir / "truth.u8raw"),
                          out_dir=str(out_dir), seed=1, l_max=600, max_depth=2,
-                         sa_sweeps=5, sa_t_min=0.1,
+                         sa_sweeps=5,
                          lambda_grid=(0.0,), k_grid=(1, 3))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(cfg.to_json())
@@ -374,6 +373,35 @@ def test_cli_validation_exit_code(tmp_path):
         cfg_path.write_text(json.dumps(doc))
         assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, knob
         assert not out_dir.exists(), knob
+    # a config file must hold a JSON object
+    for text in ("[1, 2]", "null", "[]"):
+        cfg_path.write_text(text)
+        assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, text
+
+
+def test_ground_truth_dims_checked_before_partition(tmp_path):
+    # a ground truth of another size is rejected before the partition runs,
+    # not in the report stage after every leaf is classified
+    spec = PhantomSpec(dims=(16, 16, 16), noise_sigma=0.03, pv_blur=0.5, seed=5)
+    vol, truth = generate_phantom(spec)
+    wrong = LabelVolume(labels=np.pad(truth.labels, ((0, 2), (0, 0), (0, 0)),
+                                      constant_values=BG))
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(small_config(tmp_path / "mem"), vol=vol, ground_truth=wrong)
+    assert err.value.stage == "load"
+    assert isinstance(err.value.__cause__, ValueError)
+    assert "ground truth dims (18, 16, 16)" in str(err.value)
+    assert not (tmp_path / "mem" / "partition.json").exists()
+
+    save_volume(vol, tmp_path / "vol.f32raw")
+    save_labels(wrong, tmp_path / "truth.u8raw")
+    out_dir = tmp_path / "cli"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(small_config(out_dir, volume=str(tmp_path / "vol.f32raw"),
+                                     ground_truth=str(tmp_path / "truth.u8raw")).to_json())
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+    assert not (out_dir / "partition.json").exists()
+    assert list(out_dir.iterdir()) == []
 
 
 def test_cli_stagewise_classify_stitch(tmp_path):
@@ -384,7 +412,7 @@ def test_cli_stagewise_classify_stitch(tmp_path):
     cfg = PipelineConfig(volume=str(data_dir / "phantom.f32raw"),
                          init_labels=str(data_dir / "truth.u8raw"),
                          out_dir=str(out_dir), seed=0, l_max=500, max_depth=2,
-                         sa_sweeps=5, sa_t_min=0.1, lambda_grid=(0.0,),
+                         sa_sweeps=5, lambda_grid=(0.0,),
                          k_grid=(1,))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(cfg.to_json())

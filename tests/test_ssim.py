@@ -49,8 +49,8 @@ def test_matches_direct_formula_oracle():
     for _ in range(200):
         x = rng.random((11, 11))
         y = rng.random((11, 11))
-        assert ssim_patch(x, y, c) == pytest.approx(ssim_oracle(x, y, c), abs=1e-10)
-        assert ssim_patch(x, y, c, weights=w) == pytest.approx(
+        assert ssim_patch(x, y) == pytest.approx(ssim_oracle(x, y, c), abs=1e-10)
+        assert ssim_patch(x, y, weights=w) == pytest.approx(
             ssim_oracle(x, y, c, weights=w), abs=1e-10)
 
 
@@ -76,14 +76,6 @@ def test_luminance_shift_decreases_similarity():
         lum_shifted = (2 * stats.mu_x * stats.mu_y + c.c1) / \
             (stats.mu_x ** 2 + stats.mu_y ** 2 + c.c1)
         assert lum_shifted < 1.0
-
-
-def test_nondefault_c3_uses_three_factor_form():
-    rng = np.random.default_rng(4)
-    c = SsimConstants(c1=1e-4, c2=9e-4, c3=5e-4)
-    x = rng.random((11, 11))
-    y = rng.random((11, 11))
-    assert ssim_patch(x, y, c) == pytest.approx(ssim_oracle(x, y, c), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +110,7 @@ def test_mssim_window_positions_match_patch_ssim():
             patch_x = x[r:r + 11, col:col + 11]
             patch_y = y[r:r + 11, col:col + 11]
             assert ssim_map[r, col] == pytest.approx(
-                ssim_patch(patch_x, patch_y, c, weights=w), abs=1e-10)
+                ssim_patch(patch_x, patch_y, weights=w), abs=1e-10)
     value = mssim(x, y, mask, c)
     assert value == pytest.approx(float(ssim_map.mean()), abs=1e-12)
     # the windows fitted to thin boxes, at every position of a 3-slice box
@@ -135,7 +127,7 @@ def test_mssim_window_positions_match_patch_ssim():
             patch_x = bx[r:r + size, col:col + size, k]
             patch_y = by[r:r + size, col:col + size, k]
             assert ssim_map[r, col, k] == pytest.approx(
-                ssim_patch(patch_x, patch_y, fitted, weights=w), abs=1e-10)
+                ssim_patch(patch_x, patch_y, weights=w), abs=1e-10)
 
 
 def test_mssim_background_windows_excluded():
