@@ -5,20 +5,24 @@ discriminant direction maximizes between-class over within-class scatter
 plus a graph penalty that discourages projection differences between
 neighbouring voxels (26-connected grid). The direction solves a generalized
 eigenproblem. Each step builds the within-class matrix as one symmetric
-product of the class-centred gram matrix, factors the within-class pencil
-N = U^T U once and builds one Krylov basis of N^-1 P started from N^-1 m
-and a fixed-seed vector. The basis is held in the factor's coordinates
-x = U v, where N-orthonormality is plain orthonormality, so growing it
-takes triangular solves and penalty matvecs but no product with N; every
-regularization weight of the sweep is a Rayleigh-Ritz solve on that basis,
-exact for a positive top eigenvalue because the penalty is negative
-semidefinite (see solve_alpha). Voxels are then categorized by projection
-sign into tissue prototypes, an overlapping set and class outliers, which
-are refined by Mahalanobis and k-nearest-neighbour classifiers under MSSIM
-guidance. classify_subdomain runs both binary steps, CSF vs G+WM and then
-GM vs WM, as one loop over a step table; each step's scorer renders a
-labeling's classified mean image, scores it against the reference and
-caches the result, so every distinct labeling is scored once per step.
+product of the class-centred gram matrix and factors the within-class
+pencil N = U^T U at once, so the l x l matrices are gone before the
+cross kernel between the training samples and every voxel, the step's
+largest buffer, is built (in row blocks where it is stored in float32).
+One Krylov basis of N^-1 P started
+from N^-1 m and a fixed-seed vector then serves the whole sweep. The basis
+is held in the factor's coordinates x = U v, where N-orthonormality is
+plain orthonormality, so growing it takes triangular solves and penalty
+matvecs but no product with N; every regularization weight of the sweep is
+a Rayleigh-Ritz solve on that basis, exact for a positive top eigenvalue
+because the penalty is negative semidefinite (see solve_alpha). Voxels are
+then categorized by projection sign into tissue prototypes, an overlapping
+set and class outliers, which are refined by Mahalanobis and
+k-nearest-neighbour classifiers under MSSIM guidance. classify_subdomain
+runs both binary steps, CSF vs G+WM and then GM vs WM, as one loop over a
+step table; each step's scorer renders a labeling's classified mean image,
+scores it against the reference and caches the result, so every distinct
+labeling is scored once per step.
 
 Every dense factorization and product runs in numpy's BLAS; scipy adds only
 the unthreaded level-2 triangular solves (dtrsv) that apply the factor's
@@ -212,12 +216,12 @@ def neighborhood_matrix(member_box: np.ndarray) -> sparse.csr_matrix:
 
 @dataclass
 class KfdaMatrices:
-    """Gram, class-mean, scatter and penalty structure for one training set."""
+    """Class means, factored pencil and penalty structure for one training set."""
 
-    gram: np.ndarray            # (l, l)
     m_neg: np.ndarray           # (l,)
     m_pos: np.ndarray           # (l,)
-    within: np.ndarray          # (l, l), kernelized within-class scatter
+    factor: np.ndarray          # (l, l) U, N = within + beta I = U^T U
+    beta: float                 # the ridge that made N factorable
     neighborhood: sparse.csr_matrix   # (n, n) over subdomain voxels
     cross: np.ndarray           # (l, n) kernel between samples and all voxels
     training: TrainingSet
@@ -246,11 +250,13 @@ class KfdaMatrices:
 # float32: the matvec is memory-bandwidth bound and tests that need 1e-8
 # quadratic identities run far below this size
 CROSS_F32_THRESHOLD = 3 * 10 ** 7
+# float64 bytes of one row block of a float32 cross kernel
+CROSS_BLOCK_BYTES = 2 * 2 ** 20
 
 
-def build_matrices(ts: TrainingSet, spec: KernelSpec,
-                   subdata: SubdomainData) -> KfdaMatrices:
-    """Assemble the kernelized scatter matrices and the graph penalty factors.
+def class_scatter(gram: np.ndarray, ts: TrainingSet) -> tuple[np.ndarray, np.ndarray,
+                                                              np.ndarray]:
+    """Class mean columns m_neg, m_pos and the within-class matrix of ts's gram.
 
     The within-class matrix sum_m k_m (I - 1_m) k_m^T is Z Z^T, where Z is
     the gram matrix with each column centred on its class's mean column
@@ -258,22 +264,91 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec,
     a symmetric rank-k update (syrk): half the flops of a general product,
     exactly symmetric, and positive semidefinite to rounding, where the
     identity k_m k_m^T - l_m M_m M_m^T cancels large terms. Duplicates
-    making it singular are absorbed later by the ridge.
+    making it singular are absorbed by the ridge (factor_pencil).
     """
-    gram = kernel_matrix(spec, ts.features, ts.features)
-    gram = 0.5 * (gram + gram.T)
     m_neg = gram[:, ts.neg_idx].mean(axis=1)
     m_pos = gram[:, ts.pos_idx].mean(axis=1)
     centred = np.subtract(gram, m_pos[:, None])
     np.subtract(gram, m_neg[:, None], out=centred, where=ts.labels < 0)
-    within = centred @ centred.T
-    del centred       # before the cross kernel, the largest buffer, is built
+    return m_neg, m_pos, centred @ centred.T
+
+
+def factor_pencil(within: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """(U, beta') with U^T U = within + beta' I, U upper triangular.
+
+    beta' starts at beta and is raised tenfold on each failed
+    factorization: singular N is absorbed by the ridge, never an error.
+    Raises ConvergenceError when eight ridges leave the pencil indefinite
+    and ValueError on a non-finite pencil, which no ridge can mend. The
+    diagonal is ridged in place and restored bit for bit, so no second
+    l x l buffer is held while factoring.
+    """
+    beta = max(beta, 1e-300)
+    if not (math.isfinite(beta) and np.isfinite(within).all()):
+        raise ValueError("within-class pencil has non-finite entries")
+    diagonal = within.diagonal().copy()
+    try:
+        for _ in range(8):
+            np.fill_diagonal(within, diagonal + beta)
+            try:
+                # N = U^T U with U = L^T, F-ordered as dtrsv reads it
+                return np.linalg.cholesky(within).T, beta
+            except np.linalg.LinAlgError:
+                beta *= 10.0
+        raise ConvergenceError("within-class pencil could not be made positive definite")
+    finally:
+        np.fill_diagonal(within, diagonal)
+
+
+def cross_kernel(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """kernel_matrix(spec, xs, zs) in its stored dtype.
+
+    Above CROSS_F32_THRESHOLD entries it is stored in float32 and built in
+    row blocks of about CROSS_BLOCK_BYTES of float64, each cast straight
+    into the stored array, so the float64 matrix never exists whole.
+    Below it the float64 matrix is the stored one and is built whole:
+    OpenBLAS rounds the entries of a product's last few columns by a path
+    that depends on how it splits the rows, so a blocked float64 build can
+    differ from the whole one by an ulp there, which the float32 cast
+    absorbs. No block has one row: numpy takes that product as a
+    matrix-vector one, whose rounding differs in every entry.
+    """
+    l, n = len(xs), len(zs)
+    if l * n <= CROSS_F32_THRESHOLD:
+        return kernel_matrix(spec, xs, zs)
+    out = np.empty((l, n), np.float32)
+    rows = max(2, CROSS_BLOCK_BYTES // (8 * n))
+    bounds = list(range(0, l - 1, rows)) + [l]
+    for start, stop in zip(bounds, bounds[1:]):
+        out[start:stop] = kernel_matrix(spec, xs[start:stop], zs)
+    return out
+
+
+def build_matrices(ts: TrainingSet, spec: KernelSpec,
+                   subdata: SubdomainData) -> KfdaMatrices:
+    """Factor the step's pencil, then build its graph and cross kernel.
+
+    The l x l matrices come first: the symmetrized gram, the class scatter
+    (class_scatter) and the Cholesky factor of the ridged within-class
+    pencil (factor_pencil, ridge default_beta). Each is dropped after its
+    last reader, so only the factor is held while the neighbour graph and
+    then the cross kernel, the largest buffer, are built (cross_kernel).
+    Raises what factor_pencil raises.
+    """
+    gram = kernel_matrix(spec, ts.features, ts.features)
+    gram = 0.5 * (gram + gram.T)
+    m_neg, m_pos, within = class_scatter(gram, ts)
+    # the ridge must stay above the rounding noise of the within matrix,
+    # Z Z^T with Z the class-centred gram; that noise scales with
+    # ||Z||_F^2, which ||gram||_F^2 bounds (centring projects each row)
+    floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum("ij,ij->", gram, gram))
+    del gram
+    factor, beta = factor_pencil(within, max(default_beta(within), floor))
+    del within
     h = neighborhood_matrix(subdata.member_box)
-    cross = kernel_matrix(spec, ts.features, subdata.features)
-    if cross.size > CROSS_F32_THRESHOLD:
-        cross = cross.astype(np.float32)
-    return KfdaMatrices(gram=gram, m_neg=m_neg, m_pos=m_pos, within=within,
-                        neighborhood=h, cross=cross, training=ts, spec=spec)
+    return KfdaMatrices(m_neg=m_neg, m_pos=m_pos, factor=factor, beta=beta,
+                        neighborhood=h, cross=cross_kernel(spec, ts.features, subdata.features),
+                        training=ts, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -310,55 +385,25 @@ MAX_EXPANSIONS = 320
 class KrylovBasis:
     """Krylov basis of N^-1 P shared by every lambda of a step.
 
-    N = within + beta I is factored once as U^T U, with the ridge raised
-    tenfold on each failed factorization (singular N is absorbed by the
-    ridge, never an error). The basis is held in the factor's coordinates
-    x = U v, where the N inner product is the Euclidean one and N^-1 P
-    becomes U^-T P U^-1: the rows X = U V are orthonormal, kept so by two
-    passes of classical Gram-Schmidt, and no product with N is ever formed,
-    nor N itself kept. The basis starts from U N^-1 m = U^-T m and from a
-    fixed-seed (9999) vector and grows by applying U^-T P U^-1 to its oldest
-    row not yet expanded: one triangular solve gives v = U^-1 x for the
-    penalty matvec, one more gives s = U^-T P v, which is both the new
-    Krylov direction and the row that couples x to P. Every expanded row
-    keeps its s, so the projected penalty T = V^T P V = X S^T over the
-    expanded rows and the residual coupling to the unexpanded ones cost no
-    further penalty matvecs. Raises ConvergenceError when no ridge makes the
-    pencil factorable and ValueError on a non-finite pencil, which no ridge
-    can mend. N is factored and U applied in numpy's BLAS, and U^-1 applied
-    with scipy's unthreaded dtrsv (see the module docstring for why).
+    N = within + beta I arrives factored as U^T U (build_matrices). The
+    basis is held in the factor's coordinates x = U v, where the N inner
+    product is the Euclidean one and N^-1 P becomes U^-T P U^-1: the rows
+    X = U V are orthonormal, kept so by two passes of classical
+    Gram-Schmidt, and no product with N is ever formed, nor N itself kept.
+    The basis starts from U N^-1 m = U^-T m and from a fixed-seed (9999)
+    vector and grows by applying U^-T P U^-1 to its oldest row not yet
+    expanded: one triangular solve gives v = U^-1 x for the penalty matvec,
+    one more gives s = U^-T P v, which is both the new Krylov direction and
+    the row that couples x to P. Every expanded row keeps its s, so the
+    projected penalty T = V^T P V = X S^T over the expanded rows and the
+    residual coupling to the unexpanded ones cost no further penalty
+    matvecs. U is applied in numpy's BLAS and U^-1 with scipy's unthreaded
+    dtrsv (see the module docstring for why).
     """
 
-    def __init__(self, mats: KfdaMatrices, beta: float | None = None):
-        l = mats.gram.shape[0]
-        if beta is None:
-            beta = default_beta(mats.within)
-        # the ridge must stay above the rounding noise of the within matrix,
-        # Z Z^T with Z the class-centred gram; that noise scales with
-        # ||Z||_F^2, which ||gram||_F^2 bounds (centring projects each row)
-        noise_floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum(
-            "ij,ij->", mats.gram, mats.gram))
-        beta = max(beta, noise_floor, 1e-300)
-        if not (math.isfinite(beta) and np.isfinite(mats.within).all()):
-            raise ValueError("within-class pencil has non-finite entries")
-        # the pencil is within with its diagonal ridged in place and restored
-        # bit for bit, so no second l x l buffer is held while factoring
-        diagonal = mats.within.diagonal().copy()
-        try:
-            for _ in range(8):
-                np.fill_diagonal(mats.within, diagonal + beta)
-                try:
-                    # N = U^T U with U = L^T, F-ordered as dtrsv reads it
-                    self.factor = np.linalg.cholesky(mats.within).T
-                    break
-                except np.linalg.LinAlgError:
-                    beta *= 10.0
-            else:
-                raise ConvergenceError("within-class pencil could not be made "
-                                       "positive definite")
-        finally:
-            np.fill_diagonal(mats.within, diagonal)
-        self.mats, self.beta = mats, beta
+    def __init__(self, mats: KfdaMatrices):
+        l = len(mats.m_diff)
+        self.mats, self.factor, self.beta = mats, mats.factor, mats.beta
         self.cap = min(l, MAX_EXPANSIONS)
         self.coords = np.empty((self.cap + 2, l))     # X = U V, orthonormal rows
         self.s_vecs = np.empty((self.cap, l))         # S = U^-T P V, expanded rows
@@ -436,7 +481,7 @@ class KrylovBasis:
         return float(evals[-1]), y, bound
 
 
-def solve_alpha(mats: KfdaMatrices, lam: float, beta: float | None = None,
+def solve_alpha(mats: KfdaMatrices, lam: float,
                 basis: KrylovBasis | None = None) -> KfdaModel:
     """Leading eigenpair of the regularized discriminant criterion.
 
@@ -463,7 +508,7 @@ def solve_alpha(mats: KfdaMatrices, lam: float, beta: float | None = None,
     signed so the positive class projects positive.
     """
     if basis is None:
-        basis = KrylovBasis(mats, beta)
+        basis = KrylovBasis(mats)
     start = basis.expanded
     capped = False
     while True:
@@ -783,17 +828,15 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: KfdaConfig,
     diag = {"n_voxels": len(subdata), "sweep": [], "chosen_lambda": None, "skipped": None}
     keep = _stratified_cap(sides_init, cfg.l_max, rng)
     ts = TrainingSet(features=subdata.features[keep], labels=sides_init[keep])
-    mats = build_matrices(ts, kernel, subdata)
-    beta = default_beta(mats.within)
-
     try:
-        basis = KrylovBasis(mats, beta)
+        mats = build_matrices(ts, kernel, subdata)
     except ConvergenceError as exc:
         logger.warning("eigen solves failed for every lambda: %s", exc)
         diag["sweep"] = [{"lambda": lam, "error": str(exc)} for lam in cfg.lambda_grid]
         diag["skipped"] = "all solves failed"
         return sides_init, diag
 
+    basis = KrylovBasis(mats)
     best = None
     for lam in cfg.lambda_grid:
         entry = {"lambda": lam}

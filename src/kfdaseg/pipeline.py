@@ -182,6 +182,10 @@ REPORT_SCHEMA = {
         "config": {"type": "object"},
     },
 }
+# built once: jsonschema.validate checks the schema itself against its
+# metaschema on every call, which costs many times the check of the report;
+# the tests check the schema
+REPORT_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
 
 
 def dice_scores(result: LabelVolume, truth: LabelVolume,
@@ -465,7 +469,7 @@ def emit_report(report: RunReport, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     doc = report.to_dict()
-    jsonschema.validate(doc, REPORT_SCHEMA)
+    REPORT_VALIDATOR.validate(doc)
     write_json(outdir / "report.json", doc)
     write_json(outdir / "subdomains.json", report.diagnostics)
     if report.timing:

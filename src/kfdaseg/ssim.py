@@ -245,11 +245,23 @@ def classified_mean_image(labels: np.ndarray, reference: np.ndarray,
 
     Group means are taken over the group's masked voxels in the given
     arrays; empty groups are skipped and background voxels are set to 0.
+    The groups are disjoint sets of non-negative labels: one lookup table
+    maps every label to its group.
     """
-    out = np.zeros(reference.shape, dtype=np.float64)
+    listed = [t for group in class_groups for t in set(group)]
+    if len(listed) != len(set(listed)):
+        raise ValueError(f"class groups overlap: {class_groups}")
+    # BG and every label in no group map to -1; labels past the table clip
+    # to its last entry, which is -1
+    group_of = np.full(max(max(listed), BG) + 2, -1, dtype=np.intp)
+    for k, group in enumerate(class_groups):
+        group_of[list(group)] = k
+    group_of[BG] = -1
+    group_map = np.where(mask, np.take(group_of, labels, mode="clip"), -1)
     ref = np.asarray(reference, dtype=np.float64)
-    for group in class_groups:
-        sel = np.isin(labels, np.asarray(group)) & mask & (labels != BG)
+    means = np.zeros(len(class_groups) + 1)     # the last entry is the 0 of group -1
+    for k in range(len(class_groups)):
+        sel = group_map == k
         if sel.any():
-            out[sel] = ref[sel].mean()
-    return out
+            means[k] = ref[sel].mean()
+    return means[group_map]

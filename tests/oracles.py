@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, kernel_matrix,
+from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, TrainingSet, kernel_matrix,
                           nearest_prototype_sides)
 from kfdaseg.partition import PartitionTree, Subdomain, _mir_over, noise_sigma
 from kfdaseg.stitch import StitchProblem, build_potentials
@@ -35,6 +35,25 @@ def kernel_eval(spec: KernelSpec, x, z) -> float:
         d = x - z
         return float(np.exp(-float(d @ d) / (2.0 * spec.sigma ** 2)))
     return float(x @ z)
+
+
+def gram(ts: TrainingSet, spec: KernelSpec) -> np.ndarray:
+    """Gram matrix of the training features, symmetrized as 0.5 (K + K^T)."""
+    k = kernel_matrix(spec, ts.features, ts.features)
+    return 0.5 * (k + k.T)
+
+
+def within(ts: TrainingSet, spec: KernelSpec) -> np.ndarray:
+    """Within-class matrix by the literal centering formula:
+    sum over classes m of K_m (I - 1/l_m) K_m^T, K_m the gram's columns of
+    class m."""
+    k = gram(ts, spec)
+    total = np.zeros_like(k)
+    for idx in (ts.neg_idx, ts.pos_idx):
+        k_m = k[:, idx]
+        n = len(idx)
+        total += k_m @ (np.eye(n) - np.full((n, n), 1 / n)) @ k_m.T
+    return total
 
 
 def project(model: KfdaModel, queries: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from kfdaseg.ssim import SsimConstants, gaussian_window, ssim_patch
 from kfdaseg.stitch import (AnnealSchedule, StitchProblem, build_potentials,
                             composite_init, log_posterior, simulated_anneal)
 from kfdaseg.volume import CSF, MultiChannelVolume
-from oracles import graph_edges, row_transfer_map
+from oracles import graph_edges, row_transfer_map, within
 
 # acceptance pipeline configuration: method constants stay at their published
 # defaults; l_max is reduced from the 4000 default to meet the runtime bound
@@ -171,7 +171,7 @@ def test_criterion_3_eigen_solve():
         for lam in (0.0, 5e-5, 0.1):
             model = solve_alpha(mats, lam)
             worst_resid = max(worst_resid, model.residual)
-            pencil = mats.within + model.beta * np.eye(l)
+            pencil = within(ts, KernelSpec.rbf(0.5)) + model.beta * np.eye(l)
             worst_constraint = max(worst_constraint,
                                    abs(float(model.alpha @ (pencil @ model.alpha)) - 1.0))
 

@@ -2,20 +2,23 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from kfdaseg import kfda
 from kfdaseg.kfda import (ConvergenceError, KernelSpec, KfdaConfig, KrylovBasis,
-                          SubdomainData, TrainingSet, _stratified_cap, build_matrices,
-                          categorize, classify_outliers_mahalanobis, classify_subdomain,
-                          default_beta, kernel_matrix, nearest_prototype_sides,
+                          SubdomainData, TrainingSet, _run_step, _stratified_cap,
+                          build_matrices, categorize, class_scatter,
+                          classify_outliers_mahalanobis, classify_subdomain, cross_kernel,
+                          factor_pencil, kernel_matrix, nearest_prototype_sides,
                           neighborhood_matrix, solve_alpha, ssim_guided_decision)
 from kfdaseg.ssim import mssim
 from kfdaseg.volume import BG, CSF, GM, WM
-from oracles import (between, classify_overlap_knn, graph_edges, kernel_eval,
-                     penalty, project, roughness)
+from oracles import (between, classify_overlap_knn, gram, graph_edges, kernel_eval,
+                     penalty, project, roughness, within)
 
 
 def subdata_line(features):
@@ -90,7 +93,8 @@ def test_single_sample_classes_give_zero_within():
     mats = build_matrices(ts, KernelSpec.linear(), subdata_line(feats))
     m_diff = mats.m_neg - mats.m_pos
     assert np.allclose(between(mats), np.outer(m_diff, m_diff), atol=1e-12)
-    assert np.allclose(mats.within, 0.0, atol=1e-10)
+    _, _, scatter = class_scatter(gram(ts, KernelSpec.linear()), ts)
+    assert np.allclose(scatter, 0.0, atol=1e-10)
 
 
 def test_within_matches_literal_centering_formula():
@@ -99,11 +103,13 @@ def test_within_matches_literal_centering_formula():
     labels = np.array([-1] * 5 + [1] * 7)
     ts = simple_training(feats, labels)
     mats = build_matrices(ts, KernelSpec.rbf(0.6), subdata_line(feats))
-    k_neg = mats.gram[:, ts.neg_idx]
-    k_pos = mats.gram[:, ts.pos_idx]
+    g = gram(ts, KernelSpec.rbf(0.6))
+    k_neg = g[:, ts.neg_idx]
+    k_pos = g[:, ts.pos_idx]
     literal = (k_neg @ (np.eye(5) - np.full((5, 5), 1 / 5)) @ k_neg.T
                + k_pos @ (np.eye(7) - np.full((7, 7), 1 / 7)) @ k_pos.T)
-    assert np.allclose(mats.within, literal, atol=1e-10)
+    _, _, scatter = class_scatter(g, ts)
+    assert np.allclose(scatter, literal, atol=1e-10)
     assert np.allclose(mats.m_neg, k_neg.mean(axis=1), atol=1e-12)
 
 
@@ -119,10 +125,55 @@ def test_within_is_symmetric_and_psd_to_rounding():
     sides = np.where(truth.labels[vol.mask] == CSF, -1, 1).astype(np.int8)
     keep = _stratified_cap(sides, 300, np.random.default_rng(0))
     ts = TrainingSet(features[keep], sides[keep])
-    mats = build_matrices(ts, KernelSpec.sigmoid(), subdata_line(ts.features))
-    assert np.array_equal(mats.within, mats.within.T)
-    evals = np.linalg.eigvalsh(mats.within)
+    _, _, scatter = class_scatter(gram(ts, KernelSpec.sigmoid()), ts)
+    assert np.array_equal(scatter, scatter.T)
+    evals = np.linalg.eigvalsh(scatter)
     assert evals[0] >= -1e-12 * evals[-1], evals[0] / evals[-1]
+
+
+def test_cross_kernel_blocks_match_whole_matrix(monkeypatch):
+    # row counts that leave a short last block, a one-row remainder and a
+    # single block; a float64 cross kernel is built whole, a float32 one in
+    # blocks
+    rng = np.random.default_rng(36)
+    n = 10_007
+    rows = kfda.CROSS_BLOCK_BYTES // (8 * n)
+    zs = rng.random((n, 3))
+    for threshold, dtype in ((kfda.CROSS_F32_THRESHOLD, np.float64), (0, np.float32)):
+        monkeypatch.setattr(kfda, "CROSS_F32_THRESHOLD", threshold)
+        for l in (2, rows - 1, 2 * rows + 1, 3 * rows + 5):
+            xs = rng.random((l, 3))
+            for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(), KernelSpec.linear()):
+                got = cross_kernel(spec, xs, zs)
+                assert got.dtype == dtype
+                expected = kernel_matrix(spec, xs, zs).astype(dtype)
+                assert np.array_equal(got, expected), (spec.kind, l, dtype)
+
+
+def test_build_matrices_holds_one_full_size_buffer(monkeypatch):
+    # the l x l matrices are freed before the float32 cross kernel exists,
+    # and it is built in float64 row blocks, so the peak is the cross kernel
+    # with the graph, a few l x l buffers and one block; built whole in
+    # float64 and then cast, the cross kernel alone peaked at three times
+    # its float32 size
+    monkeypatch.setattr(kfda, "CROSS_F32_THRESHOLD", 0)
+    rng = np.random.default_rng(35)
+    member = np.ones((20, 20, 20), dtype=bool)
+    subdata = SubdomainData.from_mask(rng.random(member.shape + (3,)), member)
+    l = 300
+    rows = np.sort(rng.choice(len(subdata), size=l, replace=False))
+    ts = TrainingSet(subdata.features[rows], np.where(np.arange(l) < 120, -1, 1))
+    tracemalloc.start()
+    try:
+        mats = build_matrices(ts, KernelSpec.sigmoid(), subdata)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h = mats.neighborhood
+    graph = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+    assert mats.cross.dtype == np.float32
+    budget = mats.cross.nbytes + graph + 4 * l * l * 8 + kfda.CROSS_BLOCK_BYTES
+    assert peak < budget, (peak, budget)
 
 
 def test_two_voxel_neighborhood_matrix():
@@ -214,7 +265,7 @@ def test_residual_and_constraint_on_random_instances():
         for lam in (0.0, 5e-5, 0.3):
             model = solve_alpha(mats, lam)
             assert model.residual <= 1e-8
-            pencil = mats.within + model.beta * np.eye(l)
+            pencil = within(ts, KernelSpec.rbf(0.5)) + model.beta * np.eye(l)
             assert model.alpha @ (pencil @ model.alpha) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -225,12 +276,11 @@ def test_small_instances_match_dense_eigendecomposition():
         feats = rng.normal(size=(l, 3))
         ts = simple_training(feats, np.array([-1] * 4 + [1] * 4))
         mats = build_matrices(ts, KernelSpec.rbf(1.0), subdata_line(feats))
-        beta = default_beta(mats.within)
-        pencil = mats.within + beta * np.eye(l)
+        pencil = within(ts, KernelSpec.rbf(1.0)) + mats.beta * np.eye(l)
         for lam in (0.0, 0.1, 10.0):
             a = between(mats) + lam * penalty(mats)
             evals, evecs = sla.eigh(0.5 * (a + a.T), pencil)
-            model = solve_alpha(mats, lam, beta=beta)
+            model = solve_alpha(mats, lam)
             assert model.gamma == pytest.approx(float(evals[-1]),
                                                 abs=1e-8, rel=1e-7)
             top = evecs[:, -1]
@@ -264,8 +314,8 @@ def test_shared_basis_matches_dense_eigendecomposition():
                 return matvec(v)
 
             mats.penalty_matvec = counted
-            basis = KrylovBasis(mats, default_beta(mats.within))
-            pencil = mats.within + basis.beta * np.eye(l)
+            basis = KrylovBasis(mats)
+            pencil = within(ts, spec) + basis.beta * np.eye(l)
             gammas, iterations = [], 0
             for lam in grid:
                 model = solve_alpha(mats, lam, basis=basis)
@@ -279,27 +329,28 @@ def test_shared_basis_matches_dense_eigendecomposition():
                 assert g_next <= g_prev + 1e-8 * gammas[0], (spec.kind, l, gammas)
 
 
-def _mats_with_within(within):
-    """Discriminant matrices of a small random training set, the within-class
-    matrix replaced by the given one."""
+def _mats_with_within(scatter, beta):
+    """Discriminant matrices of a small random training set, the pencil
+    replaced by scatter + beta I as factor_pencil factors it."""
     rng = np.random.default_rng(31)
-    l = within.shape[0]
+    l = scatter.shape[0]
     feats = rng.normal(size=(l, 3))
     labels = np.where(np.arange(l) < l // 2, -1, 1)
     mats = build_matrices(TrainingSet(feats, labels), KernelSpec.rbf(1.0),
                           subdata_line(feats))
-    return dataclasses.replace(mats, within=within)
+    factor, beta = factor_pencil(scatter, beta)
+    return dataclasses.replace(mats, factor=factor, beta=beta)
 
 
 def test_pencil_solve_matches_dense_solve():
     rng = np.random.default_rng(32)
     for l in (5, 60, 240):
         g = rng.normal(size=(l, l))
-        mats = _mats_with_within(g @ g.T / l + 0.1 * np.eye(l))
-        basis = KrylovBasis(mats, 1e-3)
+        scatter = g @ g.T / l + 0.1 * np.eye(l)
+        basis = KrylovBasis(_mats_with_within(scatter, 1e-3))
         for _ in range(3):
             b = rng.normal(size=l)
-            expected = np.linalg.solve(mats.within + basis.beta * np.eye(l), b)
+            expected = np.linalg.solve(scatter + basis.beta * np.eye(l), b)
             got = basis.vector(basis.coordinates(b))
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), l
 
@@ -315,48 +366,63 @@ def test_basis_stays_orthonormal_without_pencil_products():
     subdata = SubdomainData.from_mask(rng.normal(size=member.shape + (3,)), member)
     rows = np.sort(rng.choice(len(subdata), size=200, replace=False))
     labels = np.where(rng.random(200) < 0.5, -1, 1)
-    mats = build_matrices(TrainingSet(subdata.features[rows], labels),
-                          KernelSpec.sigmoid(), subdata)
-    basis = KrylovBasis(mats, default_beta(mats.within))
+    ts = TrainingSet(subdata.features[rows], labels)
+    mats = build_matrices(ts, KernelSpec.sigmoid(), subdata)
+    basis = KrylovBasis(mats)
     solve_alpha(mats, 5e-5, basis=basis)
     while basis.expand():
         pass
     size, expanded = basis.size, basis.expanded
     assert expanded >= 30
     vecs = np.array([basis.vector(x) for x in basis.coords[:size]])
-    gram_n = vecs @ (mats.within + basis.beta * np.eye(200)) @ vecs.T
+    gram_n = vecs @ (within(ts, KernelSpec.sigmoid()) + basis.beta * np.eye(200)) @ vecs.T
     assert np.abs(gram_n - np.eye(size)).max() <= 1e-10
     t = vecs @ penalty(mats) @ vecs[:expanded].T
     assert np.abs(basis.proj[:size, :expanded] - t).max() <= 1e-10 * np.abs(t).max()
 
 
-def test_pencil_never_definite_raises_convergence_error():
+def test_pencil_never_definite_raises_convergence_error(monkeypatch):
     # eight tenfold ridges from 1e-6 reach 10, short of the -1000 eigenvalue
-    mats = _mats_with_within(-1e3 * np.eye(8))
+    scatter = -1e3 * np.eye(8)
     with pytest.raises(ConvergenceError, match="positive definite"):
-        KrylovBasis(mats, 1e-6)
-    with pytest.raises(ConvergenceError):
-        solve_alpha(mats, 0.0, beta=1e-6)
+        factor_pencil(scatter, 1e-6)
     # each try ridges the diagonal in place; a failed build restores it
-    assert np.array_equal(mats.within, -1e3 * np.eye(8))
+    assert np.array_equal(scatter, -1e3 * np.eye(8))
+    # build_matrices factors the pencil; a step it fails for keeps its
+    # initial sides and records the failure for every lambda
+    monkeypatch.setattr(kfda, "class_scatter",
+                        lambda g, ts: (g[:, 0], g[:, -1], -1e3 * np.eye(len(g))))
+    rng = np.random.default_rng(34)
+    sides = np.array([-1] * 4 + [1] * 4, dtype=np.int8)
+    data = rng.normal(size=(8, 1, 1, 3))
+    member = np.ones((8, 1, 1), dtype=bool)
+    with pytest.raises(ConvergenceError):
+        build_matrices(TrainingSet(data.reshape(8, 3), sides), KernelSpec.rbf(1.0),
+                       SubdomainData.from_mask(data, member))
+    cfg = KfdaConfig(lambda_grid=(0.0, 1e-4))
+    out, diag = _run_step(data, member, sides, KernelSpec.rbf(1.0), None, cfg,
+                          np.random.default_rng(0))
+    assert np.array_equal(out, sides)
+    assert diag["skipped"] == "all solves failed"
+    assert [entry["lambda"] for entry in diag["sweep"]] == [0.0, 1e-4]
 
 
 def test_factoring_leaves_within_bit_identical():
     rng = np.random.default_rng(33)
     g = rng.normal(size=(40, 40))
-    within = g @ g.T / 40
-    within[np.diag_indices(40)] += rng.random(40) * 1e-3
-    mats = _mats_with_within(within.copy())
-    KrylovBasis(mats, 0.37)
-    assert np.array_equal(mats.within, within)
+    scatter = g @ g.T / 40
+    scatter[np.diag_indices(40)] += rng.random(40) * 1e-3
+    pencil = scatter.copy()
+    factor_pencil(pencil, 0.37)
+    assert np.array_equal(pencil, scatter)
 
 
 def test_non_finite_pencil_raises_instead_of_ridging():
     for bad in (np.nan, np.inf):
-        within = np.eye(8)
-        within[2, 5] = within[5, 2] = bad
+        scatter = np.eye(8)
+        scatter[2, 5] = scatter[5, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            KrylovBasis(_mats_with_within(within), 1e-3)
+            factor_pencil(scatter, 1e-3)
 
 
 def test_stratified_cap_keeps_two_rows_of_each_class():
@@ -376,7 +442,7 @@ def test_lambda_zero_maximizes_classical_criterion():
     ts = simple_training(feats, labels)
     mats = build_matrices(ts, KernelSpec.rbf(0.5), subdata_line(feats))
     model = solve_alpha(mats, 0.0)
-    pencil = mats.within + model.beta * np.eye(20)
+    pencil = within(ts, KernelSpec.rbf(0.5)) + model.beta * np.eye(20)
     m_diff = mats.m_neg - mats.m_pos
     best = float((model.alpha @ m_diff) ** 2)        # constraint = 1 already
     for _ in range(1000):

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -48,8 +49,6 @@ def test_outputs_written(small_run):
 
 
 def test_report_schema_round_trip(small_run):
-    import jsonschema
-
     cfg, *_ = small_run
     doc = json.loads((Path(cfg.out_dir) / "report.json").read_text())
     jsonschema.validate(doc, REPORT_SCHEMA)
@@ -58,6 +57,12 @@ def test_report_schema_round_trip(small_run):
     assert doc["unchanged_count"] == sum(
         row["mssim_kfda"] is not None and row["mssim_kfda"] == row["mssim_initial"]
         for row in doc["subdomains"])
+
+
+def test_report_schema_is_a_valid_schema():
+    # emit_report's validator is built once and never checks the schema
+    # itself against its metaschema; this does
+    jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
 
 
 def test_report_counts_unchanged_leaves(small_run):
