@@ -17,7 +17,7 @@ from .volume import (
     normalize_intensities,
 )
 from .partition import PartitionTree, partition
-from .kfda import KernelSpec, KfdaConfig, classify_subdomain
+from .kfda import KernelSpec, classify_subdomain
 from .stitch import (
     AnnealSchedule,
     ClassifiedFragment,

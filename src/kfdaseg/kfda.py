@@ -22,7 +22,8 @@ k-nearest-neighbour classifiers under MSSIM guidance. classify_subdomain
 runs both binary steps, CSF vs G+WM and then GM vs WM, as one loop over a
 step table; each step's scorer renders a labeling's classified mean image,
 scores it against the reference and caches the result, so every distinct
-labeling is scored once per step.
+labeling is scored once per step. Its grids and training-set cap come from
+the PipelineConfig, whose defaults are LAMBDA_GRID, K_GRID and L_MAX.
 
 Every dense factorization and product runs in numpy's BLAS; scipy adds only
 the unthreaded level-2 triangular solves (dtrsv) that apply the factor's
@@ -36,8 +37,8 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -48,7 +49,16 @@ from .ssim import classified_mean_image, mssim, reference_windows
 from .volume import (BG, CSF, GM, REFERENCE_CHANNEL, TISSUE_LABELS, WM, MultiChannelVolume,
                      box_slices)
 
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
+
 logger = logging.getLogger(__name__)
+
+# the published model selection: regularization weights 0.000025*i for
+# i=0..4, odd KNN sizes up to 11, and at most 4000 training samples a step
+LAMBDA_GRID = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
+K_GRID = (1, 3, 5, 7, 9, 11)
+L_MAX = 4000
 
 
 class ConvergenceError(RuntimeError):
@@ -357,18 +367,15 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec,
 
 @dataclass
 class KfdaModel:
-    """Solved discriminant: expansion coefficients and projection offset."""
+    """Solved discriminant over its step's KfdaMatrices: expansion
+    coefficients and projection offset."""
 
     alpha: np.ndarray
     gamma: float
     b_offset: float
-    kernel: KernelSpec
-    lam: float
-    beta: float
     iterations: int
     residual: float
     capped: bool
-    training: TrainingSet
 
 
 def default_beta(within: np.ndarray, scale: float = 1e-3) -> float:
@@ -403,7 +410,7 @@ class KrylovBasis:
 
     def __init__(self, mats: KfdaMatrices):
         l = len(mats.m_diff)
-        self.mats, self.factor, self.beta = mats, mats.factor, mats.beta
+        self.mats = mats
         self.cap = min(l, MAX_EXPANSIONS)
         self.coords = np.empty((self.cap + 2, l))     # X = U V, orthonormal rows
         self.s_vecs = np.empty((self.cap, l))         # S = U^-T P V, expanded rows
@@ -416,17 +423,17 @@ class KrylovBasis:
         if not self._append(self.m_coords):
             self.c = 0.0
         seed = np.random.default_rng(9999).standard_normal(l)
-        self._append(self.factor @ seed)
+        self._append(mats.factor @ seed)
 
     def coordinates(self, b: np.ndarray) -> np.ndarray:
         """U^-T b = U N^-1 b, the coordinates of N^-1 b: one unthreaded
         level-2 triangular solve."""
-        return dtrsv(self.factor, b, trans=1)
+        return dtrsv(self.mats.factor, b, trans=1)
 
     def vector(self, x: np.ndarray) -> np.ndarray:
         """U^-1 x, the coefficient vector of coordinates x; so N^-1 b is
         vector(coordinates(b))."""
-        return dtrsv(self.factor, x)
+        return dtrsv(self.mats.factor, x)
 
     def _append(self, x: np.ndarray) -> bool:
         """Orthonormalize x against the basis and add it unless it vanishes."""
@@ -536,9 +543,7 @@ def solve_alpha(mats: KfdaMatrices, lam: float,
     proj_pos = float(alpha @ mats.m_pos)
     b_offset = -(proj_neg + proj_pos) / 2.0
     return KfdaModel(alpha=alpha, gamma=gamma, b_offset=b_offset,
-                     kernel=mats.spec, lam=lam, beta=basis.beta,
-                     iterations=basis.expanded - start, residual=residual,
-                     capped=capped, training=mats.training)
+                     iterations=basis.expanded - start, residual=residual, capped=capped)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +710,7 @@ def nearest_prototype_sides(spec: KernelSpec, queries: np.ndarray,
 
 def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
                          categories: VoxelCategories, kernel: KernelSpec,
-                         score, k_grid=(1, 3, 5, 7, 9, 11)) -> tuple[np.ndarray, float, dict]:
+                         score, k_grid=K_GRID) -> tuple[np.ndarray, float, dict]:
     """Refine outliers and the overlapping set, keeping the better labeling.
 
     Outliers are reassigned by Mahalanobis distance; the overlapping set is
@@ -769,34 +774,6 @@ def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
 # Subdomain classification driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KfdaConfig:
-    """Model-selection grids and training-set cap of the two-step subdomain
-    classification. The kernels (_STEPS), categorization thresholds
-    (categorize), ridge scale (default_beta) and reference channel
-    (volume.REFERENCE_CHANNEL) are the published method's constants."""
-
-    lambda_grid: tuple = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
-    k_grid: tuple = (1, 3, 5, 7, 9, 11)
-    l_max: int = 4000
-
-    def __post_init__(self):
-        if not self.lambda_grid:
-            raise ValueError("lambda grid must not be empty")
-        # solve_alpha is exact only while λ·P stays negative semidefinite
-        if not all(isinstance(lam, numbers.Real) and not isinstance(lam, bool) and lam >= 0
-                   for lam in self.lambda_grid):
-            raise ValueError(f"lambda grid values must be numbers >= 0, got {self.lambda_grid}")
-        if not self.k_grid:
-            raise ValueError("k grid must not be empty")
-        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
-                   and k > 0 and k % 2 == 1 for k in self.k_grid):
-            raise ValueError(f"k grid values must be odd positive integers, "
-                             f"got {self.k_grid}")
-        if self.l_max < 4:
-            raise ValueError("l_max must be at least 4: two training rows per class")
-
-
 def _stratified_cap(sides: np.ndarray, l_max: int, rng: np.random.Generator) -> np.ndarray:
     """Indices of a per-class proportional subsample of at most l_max rows."""
     n = sides.size
@@ -814,13 +791,14 @@ def _stratified_cap(sides: np.ndarray, l_max: int, rng: np.random.Generator) -> 
     return np.sort(np.concatenate(chosen))
 
 
-def _run_step(data_box, member, sides_init, kernel, score, cfg: KfdaConfig,
+def _run_step(data_box, member, sides_init, kernel, score, cfg: PipelineConfig,
               rng) -> tuple[np.ndarray, dict]:
     """One binary KFDA step with its regularization sweep.
 
     member selects the step's voxels inside the box; sides_init gives their
     initial class side, with at least 2 voxels on each side. score(sides)
-    is the step's MSSIM of a labeling of the member voxels. Returns the
+    is the step's MSSIM of a labeling of the member voxels; cfg gives the
+    sweep's lambda_grid and k_grid and the training-set cap l_max. Returns the
     best-scoring sides over the sweep plus diagnostics; falls back to the
     initial sides when no ridge makes the eigen solve factorable.
     """
@@ -898,12 +876,13 @@ def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box):
 
 
 def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
-                       cfg: KfdaConfig, seed: int) -> tuple[np.ndarray, dict]:
+                       cfg: PipelineConfig, seed: int) -> tuple[np.ndarray, dict]:
     """Two-step classification of one subdomain box.
 
     Step 1 separates CSF from G+WM with the sigmoid kernel; step 2 separates
     GM from WM inside the G+WM set with the Gaussian RBF kernel. Each step
-    sweeps the regularization grid and keeps the labeling with the best
+    sweeps cfg.lambda_grid, trying cfg.k_grid's KNN sizes on each solve, on
+    at most cfg.l_max training samples, and keeps the labeling with the best
     MSSIM against the reference channel, every distinct labeling scored
     once by the step's scorer. Voxels leaving CSF in step 1 get a
     provisional GM/WM label; seed draws the training subsamples. Returns the

@@ -250,14 +250,15 @@ def mutual_information(h: Histogram2, c: SlabClustering) -> float:
 # Optimal cut search
 # ---------------------------------------------------------------------------
 
-def best_cut(vol: MultiChannelVolume, sub: Subdomain) -> tuple[SlabClustering, float] | None:
+def best_cut(vol: MultiChannelVolume, sub: Subdomain,
+             hist: Histogram2) -> tuple[SlabClustering, float] | None:
     """Exhaustively scan all feasible cut planes and return the argmax-MI cut.
 
-    Feasible cuts leave at least MIN_SLAB slices on each side. Ties break by
-    axis order (sagittal < coronal < axial), then by smaller cut index.
-    Returns None when no axis admits a cut.
+    hist is histogram_2bin(vol, sub). Feasible cuts leave at least MIN_SLAB
+    slices on each side. Ties break by axis order (sagittal < coronal <
+    axial), then by smaller cut index. Returns None when no axis admits a
+    cut.
     """
-    hist = histogram_2bin(vol, sub)
     box, mask = _reference_box(vol, sub)
     low = (box < hist.threshold) & mask if not hist.degenerate else np.zeros_like(mask)
 
@@ -384,7 +385,7 @@ def _prepare_leaf(vol, node: Subdomain):
     hist = histogram_2bin(vol, node)
     node.entropy = hist.entropy()
     _node_snr(vol, node)
-    result = best_cut(vol, node)
+    result = best_cut(vol, node, hist)
     if result is not None:
         node.cut, node.mi = result
     else:

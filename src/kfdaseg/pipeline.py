@@ -43,13 +43,15 @@ _FIELD_TYPES = {"str": (str, "a string"), "int": (numbers.Integral, "an integer"
 class PipelineConfig:
     """The run's files, seed and settable method values, JSON round-trippable.
 
-    Defaults follow the method's published configuration: regularization
-    grid 0.000025*i for i=0..4, 4-slice overlaps, at most 7 partition
-    levels. Overlap strips up to stitch.EXACT_MAX_WIDTH cells wide are
-    solved exactly; wider ones are annealed for sa_sweeps sweeps per
-    temperature on stitch.AnnealSchedule's published cooling schedule. The
-    kernels, categorization thresholds and ridge scale are the published
-    constants fixed in kfda; channel 0 (t1w) is the reference throughout.
+    Defaults follow the method's published configuration: kfda's
+    regularization grid, KNN grid and training-set cap (LAMBDA_GRID, K_GRID,
+    L_MAX), 4-slice overlaps, at most 7 partition levels. validate() checks
+    the grids and cap, and classify_subdomain reads them from this config.
+    Overlap strips up to stitch.EXACT_MAX_WIDTH cells wide are solved
+    exactly; wider ones are annealed for sa_sweeps sweeps per temperature
+    on stitch.AnnealSchedule's published cooling schedule. The kernels,
+    categorization thresholds and ridge scale are the published constants
+    fixed in kfda; channel 0 (t1w) is the reference throughout.
     """
 
     volume: str = ""
@@ -61,9 +63,9 @@ class PipelineConfig:
     max_depth: int = 7
     pad_slices: int = 2
     # per-subdomain classification
-    lambda_grid: tuple = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
-    k_grid: tuple = (1, 3, 5, 7, 9, 11)
-    l_max: int = 4000
+    lambda_grid: tuple = kfda.LAMBDA_GRID
+    k_grid: tuple = kfda.K_GRID
+    l_max: int = kfda.L_MAX
     # stitching
     sa_sweeps: int = 20
 
@@ -79,8 +81,20 @@ class PipelineConfig:
         for name, low in (("seed", 0), ("max_depth", 0), ("pad_slices", 1), ("sa_sweeps", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
-        # KfdaConfig's own checks, run before any stage does
-        self.kfda_config()
+        if not self.lambda_grid:
+            raise ValueError("lambda grid must not be empty")
+        # solve_alpha is exact only while λ·P stays negative semidefinite
+        if not all(isinstance(lam, numbers.Real) and not isinstance(lam, bool) and lam >= 0
+                   for lam in self.lambda_grid):
+            raise ValueError(f"lambda grid values must be numbers >= 0, got {self.lambda_grid}")
+        if not self.k_grid:
+            raise ValueError("k grid must not be empty")
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                   and k > 0 and k % 2 == 1 for k in self.k_grid):
+            raise ValueError(f"k grid values must be odd positive integers, "
+                             f"got {self.k_grid}")
+        if self.l_max < 4:
+            raise ValueError("l_max must be at least 4: two training rows per class")
         if check_paths:
             if not self.volume:
                 raise ValueError("config must name an input volume")
@@ -92,10 +106,6 @@ class PipelineConfig:
             if self.ground_truth and \
                     not Path(self.ground_truth).with_suffix(".u8raw").exists():
                 raise FileNotFoundError(f"ground truth not found: {self.ground_truth}")
-
-    def kfda_config(self) -> kfda.KfdaConfig:
-        return kfda.KfdaConfig(lambda_grid=tuple(self.lambda_grid),
-                               k_grid=tuple(self.k_grid), l_max=self.l_max)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
@@ -128,6 +138,7 @@ class RunReport:
     class_counts: dict = field(default_factory=dict)
     dice: dict | None = None
     improved_fraction: float | None = None
+    strictly_improved_fraction: float | None = None
     unchanged_count: int = 0
     optimal_count: int | None = None
     converged: bool = True
@@ -144,8 +155,8 @@ class RunReport:
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["subdomains", "curves", "class_counts", "dice",
-                 "improved_fraction", "unchanged_count", "optimal_count", "converged",
-                 "config"],
+                 "improved_fraction", "strictly_improved_fraction", "unchanged_count",
+                 "optimal_count", "converged", "config"],
     "properties": {
         "subdomains": {
             "type": "array",
@@ -176,6 +187,7 @@ REPORT_SCHEMA = {
         "class_counts": {"type": "object"},
         "dice": {"type": ["object", "null"]},
         "improved_fraction": {"type": ["number", "null"]},
+        "strictly_improved_fraction": {"type": ["number", "null"]},
         "unchanged_count": {"type": "integer", "minimum": 0},
         "optimal_count": {"type": ["integer", "null"]},
         "converged": {"type": "boolean"},
@@ -304,14 +316,13 @@ def classify_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
     When a leaf fails and out_dir is given, the diagnostics of the leaves
     finished before it go to subdomains_partial.json there.
     """
-    kcfg = cfg.kfda_config()
     fragments: list[stitch.ClassifiedFragment] = []
     diagnostics: list[dict] = []
     for index, leaf in enumerate(tree.leaf_nodes()):
         try:
             labels_box, diag = _staged(
                 timing, "classify", kfda.classify_subdomain, vol, leaf.padded_bounds,
-                init_labels.labels, kcfg, seed=stitch.spawn_seed(cfg.seed, 1, index))
+                init_labels.labels, cfg, seed=stitch.spawn_seed(cfg.seed, 1, index))
         except PipelineStageError:
             if out_dir is not None and diagnostics:
                 write_json(Path(out_dir) / "subdomains_partial.json", diagnostics)
@@ -370,6 +381,7 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
         leaves = tree.leaf_nodes()
         rows = []
         improved = 0
+        strictly_improved = 0
         unchanged = 0
         comparable = 0
         for index, (leaf, diag) in enumerate(zip(leaves, diagnostics)):
@@ -385,16 +397,16 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                 "voxel_count": leaf.voxel_count,
                 "mssim_initial": m_init,
                 "mssim_kfda": m_kfda,
-                "ssim_window": ssim.fit_constants(ssim.SsimConstants(), shape).window_size,
+                "ssim_window": ssim.fit_window(shape)[0],
                 "chosen_lambda_csf": diag["steps"].get("csf_vs_gwm", {}).get("chosen_lambda"),
                 "chosen_lambda_gm_wm": diag["steps"].get("gm_vs_wm", {}).get("chosen_lambda"),
             })
             if m_init is not None and m_kfda is not None:
                 comparable += 1
-                # an unchanged leaf counts as improved; unchanged_count
-                # tells the two apart
-                if m_kfda >= m_init:
-                    improved += 1
+                # an unchanged leaf counts as improved; the strict share
+                # and unchanged_count tell the two apart
+                improved += m_kfda >= m_init
+                strictly_improved += m_kfda > m_init
                 unchanged += m_kfda == m_init
         return RunReport(
             subdomains=rows,
@@ -410,6 +422,8 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
             dice=(dice_scores(final, ground_truth, vol.mask)
                   if ground_truth is not None else None),
             improved_fraction=(improved / comparable) if comparable else None,
+            strictly_improved_fraction=(strictly_improved / comparable
+                                        if comparable else None),
             unchanged_count=unchanged,
             optimal_count=tree.optimal_count,
             converged=tree.converged,

@@ -1,22 +1,32 @@
 """Structural similarity as the pipeline's no-ground-truth quality monitor.
 
 SSIM multiplies luminance, contrast and structure comparisons of local
-Gaussian-weighted patch statistics; MSSIM averages it over an 11x11 sliding
-window on each axial slice (windows without any brain voxel are skipped) and
-over slices. A box is scored in one pass, two 1-D Gaussian passes per moment
-(the window is separable), with the window shrunk to fit thin boxes; the
-reference's moments can be computed once for many scored images
-(reference_windows). Classified volumes are compared to the reference
-channel after replacing each voxel by its tissue-class mean intensity."""
+Gaussian-weighted patch statistics, stabilized by the published C1, C2 and
+C3; MSSIM averages it over the published 11x11, sigma 1.5 sliding window
+(WINDOW_SIZE, WINDOW_SIGMA) on each axial slice (windows without any brain
+voxel are skipped) and over slices. A box is scored in one pass, two 1-D
+Gaussian passes per moment (the window is separable), with the window
+shrunk to fit thin boxes (fit_window); the reference's moments can be
+computed once for many scored images (reference_windows). Classified
+volumes are compared to the reference channel after replacing each voxel
+by its tissue-class mean intensity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .volume import BG
+
+# C1 = (0.01 L)^2, C2 = (0.03 L)^2 and C3 = C2/2 for the dynamic range
+# L = 1 that `normalize_intensities` leaves every channel
+C1 = 0.01 ** 2
+C2 = 0.03 ** 2
+C3 = 0.03 ** 2 / 2
+WINDOW_SIZE = 11
+WINDOW_SIGMA = 1.5
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -26,44 +36,25 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def gaussian_window(size: int = WINDOW_SIZE, sigma: float = WINDOW_SIGMA) -> np.ndarray:
     """Normalized 2D Gaussian weight mask: the outer product of the 1D taps."""
     g = _gaussian_taps(size, sigma)
     return np.outer(g, g)
 
 
-@dataclass(frozen=True)
-class SsimConstants:
-    """Stabilizers and window for SSIM.
+def fit_window(shape) -> tuple[int, float]:
+    """(size, sigma) of the sliding window fitted to a slice shape.
 
-    The stabilizers are the published ones for intensities normalized to
-    [0, 1] (dynamic range L = 1, as `normalize_intensities` leaves every
-    channel): C1 = (0.01 L)^2, C2 = (0.03 L)^2, C3 = C2/2; they are class
-    constants, not fields. The window, 11x11 Gaussian with sigma 1.5 by
-    default, is settable because fit_constants shrinks it for thin boxes.
-    """
-
-    c1 = 0.01 ** 2
-    c2 = 0.03 ** 2
-    c3 = 0.03 ** 2 / 2
-    window_size: int = 11
-    window_sigma: float = 1.5
-
-
-def fit_constants(c: SsimConstants, shape) -> SsimConstants:
-    """Shrink the sliding window (odd, >= 3) to fit a small slice shape.
-
-    Thin subdomains near the minimum slab width cannot host the default
-    11x11 window; the window shrinks with its Gaussian width scaled
-    proportionally so the metric stays defined. A window that already fits
-    is returned unchanged.
+    Thin subdomains near the minimum slab width cannot host the published
+    11x11 window; the window shrinks (odd, >= 3) with its Gaussian width
+    scaled proportionally so the metric stays defined. A shape that already
+    fits the published window gets it unchanged.
     """
     limit = int(min(shape[0], shape[1]))
-    if limit >= c.window_size:
-        return c
+    if limit >= WINDOW_SIZE:
+        return WINDOW_SIZE, WINDOW_SIGMA
     size = max(3, limit if limit % 2 == 1 else limit - 1)
-    sigma = c.window_sigma * size / c.window_size
-    return replace(c, window_size=size, window_sigma=sigma)
+    return size, WINDOW_SIGMA * size / WINDOW_SIZE
 
 
 @dataclass(frozen=True)
@@ -102,11 +93,10 @@ def patch_stats(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None)
 
 def _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov_xy):
     """SSIM from local moments; scalars or equally shaped arrays."""
-    c = SsimConstants
-    lum = (2.0 * mu_x * mu_y + c.c1) / (mu_x * mu_x + mu_y * mu_y + c.c1)
+    lum = (2.0 * mu_x * mu_y + C1) / (mu_x * mu_x + mu_y * mu_y + C1)
     # with C3 = C2/2, contrast * structure collapses without any square
     # root, which keeps SSIM(x, x) == 1 bit-exactly
-    cs = (2.0 * cov_xy + c.c2) / (var_x + var_y + c.c2)
+    cs = (2.0 * cov_xy + C2) / (var_x + var_y + C2)
     return lum * cs
 
 
@@ -130,12 +120,12 @@ def _interior(size: int) -> tuple:
     return (slice(half, -half) if half else slice(None),) * 2
 
 
-def _smoother(c: SsimConstants):
+def _smoother(size: int, sigma: float):
     """The window's linear map: two 1-D Gaussian passes, along axis 0 and
     then axis 1, cropped to the fully interior in-plane positions; there
     it equals the 2D window up to rounding."""
-    g = _gaussian_taps(c.window_size, c.window_sigma)
-    crop = _interior(c.window_size)
+    g = _gaussian_taps(size, sigma)
+    crop = _interior(size)
 
     def smooth(img):
         rows = ndimage.correlate1d(img, g, axis=0, mode="constant")
@@ -150,12 +140,13 @@ def _mean_var(img: np.ndarray, smooth) -> tuple[np.ndarray, np.ndarray]:
     return mu, smooth(img * img) - mu * mu
 
 
-def _ssim_map(x: np.ndarray, y: np.ndarray, c: SsimConstants,
+def _ssim_map(x: np.ndarray, y: np.ndarray, size: int, sigma: float,
               y_mean_var: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """SSIM at every fully interior in-plane window position of a 3D box.
+    """SSIM at every fully interior in-plane window position of a 3D box
+    under the size x size Gaussian window of width sigma.
 
-    y_mean_var is _mean_var(y) under c's window when already known."""
-    smooth = _smoother(c)
+    y_mean_var is _mean_var(y) under that window when already known."""
+    smooth = _smoother(size, sigma)
     mu_x, var_x = _mean_var(x, smooth)
     mu_y, var_y = y_mean_var if y_mean_var is not None else _mean_var(y, smooth)
     cov = smooth(x * y) - mu_x * mu_y
@@ -181,51 +172,50 @@ def _as_box(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ReferenceWindows:
     """What MSSIM uses of a reference box and its mask, whatever image is
-    scored against them: the constants with the window fitted to the box,
-    the reference's windowed mean and variance, and the windows that
-    contain a masked voxel."""
+    scored against them: the window fitted to the box (fit_window), the
+    reference's windowed mean and variance, and the windows that contain a
+    masked voxel."""
 
-    constants: SsimConstants
+    size: int
+    sigma: float
     mean: np.ndarray
     var: np.ndarray
     keep: np.ndarray
 
 
-def reference_windows(reference: np.ndarray, mask: np.ndarray,
-                      c: SsimConstants | None = None) -> ReferenceWindows:
+def reference_windows(reference: np.ndarray, mask: np.ndarray) -> ReferenceWindows:
     """The window statistics of a reference box that mssim needs; compute
     them once to score many images against one reference."""
     reference = _as_box(np.asarray(reference, dtype=np.float64))
     mask = _as_box(mask)
-    c = fit_constants(c or SsimConstants(), reference.shape)
-    if min(reference.shape[:2]) < c.window_size:
+    size, sigma = fit_window(reference.shape)
+    if min(reference.shape[:2]) < size:
         raise ValueError("no sliding window contains a masked voxel")
-    mean, var = _mean_var(reference, _smoother(c))
-    return ReferenceWindows(c, mean, var, _window_counts(mask, c.window_size) > 0)
+    mean, var = _mean_var(reference, _smoother(size, sigma))
+    return ReferenceWindows(size, sigma, mean, var, _window_counts(mask, size) > 0)
 
 
 def mssim(classified: np.ndarray, reference: np.ndarray, mask: np.ndarray,
-          c: SsimConstants | None = None,
           windows: ReferenceWindows | None = None) -> float:
     """MSSIM between a classified image and the reference.
 
-    The window is first fitted to the in-plane shape (fit_constants). A 3D
+    The window is first fitted to the in-plane shape (fit_window). A 3D
     box is scored in one pass: every moment is two 1-D Gaussian passes along
     the in-plane axes. Each axial slice's MSSIM is the mean SSIM over its
     windows containing a masked voxel, and the result is the mean over the
     slices that have such a window. A 2D input is a one-slice box. Raises
     ValueError when no window touches the mask. windows, when given, is
-    reference_windows(reference, mask, c), and c is then not read.
+    reference_windows(reference, mask).
     """
     classified = np.asarray(classified, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if classified.shape != reference.shape or classified.shape != mask.shape:
         raise ValueError("classified, reference and mask shapes must agree")
     if windows is None:
-        windows = reference_windows(reference, mask, c)
+        windows = reference_windows(reference, mask)
     keep = windows.keep
-    ssim_map = _ssim_map(_as_box(classified), _as_box(reference), windows.constants,
-                         (windows.mean, windows.var))
+    ssim_map = _ssim_map(_as_box(classified), _as_box(reference), windows.size,
+                         windows.sigma, (windows.mean, windows.var))
     per_slice = [float(ssim_map[:, :, k][keep[:, :, k]].mean())
                  for k in range(keep.shape[2]) if keep[:, :, k].any()]
     if not per_slice:

@@ -56,10 +56,11 @@ def within(ts: TrainingSet, spec: KernelSpec) -> np.ndarray:
     return total
 
 
-def project(model: KfdaModel, queries: np.ndarray) -> np.ndarray:
-    """Signed decision values sum_m alpha_m K(x_m, query) + b."""
+def project(model: KfdaModel, mats: KfdaMatrices, queries: np.ndarray) -> np.ndarray:
+    """Signed decision values sum_m alpha_m K(x_m, query) + b, x_m the
+    training samples of the step mats, under its kernel."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    k = kernel_matrix(model.kernel, queries, model.training.features)
+    k = kernel_matrix(mats.spec, queries, mats.training.features)
     return k @ model.alpha + model.b_offset
 
 

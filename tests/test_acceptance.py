@@ -17,7 +17,7 @@ from kfdaseg.partition import (Histogram2, SlabClustering, Subdomain, best_cut,
 from kfdaseg.phantom import (PhantomSpec, corrupt_boundary_labels,
                              generate_phantom, kmeans_init, underestimate_csf)
 from kfdaseg.pipeline import PipelineConfig, dice_scores, run_pipeline
-from kfdaseg.ssim import SsimConstants, gaussian_window, ssim_patch
+from kfdaseg.ssim import C1, C2, C3, gaussian_window, ssim_patch
 from kfdaseg.stitch import (AnnealSchedule, StitchProblem, build_potentials,
                             composite_init, log_posterior, simulated_anneal)
 from kfdaseg.volume import CSF, MultiChannelVolume
@@ -120,7 +120,7 @@ def test_criterion_2_partition_optimality():
                                  mask=mask)
         sub = Subdomain(bounds=tuple((0, d - 1) for d in dims),
                         voxel_count=int(mask.sum()))
-        got = best_cut(vol, sub)
+        got = best_cut(vol, sub, histogram_2bin(vol, sub))
         want = exhaustive_cut_oracle(vol, sub)
         assert (got is None) == (want is None)
         if got is not None:
@@ -171,7 +171,7 @@ def test_criterion_3_eigen_solve():
         for lam in (0.0, 5e-5, 0.1):
             model = solve_alpha(mats, lam)
             worst_resid = max(worst_resid, model.residual)
-            pencil = within(ts, KernelSpec.rbf(0.5)) + model.beta * np.eye(l)
+            pencil = within(ts, KernelSpec.rbf(0.5)) + mats.beta * np.eye(l)
             worst_constraint = max(worst_constraint,
                                    abs(float(model.alpha @ (pencil @ model.alpha)) - 1.0))
 
@@ -235,7 +235,7 @@ def test_criterion_4_penalty_identity():
 # 5. SSIM correctness
 # ---------------------------------------------------------------------------
 
-def ssim_direct_oracle(x, y, c, weights=None):
+def ssim_direct_oracle(x, y, weights=None):
     w = np.full(x.shape, 1.0 / x.size) if weights is None else weights / weights.sum()
     mu_x = float((w * x).sum())
     mu_y = float((w * y).sum())
@@ -243,14 +243,13 @@ def ssim_direct_oracle(x, y, c, weights=None):
     var_y = float((w * (y - mu_y) ** 2).sum())
     cov = float((w * (x - mu_x) * (y - mu_y)).sum())
     sx, sy = math.sqrt(var_x), math.sqrt(var_y)
-    return ((2 * mu_x * mu_y + c.c1) / (mu_x ** 2 + mu_y ** 2 + c.c1)
-            * (2 * sx * sy + c.c2) / (var_x + var_y + c.c2)
-            * (cov + c.c3) / (sx * sy + c.c3))
+    return ((2 * mu_x * mu_y + C1) / (mu_x ** 2 + mu_y ** 2 + C1)
+            * (2 * sx * sy + C2) / (var_x + var_y + C2)
+            * (cov + C3) / (sx * sy + C3))
 
 
 def test_criterion_5_ssim_correctness():
     rng = np.random.default_rng(1005)
-    c = SsimConstants()
     w = gaussian_window()
     for _ in range(50):
         x = rng.random((11, 11))
@@ -269,7 +268,7 @@ def test_criterion_5_ssim_correctness():
             out_of_bounds += 1
         if i % 10 == 0:
             worst_oracle = max(worst_oracle,
-                               abs(a - ssim_direct_oracle(x, y, c, weights)))
+                               abs(a - ssim_direct_oracle(x, y, weights)))
     ok = worst_sym <= 1e-12 and out_of_bounds == 0 and worst_oracle <= 1e-10
     assert banner(5, ok, f"identity exact, symmetry diff {worst_sym:.1e}, "
                          f"oracle diff {worst_oracle:.1e}, bounds held on 10000 pairs")

@@ -9,12 +9,13 @@ import pytest
 import scipy.linalg as sla
 
 from kfdaseg import kfda
-from kfdaseg.kfda import (ConvergenceError, KernelSpec, KfdaConfig, KrylovBasis,
+from kfdaseg.kfda import (ConvergenceError, KernelSpec, KrylovBasis,
                           SubdomainData, TrainingSet, _run_step, _stratified_cap,
                           build_matrices, categorize, class_scatter,
                           classify_outliers_mahalanobis, classify_subdomain, cross_kernel,
                           factor_pencil, kernel_matrix, nearest_prototype_sides,
                           neighborhood_matrix, solve_alpha, ssim_guided_decision)
+from kfdaseg.pipeline import PipelineConfig
 from kfdaseg.ssim import mssim
 from kfdaseg.volume import BG, CSF, GM, WM
 from oracles import (between, classify_overlap_knn, gram, graph_edges, kernel_eval,
@@ -265,7 +266,7 @@ def test_residual_and_constraint_on_random_instances():
         for lam in (0.0, 5e-5, 0.3):
             model = solve_alpha(mats, lam)
             assert model.residual <= 1e-8
-            pencil = within(ts, KernelSpec.rbf(0.5)) + model.beta * np.eye(l)
+            pencil = within(ts, KernelSpec.rbf(0.5)) + mats.beta * np.eye(l)
             assert model.alpha @ (pencil @ model.alpha) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -315,7 +316,7 @@ def test_shared_basis_matches_dense_eigendecomposition():
 
             mats.penalty_matvec = counted
             basis = KrylovBasis(mats)
-            pencil = within(ts, spec) + basis.beta * np.eye(l)
+            pencil = within(ts, spec) + mats.beta * np.eye(l)
             gammas, iterations = [], 0
             for lam in grid:
                 model = solve_alpha(mats, lam, basis=basis)
@@ -347,10 +348,11 @@ def test_pencil_solve_matches_dense_solve():
     for l in (5, 60, 240):
         g = rng.normal(size=(l, l))
         scatter = g @ g.T / l + 0.1 * np.eye(l)
-        basis = KrylovBasis(_mats_with_within(scatter, 1e-3))
+        mats = _mats_with_within(scatter, 1e-3)
+        basis = KrylovBasis(mats)
         for _ in range(3):
             b = rng.normal(size=l)
-            expected = np.linalg.solve(scatter + basis.beta * np.eye(l), b)
+            expected = np.linalg.solve(scatter + mats.beta * np.eye(l), b)
             got = basis.vector(basis.coordinates(b))
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), l
 
@@ -375,7 +377,7 @@ def test_basis_stays_orthonormal_without_pencil_products():
     size, expanded = basis.size, basis.expanded
     assert expanded >= 30
     vecs = np.array([basis.vector(x) for x in basis.coords[:size]])
-    gram_n = vecs @ (within(ts, KernelSpec.sigmoid()) + basis.beta * np.eye(200)) @ vecs.T
+    gram_n = vecs @ (within(ts, KernelSpec.sigmoid()) + mats.beta * np.eye(200)) @ vecs.T
     assert np.abs(gram_n - np.eye(size)).max() <= 1e-10
     t = vecs @ penalty(mats) @ vecs[:expanded].T
     assert np.abs(basis.proj[:size, :expanded] - t).max() <= 1e-10 * np.abs(t).max()
@@ -399,7 +401,7 @@ def test_pencil_never_definite_raises_convergence_error(monkeypatch):
     with pytest.raises(ConvergenceError):
         build_matrices(TrainingSet(data.reshape(8, 3), sides), KernelSpec.rbf(1.0),
                        SubdomainData.from_mask(data, member))
-    cfg = KfdaConfig(lambda_grid=(0.0, 1e-4))
+    cfg = PipelineConfig(lambda_grid=(0.0, 1e-4))
     out, diag = _run_step(data, member, sides, KernelSpec.rbf(1.0), None, cfg,
                           np.random.default_rng(0))
     assert np.array_equal(out, sides)
@@ -442,7 +444,7 @@ def test_lambda_zero_maximizes_classical_criterion():
     ts = simple_training(feats, labels)
     mats = build_matrices(ts, KernelSpec.rbf(0.5), subdata_line(feats))
     model = solve_alpha(mats, 0.0)
-    pencil = within(ts, KernelSpec.rbf(0.5)) + model.beta * np.eye(20)
+    pencil = within(ts, KernelSpec.rbf(0.5)) + mats.beta * np.eye(20)
     m_diff = mats.m_neg - mats.m_pos
     best = float((model.alpha @ m_diff) ** 2)        # constraint = 1 already
     for _ in range(1000):
@@ -478,7 +480,7 @@ def test_projection_sign_convention_and_midpoint():
     ts = simple_training(feats, np.array([-1] * 10 + [1] * 10))
     mats = build_matrices(ts, KernelSpec.rbf(0.5), subdata_line(feats))
     model = solve_alpha(mats, 0.0)
-    proj = project(model, feats)
+    proj = project(model, mats, feats)
     assert proj[10:].mean() > 0 > proj[:10].mean()
     # midpoint of projected class means sits at zero by the offset choice
     assert proj[:10].mean() + proj[10:].mean() == pytest.approx(0.0, abs=1e-10)
@@ -492,7 +494,7 @@ def test_project_matches_direct_sum():
     mats = build_matrices(ts, spec, subdata_line(feats))
     model = solve_alpha(mats, 0.0)
     queries = rng.random((10, 3))
-    values = project(model, queries)
+    values = project(model, mats, queries)
     for q, got in zip(queries, values):
         direct = sum(model.alpha[m] * kernel_eval(spec, feats[m], q)
                      for m in range(12)) + model.b_offset
@@ -741,8 +743,8 @@ def test_step_skipped_without_csf():
     init[7:] = WM
     bounds = ((0, 13), (0, 13), (0, 13))
     labels, diag = classify_subdomain(vol, bounds, init,
-                                      KfdaConfig(l_max=600, lambda_grid=(0.0,),
-                                                 k_grid=(1, 3)), seed=0)
+                                      PipelineConfig(l_max=600, lambda_grid=(0.0,),
+                                                     k_grid=(1, 3)), seed=0)
     assert diag["steps"]["csf_vs_gwm"]["skipped"] == "class absent from initial labels"
     assert set(np.unique(labels)) <= {GM, WM}
 
@@ -758,7 +760,7 @@ def test_classify_subdomain_improves_corrupted_phantom():
     vol, truth = generate_phantom(spec)
     init = corrupt_boundary_labels(truth, vol.mask, fraction=0.25, seed=1)
     bounds = ((0, 17), (0, 17), (0, 17))
-    cfg = KfdaConfig(l_max=1200, lambda_grid=(0.0, 0.00005), k_grid=(1, 3, 5))
+    cfg = PipelineConfig(l_max=1200, lambda_grid=(0.0, 0.00005), k_grid=(1, 3, 5))
     labels, diag = classify_subdomain(vol, bounds, init.labels, cfg, seed=0)
 
     assert set(np.unique(labels[vol.mask])) <= {CSF, GM, WM}
@@ -776,7 +778,7 @@ def test_classify_subdomain_total_labeling():
     spec = PhantomSpec(dims=(14, 14, 14), noise_sigma=0.04, pv_blur=0.5, seed=31)
     vol, truth = generate_phantom(spec)
     bounds = ((0, 13), (0, 13), (0, 13))
-    cfg = KfdaConfig(l_max=800, lambda_grid=(0.0, 0.0001), k_grid=(1, 3))
+    cfg = PipelineConfig(l_max=800, lambda_grid=(0.0, 0.0001), k_grid=(1, 3))
     labels, _ = classify_subdomain(vol, bounds, truth.labels, cfg, seed=0)
     on_mask = labels[vol.mask]
     assert np.all((on_mask >= CSF) & (on_mask <= WM))
@@ -806,7 +808,7 @@ def test_each_labeling_scored_once_per_step(monkeypatch):
 
     monkeypatch.setattr(kfda, "_run_step", step)
     monkeypatch.setattr(kfda, "mssim", recording)
-    cfg = KfdaConfig(l_max=1200, lambda_grid=(0.0, 0.00005), k_grid=(1, 3, 5))
+    cfg = PipelineConfig(l_max=1200, lambda_grid=(0.0, 0.00005), k_grid=(1, 3, 5))
     classify_subdomain(vol, ((0, 17), (0, 17), (0, 17)), init.labels, cfg, seed=0)
     assert len(scored) == 2 and all(scored)
     assert [len(set(images)) for images in scored] == [len(images) for images in scored]

@@ -212,7 +212,7 @@ def test_planar_ground_truth_cut():
     data = np.full((6, 6, 10), 0.2, dtype=np.float32)
     data[:, :, 5:] = 0.8
     vol = volume_from_array(data)
-    result = best_cut(vol, full_subdomain(vol))
+    result = best_cut(vol, full_subdomain(vol), histogram_2bin(vol, full_subdomain(vol)))
     assert result is not None
     cut, mi = result
     assert cut.axis == 2
@@ -223,7 +223,8 @@ def test_planar_ground_truth_cut():
 
 def test_unsplittable_small_subdomain():
     vol = volume_from_array(np.random.default_rng(0).random((5, 5, 5)))
-    assert best_cut(vol, full_subdomain(vol)) is None
+    assert best_cut(vol, full_subdomain(vol),
+                    histogram_2bin(vol, full_subdomain(vol))) is None
 
 
 def test_best_cut_matches_exhaustive_enumeration():
@@ -235,7 +236,7 @@ def test_best_cut_matches_exhaustive_enumeration():
             continue
         vol = volume_from_array(rng.random(dims), mask=mask)
         sub = full_subdomain(vol)
-        got = best_cut(vol, sub)
+        got = best_cut(vol, sub, histogram_2bin(vol, sub))
         want = exhaustive_best_cut(vol, sub)
         assert got is not None and want is not None
         assert got[0].axis == want[0].axis

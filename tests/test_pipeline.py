@@ -13,7 +13,7 @@ from kfdaseg.phantom import PhantomSpec, corrupt_boundary_labels, generate_phant
 from kfdaseg.pipeline import (PipelineConfig, PipelineStageError, REPORT_SCHEMA,
                               dice_scores, partition_stage, report_stage, run_pipeline,
                               stitch_stage)
-from kfdaseg.ssim import SsimConstants, classified_mean_image, mssim
+from kfdaseg.ssim import classified_mean_image, mssim
 from kfdaseg.stitch import ClassifiedFragment
 from kfdaseg.volume import (BG, LabelVolume, MultiChannelVolume, box_slices,
                             check_mask_consistency, load_labels, load_volume,
@@ -57,6 +57,10 @@ def test_report_schema_round_trip(small_run):
     assert doc["unchanged_count"] == sum(
         row["mssim_kfda"] is not None and row["mssim_kfda"] == row["mssim_initial"]
         for row in doc["subdomains"])
+    comparable = [row for row in doc["subdomains"]
+                  if row["mssim_kfda"] is not None and row["mssim_initial"] is not None]
+    assert doc["strictly_improved_fraction"] == sum(
+        row["mssim_kfda"] > row["mssim_initial"] for row in comparable) / len(comparable)
 
 
 def test_report_schema_is_a_valid_schema():
@@ -67,13 +71,14 @@ def test_report_schema_is_a_valid_schema():
 
 def test_report_counts_unchanged_leaves(small_run):
     # a leaf handed back as it came in counts as improved, so only
-    # unchanged_count tells that nothing was done
+    # unchanged_count and the strict share tell that nothing was done
     cfg, vol, truth, init, report = small_run
     vol = normalize_intensities(vol)
     tree = partition_stage(cfg, vol)
     passed = report_stage(cfg, vol, init, tree, init, report.diagnostics)
     assert passed.unchanged_count == len(tree.leaf_nodes())
     assert passed.improved_fraction == 1.0
+    assert passed.strictly_improved_fraction == 0.0
 
 
 def test_sweep_entries_record_each_solve(small_run):
@@ -95,7 +100,7 @@ def test_labels_mask_consistency(small_run):
 def test_mssim_columns_recomputable(small_run):
     # audit: the report's MSSIM columns must be reproducible from the saved
     # labels plus the reference volume (window size recorded per row)
-    from kfdaseg.ssim import fit_constants
+    from kfdaseg.ssim import fit_window
 
     cfg, vol, truth, init, report = small_run
     vol = normalize_intensities(vol)     # the pipeline classifies the normalized volume
@@ -106,11 +111,10 @@ def test_mssim_columns_recomputable(small_run):
         mask_box = vol.mask[box]
         if not mask_box.any() or row["mssim_kfda"] is None:
             continue
-        constants = fit_constants(SsimConstants(), mask_box.shape[:2])
-        assert constants.window_size == row["ssim_window"]
+        assert fit_window(mask_box.shape[:2])[0] == row["ssim_window"]
         ref_box = vol.data[box][..., 0].astype(np.float64)
         image = classified_mean_image(saved.labels[box], ref_box, mask_box)
-        value = mssim(image, ref_box, mask_box, constants)
+        value = mssim(image, ref_box, mask_box)
         assert value == pytest.approx(row["mssim_kfda"], abs=1e-9)
 
 

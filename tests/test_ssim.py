@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kfdaseg.ssim import (SsimConstants, _ssim_map, _window_counts,
-                          classified_mean_image, fit_constants, gaussian_window,
-                          mssim, patch_stats, reference_windows, ssim_patch)
+from kfdaseg.ssim import (C1, C2, C3, WINDOW_SIGMA, WINDOW_SIZE, _ssim_map,
+                          _window_counts, classified_mean_image, fit_window,
+                          gaussian_window, mssim, patch_stats, reference_windows,
+                          ssim_patch)
 from kfdaseg.volume import BG, CSF, GM, WM
 
 
-def ssim_oracle(x, y, c, weights=None):
+def ssim_oracle(x, y, weights=None):
     """Independent direct evaluation of the three-factor product."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -23,9 +24,9 @@ def ssim_oracle(x, y, c, weights=None):
     var_y = (w * (y - mu_y) ** 2).sum()
     cov = (w * (x - mu_x) * (y - mu_y)).sum()
     sx, sy = math.sqrt(var_x), math.sqrt(var_y)
-    lum = (2 * mu_x * mu_y + c.c1) / (mu_x ** 2 + mu_y ** 2 + c.c1)
-    con = (2 * sx * sy + c.c2) / (var_x + var_y + c.c2)
-    st = (cov + c.c3) / (sx * sy + c.c3)
+    lum = (2 * mu_x * mu_y + C1) / (mu_x ** 2 + mu_y ** 2 + C1)
+    con = (2 * sx * sy + C2) / (var_x + var_y + C2)
+    st = (cov + C3) / (sx * sy + C3)
     return lum * con * st
 
 
@@ -44,14 +45,13 @@ def test_constant_patches_equal_means():
 
 def test_matches_direct_formula_oracle():
     rng = np.random.default_rng(1)
-    c = SsimConstants()
     w = gaussian_window()
     for _ in range(200):
         x = rng.random((11, 11))
         y = rng.random((11, 11))
-        assert ssim_patch(x, y) == pytest.approx(ssim_oracle(x, y, c), abs=1e-10)
+        assert ssim_patch(x, y) == pytest.approx(ssim_oracle(x, y), abs=1e-10)
         assert ssim_patch(x, y, weights=w) == pytest.approx(
-            ssim_oracle(x, y, c, weights=w), abs=1e-10)
+            ssim_oracle(x, y, weights=w), abs=1e-10)
 
 
 def test_symmetry_and_bounds():
@@ -68,13 +68,12 @@ def test_symmetry_and_bounds():
 
 def test_luminance_shift_decreases_similarity():
     rng = np.random.default_rng(3)
-    c = SsimConstants()
     for _ in range(50):
         x = rng.random((9, 9)) * 0.5 + 0.25
         offset = rng.uniform(0.05, 0.2)
         stats = patch_stats(x, x + offset)
-        lum_shifted = (2 * stats.mu_x * stats.mu_y + c.c1) / \
-            (stats.mu_x ** 2 + stats.mu_y ** 2 + c.c1)
+        lum_shifted = (2 * stats.mu_x * stats.mu_y + C1) / \
+            (stats.mu_x ** 2 + stats.mu_y ** 2 + C1)
         assert lum_shifted < 1.0
 
 
@@ -102,26 +101,25 @@ def test_mssim_window_positions_match_patch_ssim():
     x = rng.random((15, 15))
     y = rng.random((15, 15))
     mask = np.ones((15, 15), dtype=bool)
-    c = SsimConstants()
     w = gaussian_window()
-    ssim_map = _ssim_map(x[:, :, None], y[:, :, None], c)[:, :, 0]
+    ssim_map = _ssim_map(x[:, :, None], y[:, :, None], WINDOW_SIZE, WINDOW_SIGMA)[:, :, 0]
     for r in (0, 2, 4):
         for col in (0, 1, 3):
             patch_x = x[r:r + 11, col:col + 11]
             patch_y = y[r:r + 11, col:col + 11]
             assert ssim_map[r, col] == pytest.approx(
                 ssim_patch(patch_x, patch_y, weights=w), abs=1e-10)
-    value = mssim(x, y, mask, c)
+    value = mssim(x, y, mask)
     assert value == pytest.approx(float(ssim_map.mean()), abs=1e-12)
     # the windows fitted to thin boxes, at every position of a 3-slice box
     for size in (3, 5, 7, 9):
-        fitted = fit_constants(c, (size, size))
-        assert fitted.window_size == size
-        assert fitted.window_sigma == pytest.approx(1.5 * size / 11)
-        w = gaussian_window(fitted.window_size, fitted.window_sigma)
+        fitted = fit_window((size, size))
+        assert fitted[0] == size
+        assert fitted[1] == pytest.approx(1.5 * size / 11)
+        w = gaussian_window(*fitted)
         bx = rng.random((size + 3, size + 2, 3))
         by = rng.random((size + 3, size + 2, 3))
-        ssim_map = _ssim_map(bx, by, fitted)
+        ssim_map = _ssim_map(bx, by, *fitted)
         assert ssim_map.shape == (4, 3, 3)
         for r, col, k in np.ndindex(ssim_map.shape):
             patch_x = bx[r:r + size, col:col + size, k]
@@ -139,7 +137,7 @@ def test_mssim_background_windows_excluded():
     full = mssim(x, y, np.ones_like(mask))
     masked = mssim(x, y, mask)
     # masked score only uses windows touching the upper half
-    smap = _ssim_map(x[:, :, None], y[:, :, None], SsimConstants())[:, :, 0]
+    smap = _ssim_map(x[:, :, None], y[:, :, None], WINDOW_SIZE, WINDOW_SIGMA)[:, :, 0]
     counts = _window_counts(mask[:, :, None], 11)[:, :, 0]
     expected = float(smap[counts > 0].mean())
     assert masked == pytest.approx(expected, abs=1e-12)
@@ -155,14 +153,14 @@ def test_mssim_no_masked_window_errors():
 
 def test_mssim_small_slice_uses_fitted_window():
     # an 8x8 slice cannot host the 11x11 window: mssim scores it with the
-    # window fit_constants shrinks to 7x7
+    # window fit_window shrinks to 7x7
     rng = np.random.default_rng(9)
     x = rng.random((8, 8))
     y = rng.random((8, 8))
     mask = np.ones((8, 8), dtype=bool)
-    fitted = fit_constants(SsimConstants(), (8, 8))
-    assert fitted.window_size == 7
-    assert mssim(x, y, mask) == mssim(x, y, mask, fitted)
+    fitted = fit_window((8, 8))
+    assert fitted[0] == 7
+    assert mssim(x, y, mask) == float(_ssim_map(x[:, :, None], y[:, :, None], *fitted).mean())
 
 
 @settings(max_examples=200, deadline=None)
