@@ -23,7 +23,9 @@ runs both binary steps, CSF vs G+WM and then GM vs WM, as one loop over a
 step table; each step's scorer renders a labeling's classified mean image,
 scores it against the reference and caches the result, so every distinct
 labeling is scored once per step. Its grids and training-set cap come from
-the PipelineConfig, whose defaults are LAMBDA_GRID, K_GRID and L_MAX.
+the PipelineConfig, whose defaults are LAMBDA_GRID, K_GRID and L_MAX; the
+published categorization thresholds (TAU_BAND, TAU_OUTLIER) and the two
+ridges (RIDGE_SCALE, MAHALANOBIS_RIDGE) are module constants.
 
 Every dense factorization and product runs in numpy's BLAS; scipy adds only
 the unthreaded level-2 triangular solves (dtrsv) that apply the factor's
@@ -59,6 +61,13 @@ logger = logging.getLogger(__name__)
 LAMBDA_GRID = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
 K_GRID = (1, 3, 5, 7, 9, 11)
 L_MAX = 4000
+# the published band and outlier thresholds in projection stds (categorize),
+# and ridges as shares of a mean diagonal: the within-class pencil's
+# (default_beta) and the prototype covariances' (_mahalanobis_sq, floor 1)
+TAU_BAND = 1.0
+TAU_OUTLIER = 2.5
+RIDGE_SCALE = 1e-3
+MAHALANOBIS_RIDGE = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -139,7 +148,7 @@ class TrainingSet:
             raise ValueError("features must be (l, d) with one label per row")
         if not np.all(np.isin(self.labels, (-1, 1))):
             raise ValueError("labels must be -1 or +1")
-        if self.count_neg < 1 or self.count_pos < 1:
+        if not ((self.labels < 0).any() and (self.labels > 0).any()):
             raise ValueError("both classes need at least one sample")
 
     @property
@@ -149,17 +158,6 @@ class TrainingSet:
     @property
     def pos_idx(self) -> np.ndarray:
         return np.flatnonzero(self.labels > 0)
-
-    @property
-    def count_neg(self) -> int:
-        return int(np.count_nonzero(self.labels < 0))
-
-    @property
-    def count_pos(self) -> int:
-        return int(np.count_nonzero(self.labels > 0))
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass
@@ -234,8 +232,6 @@ class KfdaMatrices:
     beta: float                 # the ridge that made N factorable
     neighborhood: sparse.csr_matrix   # (n, n) over subdomain voxels
     cross: np.ndarray           # (l, n) kernel between samples and all voxels
-    training: TrainingSet
-    spec: KernelSpec
 
     @property
     def m_diff(self) -> np.ndarray:
@@ -357,8 +353,7 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec,
     del within
     h = neighborhood_matrix(subdata.member_box)
     return KfdaMatrices(m_neg=m_neg, m_pos=m_pos, factor=factor, beta=beta,
-                        neighborhood=h, cross=cross_kernel(spec, ts.features, subdata.features),
-                        training=ts, spec=spec)
+                        neighborhood=h, cross=cross_kernel(spec, ts.features, subdata.features))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +373,8 @@ class KfdaModel:
     capped: bool
 
 
-def default_beta(within: np.ndarray, scale: float = 1e-3) -> float:
-    beta = scale * float(np.trace(within)) / within.shape[0]
+def default_beta(within: np.ndarray) -> float:
+    beta = RIDGE_SCALE * float(np.trace(within)) / within.shape[0]
     # trace 0 happens for single-sample classes; keep the pencil definite
     return beta if beta > 0 else 1e-10
 
@@ -584,14 +579,13 @@ class VoxelCategories:
         }
 
 
-def categorize(projections: np.ndarray, init_sides: np.ndarray,
-               tau_band: float = 1.0, tau_outlier: float = 2.5) -> VoxelCategories:
+def categorize(projections: np.ndarray, init_sides: np.ndarray) -> VoxelCategories:
     """Split voxels into prototypes, overlapping set and outliers.
 
     A voxel whose projection sign agrees with its initial side is a
-    prototype. Disagreeing voxels inside the band tau_band * pooled
+    prototype. Disagreeing voxels inside the band TAU_BAND * pooled
     projection std around the decision value 0 form the overlapping set;
-    disagreeing voxels further than tau_outlier * own-class std from their
+    disagreeing voxels further than TAU_OUTLIER * own-class std from their
     class's projected centroid are outliers; the remainder stays prototype.
     """
     proj = np.asarray(projections, dtype=np.float64)
@@ -611,10 +605,10 @@ def categorize(projections: np.ndarray, init_sides: np.ndarray,
     pooled = math.sqrt((n_neg * std_neg ** 2 + n_pos * std_pos ** 2)
                        / max(n_neg + n_pos, 1))
 
-    in_band = np.abs(proj) <= tau_band * pooled
+    in_band = np.abs(proj) <= TAU_BAND * pooled
     centroid = np.where(neg, cent_neg, cent_pos)
     own_std = np.where(neg, std_neg, std_pos)
-    far = np.abs(proj - centroid) > tau_outlier * own_std
+    far = np.abs(proj - centroid) > TAU_OUTLIER * own_std
 
     disagree = ~agree
     overlap = disagree & in_band
@@ -632,22 +626,20 @@ def categorize(projections: np.ndarray, init_sides: np.ndarray,
     )
 
 
-def _mahalanobis_sq(x: np.ndarray, mean: np.ndarray, cov: np.ndarray,
-                    ridge: float) -> np.ndarray:
+def _mahalanobis_sq(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     d = cov.shape[0]
-    cov = cov + (ridge * max(np.trace(cov) / d, 1.0) + 1e-12) * np.eye(d)
+    cov = cov + (MAHALANOBIS_RIDGE * max(np.trace(cov) / d, 1.0) + 1e-12) * np.eye(d)
     inv = np.linalg.inv(cov)
     delta = x - mean
     return np.einsum("ij,jk,ik->i", delta, inv, delta)
 
 
 def classify_outliers_mahalanobis(features: np.ndarray, init_sides: np.ndarray,
-                                  proto_neg: np.ndarray, proto_pos: np.ndarray,
-                                  ridge: float = 1e-6) -> np.ndarray:
+                                  proto_neg: np.ndarray, proto_pos: np.ndarray) -> np.ndarray:
     """Assign each outlier to the class with smaller Mahalanobis distance.
 
     Class statistics come from the prototype intensities; ties keep the
-    initial side. Covariances are ridge-regularized, never singular.
+    initial side. Covariances are ridged by MAHALANOBIS_RIDGE, never singular.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] == 0:
@@ -659,8 +651,8 @@ def classify_outliers_mahalanobis(features: np.ndarray, init_sides: np.ndarray,
         centred = protos - mean
         cov = centred.T @ centred / max(len(protos), 1)
         stats.append((mean, cov))
-    d_neg = _mahalanobis_sq(features, *stats[0], ridge=ridge)
-    d_pos = _mahalanobis_sq(features, *stats[1], ridge=ridge)
+    d_neg = _mahalanobis_sq(features, *stats[0])
+    d_pos = _mahalanobis_sq(features, *stats[1])
     out = np.where(d_neg < d_pos, -1, np.where(d_pos < d_neg, 1, init_sides))
     return out.astype(np.int8)
 

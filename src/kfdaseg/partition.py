@@ -23,8 +23,6 @@ from .volume import REFERENCE_CHANNEL, MultiChannelVolume, box_slices
 
 logger = logging.getLogger(__name__)
 
-AXIS_NAMES = ("sagittal", "coronal", "axial")
-
 # MAD -> Gaussian sigma, and the noise gain of the 6-neighbour Laplacian
 # (center weight -6, six unit neighbours: sqrt(36 + 6)).
 _MAD_SCALE = 0.6744897501960817

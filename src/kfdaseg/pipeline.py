@@ -49,9 +49,9 @@ class PipelineConfig:
     the grids and cap, and classify_subdomain reads them from this config.
     Overlap strips up to stitch.EXACT_MAX_WIDTH cells wide are solved
     exactly; wider ones are annealed for sa_sweeps sweeps per temperature
-    on stitch.AnnealSchedule's published cooling schedule. The kernels,
-    categorization thresholds and ridge scale are the published constants
-    fixed in kfda; channel 0 (t1w) is the reference throughout.
+    on the published cooling schedule fixed in stitch (T0, RHO, T_MIN). The
+    kernels, categorization thresholds and ridges are the published
+    constants fixed in kfda; channel 0 (t1w) is the reference throughout.
     """
 
     volume: str = ""
@@ -83,10 +83,11 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be at least {low}")
         if not self.lambda_grid:
             raise ValueError("lambda grid must not be empty")
-        # solve_alpha is exact only while λ·P stays negative semidefinite
-        if not all(isinstance(lam, numbers.Real) and not isinstance(lam, bool) and lam >= 0
-                   for lam in self.lambda_grid):
-            raise ValueError(f"lambda grid values must be numbers >= 0, got {self.lambda_grid}")
+        # solve_alpha is exact only while λ·P stays negative semidefinite;
+        # a non-finite λ would reach the reports as invalid JSON
+        if not all(isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+                   and 0 <= lam < np.inf for lam in self.lambda_grid):
+            raise ValueError(f"lambda grid values must be finite and >= 0, got {self.lambda_grid}")
         if not self.k_grid:
             raise ValueError("k grid must not be empty")
         if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
@@ -116,8 +117,8 @@ class PipelineConfig:
         if not isinstance(raw, dict):
             raise ValueError(f"config {path} does not hold a JSON object")
         # perfbench's configs still name the removed leaf-pool size; 1 is
-        # what every run does now, so that value alone is dropped
-        if raw.get("workers") == 1:
+        # what every run does now, so the integer 1 alone is dropped
+        if type(raw.get("workers")) is int and raw["workers"] == 1:
             del raw["workers"]
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
@@ -339,7 +340,7 @@ def stitch_stage(cfg: PipelineConfig, vol: MultiChannelVolume, tree: PartitionTr
                  timing: dict | None = None) -> LabelVolume:
     """Fuse the fragments over their 2*pad_slices-wide overlaps; strips too
     wide to solve exactly anneal for cfg.sa_sweeps sweeps per temperature
-    on AnnealSchedule's cooling schedule, on spawn key (2,).
+    on stitch's cooling schedule, on spawn key (2,).
 
     Raises PipelineStageError("stitch") unless the fragments are one per
     leaf of tree, each with that leaf's core and padded bounds."""
@@ -531,12 +532,13 @@ def _csv_num(value):
 # ---------------------------------------------------------------------------
 
 def save_fragments(fragments: list[stitch.ClassifiedFragment], outdir):
+    """Write each fragment as a label volume and index them in fragments.json."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     index = []
     for i, frag in enumerate(fragments):
         name = f"fragment_{i:03d}"
-        np.asarray(frag.labels, dtype=np.uint8).tofile(outdir / f"{name}.u8raw")
+        vol_io.save_labels(LabelVolume(labels=frag.labels), outdir / f"{name}.u8raw")
         index.append({
             "file": f"{name}.u8raw",
             "core_bounds": [list(b) for b in frag.core_bounds],
@@ -546,13 +548,14 @@ def save_fragments(fragments: list[stitch.ClassifiedFragment], outdir):
 
 
 def load_fragments(indir) -> list[stitch.ClassifiedFragment]:
+    """The fragments save_fragments wrote; raises VolumeFormatError naming
+    the first label byte outside the state space."""
     indir = Path(indir)
     index = json.loads((indir / "fragments.json").read_text())
     fragments = []
     for entry in index:
         padded = tuple(tuple(b) for b in entry["padded_bounds"])
-        shape = tuple(hi - lo + 1 for lo, hi in padded)
-        labels = np.fromfile(indir / entry["file"], dtype=np.uint8).reshape(shape)
+        labels = vol_io.load_labels(indir / entry["file"]).labels
         fragments.append(stitch.ClassifiedFragment(
             core_bounds=tuple(tuple(b) for b in entry["core_bounds"]),
             padded_bounds=padded, labels=labels))

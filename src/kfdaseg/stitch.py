@@ -7,9 +7,11 @@ potentials reward label (pairs) seen in both observations, and its
 maximum-posterior joint labeling is computed exactly by dynamic programming
 over the strip's short side (`exact_map`); a strip whose short side exceeds
 EXACT_MAX_WIDTH is annealed instead, as the method was published
-(`simulated_anneal`). Slices are assembled progressively from the top-left
-subimage; axial overlaps are split evenly between the two subdomains,
-mirroring the strip solvers' composite initialization.
+(`simulated_anneal`), cooling geometrically from T0 by RHO to T_MIN; an
+AnnealSchedule sets only its sweeps per temperature and seed. Slices are
+assembled progressively from the top-left subimage; axial overlaps are
+split evenly between the two subdomains, mirroring the strip solvers'
+composite initialization.
 """
 
 from __future__ import annotations
@@ -83,25 +85,23 @@ class PotentialTables:
     phi: np.ndarray
 
 
+# the annealer's published geometric cooling schedule
+T0 = 1.0
+RHO = 0.95
+T_MIN = 0.01
+
+
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Geometric cooling schedule for the overlap annealer."""
+    """Sweeps per temperature and seed of the overlap annealer, which cools
+    geometrically from T0 by RHO until T_MIN: n_temperatures steps."""
 
-    t0: float = 1.0
-    rho: float = 0.95
     sweeps: int = 20
-    t_min: float = 0.01
     seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError("cooling factor must lie in (0, 1)")
-        if not (self.t0 > self.t_min > 0.0):
-            raise ValueError("need t0 > t_min > 0")
 
     @property
     def n_temperatures(self) -> int:
-        return int(math.floor(math.log(self.t_min / self.t0) / math.log(self.rho))) + 1
+        return int(math.floor(math.log(T_MIN / T0) / math.log(RHO))) + 1
 
 
 def build_potentials(p: StitchProblem) -> PotentialTables:
@@ -179,7 +179,7 @@ def composite_init(p: StitchProblem) -> np.ndarray:
 
 
 def _anneal_loop(config, log_phi, log_psi_h, log_psi_v, proposals, randu,
-                 n_temps, sweeps, t0, rho):
+                 n_temps, sweeps):
     # every array arrives as nested lists: in the interpreter list indexing
     # is far cheaper than numpy scalar indexing; returns the best
     # configuration seen, as nested lists
@@ -198,7 +198,7 @@ def _anneal_loop(config, log_phi, log_psi_h, log_psi_v, proposals, randu,
     best = [list(cells) for cells in config]
 
     step = 0
-    temp = t0
+    temp = T0
     for _ in range(n_temps):
         for _ in range(sweeps):
             for r in range(h):
@@ -232,22 +232,22 @@ def _anneal_loop(config, log_phi, log_psi_h, log_psi_v, proposals, randu,
                         if lp > best_lp:
                             best_lp = lp
                             best = [list(cells) for cells in config]
-        temp *= rho
+        temp *= RHO
     return best
 
 
-def simulated_anneal(p: StitchProblem, sched: AnnealSchedule | None = None,
-                     tables: PotentialTables | None = None) -> np.ndarray:
+def simulated_anneal(p: StitchProblem, sched: AnnealSchedule | None = None) -> np.ndarray:
     """MAP estimate of the overlap labeling by single-site Metropolis cooling.
 
     Starts from the composite initialization, visits nodes in raster order
     proposing uniform labels, accepts with probability min(1, exp(dlp/T)) and
-    geometrically cools until t_min; the best configuration seen is
+    geometrically cools from T0 by RHO until T_MIN, sched.sweeps raster
+    sweeps per temperature; the best configuration seen is
     returned (its log posterior never drops below the initialization's).
     Deterministic for a fixed schedule seed.
     """
     sched = sched or AnnealSchedule()
-    tables = tables or build_potentials(p)
+    tables = build_potentials(p)
     init = composite_init(p)
     config = (init.astype(np.int64) - 1).astype(np.int8)
     h, w = config.shape
@@ -264,11 +264,11 @@ def simulated_anneal(p: StitchProblem, sched: AnnealSchedule | None = None,
         log_psi_v = np.log(tables.psi_v) if tables.psi_v.size else tables.psi_v
     best = _anneal_loop(config.tolist(), log_phi.tolist(), log_psi_h.tolist(),
                         log_psi_v.tolist(), proposals.tolist(), randu.tolist(),
-                        n_temps, sched.sweeps, sched.t0, sched.rho)
+                        n_temps, sched.sweeps)
     return np.asarray(best, dtype=np.uint8) + 1
 
 
-def exact_map(p: StitchProblem, tables: PotentialTables | None = None) -> np.ndarray:
+def exact_map(p: StitchProblem) -> np.ndarray:
     """Exact MAP labeling of the overlap strip by dynamic programming.
 
     Every cell of a MAP labeling carries its obs_a or its obs_b label. A
@@ -287,7 +287,7 @@ def exact_map(p: StitchProblem, tables: PotentialTables | None = None) -> np.nda
     start for a strictly better posterior. Raises ValueError when the short
     side exceeds EXACT_MAX_WIDTH.
     """
-    tables = tables or build_potentials(p)
+    tables = build_potentials(p)
     init = composite_init(p)
     cand = np.stack([init, np.where(init == p.obs_a, p.obs_b, p.obs_a)],
                     axis=-1).astype(np.int64) - 1

@@ -56,11 +56,12 @@ def within(ts: TrainingSet, spec: KernelSpec) -> np.ndarray:
     return total
 
 
-def project(model: KfdaModel, mats: KfdaMatrices, queries: np.ndarray) -> np.ndarray:
+def project(model: KfdaModel, ts: TrainingSet, spec: KernelSpec,
+            queries: np.ndarray) -> np.ndarray:
     """Signed decision values sum_m alpha_m K(x_m, query) + b, x_m the
-    training samples of the step mats, under its kernel."""
+    training samples ts under the kernel spec that model was solved with."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    k = kernel_matrix(mats.spec, queries, mats.training.features)
+    k = kernel_matrix(spec, queries, ts.features)
     return k @ model.alpha + model.b_offset
 
 

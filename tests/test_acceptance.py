@@ -293,7 +293,7 @@ def test_criterion_6_sa_optimality():
         best_lp = row_transfer_map(p)
         sched = AnnealSchedule(seed=seed)
         t0 = time.perf_counter()
-        result = simulated_anneal(p, sched, tables=pt)
+        result = simulated_anneal(p, sched)
         elapsed += time.perf_counter() - t0
         lp = log_posterior(result, pt)
         assert lp >= log_posterior(composite_init(p), pt) - 1e-9

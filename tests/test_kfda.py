@@ -478,9 +478,10 @@ def test_projection_sign_convention_and_midpoint():
     feats = np.vstack([rng.normal(0.2, 0.05, size=(10, 3)),
                        rng.normal(0.8, 0.05, size=(10, 3))])
     ts = simple_training(feats, np.array([-1] * 10 + [1] * 10))
-    mats = build_matrices(ts, KernelSpec.rbf(0.5), subdata_line(feats))
+    spec = KernelSpec.rbf(0.5)
+    mats = build_matrices(ts, spec, subdata_line(feats))
     model = solve_alpha(mats, 0.0)
-    proj = project(model, mats, feats)
+    proj = project(model, ts, spec, feats)
     assert proj[10:].mean() > 0 > proj[:10].mean()
     # midpoint of projected class means sits at zero by the offset choice
     assert proj[:10].mean() + proj[10:].mean() == pytest.approx(0.0, abs=1e-10)
@@ -494,7 +495,7 @@ def test_project_matches_direct_sum():
     mats = build_matrices(ts, spec, subdata_line(feats))
     model = solve_alpha(mats, 0.0)
     queries = rng.random((10, 3))
-    values = project(model, mats, queries)
+    values = project(model, ts, spec, queries)
     for q, got in zip(queries, values):
         direct = sum(model.alpha[m] * kernel_eval(spec, feats[m], q)
                      for m in range(12)) + model.b_offset
@@ -719,7 +720,7 @@ def test_ssim_guided_improves_noisy_boundary():
     sides_init[boundary & flip] *= -1
 
     proj = np.where(sides_true < 0, -1.0, 1.0) + rng.normal(0, 0.3, h * w)
-    cats = categorize(proj, sides_init, tau_band=1.0, tau_outlier=2.5)
+    cats = categorize(proj, sides_init)
     score = _scorer(reference, np.ones((h, w), dtype=bool), (h, w))
 
     out, value, info = ssim_guided_decision(feats, sides_init, cats,

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior: outputs, determinism, self-consistency, CLI."""
 
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -181,8 +182,9 @@ def test_config_json_round_trip(tmp_path):
     assert PipelineConfig.from_json(path) == cfg
     # volumes are always normalized: the SSIM constants assume [0, 1]; the
     # kernels, band, ridge scale, reference channel and cooling schedule are
-    # fixed constants
+    # fixed constants; true and 1.0 equal 1 in Python but are no pool size
     for knob, value in (("no_such_knob", 1), ("normalize", False), ("workers", 2),
+                        ("workers", True), ("workers", 1.0),
                         ("reference_channel", 0), ("sigmoid_a", 8.0),
                         ("sigmoid_b", -0.0005), ("rbf_sigma", 0.5), ("tau_band", 1.0),
                         ("tau_outlier", 2.5), ("beta_scale", 1e-3), ("sa_t0", 1.0),
@@ -238,6 +240,7 @@ def test_config_validation():
             ("sa_sweeps", 2.0, "sa_sweeps"), ("sa_sweeps", 0, "sa_sweeps"),
             ("lambda_grid", ("a",), "lambda"),
             ("lambda_grid", (True,), "lambda"), ("lambda_grid", 0.0, "lambda_grid"),
+            ("lambda_grid", (0.0, math.inf), "lambda"), ("lambda_grid", (math.nan,), "lambda"),
             ("out_dir", 5, "out_dir")):
         with pytest.raises(ValueError, match=match):
             PipelineConfig(**{knob: value}).validate(check_paths=False)
@@ -285,9 +288,9 @@ def test_wide_overlap_runs_with_default_config(monkeypatch):
     annealed = []
     anneal = stitch.simulated_anneal
 
-    def spy(problem, sched=None, tables=None):
+    def spy(problem, sched=None):
         annealed.append(problem.shape)
-        return anneal(problem, sched, tables)
+        return anneal(problem, sched)
 
     monkeypatch.setattr(stitch, "simulated_anneal", spy)
     rng = np.random.default_rng(7)
@@ -484,6 +487,30 @@ def _rejects_another_partition(tmp_path, first, verb):
 
 def test_cli_report_rejects_another_partition(tmp_path):
     _rejects_another_partition(tmp_path, "run", "report")
+
+
+def test_cli_stitch_rejects_out_of_range_fragment_labels(tmp_path, caplog):
+    # fragment files are label volumes: a byte outside the state space is
+    # rejected when it is read, naming its voxel, before any strip is solved
+    data_dir = tmp_path / "data"
+    out_dir = tmp_path / "out"
+    cli.main(["phantom", "--out", str(data_dir), "--dims", "20", "20", "20",
+              "--noise", "0.03", "--bias", "0.0", "--blur", "0.5", "--seed", "4"])
+    cfg = PipelineConfig(volume=str(data_dir / "phantom.f32raw"),
+                         init_labels=str(data_dir / "truth.u8raw"),
+                         out_dir=str(out_dir), seed=0, l_max=300, max_depth=2,
+                         lambda_grid=(0.0,), k_grid=(1,))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(cfg.to_json())
+    assert cli.main(["classify", "--config", str(cfg_path)]) == 0
+    fragments = out_dir / "fragments"
+    padded = json.loads((fragments / "fragments.json").read_text())[0]["padded_bounds"]
+    payload = fragments / "fragment_000.u8raw"
+    assert load_labels(payload).dims == tuple(hi - lo + 1 for lo, hi in padded)
+    payload.write_bytes(b"\x09" * len(payload.read_bytes()))
+    assert cli.main(["stitch", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+    assert "label byte 9 at voxel (0, 0, 0)" in caplog.text
+    assert not (out_dir / "labels.u8raw").exists()
 
 
 def test_cli_stitch_rejects_another_partition(tmp_path):
