@@ -17,15 +17,19 @@ matvecs but no product with N; every regularization weight of the sweep is
 a Rayleigh-Ritz solve on that basis, exact for a positive top eigenvalue
 because the penalty is negative semidefinite (see solve_alpha). Voxels are
 then categorized by projection sign into tissue prototypes, an overlapping
-set and class outliers, which are refined by Mahalanobis and
-k-nearest-neighbour classifiers under MSSIM guidance. classify_subdomain
-runs both binary steps, CSF vs G+WM and then GM vs WM, as one loop over a
-step table; each step's scorer renders a labeling's classified mean image,
-scores it against the reference and caches the result, so every distinct
-labeling is scored once per step. Its grids and training-set cap come from
-the PipelineConfig, whose defaults are LAMBDA_GRID, K_GRID and L_MAX; the
-published categorization thresholds (TAU_BAND, TAU_OUTLIER) and the two
-ridges (RIDGE_SCALE, MAHALANOBIS_RIDGE) are module constants.
+set and class outliers. Each solve lists its candidate labelings in tie
+order (_labelings): the outliers reassigned by Mahalanobis distance and
+the overlapping set by a k-nearest-neighbour vote for each k, then the
+Mahalanobis labeling alone. Selection is MSSIM-guided: the first best
+candidate of each solve, then the first best solve of the sweep.
+classify_subdomain runs both binary steps, CSF vs G+WM and then GM vs WM,
+as one loop over a step table; each step's scorer renders a labeling's
+classified mean image, scores it against the reference and caches the
+result, so every distinct labeling is scored once per step. Its grids and
+training-set cap come from the PipelineConfig, whose defaults are
+LAMBDA_GRID, K_GRID and L_MAX; the published categorization thresholds
+(TAU_BAND, TAU_OUTLIER) and the two ridges (RIDGE_SCALE,
+MAHALANOBIS_RIDGE) are module constants.
 
 Every dense factorization and product runs in numpy's BLAS; scipy adds only
 the unthreaded level-2 triangular solves (dtrsv) that apply the factor's
@@ -40,6 +44,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -158,26 +163,6 @@ class TrainingSet:
     @property
     def pos_idx(self) -> np.ndarray:
         return np.flatnonzero(self.labels > 0)
-
-
-@dataclass
-class SubdomainData:
-    """Masked-voxel view of one subdomain box.
-
-    features holds the (n, channels) intensity vectors of the box's member
-    voxels in C order.
-    """
-
-    features: np.ndarray
-    member_box: np.ndarray
-
-    @classmethod
-    def from_mask(cls, data_box: np.ndarray, member_box: np.ndarray) -> "SubdomainData":
-        member_box = np.asarray(member_box, dtype=bool)
-        return cls(features=data_box[member_box].astype(np.float64), member_box=member_box)
-
-    def __len__(self) -> int:
-        return len(self.features)
 
 
 def neighborhood_matrix(member_box: np.ndarray) -> sparse.csr_matrix:
@@ -330,9 +315,12 @@ def cross_kernel(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarray
     return out
 
 
-def build_matrices(ts: TrainingSet, spec: KernelSpec,
-                   subdata: SubdomainData) -> KfdaMatrices:
+def build_matrices(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
+                   member_box: np.ndarray) -> KfdaMatrices:
     """Factor the step's pencil, then build its graph and cross kernel.
+
+    features holds the (n, channels) float64 intensity vectors of the
+    box's member voxels (member_box) in C order.
 
     The l x l matrices come first: the symmetrized gram, the class scatter
     (class_scatter) and the Cholesky factor of the ridged within-class
@@ -351,9 +339,9 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec,
     del gram
     factor, beta = factor_pencil(within, max(default_beta(within), floor))
     del within
-    h = neighborhood_matrix(subdata.member_box)
+    h = neighborhood_matrix(member_box)
     return KfdaMatrices(m_neg=m_neg, m_pos=m_pos, factor=factor, beta=beta,
-                        neighborhood=h, cross=cross_kernel(spec, ts.features, subdata.features))
+                        neighborhood=h, cross=cross_kernel(spec, ts.features, features))
 
 
 # ---------------------------------------------------------------------------
@@ -697,69 +685,45 @@ def nearest_prototype_sides(spec: KernelSpec, queries: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# MSSIM-guided decision surface
+# Candidate labelings of a solve
 # ---------------------------------------------------------------------------
 
-def ssim_guided_decision(features: np.ndarray, init_sides: np.ndarray,
-                         categories: VoxelCategories, kernel: KernelSpec,
-                         score, k_grid=K_GRID) -> tuple[np.ndarray, float, dict]:
-    """Refine outliers and the overlapping set, keeping the better labeling.
+def _labelings(features: np.ndarray, init_sides: np.ndarray, categories: VoxelCategories,
+               kernel: KernelSpec, k_grid) -> list[tuple[int | None, np.ndarray]]:
+    """The candidate labelings of one solve as [(k, sides), ...] in tie order.
 
-    Outliers are reassigned by Mahalanobis distance; the overlapping set is
-    reassigned by KNN for each k in k_grid on top of that. One call to
+    Outliers are reassigned by Mahalanobis distance; on top of that the
+    overlapping set is reassigned by a KNN vote for each usable (odd, at
+    most the prototype count) k of k_grid, in k_grid order. The Mahalanobis
+    labeling alone comes last, with k None; it is the only candidate when
+    the overlapping set or the prototypes are empty. One call to
     nearest_prototype_sides ranks the prototypes for every k: an exact
     KD-tree in Euclidean intensity order (the RBF and linear kernel-trick
     distances are monotone in it; the sigmoid kernel is not positive
     semidefinite and has no kernel-trick distance), ties broken by
-    prototype index. score(sides) gives a labeling's MSSIM against the
-    reference; the larger wins. An empty overlapping set returns the
-    Mahalanobis labeling directly.
+    prototype index.
     """
     init_sides = np.asarray(init_sides, dtype=np.int8)
     sides_mahal = init_sides.copy()
     out_idx = categories.outliers
-    proto_neg_f = features[categories.prototypes_neg]
-    proto_pos_f = features[categories.prototypes_pos]
     if len(out_idx):
         sides_mahal[out_idx] = classify_outliers_mahalanobis(
-            features[out_idx], sides_mahal[out_idx], proto_neg_f, proto_pos_f)
-
-    mssim_mahal = score(sides_mahal)
-    info = {"mssim_mahal": mssim_mahal, "mssim_knn": None, "best_k": None,
-            "route": "mahalanobis"}
-
+            features[out_idx], sides_mahal[out_idx], features[categories.prototypes_neg],
+            features[categories.prototypes_pos])
     ov_idx = categories.overlap
     proto_idx = categories.prototypes
-    if len(ov_idx) == 0 or len(proto_idx) == 0:
-        return sides_mahal, mssim_mahal, info
-
     usable = [k for k in k_grid if k % 2 == 1 and k <= len(proto_idx)]
-    if not usable:
-        return sides_mahal, mssim_mahal, info
+    if len(ov_idx) == 0 or not usable:
+        return [(None, sides_mahal)]
     # a prototype keeps its initial side by definition
-    ranked_sides = nearest_prototype_sides(kernel, features[ov_idx],
-                                           features[proto_idx], init_sides[proto_idx],
-                                           max(usable))
-
-    best_k = None
-    best_knn_mssim = -math.inf
-    best_sides = None
+    ranked_sides = nearest_prototype_sides(kernel, features[ov_idx], features[proto_idx],
+                                           init_sides[proto_idx], max(usable))
+    labelings = []
     for k in usable:
-        votes = ranked_sides[:, :k].astype(np.int32).sum(axis=1)
         sides_k = sides_mahal.copy()
-        sides_k[ov_idx] = np.where(votes > 0, 1, -1)
-        value = score(sides_k)
-        if value > best_knn_mssim:
-            best_knn_mssim = value
-            best_k = k
-            best_sides = sides_k
-
-    info["mssim_knn"] = best_knn_mssim
-    info["best_k"] = best_k
-    if best_knn_mssim >= mssim_mahal:
-        info["route"] = "knn"
-        return best_sides, best_knn_mssim, info
-    return sides_mahal, mssim_mahal, info
+        sides_k[ov_idx] = np.where(ranked_sides[:, :k].astype(np.int32).sum(axis=1) > 0, 1, -1)
+        labelings.append((k, sides_k))
+    return labelings + [(None, sides_mahal)]
 
 
 # ---------------------------------------------------------------------------
@@ -787,19 +751,23 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: PipelineConfig,
               rng) -> tuple[np.ndarray, dict]:
     """One binary KFDA step with its regularization sweep.
 
-    member selects the step's voxels inside the box; sides_init gives their
-    initial class side, with at least 2 voxels on each side. score(sides)
-    is the step's MSSIM of a labeling of the member voxels; cfg gives the
-    sweep's lambda_grid and k_grid and the training-set cap l_max. Returns the
-    best-scoring sides over the sweep plus diagnostics; falls back to the
-    initial sides when no ridge makes the eigen solve factorable.
+    member selects the step's voxels inside the float64 box data_box;
+    sides_init gives their initial class side, with at least 2 voxels on
+    each side. score(sides) is the step's MSSIM of a labeling of the member
+    voxels; cfg gives the sweep's lambda_grid and k_grid and the
+    training-set cap l_max. Each solve keeps the best-scoring of its
+    labelings (_labelings) and the sweep the best-scoring solve; max keeps
+    the first of equal scores, so ties go to the smallest k, to KNN over
+    Mahalanobis and to the first lambda of the grid. Returns the chosen
+    sides plus diagnostics; falls back to the initial sides when no ridge
+    makes the eigen solve factorable.
     """
-    subdata = SubdomainData.from_mask(data_box, member)
-    diag = {"n_voxels": len(subdata), "sweep": [], "chosen_lambda": None, "skipped": None}
+    features = data_box[member]
+    diag = {"n_voxels": len(features), "sweep": [], "chosen_lambda": None, "skipped": None}
     keep = _stratified_cap(sides_init, cfg.l_max, rng)
-    ts = TrainingSet(features=subdata.features[keep], labels=sides_init[keep])
+    ts = TrainingSet(features=features[keep], labels=sides_init[keep])
     try:
-        mats = build_matrices(ts, kernel, subdata)
+        mats = build_matrices(ts, kernel, features, member)
     except ConvergenceError as exc:
         logger.warning("eigen solves failed for every lambda: %s", exc)
         diag["sweep"] = [{"lambda": lam, "error": str(exc)} for lam in cfg.lambda_grid]
@@ -807,7 +775,7 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: PipelineConfig,
         return sides_init, diag
 
     basis = KrylovBasis(mats)
-    best = None
+    solves = []
     for lam in cfg.lambda_grid:
         entry = {"lambda": lam}
         model = solve_alpha(mats, lam, basis=basis)
@@ -818,21 +786,22 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: PipelineConfig,
                       "categories": cats.sizes()})
         if min(len(cats.prototypes_neg), len(cats.prototypes_pos)) < 2:
             logger.warning("fewer than 2 prototypes in a class; keeping initial labels")
-            sides_lam, value = sides_init, score(sides_init)
+            value, sides = score(sides_init), sides_init
             entry.update({"mssim": value, "fallback": "prototypes"})
         else:
-            sides_lam, value, info = ssim_guided_decision(
-                subdata.features, sides_init, cats, kernel, score, cfg.k_grid)
-            entry.update({"mssim": value, "mssim_mahal": info["mssim_mahal"],
-                          "mssim_knn": info["mssim_knn"], "best_k": info["best_k"],
-                          "route": info["route"]})
+            scored = [(score(sides), k, sides) for k, sides in
+                      _labelings(features, sides_init, cats, kernel, cfg.k_grid)]
+            value, k, sides = max(scored, key=itemgetter(0))
+            mssim_knn, best_k, _ = max(scored[:-1], key=itemgetter(0),
+                                       default=(None, None, None))
+            entry.update({"mssim": value, "mssim_mahal": scored[-1][0],
+                          "mssim_knn": mssim_knn, "best_k": best_k,
+                          "route": "mahalanobis" if k is None else "knn"})
         diag["sweep"].append(entry)
-        if best is None or value > best[1]:
-            best = (sides_lam, value, lam)
+        solves.append((value, lam, sides))
 
-    diag["chosen_lambda"] = best[2]
-    diag["mssim"] = best[1]
-    return best[0], diag
+    diag["mssim"], diag["chosen_lambda"], sides = max(solves, key=itemgetter(0))
+    return sides, diag
 
 
 # the two binary steps, in order: (diag key, negative labels, positive

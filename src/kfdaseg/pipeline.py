@@ -375,8 +375,10 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
     """Per-leaf MSSIM before and after, curves, class counts and Dice.
 
     Raises PipelineStageError("report") on diagnostics that are not one
-    entry per leaf of tree, each over that leaf's padded bounds."""
+    object per leaf of tree, each over that leaf's padded bounds."""
     def build() -> RunReport:
+        if not (isinstance(diagnostics, list) and all(isinstance(d, dict) for d in diagnostics)):
+            raise ValueError("diagnostics must list one object per subdomain")
         _require_leaves(tree, "diagnostics", [diag.get("bounds") for diag in diagnostics],
                         lambda leaf: leaf.padded_bounds)
         leaves = tree.leaf_nodes()
@@ -548,15 +550,16 @@ def save_fragments(fragments: list[stitch.ClassifiedFragment], outdir):
 
 
 def load_fragments(indir) -> list[stitch.ClassifiedFragment]:
-    """The fragments save_fragments wrote; raises VolumeFormatError naming
-    the first label byte outside the state space."""
-    indir = Path(indir)
-    index = json.loads((indir / "fragments.json").read_text())
-    fragments = []
-    for entry in index:
-        padded = tuple(tuple(b) for b in entry["padded_bounds"])
-        labels = vol_io.load_labels(indir / entry["file"]).labels
-        fragments.append(stitch.ClassifiedFragment(
-            core_bounds=tuple(tuple(b) for b in entry["core_bounds"]),
-            padded_bounds=padded, labels=labels))
-    return fragments
+    """The fragments save_fragments wrote; raises ValueError on an index
+    that does not list one object per fragment and VolumeFormatError
+    naming the first label byte outside the state space."""
+    index = Path(indir) / "fragments.json"
+    try:
+        records = [(index.parent / entry["file"], tuple(tuple(b) for b in entry["core_bounds"]),
+                    tuple(tuple(b) for b in entry["padded_bounds"]))
+                   for entry in json.loads(index.read_text())]
+    except TypeError as exc:
+        raise ValueError(f"{index} does not list one object per fragment: {exc}") from exc
+    return [stitch.ClassifiedFragment(core_bounds=core, padded_bounds=padded,
+                                      labels=vol_io.load_labels(path).labels)
+            for path, core, padded in records]

@@ -9,7 +9,11 @@ File format (shared by every stage of the pipeline):
     <name>.u8raw    little-endian uint8 payload, same voxel order (masks,
                     labels)
     <name>.json     sidecar header {"dims": [M1,M2,M3], "channels": C,
-                    "mask_file": "..."}
+                    "mask_file": "..."}; a label file's holds dims alone
+
+A sidecar that is not such a JSON object (three positive integer dims, a
+positive integer channel count for a volume) or a payload of another size
+is rejected with VolumeFormatError.
 
 The format is deliberately dependency-free and byte-inspectable; round trips
 are bit-exact.
@@ -18,6 +22,7 @@ are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,8 +112,9 @@ def check_mask_consistency(lv: LabelVolume, mask: np.ndarray) -> bool:
 # IO helpers
 # ---------------------------------------------------------------------------
 
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json")
+def _raw_path(path, suffix: str) -> Path:
+    path = Path(path)
+    return path if path.suffix == suffix else path.with_suffix(suffix)
 
 
 def _to_disk_order(arr: np.ndarray) -> np.ndarray:
@@ -134,23 +140,62 @@ def _flat_to_voxel(flat_index: int, dims) -> tuple[int, int, int]:
     return (i, j, k)
 
 
+def _is_count(value) -> bool:
+    # JSON true/false load as bools, which Python counts as integers
+    return type(value) is int and value > 0
+
+
+def _payload(path: Path, what: str, dtype, size: int) -> np.ndarray:
+    """The size values of a raw payload file, or VolumeFormatError."""
+    if not path.is_file():
+        raise FileNotFoundError(f"{what} payload not found: {path}")
+    payload = np.fromfile(path, dtype=dtype)
+    if payload.size != size:
+        raise VolumeFormatError(
+            f"{path}: {what} payload holds {payload.size} values, header implies {size}")
+    return payload
+
+
+def _read(path, suffix: str, what: str, dtype,
+          volume: bool = False) -> tuple[Path, dict, tuple[int, int, int], np.ndarray]:
+    """(payload path, header, dims, payload) of a raw file and its sidecar.
+
+    The sidecar must hold a JSON object whose dims lists three positive
+    integers; a volume's must also give channels, a positive integer, and
+    mask_file, a file name. Raises FileNotFoundError on a missing file and
+    VolumeFormatError naming the sidecar or payload that breaks the format.
+    """
+    path = _raw_path(path, suffix)
+    sidecar = path.with_suffix(".json")
+    if not sidecar.exists():
+        raise FileNotFoundError(f"{what} sidecar not found: {sidecar}")
+    try:
+        header = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise VolumeFormatError(f"{sidecar}: sidecar is not JSON ({exc})") from exc
+    dims = header.get("dims") if isinstance(header, dict) else None
+    valid = isinstance(dims, list) and len(dims) == 3 and all(map(_is_count, dims))
+    if volume:
+        valid = valid and _is_count(header.get("channels")) \
+            and isinstance(header.get("mask_file"), str)
+    if not valid:
+        raise VolumeFormatError(f"bad header {header!r} in {sidecar}")
+    dims = tuple(dims)
+    size = math.prod(dims) * (header["channels"] if volume else 1)
+    return path, header, dims, _payload(path, what, dtype, size)
+
+
 def save_volume(vol: MultiChannelVolume, path) -> None:
     """Write <path>.f32raw + JSON sidecar + <stem>_mask.u8raw.
 
     Payload bytes reproduce the float32 data exactly; load_volume(path)
     returns a bit-identical volume.
     """
-    path = Path(path)
-    if path.suffix != ".f32raw":
-        path = path.with_suffix(".f32raw")
+    path = _raw_path(path, ".f32raw")
     path.parent.mkdir(parents=True, exist_ok=True)
     mask_name = path.stem + "_mask.u8raw"
-    header = {
-        "dims": list(vol.dims),
-        "channels": vol.channels,
-        "mask_file": mask_name,
-    }
-    _sidecar_path(path).write_text(json.dumps(header, sort_keys=True))
+    header = {"dims": list(vol.dims), "channels": vol.channels, "mask_file": mask_name}
+    path.with_suffix(".json").write_text(json.dumps(header, sort_keys=True))
     _to_disk_order(vol.data).astype("<f4").tofile(path)
     _to_disk_order(vol.mask.astype(np.uint8)).tofile(path.parent / mask_name)
 
@@ -158,29 +203,12 @@ def save_volume(vol: MultiChannelVolume, path) -> None:
 def load_volume(path) -> MultiChannelVolume:
     """Load a volume written by save_volume.
 
-    Raises VolumeFormatError on header/payload size mismatch or
-    non-finite values (diagnostic names the first offending voxel),
-    FileNotFoundError on missing files.
+    Raises VolumeFormatError on a malformed sidecar, a header/payload size
+    mismatch or non-finite values (diagnostic names the first offending
+    voxel), FileNotFoundError on missing files.
     """
-    path = Path(path)
-    if path.suffix != ".f32raw":
-        path = path.with_suffix(".f32raw")
-    if not path.exists():
-        raise FileNotFoundError(f"volume payload not found: {path}")
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise FileNotFoundError(f"volume sidecar not found: {sidecar}")
-    header = json.loads(sidecar.read_text())
-    dims = tuple(int(d) for d in header["dims"])
-    channels = int(header["channels"])
-    if len(dims) != 3 or any(d <= 0 for d in dims) or channels < 1:
-        raise VolumeFormatError(f"bad header {header} in {sidecar}")
-
-    payload = np.fromfile(path, dtype="<f4")
-    expected = dims[0] * dims[1] * dims[2] * channels
-    if payload.size != expected:
-        raise VolumeFormatError(
-            f"{path}: payload holds {payload.size} floats, header implies {expected}")
+    path, header, dims, payload = _read(path, ".f32raw", "volume", "<f4", volume=True)
+    channels = header["channels"]
     finite = np.isfinite(payload)
     if not finite.all():
         first = int(np.argmax(~finite))
@@ -188,47 +216,23 @@ def load_volume(path) -> MultiChannelVolume:
         raise VolumeFormatError(
             f"{path}: non-finite value {payload[first]} at voxel {voxel}, "
             f"channel {first % channels}")
-
-    mask_path = path.parent / header["mask_file"]
-    if not mask_path.exists():
-        raise FileNotFoundError(f"mask payload not found: {mask_path}")
-    mask_payload = np.fromfile(mask_path, dtype=np.uint8)
-    if mask_payload.size != dims[0] * dims[1] * dims[2]:
-        raise VolumeFormatError(
-            f"{mask_path}: mask holds {mask_payload.size} bytes, header implies "
-            f"{dims[0] * dims[1] * dims[2]}")
-
-    data = _from_disk_order(payload, dims, channels)
-    mask = _from_disk_order(mask_payload, dims, None).astype(bool)
-    return MultiChannelVolume(data=data, mask=mask)
+    mask = _payload(path.parent / header["mask_file"], "mask", np.uint8, math.prod(dims))
+    return MultiChannelVolume(data=_from_disk_order(payload, dims, channels),
+                              mask=_from_disk_order(mask, dims, None).astype(bool))
 
 
 def save_labels(lv: LabelVolume, path) -> None:
     """Write <path>.u8raw + JSON sidecar; round trip is bit-exact."""
-    path = Path(path)
-    if path.suffix != ".u8raw":
-        path = path.with_suffix(".u8raw")
+    path = _raw_path(path, ".u8raw")
     path.parent.mkdir(parents=True, exist_ok=True)
-    _sidecar_path(path).write_text(json.dumps({"dims": list(lv.dims)}, sort_keys=True))
+    path.with_suffix(".json").write_text(json.dumps({"dims": list(lv.dims)}, sort_keys=True))
     _to_disk_order(lv.labels).tofile(path)
 
 
 def load_labels(path) -> LabelVolume:
-    """Load labels written by save_labels; rejects out-of-range label bytes."""
-    path = Path(path)
-    if path.suffix != ".u8raw":
-        path = path.with_suffix(".u8raw")
-    if not path.exists():
-        raise FileNotFoundError(f"label payload not found: {path}")
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise FileNotFoundError(f"label sidecar not found: {sidecar}")
-    dims = tuple(int(d) for d in json.loads(sidecar.read_text())["dims"])
-    payload = np.fromfile(path, dtype=np.uint8)
-    if payload.size != dims[0] * dims[1] * dims[2]:
-        raise VolumeFormatError(
-            f"{path}: payload holds {payload.size} bytes, header implies "
-            f"{dims[0] * dims[1] * dims[2]}")
+    """Load labels written by save_labels; raises VolumeFormatError on a
+    malformed sidecar, a size mismatch or out-of-range label bytes."""
+    path, _, dims, payload = _read(path, ".u8raw", "label", np.uint8)
     bad = (payload < CSF) | (payload > BG)
     if bad.any():
         first = int(np.argmax(bad))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kfdaseg.kfda import KernelSpec, SubdomainData, TrainingSet, build_matrices, solve_alpha
+from kfdaseg.kfda import KernelSpec, TrainingSet, build_matrices, solve_alpha
 from kfdaseg.partition import (Histogram2, SlabClustering, Subdomain, best_cut,
                                histogram_2bin, mutual_information, partition)
 from kfdaseg.phantom import (PhantomSpec, corrupt_boundary_labels,
@@ -154,9 +154,8 @@ def test_criterion_3_eigen_solve():
     rng = np.random.default_rng(1003)
 
     def line_subdata(feats):
-        return SubdomainData.from_mask(
-            np.asarray(feats, dtype=np.float64).reshape(len(feats), 1, 1, -1),
-            np.ones((len(feats), 1, 1), dtype=bool))
+        return (np.asarray(feats, dtype=np.float64),
+                np.ones((len(feats), 1, 1), dtype=bool))
 
     worst_resid = 0.0
     worst_constraint = 0.0
@@ -167,7 +166,7 @@ def test_criterion_3_eigen_solve():
         if abs(int(labels.sum())) == l:
             labels[0] = -labels[0]
         ts = TrainingSet(feats, labels)
-        mats = build_matrices(ts, KernelSpec.rbf(0.5), line_subdata(feats))
+        mats = build_matrices(ts, KernelSpec.rbf(0.5), *line_subdata(feats))
         for lam in (0.0, 5e-5, 0.1):
             model = solve_alpha(mats, lam)
             worst_resid = max(worst_resid, model.residual)
@@ -182,7 +181,7 @@ def test_criterion_3_eigen_solve():
     x_pos = gen.multivariate_normal([3.0, 1.0], cov, size=n)
     feats = np.vstack([x_neg, x_pos])
     ts = TrainingSet(feats, np.array([-1] * n + [1] * n))
-    mats = build_matrices(ts, KernelSpec.linear(), line_subdata(feats))
+    mats = build_matrices(ts, KernelSpec.linear(), *line_subdata(feats))
     model = solve_alpha(mats, 0.0)
     w_kfda = feats.T @ model.alpha
     mu_n, mu_p = x_neg.mean(0), x_pos.mean(0)
@@ -213,11 +212,11 @@ def test_criterion_4_penalty_identity():
         if mask.sum() < 6:
             continue
         data = rng.random(dims + (3,))
-        sub = SubdomainData.from_mask(data, mask)
-        l = min(12, len(sub))
+        features = data[mask]
+        l = min(12, len(features))
         labels = np.array([-1] * (l // 2) + [1] * (l - l // 2))
-        ts = TrainingSet(sub.features[:l], labels)
-        mats = build_matrices(ts, KernelSpec.rbf(0.5), sub)
+        ts = TrainingSet(features[:l], labels)
+        mats = build_matrices(ts, KernelSpec.rbf(0.5), features, mask)
         edges = graph_edges(mats.neighborhood)
         for _ in range(10):
             alpha = rng.standard_normal(l)

@@ -9,12 +9,11 @@ import pytest
 import scipy.linalg as sla
 
 from kfdaseg import kfda
-from kfdaseg.kfda import (ConvergenceError, KernelSpec, KrylovBasis,
-                          SubdomainData, TrainingSet, _run_step, _stratified_cap,
-                          build_matrices, categorize, class_scatter,
-                          classify_outliers_mahalanobis, classify_subdomain, cross_kernel,
-                          factor_pencil, kernel_matrix, nearest_prototype_sides,
-                          neighborhood_matrix, solve_alpha, ssim_guided_decision)
+from kfdaseg.kfda import (ConvergenceError, KernelSpec, KrylovBasis, TrainingSet,
+                          _labelings, _run_step, _stratified_cap, build_matrices,
+                          categorize, class_scatter, classify_outliers_mahalanobis,
+                          classify_subdomain, cross_kernel, factor_pencil, kernel_matrix,
+                          nearest_prototype_sides, neighborhood_matrix, solve_alpha)
 from kfdaseg.pipeline import PipelineConfig
 from kfdaseg.ssim import mssim
 from kfdaseg.volume import BG, CSF, GM, WM
@@ -23,11 +22,10 @@ from oracles import (between, classify_overlap_knn, gram, graph_edges, kernel_ev
 
 
 def subdata_line(features):
-    """Trivial 1D geometry whose voxels are the given feature rows."""
+    """(features, member box) of a trivial 1D geometry whose voxels are the
+    given feature rows."""
     features = np.asarray(features, dtype=np.float64)
-    n = len(features)
-    return SubdomainData.from_mask(features.reshape(n, 1, 1, -1),
-                                   np.ones((n, 1, 1), dtype=bool))
+    return features, np.ones((len(features), 1, 1), dtype=bool)
 
 
 def simple_training(features, labels):
@@ -91,7 +89,7 @@ def test_gram_symmetric_and_rbf_psd():
 def test_single_sample_classes_give_zero_within():
     feats = np.array([[0.0, 0.0], [1.0, 1.0]])
     ts = simple_training(feats, np.array([-1, 1]))
-    mats = build_matrices(ts, KernelSpec.linear(), subdata_line(feats))
+    mats = build_matrices(ts, KernelSpec.linear(), *subdata_line(feats))
     m_diff = mats.m_neg - mats.m_pos
     assert np.allclose(between(mats), np.outer(m_diff, m_diff), atol=1e-12)
     _, _, scatter = class_scatter(gram(ts, KernelSpec.linear()), ts)
@@ -103,7 +101,7 @@ def test_within_matches_literal_centering_formula():
     feats = rng.random((12, 3))
     labels = np.array([-1] * 5 + [1] * 7)
     ts = simple_training(feats, labels)
-    mats = build_matrices(ts, KernelSpec.rbf(0.6), subdata_line(feats))
+    mats = build_matrices(ts, KernelSpec.rbf(0.6), *subdata_line(feats))
     g = gram(ts, KernelSpec.rbf(0.6))
     k_neg = g[:, ts.neg_idx]
     k_pos = g[:, ts.pos_idx]
@@ -160,13 +158,13 @@ def test_build_matrices_holds_one_full_size_buffer(monkeypatch):
     monkeypatch.setattr(kfda, "CROSS_F32_THRESHOLD", 0)
     rng = np.random.default_rng(35)
     member = np.ones((20, 20, 20), dtype=bool)
-    subdata = SubdomainData.from_mask(rng.random(member.shape + (3,)), member)
+    features = rng.random(member.shape + (3,))[member]
     l = 300
-    rows = np.sort(rng.choice(len(subdata), size=l, replace=False))
-    ts = TrainingSet(subdata.features[rows], np.where(np.arange(l) < 120, -1, 1))
+    rows = np.sort(rng.choice(len(features), size=l, replace=False))
+    ts = TrainingSet(features[rows], np.where(np.arange(l) < 120, -1, 1))
     tracemalloc.start()
     try:
-        mats = build_matrices(ts, KernelSpec.sigmoid(), subdata)
+        mats = build_matrices(ts, KernelSpec.sigmoid(), features, member)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,11 +212,11 @@ def test_penalty_identity_with_kernel_projection():
         if mask.sum() < 4:
             continue
         data = rng.random(dims + (3,))
-        sub = SubdomainData.from_mask(data, mask)
-        l = min(10, len(sub))
+        features = data[mask]
+        l = min(10, len(features))
         labels = np.array([-1] * (l // 2) + [1] * (l - l // 2))
-        ts = TrainingSet(sub.features[:l], labels)
-        mats = build_matrices(ts, KernelSpec.rbf(0.5), sub)
+        ts = TrainingSet(features[:l], labels)
+        mats = build_matrices(ts, KernelSpec.rbf(0.5), features, mask)
         edges = graph_edges(mats.neighborhood)
         for _ in range(10):
             alpha = rng.standard_normal(l)
@@ -241,7 +239,7 @@ def test_linear_kernel_matches_fisher_closed_form():
     x_pos = rng.multivariate_normal([3.0, 1.0], cov, size=n)
     feats = np.vstack([x_neg, x_pos])
     ts = simple_training(feats, np.array([-1] * n + [1] * n))
-    mats = build_matrices(ts, KernelSpec.linear(), subdata_line(feats))
+    mats = build_matrices(ts, KernelSpec.linear(), *subdata_line(feats))
     model = solve_alpha(mats, 0.0)
 
     w_kfda = feats.T @ model.alpha
@@ -262,7 +260,7 @@ def test_residual_and_constraint_on_random_instances():
         if abs(labels.sum()) == l:
             labels[0] = -labels[0]
         ts = simple_training(feats, labels)
-        mats = build_matrices(ts, KernelSpec.rbf(0.5), subdata_line(feats))
+        mats = build_matrices(ts, KernelSpec.rbf(0.5), *subdata_line(feats))
         for lam in (0.0, 5e-5, 0.3):
             model = solve_alpha(mats, lam)
             assert model.residual <= 1e-8
@@ -276,7 +274,7 @@ def test_small_instances_match_dense_eigendecomposition():
         l = 8
         feats = rng.normal(size=(l, 3))
         ts = simple_training(feats, np.array([-1] * 4 + [1] * 4))
-        mats = build_matrices(ts, KernelSpec.rbf(1.0), subdata_line(feats))
+        mats = build_matrices(ts, KernelSpec.rbf(1.0), *subdata_line(feats))
         pencil = within(ts, KernelSpec.rbf(1.0)) + mats.beta * np.eye(l)
         for lam in (0.0, 0.1, 10.0):
             a = between(mats) + lam * penalty(mats)
@@ -306,7 +304,7 @@ def test_shared_basis_matches_dense_eigendecomposition():
         labels[0], labels[-1] = -1, 1
         ts = TrainingSet(feats[rows], labels)
         for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(1.0)):
-            mats = build_matrices(ts, spec, subdata_line(feats))
+            mats = build_matrices(ts, spec, *subdata_line(feats))
             b, p = between(mats), penalty(mats)
             calls = []
 
@@ -338,7 +336,7 @@ def _mats_with_within(scatter, beta):
     feats = rng.normal(size=(l, 3))
     labels = np.where(np.arange(l) < l // 2, -1, 1)
     mats = build_matrices(TrainingSet(feats, labels), KernelSpec.rbf(1.0),
-                          subdata_line(feats))
+                          *subdata_line(feats))
     factor, beta = factor_pencil(scatter, beta)
     return dataclasses.replace(mats, factor=factor, beta=beta)
 
@@ -365,11 +363,11 @@ def test_basis_stays_orthonormal_without_pencil_products():
     # 1e-7 after 100 expansions, O(1) after 150
     rng = np.random.default_rng(41)
     member = np.ones((8, 8, 8), dtype=bool)
-    subdata = SubdomainData.from_mask(rng.normal(size=member.shape + (3,)), member)
-    rows = np.sort(rng.choice(len(subdata), size=200, replace=False))
+    features = rng.normal(size=member.shape + (3,))[member]
+    rows = np.sort(rng.choice(len(features), size=200, replace=False))
     labels = np.where(rng.random(200) < 0.5, -1, 1)
-    ts = TrainingSet(subdata.features[rows], labels)
-    mats = build_matrices(ts, KernelSpec.sigmoid(), subdata)
+    ts = TrainingSet(features[rows], labels)
+    mats = build_matrices(ts, KernelSpec.sigmoid(), features, member)
     basis = KrylovBasis(mats)
     solve_alpha(mats, 5e-5, basis=basis)
     while basis.expand():
@@ -400,7 +398,7 @@ def test_pencil_never_definite_raises_convergence_error(monkeypatch):
     member = np.ones((8, 1, 1), dtype=bool)
     with pytest.raises(ConvergenceError):
         build_matrices(TrainingSet(data.reshape(8, 3), sides), KernelSpec.rbf(1.0),
-                       SubdomainData.from_mask(data, member))
+                       data[member], member)
     cfg = PipelineConfig(lambda_grid=(0.0, 1e-4))
     out, diag = _run_step(data, member, sides, KernelSpec.rbf(1.0), None, cfg,
                           np.random.default_rng(0))
@@ -442,7 +440,7 @@ def test_lambda_zero_maximizes_classical_criterion():
     feats = rng.random((20, 3))
     labels = np.array([-1] * 9 + [1] * 11)
     ts = simple_training(feats, labels)
-    mats = build_matrices(ts, KernelSpec.rbf(0.5), subdata_line(feats))
+    mats = build_matrices(ts, KernelSpec.rbf(0.5), *subdata_line(feats))
     model = solve_alpha(mats, 0.0)
     pencil = within(ts, KernelSpec.rbf(0.5)) + mats.beta * np.eye(20)
     m_diff = mats.m_neg - mats.m_pos
@@ -458,12 +456,12 @@ def test_lambda_monotonically_smooths_projections():
     dims = (6, 6, 6)
     data = rng.random(dims + (3,))
     mask = np.ones(dims, dtype=bool)
-    sub = SubdomainData.from_mask(data, mask)
-    labels = np.where(sub.features[:, 0] > np.median(sub.features[:, 0]), 1, -1)
+    features = data[mask]
+    labels = np.where(features[:, 0] > np.median(features[:, 0]), 1, -1)
     labels[0] = -1
     labels[1] = 1
-    ts = TrainingSet(sub.features, labels)
-    mats = build_matrices(ts, KernelSpec.rbf(0.5), sub)
+    ts = TrainingSet(features, labels)
+    mats = build_matrices(ts, KernelSpec.rbf(0.5), features, mask)
     grid = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
     rough = []
     for lam in grid:
@@ -479,7 +477,7 @@ def test_projection_sign_convention_and_midpoint():
                        rng.normal(0.8, 0.05, size=(10, 3))])
     ts = simple_training(feats, np.array([-1] * 10 + [1] * 10))
     spec = KernelSpec.rbf(0.5)
-    mats = build_matrices(ts, spec, subdata_line(feats))
+    mats = build_matrices(ts, spec, *subdata_line(feats))
     model = solve_alpha(mats, 0.0)
     proj = project(model, ts, spec, feats)
     assert proj[10:].mean() > 0 > proj[:10].mean()
@@ -492,7 +490,7 @@ def test_project_matches_direct_sum():
     feats = rng.random((12, 3))
     ts = simple_training(feats, np.array([-1] * 6 + [1] * 6))
     spec = KernelSpec.sigmoid(8, -0.0005)
-    mats = build_matrices(ts, spec, subdata_line(feats))
+    mats = build_matrices(ts, spec, *subdata_line(feats))
     model = solve_alpha(mats, 0.0)
     queries = rng.random((10, 3))
     values = project(model, ts, spec, queries)
@@ -685,6 +683,12 @@ def _scorer(reference, mask, shape):
     return score
 
 
+def _best(score, labelings):
+    """(MSSIM, k, sides) of the first best-scoring labeling, as _run_step
+    chooses among a solve's labelings."""
+    return max(((score(sides), k, sides) for k, sides in labelings), key=lambda c: c[0])
+
+
 def test_ssim_guided_empty_sets_keep_labels():
     rng = np.random.default_rng(19)
     n = 144
@@ -697,10 +701,10 @@ def test_ssim_guided_empty_sets_keep_labels():
     reference = rng.random((12, 12))
     mask = np.ones((12, 12), dtype=bool)
 
-    out, value, info = ssim_guided_decision(feats, sides, cats, KernelSpec.rbf(0.5),
-                                            _scorer(reference, mask, (12, 12)))
+    value, k, out = _best(_scorer(reference, mask, (12, 12)),
+                          _labelings(feats, sides, cats, KernelSpec.rbf(0.5), kfda.K_GRID))
     assert np.array_equal(out, sides)
-    assert info["route"] == "mahalanobis"
+    assert k is None     # the Mahalanobis route
 
 
 def test_ssim_guided_improves_noisy_boundary():
@@ -723,8 +727,8 @@ def test_ssim_guided_improves_noisy_boundary():
     cats = categorize(proj, sides_init)
     score = _scorer(reference, np.ones((h, w), dtype=bool), (h, w))
 
-    out, value, info = ssim_guided_decision(feats, sides_init, cats,
-                                            KernelSpec.rbf(0.5), score)
+    value, k, out = _best(score, _labelings(feats, sides_init, cats, KernelSpec.rbf(0.5),
+                                            kfda.K_GRID))
     assert value >= score(sides_init)
     assert (out == sides_true).mean() >= (sides_init == sides_true).mean()
 

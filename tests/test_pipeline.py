@@ -486,7 +486,14 @@ def _rejects_another_partition(tmp_path, first, verb):
 
 
 def test_cli_report_rejects_another_partition(tmp_path):
-    _rejects_another_partition(tmp_path, "run", "report")
+    cfg_path = _rejects_another_partition(tmp_path, "run", "report")
+    # so are diagnostics that are not one object per leaf
+    out_dir = tmp_path / "out"
+    for doc in ([1, 2, 3, 4], {"a": 1}):
+        (out_dir / "subdomains.json").write_text(json.dumps(doc))
+        written = _files(out_dir)
+        assert cli.main(["report", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, doc
+        assert _files(out_dir) == written, doc
 
 
 def test_cli_stitch_rejects_out_of_range_fragment_labels(tmp_path, caplog):
@@ -504,13 +511,48 @@ def test_cli_stitch_rejects_out_of_range_fragment_labels(tmp_path, caplog):
     cfg_path.write_text(cfg.to_json())
     assert cli.main(["classify", "--config", str(cfg_path)]) == 0
     fragments = out_dir / "fragments"
-    padded = json.loads((fragments / "fragments.json").read_text())[0]["padded_bounds"]
+    index = (fragments / "fragments.json").read_text()
+    padded = json.loads(index)[0]["padded_bounds"]
     payload = fragments / "fragment_000.u8raw"
     assert load_labels(payload).dims == tuple(hi - lo + 1 for lo, hi in padded)
+    # so are an index entry that is not an object and a sidecar of two dims
+    sidecar = fragments / "fragment_000.json"
+    for path, text in ((fragments / "fragments.json", json.dumps([1] + json.loads(index)[1:])),
+                       (sidecar, json.dumps({"dims": padded[:2]}))):
+        kept = path.read_text()
+        path.write_text(text)
+        assert cli.main(["stitch", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, text
+        assert not (out_dir / "labels.u8raw").exists()
+        path.write_text(kept)
     payload.write_bytes(b"\x09" * len(payload.read_bytes()))
     assert cli.main(["stitch", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
     assert "label byte 9 at voxel (0, 0, 0)" in caplog.text
     assert not (out_dir / "labels.u8raw").exists()
+
+
+def test_failed_leaf_leaves_partial_diagnostics(tmp_path, monkeypatch):
+    # the second leaf fails: the run raises a classify error, and
+    # subdomains_partial.json holds the diagnostics of the first leaf alone
+    from kfdaseg import kfda
+    classify, calls = kfda.classify_subdomain, []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ArithmeticError("second leaf fails")
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(kfda, "classify_subdomain", failing)
+    vol, truth = generate_phantom(PhantomSpec(dims=(20, 20, 20), noise_sigma=0.03,
+                                              pv_blur=0.5, seed=4))
+    cfg = small_config(tmp_path / "out", max_depth=2, l_max=300, lambda_grid=(0.0,),
+                       k_grid=(1,))
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(cfg, vol=vol, init_labels=truth)
+    assert err.value.stage == "classify"
+    assert len(calls) == 2
+    partial = json.loads((tmp_path / "out" / "subdomains_partial.json").read_text())
+    assert [diag["domain"] for diag in partial] == [1]
 
 
 def test_cli_stitch_rejects_another_partition(tmp_path):

@@ -1,5 +1,7 @@
 """Volume container, IO round trips and intensity normalization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,39 @@ def test_label_byte_out_of_range(tmp_path):
     payload.tofile(tmp_path / "l.u8raw")
     with pytest.raises(VolumeFormatError, match="label byte 7"):
         vol_io.load_labels(tmp_path / "l")
+
+
+MASK = "v_mask.u8raw"
+
+
+@pytest.mark.parametrize("kind, sidecar", [
+    ("labels", {"dims": [4, 4]}),
+    ("labels", {"dims": [4, 4, -4]}),
+    ("labels", {"dims": [4, 4, True]}),
+    ("labels", {"dims": "4x4x4"}),
+    ("labels", [4, 4, 4]),
+    ("labels", "{"),
+    ("volume", {"dims": 5, "channels": 3, "mask_file": MASK}),
+    ("volume", {"dims": [1, 2], "channels": 3, "mask_file": MASK}),
+    ("volume", {"dims": [4, 4, 4], "channels": "3", "mask_file": MASK}),
+    ("volume", {"dims": [4, 4, 4], "channels": 0, "mask_file": MASK}),
+    ("volume", {"dims": [4, 4, 4], "channels": 3}),
+])
+def test_malformed_sidecar_rejected(tmp_path, kind, sidecar):
+    # a sidecar is a JSON object with three positive integer dims, and a
+    # volume's also names its channel count and mask file; anything else
+    # is a format error that names the sidecar
+    if kind == "volume":
+        vol_io.save_volume(make_volume(), tmp_path / "v.f32raw")
+        load, path = vol_io.load_volume, tmp_path / "v.f32raw"
+    else:
+        vol_io.save_labels(LabelVolume(labels=np.full((4, 4, 4), GM, dtype=np.uint8)),
+                           tmp_path / "v.u8raw")
+        load, path = vol_io.load_labels, tmp_path / "v.u8raw"
+    text = sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
+    (tmp_path / "v.json").write_text(text)
+    with pytest.raises(VolumeFormatError, match=r"v\.json"):
+        load(path)
 
 
 def test_label_volume_rejects_bad_values():
