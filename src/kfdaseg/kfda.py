@@ -190,12 +190,8 @@ def neighborhood_matrix(member_box: np.ndarray) -> sparse.csr_matrix:
         valid = (a >= 0) & (b >= 0)
         rows.append(a[valid])
         cols.append(b[valid])
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = np.empty(0, dtype=np.int64)
-        c = np.empty(0, dtype=np.int64)
+    r = np.concatenate(rows)
+    c = np.concatenate(cols)
     data = np.ones(2 * r.size, dtype=np.float64)
     adj = sparse.coo_matrix(
         (data, (np.concatenate([r, c]), np.concatenate([c, r]))), shape=(n, n)).tocsr()

@@ -531,10 +531,9 @@ def _partial_selection(tree: PartitionTree, deep_leaves: list[int], n_star: int)
     result = list(kept)
     merged_parents = set()
     for i in sorted(unkept):
+        # a deep leaf is never the root, which either splits at level 1 or
+        # ends the level loop there
         parent = tree.nodes[i].parent
-        if parent is None:
-            result.append(i)
-            continue
         siblings = tree.nodes[parent].children
         if siblings and all(s in unkept for s in siblings):
             if parent not in merged_parents:

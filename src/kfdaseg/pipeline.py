@@ -375,10 +375,15 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
     """Per-leaf MSSIM before and after, curves, class counts and Dice.
 
     Raises PipelineStageError("report") on diagnostics that are not one
-    object per leaf of tree, each over that leaf's padded bounds."""
+    object per leaf of tree, each over that leaf's padded bounds with a
+    "steps" object of step objects."""
     def build() -> RunReport:
-        if not (isinstance(diagnostics, list) and all(isinstance(d, dict) for d in diagnostics)):
-            raise ValueError("diagnostics must list one object per subdomain")
+        if not (isinstance(diagnostics, list) and all(
+                isinstance(d, dict) and isinstance(d.get("steps"), dict)
+                and all(isinstance(step, dict) for step in d["steps"].values())
+                for d in diagnostics)):
+            raise ValueError("diagnostics must list one object per subdomain, "
+                             "whose steps map each step to an object")
         _require_leaves(tree, "diagnostics", [diag.get("bounds") for diag in diagnostics],
                         lambda leaf: leaf.padded_bounds)
         leaves = tree.leaf_nodes()

@@ -3,11 +3,12 @@
 Adjacent subdomains, each padded by p slices, share a 2p-slice overlap (4
 slices by default) carrying two label observations.
 Each overlap strip becomes a small lattice random field whose edge and node
-potentials reward label (pairs) seen in both observations, and its
-maximum-posterior joint labeling is computed exactly by dynamic programming
-over the strip's short side (`exact_map`); a strip whose short side exceeds
-EXACT_MAX_WIDTH is annealed instead, as the method was published
-(`simulated_anneal`), cooling geometrically from T0 by RHO to T_MIN; an
+potentials reward label (pairs) seen in both observations. In its
+maximum-posterior joint labeling every cell keeps its obs_a or its obs_b
+label, so both strip solvers search that binary field (`_binary_field`):
+`exact_map` by dynamic programming over the strip's short side, and, for a
+strip whose short side exceeds EXACT_MAX_WIDTH, `simulated_anneal`, as the
+method was published, cooling geometrically from T0 by RHO to T_MIN; an
 AnnealSchedule sets only its sweeps per temperature and seed. Slices are
 assembled progressively from the top-left subimage; axial overlaps are
 split evenly between the two subdomains, mirroring the strip solvers'
@@ -17,7 +18,6 @@ composite initialization.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -25,9 +25,7 @@ import numpy as np
 
 from .volume import BG, LabelVolume, box_slices
 
-logger = logging.getLogger(__name__)
-
-N_STATES = 4  # CSF, GM, WM, BG encoded as 0..3 inside the annealer
+N_STATES = 4  # CSF, GM, WM, BG: labels 1..4 index the potential tables as 0..3
 
 EDGE_BOTH = 1.0
 EDGE_ONE = 0.5
@@ -178,60 +176,71 @@ def composite_init(p: StitchProblem) -> np.ndarray:
     return init
 
 
-def _anneal_loop(config, log_phi, log_psi_h, log_psi_v, proposals, randu,
-                 n_temps, sweeps):
+def _binary_field(p: StitchProblem):
+    """The binary field of the strip: (cand, node, right, down).
+
+    cand[r, c, s] is the label of state s of cell (r, c): state 0 its
+    composite_init label, state 1 the other observation's. node[r, c, s] is
+    the log node factor of state s; right[r, c, s, t] and down[r, c, s, t]
+    those of the edges from state s of the cell to state t of its right and
+    lower neighbours, gathered from build_potentials.
+    """
+    tables = build_potentials(p)
+    init = composite_init(p)
+    cand = np.stack([init, np.where(init == p.obs_a, p.obs_b, p.obs_a)], axis=-1)
+    idx = cand.astype(np.int64) - 1
+    rr, cc = np.indices(p.shape)
+    node = np.log(tables.phi[rr[..., None], cc[..., None], idx])
+    right = np.log(tables.psi_h[rr[:, :-1, None, None], cc[:, :-1, None, None],
+                                idx[:, :-1, :, None], idx[:, 1:, None, :]])
+    down = np.log(tables.psi_v[rr[:-1, :, None, None], cc[:-1, :, None, None],
+                               idx[:-1, :, :, None], idx[1:, :, None, :]])
+    return cand, node, right, down
+
+
+def _anneal_loop(cells, node, right, down, randu, n_temps, sweeps):
     # every array arrives as nested lists: in the interpreter list indexing
-    # is far cheaper than numpy scalar indexing; returns the best
-    # configuration seen, as nested lists
-    h = len(config)
-    w = len(config[0])
-    # exact log posterior of the initial configuration
-    lp = 0.0
-    for r in range(h):
-        for c in range(w):
-            lp += log_phi[r][c][config[r][c]]
-            if c + 1 < w:
-                lp += log_psi_h[r][c][config[r][c]][config[r][c + 1]]
-            if r + 1 < h:
-                lp += log_psi_v[r][c][config[r][c]][config[r + 1][c]]
-    best_lp = lp
-    best = [list(cells) for cells in config]
+    # is far cheaper than numpy scalar indexing; returns the best state
+    # field seen, as nested lists, every state starting at 0
+    h = len(node)
+    w = len(node[0])
+    config = [[0] * w for _ in range(h)]
+    best = [[0] * w for _ in range(h)]
+    # log posterior relative to the start
+    lp = best_lp = 0.0
 
     step = 0
     temp = T0
     for _ in range(n_temps):
         for _ in range(sweeps):
-            for r in range(h):
+            for r, c in cells:
+                u = randu[step]
+                step += 1
                 row = config[r]
-                for c in range(w):
-                    new = proposals[step]
-                    u = randu[step]
-                    step += 1
-                    old = row[c]
-                    if new == old:
-                        continue
-                    phi = log_phi[r][c]
-                    delta = phi[new] - phi[old]
-                    if c > 0:
-                        left = log_psi_h[r][c - 1][row[c - 1]]
-                        delta += left[new] - left[old]
-                    if c + 1 < w:
-                        right = log_psi_h[r][c]
-                        cr = row[c + 1]
-                        delta += right[new][cr] - right[old][cr]
-                    if r > 0:
-                        up = log_psi_v[r - 1][c][config[r - 1][c]]
-                        delta += up[new] - up[old]
-                    if r + 1 < h:
-                        down = log_psi_v[r][c]
-                        cd = config[r + 1][c]
-                        delta += down[new][cd] - down[old][cd]
-                    if delta >= 0.0 or u < math.exp(delta / temp):
-                        row[c] = new
-                        lp += delta
-                        if lp > best_lp:
-                            best_lp = lp
-                            best = [list(cells) for cells in config]
+                old = row[c]
+                new = 1 - old
+                phi = node[r][c]
+                delta = phi[new] - phi[old]
+                if c > 0:
+                    left = right[r][c - 1][row[c - 1]]
+                    delta += left[new] - left[old]
+                if c + 1 < w:
+                    edge = right[r][c]
+                    cr = row[c + 1]
+                    delta += edge[new][cr] - edge[old][cr]
+                if r > 0:
+                    up = down[r - 1][c][config[r - 1][c]]
+                    delta += up[new] - up[old]
+                if r + 1 < h:
+                    edge = down[r][c]
+                    cd = config[r + 1][c]
+                    delta += edge[new][cd] - edge[old][cd]
+                if delta >= 0.0 or u < math.exp(delta / temp):
+                    row[c] = new
+                    lp += delta
+                    if lp > best_lp:
+                        best_lp = lp
+                        best = [list(states) for states in config]
         temp *= RHO
     return best
 
@@ -239,33 +248,23 @@ def _anneal_loop(config, log_phi, log_psi_h, log_psi_v, proposals, randu,
 def simulated_anneal(p: StitchProblem, sched: AnnealSchedule | None = None) -> np.ndarray:
     """MAP estimate of the overlap labeling by single-site Metropolis cooling.
 
-    Starts from the composite initialization, visits nodes in raster order
-    proposing uniform labels, accepts with probability min(1, exp(dlp/T)) and
-    geometrically cools from T0 by RHO until T_MIN, sched.sweeps raster
-    sweeps per temperature; the best configuration seen is
-    returned (its log posterior never drops below the initialization's).
-    Deterministic for a fixed schedule seed.
+    Searches exact_map's binary field (_binary_field): starts from the
+    composite initialization, visits the cells where the observations
+    disagree in raster order proposing the other observation's label,
+    accepts with probability min(1, exp(dlp/T)) and geometrically cools
+    from T0 by RHO until T_MIN, sched.sweeps sweeps per temperature; the
+    best configuration seen is returned (its log posterior never drops
+    below the initialization's). Every cell keeps its obs_a or its obs_b
+    label. Deterministic for a fixed schedule seed.
     """
     sched = sched or AnnealSchedule()
-    tables = build_potentials(p)
-    init = composite_init(p)
-    config = (init.astype(np.int64) - 1).astype(np.int8)
-    h, w = config.shape
+    cand, node, right, down = _binary_field(p)
+    cells = [(int(r), int(c)) for r, c in np.argwhere(p.obs_a != p.obs_b)]
     n_temps = sched.n_temperatures
-    n_steps = n_temps * sched.sweeps * h * w
-
-    rng = np.random.default_rng(sched.seed)
-    proposals = rng.integers(0, N_STATES, size=n_steps, dtype=np.int8)
-    randu = rng.random(n_steps)
-
-    with np.errstate(divide="ignore"):
-        log_phi = np.log(tables.phi)
-        log_psi_h = np.log(tables.psi_h) if tables.psi_h.size else tables.psi_h
-        log_psi_v = np.log(tables.psi_v) if tables.psi_v.size else tables.psi_v
-    best = _anneal_loop(config.tolist(), log_phi.tolist(), log_psi_h.tolist(),
-                        log_psi_v.tolist(), proposals.tolist(), randu.tolist(),
-                        n_temps, sched.sweeps)
-    return np.asarray(best, dtype=np.uint8) + 1
+    randu = np.random.default_rng(sched.seed).random(n_temps * sched.sweeps * len(cells))
+    best = _anneal_loop(cells, node.tolist(), right.tolist(), down.tolist(),
+                        randu.tolist(), n_temps, sched.sweeps)
+    return np.take_along_axis(cand, np.asarray(best)[..., None], axis=-1)[..., 0]
 
 
 def exact_map(p: StitchProblem) -> np.ndarray:
@@ -275,9 +274,9 @@ def exact_map(p: StitchProblem) -> np.ndarray:
     label seen in neither observation has the minimal node factor NODE_NONE
     and makes every edge touching the cell EDGE_NONE, the minimal edge
     factor; switching the cell to its obs_a label strictly raises the node
-    factor and lowers no edge factor. So every cell is a binary choice:
-    state 0 is its composite_init label, state 1 the other observation's
-    (the same label where the observations agree).
+    factor and lowers no edge factor. So every cell is a binary choice
+    (_binary_field): state 0 is its composite_init label, state 1 the other
+    observation's.
 
     The binary field is solved by eliminating cells in raster order along
     the strip's long axis while keeping the last w cells, w the short side
@@ -287,18 +286,7 @@ def exact_map(p: StitchProblem) -> np.ndarray:
     start for a strictly better posterior. Raises ValueError when the short
     side exceeds EXACT_MAX_WIDTH.
     """
-    tables = build_potentials(p)
-    init = composite_init(p)
-    cand = np.stack([init, np.where(init == p.obs_a, p.obs_b, p.obs_a)],
-                    axis=-1).astype(np.int64) - 1
-    rr, cc = np.indices(p.shape)
-    node = np.log(tables.phi[rr[..., None], cc[..., None], cand])
-    # edge[r, c, s, t]: log factor of the edge from state s of its first
-    # cell to state t of its second
-    right = np.log(tables.psi_h[rr[:, :-1, None, None], cc[:, :-1, None, None],
-                                cand[:, :-1, :, None], cand[:, 1:, None, :]])
-    down = np.log(tables.psi_v[rr[:-1, :, None, None], cc[:-1, :, None, None],
-                               cand[:-1, :, :, None], cand[1:, :, None, :]])
+    cand, node, right, down = _binary_field(p)
     transposed = p.shape[0] < p.shape[1]
     if transposed:
         cand, node = cand.transpose(1, 0, 2), node.transpose(1, 0, 2)
@@ -337,7 +325,7 @@ def exact_map(p: StitchProblem) -> np.ndarray:
             pick[r, c] = x
             state ^= (x ^ int(choices[r * w + c][state])) << c
     best = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
-    return (best.T if transposed else best).astype(np.uint8) + 1
+    return best.T if transposed else best
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +526,19 @@ def stitch_volume(fragments: list[ClassifiedFragment], dims,
     half of each overlap), so each axial slice sees only in-plane overlap
     strips, overlap cells wide, which are re-estimated by exact_map, or by
     simulated annealing with sched where too wide (see stitch_slice).
-    Raises ValueError when a voxel is covered by no fragment.
+    Every stitched label is one a fragment covering its voxel gave it.
+    Raises ValueError when a voxel is covered by no fragment, or when a
+    fragment labels a voxel inside mask as background, naming the first.
     """
+    if mask is not None:
+        for index, frag in enumerate(fragments):
+            holes = mask[box_slices(frag.padded_bounds)] & (frag.labels == BG)
+            if holes.any():
+                voxel = tuple(int(lo + v) for (lo, _), v in
+                              zip(frag.padded_bounds, np.argwhere(holes)[0]))
+                raise ValueError(
+                    f"fragment {index} labels {int(holes.sum())} voxels inside the "
+                    f"mask as background, first at voxel {voxel}")
     sched = sched or AnnealSchedule()
     out = np.full(dims, BG, dtype=np.uint8)
 
@@ -555,20 +554,4 @@ def stitch_volume(fragments: list[ClassifiedFragment], dims,
 
     if mask is not None:
         out[~mask] = BG
-        stray = (out == BG) & mask
-        if stray.any():
-            # a strip solution put background inside the brain (exact_map
-            # does only where a fragment observed it there, the annealer of
-            # wide strips also by proposal); fall back to the first fragment
-            # covering each such voxel
-            logger.warning("repairing %d background labels inside the mask",
-                           int(stray.sum()))
-            for frag in fragments:
-                box = box_slices(frag.padded_bounds)
-                sel = stray[box]
-                if sel.any():
-                    region = out[box]
-                    region[sel] = frag.labels[sel]
-                    out[box] = region
-                    stray[box] = sel & (frag.labels == BG)
     return LabelVolume(labels=out)

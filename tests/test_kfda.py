@@ -407,6 +407,24 @@ def test_pencil_never_definite_raises_convergence_error(monkeypatch):
     assert [entry["lambda"] for entry in diag["sweep"]] == [0.0, 1e-4]
 
 
+def test_too_few_prototypes_keep_initial_sides():
+    # the second positive voxel projects onto the negative side, inside the
+    # band: one positive prototype is left, so every solve falls back to the
+    # initial sides, though the scorer prefers any other labeling
+    features = np.array([[0.313, 0.08, 0.783], [0.572, 0.077, 0.977],
+                         [0.111, 0.492, 0.031], [0.406, 0.492, 0.856],
+                         [0.678, 0.352, 0.184], [0.045, 0.329, 0.063]])
+    sides = np.array([-1, 1, -1, 1, -1, -1], dtype=np.int8)
+    cfg = PipelineConfig(lambda_grid=(0.0, 1e-4))
+    out, diag = _run_step(features.reshape(6, 1, 1, 3), np.ones((6, 1, 1), dtype=bool),
+                          sides, KernelSpec.sigmoid(), lambda s: float((s != sides).sum()),
+                          cfg, np.random.default_rng(0))
+    assert np.array_equal(out, sides)
+    assert [entry["fallback"] for entry in diag["sweep"]] == ["prototypes"] * 2
+    assert all(entry["categories"]["prototypes_pos"] == 1 for entry in diag["sweep"])
+    assert diag["chosen_lambda"] == 0.0 and diag["mssim"] == 0.0
+
+
 def test_factoring_leaves_within_bit_identical():
     rng = np.random.default_rng(33)
     g = rng.normal(size=(40, 40))

@@ -82,6 +82,34 @@ def test_report_counts_unchanged_leaves(small_run):
     assert passed.strictly_improved_fraction == 0.0
 
 
+def test_leaf_without_mask_voxels(tmp_path):
+    # a mask in the first slab alone leaves the partition with leaves whose
+    # padded boxes hold no mask voxel: classify hands each back as an
+    # all-background box with no steps, and its report row has no MSSIM
+    from kfdaseg import kfda
+
+    rng = np.random.default_rng(3)
+    dims = (7, 7, 12)
+    mask = np.zeros(dims, dtype=bool)
+    mask[0] = rng.random(dims[1:]) < 0.8
+    data = (rng.random(dims + (1,)) * mask[..., None]).astype(np.float32)
+    vol = MultiChannelVolume(data=data, mask=mask)
+    init = LabelVolume(np.where(mask, rng.integers(1, 4, size=dims), BG).astype(np.uint8))
+    cfg = small_config(tmp_path / "out", pad_slices=1)
+    report = run_pipeline(cfg, vol=vol, init_labels=init)
+    empty = [i for i, row in enumerate(report.subdomains)
+             if not mask[box_slices(row["padded_bounds"])].any()]
+    assert empty
+    for i in empty:
+        row = report.subdomains[i]
+        assert row["mssim_initial"] is None and row["mssim_kfda"] is None
+        assert report.diagnostics[i]["steps"] == {}
+        labels, diag = kfda.classify_subdomain(vol, row["padded_bounds"], init.labels,
+                                               cfg, seed=0)
+        assert labels.shape == tuple(hi - lo + 1 for lo, hi in row["padded_bounds"])
+        assert np.all(labels == BG) and diag["steps"] == {}
+
+
 def test_sweep_entries_record_each_solve(small_run):
     cfg, *_ = small_run
     diags = json.loads((Path(cfg.out_dir) / "subdomains.json").read_text())
@@ -314,6 +342,12 @@ def test_wide_overlap_runs_with_default_config(monkeypatch):
     assert annealed and all(min(shape) > stitch.EXACT_MAX_WIDTH for shape in annealed)
     assert np.array_equal(stitch_stage(cfg, vol, tree, fragments).labels, first)
     assert np.all(first != BG)
+    # each voxel carries a label that a fragment covering it gave it
+    given = np.zeros(dims, dtype=bool)
+    for frag in fragments:
+        box = box_slices(frag.padded_bounds)
+        given[box] |= frag.labels == first[box]
+    assert given.all()
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +521,13 @@ def _rejects_another_partition(tmp_path, first, verb):
 
 def test_cli_report_rejects_another_partition(tmp_path):
     cfg_path = _rejects_another_partition(tmp_path, "run", "report")
-    # so are diagnostics that are not one object per leaf
+    # so are diagnostics that are not one object per leaf, and a leaf whose
+    # steps are not an object of step objects
     out_dir = tmp_path / "out"
-    for doc in ([1, 2, 3, 4], {"a": 1}):
+    diags = json.loads((out_dir / "subdomains.json").read_text())
+    bad_steps = [[dict(diags[0], steps=steps)] + diags[1:]
+                 for steps in (1, {"csf_vs_gwm": 1})]
+    for doc in [[1, 2, 3, 4], {"a": 1}] + bad_steps:
         (out_dir / "subdomains.json").write_text(json.dumps(doc))
         written = _files(out_dir)
         assert cli.main(["report", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, doc
@@ -524,6 +562,16 @@ def test_cli_stitch_rejects_out_of_range_fragment_labels(tmp_path, caplog):
         assert cli.main(["stitch", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION, text
         assert not (out_dir / "labels.u8raw").exists()
         path.write_text(kept)
+    # so is background inside the mask, which the strip solvers would carry
+    # into the stitched labels
+    kept = payload.read_bytes()
+    holes = load_labels(payload).labels
+    holes[load_volume(data_dir / "phantom.f32raw").mask[box_slices(padded)]] = BG
+    save_labels(LabelVolume(holes), payload)
+    assert cli.main(["stitch", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+    assert "fragment 0 labels" in caplog.text
+    assert not (out_dir / "labels.u8raw").exists()
+    payload.write_bytes(kept)
     payload.write_bytes(b"\x09" * len(payload.read_bytes()))
     assert cli.main(["stitch", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
     assert "label byte 9 at voxel (0, 0, 0)" in caplog.text

@@ -163,6 +163,7 @@ def test_incumbent_never_below_initialization():
         init_lp = log_posterior(composite_init(p), pt)
         result = simulated_anneal(p, AnnealSchedule(seed=seed))
         assert log_posterior(result, pt) >= init_lp - 1e-9
+        assert np.all((result == a) | (result == b))
         assert log_posterior(exact_map(p), pt) >= init_lp - 1e-9
 
 
@@ -420,6 +421,27 @@ def test_stitched_phantom_overlap_quality():
     dice_ov = (ov_out == ov_truth).mean()
     dice_in = (out.labels[interior] == truth.labels[interior]).mean()
     assert dice_ov >= dice_in - 0.05
+
+
+def test_background_inside_mask_rejected():
+    # a fragment's background inside the mask is rejected before stitching,
+    # named by its voxel in volume coordinates
+    lower = ClassifiedFragment(core_bounds=((0, 2), (0, 3), (0, 3)),
+                               padded_bounds=((0, 3), (0, 3), (0, 3)),
+                               labels=np.full((4, 4, 4), GM, dtype=np.uint8))
+    upper = ClassifiedFragment(core_bounds=((3, 5), (0, 3), (0, 3)),
+                               padded_bounds=((2, 5), (0, 3), (0, 3)),
+                               labels=np.full((4, 4, 4), WM, dtype=np.uint8))
+    upper.labels[1, 2, 3] = BG
+    mask = np.ones((6, 4, 4), dtype=bool)
+    with pytest.raises(ValueError, match=r"fragment 1 labels 1 voxels inside the "
+                                         r"mask as background, first at voxel \(3, 2, 3\)"):
+        stitch_volume([lower, upper], (6, 4, 4), mask=mask, sched=FAST, overlap=2)
+    # off the mask, background is what the output holds there anyway
+    mask[3, 2, 3] = False
+    out = stitch_volume([lower, upper], (6, 4, 4), mask=mask, sched=FAST, overlap=2)
+    assert out.labels[3, 2, 3] == BG
+    assert np.all(np.isin(out.labels[mask], (GM, WM)))
 
 
 def test_uncovered_volume_error():
