@@ -4,9 +4,9 @@ Pipeline stages: MI-optimal brain partitioning, spatially regularized
 kernel Fisher discriminant classification per subdomain with MSSIM-guided
 model selection, and fusion of the overlapping subdomain labelings into one
 classified volume by the maximum-posterior labeling of each overlap strip,
-computed exactly by dynamic programming (`exact_map`), or, for strips too
-wide for it, estimated by the published simulated annealing
-(`simulated_anneal`).
+computed in closed form (`exact_map`: one observation per connected
+component of disagreeing cells), or, for strips more than 14 cells wide,
+estimated by the published simulated annealing (`simulated_anneal`).
 """
 
 from .volume import (

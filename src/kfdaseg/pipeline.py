@@ -48,8 +48,9 @@ class PipelineConfig:
     L_MAX), 4-slice overlaps, at most 7 partition levels. validate() checks
     the grids and cap, and classify_subdomain reads them from this config.
     Overlap strips up to stitch.EXACT_MAX_WIDTH cells wide are solved
-    exactly; wider ones are annealed for sa_sweeps sweeps per temperature
-    on the published cooling schedule fixed in stitch (T0, RHO, T_MIN). The
+    exactly in closed form; wider ones are annealed, as published, for
+    sa_sweeps sweeps per temperature on the cooling schedule fixed in
+    stitch (T0, RHO, T_MIN). The
     kernels, categorization thresholds and ridges are the published
     constants fixed in kfda; channel 0 (t1w) is the reference throughout.
     """
@@ -338,9 +339,9 @@ def classify_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
 def stitch_stage(cfg: PipelineConfig, vol: MultiChannelVolume, tree: PartitionTree,
                  fragments: list[stitch.ClassifiedFragment],
                  timing: dict | None = None) -> LabelVolume:
-    """Fuse the fragments over their 2*pad_slices-wide overlaps; strips too
-    wide to solve exactly anneal for cfg.sa_sweeps sweeps per temperature
-    on stitch's cooling schedule, on spawn key (2,).
+    """Fuse the fragments over their 2*pad_slices-wide overlaps; strips
+    more than stitch.EXACT_MAX_WIDTH cells wide anneal for cfg.sa_sweeps
+    sweeps per temperature on stitch's cooling schedule, on spawn key (2,).
 
     Raises PipelineStageError("stitch") unless the fragments are one per
     leaf of tree, each with that leaf's core and padded bounds."""

@@ -1,18 +1,19 @@
 """Seam fusion of overlapping classified subdomains.
 
 Adjacent subdomains, each padded by p slices, share a 2p-slice overlap (4
-slices by default) carrying two label observations.
-Each overlap strip becomes a small lattice random field whose edge and node
-potentials reward label (pairs) seen in both observations. In its
-maximum-posterior joint labeling every cell keeps its obs_a or its obs_b
-label, so both strip solvers search that binary field (`_binary_field`):
-`exact_map` by dynamic programming over the strip's short side, and, for a
-strip whose short side exceeds EXACT_MAX_WIDTH, `simulated_anneal`, as the
-method was published, cooling geometrically from T0 by RHO to T_MIN; an
-AnnealSchedule sets only its sweeps per temperature and seed. Slices are
-assembled progressively from the top-left subimage; axial overlaps are
-split evenly between the two subdomains, mirroring the strip solvers'
-composite initialization.
+slices by default) carrying two label observations. The published method
+scores an overlap strip's joint labeling with a lattice random field whose
+edge and node potentials reward labels (and label pairs) seen in both
+observations. Under those potentials a maximum-posterior labeling copies
+one observation on each 4-connected component of cells where the two
+disagree, and every such choice scores the same: `exact_map` picks one in
+closed form. A strip whose short side exceeds EXACT_MAX_WIDTH is annealed
+instead, as the method was published, by `simulated_anneal` over the same
+choices, cooling geometrically from T0 by RHO to T_MIN; an AnnealSchedule
+sets only its sweeps per temperature and seed. Slices are assembled
+progressively from the top-left subimage; axial overlaps are split evenly
+between the two subdomains, mirroring the strip solvers' composite
+initialization.
 """
 
 from __future__ import annotations
@@ -22,21 +23,17 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import ndimage
 
 from .volume import BG, LabelVolume, box_slices
 
-N_STATES = 4  # CSF, GM, WM, BG: labels 1..4 index the potential tables as 0..3
-
-EDGE_BOTH = 1.0
+# the published edge factors of a label pair seen in exactly one
+# observation, and in neither
 EDGE_ONE = 0.5
 EDGE_NONE = 0.01
-NODE_BOTH = 1.0
-NODE_ONE = 0.5
-NODE_NONE = 0.01
-W_BOUNDARY = 0.75
-W_INTERIOR = 0.25
-# widest strip exact_map solves: 2^14 frontier states, 16 KB of back-pointers
-# per cell; wider strips are annealed
+# strips whose short side exceeds this are annealed, as the method was
+# published; exact_map solves any width. The default overlap is 4 wide, so
+# only pad_slices > 7 reaches the annealer
 EXACT_MAX_WIDTH = 14
 
 
@@ -46,7 +43,8 @@ class StitchProblem:
 
     orientation "horizontal" means a left/right subimage pair (the strip is
     a few columns wide and obs_a is the left observation); "vertical" means
-    an upper/lower pair (obs_a on top). Labels are 1..4.
+    an upper/lower pair (obs_a on top). Labels are 1..4. The problem owns
+    copies of its observations.
     """
 
     orientation: str
@@ -56,8 +54,8 @@ class StitchProblem:
     def __post_init__(self):
         if self.orientation not in ("horizontal", "vertical"):
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        a = np.asarray(self.obs_a, dtype=np.uint8)
-        b = np.asarray(self.obs_b, dtype=np.uint8)
+        a = np.array(self.obs_a, dtype=np.uint8)
+        b = np.array(self.obs_b, dtype=np.uint8)
         if a.shape != b.shape or a.ndim != 2:
             raise ValueError(
                 f"observations must be equal 2D patches, got {a.shape} vs {b.shape}")
@@ -67,20 +65,6 @@ class StitchProblem:
     @property
     def shape(self):
         return self.obs_a.shape
-
-
-@dataclass
-class PotentialTables:
-    """Edge tables Psi (one 4x4 table per lattice edge) and node tables Phi.
-
-    psi_h[r, c] couples nodes (r, c) and (r, c+1); psi_v[r, c] couples
-    (r, c) and (r+1, c); phi[r, c] weighs node (r, c). All entries are
-    strictly positive products of the tabulated constants.
-    """
-
-    psi_h: np.ndarray
-    psi_v: np.ndarray
-    phi: np.ndarray
 
 
 # the annealer's published geometric cooling schedule
@@ -102,69 +86,6 @@ class AnnealSchedule:
         return int(math.floor(math.log(T_MIN / T0) / math.log(RHO))) + 1
 
 
-def build_potentials(p: StitchProblem) -> PotentialTables:
-    """Potential tables from the two observations.
-
-    Edge pairs observed in both patches score 1, in exactly one patch 0.5,
-    otherwise 0.01; node labels likewise, scaled by 3/4 on the strip's
-    authoritative boundary (outer columns for a horizontal strip, outer rows
-    for a vertical one) and 1/4 elsewhere.
-    """
-    h, w = p.shape
-    a = p.obs_a.astype(np.int64) - 1
-    b = p.obs_b.astype(np.int64) - 1
-
-    psi_h = np.full((h, max(w - 1, 0), N_STATES, N_STATES), EDGE_NONE)
-    if w > 1:
-        rr, cc = np.meshgrid(np.arange(h), np.arange(w - 1), indexing="ij")
-        pa1, pa2 = a[:, :-1], a[:, 1:]
-        pb1, pb2 = b[:, :-1], b[:, 1:]
-        psi_h[rr, cc, pa1, pa2] = EDGE_ONE
-        agree = (pa1 == pb1) & (pa2 == pb2)
-        psi_h[rr, cc, pb1, pb2] = np.where(agree, EDGE_BOTH, EDGE_ONE)
-
-    psi_v = np.full((max(h - 1, 0), w, N_STATES, N_STATES), EDGE_NONE)
-    if h > 1:
-        rr, cc = np.meshgrid(np.arange(h - 1), np.arange(w), indexing="ij")
-        pa1, pa2 = a[:-1, :], a[1:, :]
-        pb1, pb2 = b[:-1, :], b[1:, :]
-        psi_v[rr, cc, pa1, pa2] = EDGE_ONE
-        agree = (pa1 == pb1) & (pa2 == pb2)
-        psi_v[rr, cc, pb1, pb2] = np.where(agree, EDGE_BOTH, EDGE_ONE)
-
-    phi = np.full((h, w, N_STATES), NODE_NONE)
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    phi[rr, cc, a] = NODE_ONE
-    phi[rr, cc, b] = np.where(a == b, NODE_BOTH, NODE_ONE)
-    weight = np.full((h, w), W_INTERIOR)
-    if p.orientation == "horizontal":
-        weight[:, 0] = W_BOUNDARY
-        weight[:, -1] = W_BOUNDARY
-    else:
-        weight[0, :] = W_BOUNDARY
-        weight[-1, :] = W_BOUNDARY
-    phi *= weight[:, :, None]
-    return PotentialTables(psi_h=psi_h, psi_v=psi_v, phi=phi)
-
-
-def log_posterior(config: np.ndarray, pt: PotentialTables) -> float:
-    """Unnormalized log posterior of a label patch under the tables."""
-    c = np.asarray(config, dtype=np.int64) - 1
-    if c.shape != pt.phi.shape[:2]:
-        raise ValueError(f"config shape {c.shape} does not match tables {pt.phi.shape[:2]}")
-    h, w = c.shape
-    total = 0.0
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    total += float(np.log(pt.phi[rr, cc, c]).sum())
-    if w > 1:
-        rr, cc = np.meshgrid(np.arange(h), np.arange(w - 1), indexing="ij")
-        total += float(np.log(pt.psi_h[rr, cc, c[:, :-1], c[:, 1:]]).sum())
-    if h > 1:
-        rr, cc = np.meshgrid(np.arange(h - 1), np.arange(w), indexing="ij")
-        total += float(np.log(pt.psi_v[rr, cc, c[:-1, :], c[1:, :]]).sum())
-    return total
-
-
 def composite_init(p: StitchProblem) -> np.ndarray:
     """Starting configuration: near half from obs_a, far half from obs_b."""
     h, w = p.shape
@@ -176,156 +97,96 @@ def composite_init(p: StitchProblem) -> np.ndarray:
     return init
 
 
-def _binary_field(p: StitchProblem):
-    """The binary field of the strip: (cand, node, right, down).
-
-    cand[r, c, s] is the label of state s of cell (r, c): state 0 its
-    composite_init label, state 1 the other observation's. node[r, c, s] is
-    the log node factor of state s; right[r, c, s, t] and down[r, c, s, t]
-    those of the edges from state s of the cell to state t of its right and
-    lower neighbours, gathered from build_potentials.
-    """
-    tables = build_potentials(p)
-    init = composite_init(p)
-    cand = np.stack([init, np.where(init == p.obs_a, p.obs_b, p.obs_a)], axis=-1)
-    idx = cand.astype(np.int64) - 1
-    rr, cc = np.indices(p.shape)
-    node = np.log(tables.phi[rr[..., None], cc[..., None], idx])
-    right = np.log(tables.psi_h[rr[:, :-1, None, None], cc[:, :-1, None, None],
-                                idx[:, :-1, :, None], idx[:, 1:, None, :]])
-    down = np.log(tables.psi_v[rr[:-1, :, None, None], cc[:-1, :, None, None],
-                               idx[:-1, :, :, None], idx[1:, :, None, :]])
-    return cand, node, right, down
-
-
-def _anneal_loop(cells, node, right, down, randu, n_temps, sweeps):
-    # every array arrives as nested lists: in the interpreter list indexing
-    # is far cheaper than numpy scalar indexing; returns the best state
-    # field seen, as nested lists, every state starting at 0
-    h = len(node)
-    w = len(node[0])
-    config = [[0] * w for _ in range(h)]
-    best = [[0] * w for _ in range(h)]
-    # log posterior relative to the start
-    lp = best_lp = 0.0
-
-    step = 0
-    temp = T0
-    for _ in range(n_temps):
-        for _ in range(sweeps):
-            for r, c in cells:
-                u = randu[step]
-                step += 1
-                row = config[r]
-                old = row[c]
-                new = 1 - old
-                phi = node[r][c]
-                delta = phi[new] - phi[old]
-                if c > 0:
-                    left = right[r][c - 1][row[c - 1]]
-                    delta += left[new] - left[old]
-                if c + 1 < w:
-                    edge = right[r][c]
-                    cr = row[c + 1]
-                    delta += edge[new][cr] - edge[old][cr]
-                if r > 0:
-                    up = down[r - 1][c][config[r - 1][c]]
-                    delta += up[new] - up[old]
-                if r + 1 < h:
-                    edge = down[r][c]
-                    cd = config[r + 1][c]
-                    delta += edge[new][cd] - edge[old][cd]
-                if delta >= 0.0 or u < math.exp(delta / temp):
-                    row[c] = new
-                    lp += delta
-                    if lp > best_lp:
-                        best_lp = lp
-                        best = [list(states) for states in config]
-        temp *= RHO
-    return best
-
-
 def simulated_anneal(p: StitchProblem, sched: AnnealSchedule | None = None) -> np.ndarray:
     """MAP estimate of the overlap labeling by single-site Metropolis cooling.
 
-    Searches exact_map's binary field (_binary_field): starts from the
-    composite initialization, visits the cells where the observations
-    disagree in raster order proposing the other observation's label,
-    accepts with probability min(1, exp(dlp/T)) and geometrically cools
-    from T0 by RHO until T_MIN, sched.sweeps sweeps per temperature; the
-    best configuration seen is returned (its log posterior never drops
-    below the initialization's). Every cell keeps its obs_a or its obs_b
-    label. Deterministic for a fixed schedule seed.
+    Each cell where the observations disagree copies obs_a or obs_b (see
+    exact_map); the rest keep the label both give. Starts from the
+    composite initialization, visits the disagreeing cells in raster order
+    proposing that the cell copy the other observation, which changes the
+    log posterior by log(EDGE_ONE / EDGE_NONE) for each disagreeing
+    neighbour that would then copy the same observation as the cell and by
+    minus that for each other disagreeing neighbour; accepts with
+    probability min(1, exp(dlp/T)) and geometrically cools from T0 by RHO
+    until T_MIN, sched.sweeps sweeps per temperature. The best
+    configuration seen is returned (its log posterior never drops below
+    the initialization's). Deterministic for a fixed schedule seed.
     """
     sched = sched or AnnealSchedule()
-    cand, node, right, down = _binary_field(p)
-    cells = [(int(r), int(c)) for r, c in np.argwhere(p.obs_a != p.obs_b)]
+    disagree = p.obs_a != p.obs_b
+    n_cells = int(disagree.sum())
+    # raster index of each disagreeing cell, -1 where the observations agree
+    index = np.full(p.shape, -1)
+    index[disagree] = np.arange(n_cells)
+    padded = np.pad(index, 1, constant_values=-1)
+    around = np.stack([padded[1:-1, :-2], padded[1:-1, 2:],
+                       padded[:-2, 1:-1], padded[2:, 1:-1]], axis=-1)[disagree]
+    # lists: in the interpreter list indexing is far cheaper than numpy
+    # scalar indexing. neighbours[i]: cell i's disagreeing neighbours, left,
+    # right, up, down; source[i]: 1 if cell i copies obs_b, 0 if obs_a
+    neighbours = [[j for j in row if j >= 0] for row in around.tolist()]
+    source = (composite_init(p) != p.obs_a)[disagree].astype(int).tolist()
+    gain = float(np.log(EDGE_ONE) - np.log(EDGE_NONE))
     n_temps = sched.n_temperatures
-    randu = np.random.default_rng(sched.seed).random(n_temps * sched.sweeps * len(cells))
-    best = _anneal_loop(cells, node.tolist(), right.tolist(), down.tolist(),
-                        randu.tolist(), n_temps, sched.sweeps)
-    return np.take_along_axis(cand, np.asarray(best)[..., None], axis=-1)[..., 0]
+    randu = np.random.default_rng(sched.seed).random(n_temps * sched.sweeps * n_cells).tolist()
+
+    best = list(source)
+    # log posterior relative to the start
+    lp = best_lp = 0.0
+    step = 0
+    temp = T0
+    for _ in range(n_temps):
+        for _ in range(sched.sweeps):
+            for i, near in enumerate(neighbours):
+                u = randu[step]
+                step += 1
+                new = 1 - source[i]
+                delta = 0.0
+                for j in near:
+                    delta += gain if source[j] == new else -gain
+                if delta >= 0.0 or u < math.exp(delta / temp):
+                    source[i] = new
+                    lp += delta
+                    if lp > best_lp:
+                        best_lp = lp
+                        best = list(source)
+        temp *= RHO
+    copies_b = np.zeros(p.shape, dtype=bool)
+    copies_b[disagree] = best
+    return np.where(copies_b, p.obs_b, p.obs_a)
 
 
 def exact_map(p: StitchProblem) -> np.ndarray:
-    """Exact MAP labeling of the overlap strip by dynamic programming.
+    """Exact MAP labeling of the overlap strip, in closed form.
 
-    Every cell of a MAP labeling carries its obs_a or its obs_b label. A
-    label seen in neither observation has the minimal node factor NODE_NONE
-    and makes every edge touching the cell EDGE_NONE, the minimal edge
-    factor; switching the cell to its obs_a label strictly raises the node
-    factor and lowers no edge factor. So every cell is a binary choice
-    (_binary_field): state 0 is its composite_init label, state 1 the other
-    observation's.
+    Under the published potentials every cell of a MAP labeling carries its
+    obs_a or its obs_b label: a label seen in neither observation has the
+    minimal node factor and makes every edge touching the cell EDGE_NONE,
+    the minimal edge factor, so switching the cell to its obs_a label
+    raises the node factor and lowers no edge factor. A cell's two observed
+    labels have the same node factor. An edge from a disagreeing cell to
+    one where the observations agree scores EDGE_ONE whichever observed
+    label the disagreeing cell takes; an edge between two disagreeing cells
+    scores EDGE_ONE when both copy the same observation and EDGE_NONE
+    otherwise; an edge between two agreeing cells is fixed. So the MAP
+    labelings are exactly those that copy one observation on each
+    4-connected component of disagreeing cells, and all score the same:
+    the ferromagnetic binary field without external field of Greig,
+    Porteous & Seheult (J. R. Stat. Soc. B 51(2), 1989).
 
-    The binary field is solved by eliminating cells in raster order along
-    the strip's long axis while keeping the last w cells, w the short side
-    (at most the overlap width), as a frontier of 2^w states:
-    O(h*w*2^(w+1)) time, h*w*2^w bytes of back-pointers and no random
-    numbers. Ties go to state 0, as the annealer only leaves its composite
-    start for a strictly better posterior. Raises ValueError when the short
-    side exceeds EXACT_MAX_WIDTH.
+    Of these ties, each component copies the observation composite_init
+    gives its last cell in raster order along the strip's long axis
+    (row-major when h >= w, column-major otherwise). Any width, O(h*w)
+    time, no random numbers.
     """
-    cand, node, right, down = _binary_field(p)
-    transposed = p.shape[0] < p.shape[1]
-    if transposed:
-        cand, node = cand.transpose(1, 0, 2), node.transpose(1, 0, 2)
-        right, down = down.transpose(1, 0, 2, 3), right.transpose(1, 0, 2, 3)
-    h, w = node.shape[:2]
-    if w > EXACT_MAX_WIDTH:
-        raise ValueError(f"strip of shape {p.shape} is wider than the "
-                         f"{EXACT_MAX_WIDTH} cells the exact solver handles")
-
-    # score[s]: best log posterior of the cells eliminated so far given the
-    # frontier state s, whose bit j is the state of the frontier cell in
-    # column j; row 0 starts from a frontier of dummy cells
-    score = np.zeros(1 << w)
-    no_edge = np.zeros((2, 2))
-    choices = []
-    for r in range(h):
-        for c in range(w):
-            # cell (r, c) takes bit c from its upper neighbour; axes of the
-            # reshaped score: higher bits, bit c, bit c-1, lower bits
-            up = down[r - 1, c] if r else no_edge
-            left = right[r, c - 1] if c else no_edge[:1]
-            lower = 1 << max(c - 1, 0)
-            s = score.reshape(-1, 2, len(left), lower)
-            via_0 = s[:, None, 0] + up[0][None, :, None, None]
-            via_1 = s[:, None, 1] + up[1][None, :, None, None]
-            choice = via_1 > via_0
-            score = (np.maximum(via_0, via_1)
-                     + (node[r, c][:, None] + left.T)[None, :, :, None]).ravel()
-            choices.append(choice.ravel())
-
-    state = int(np.argmax(score))
-    pick = np.empty((h, w), dtype=np.int64)
-    for r in reversed(range(h)):
-        for c in reversed(range(w)):
-            x = (state >> c) & 1
-            pick[r, c] = x
-            state ^= (x ^ int(choices[r * w + c][state])) << c
-    best = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
-    return best.T if transposed else best
+    components, n = ndimage.label(p.obs_a != p.obs_b)
+    order = "C" if p.shape[0] >= p.shape[1] else "F"
+    # the first occurrence of each component in the reversed raster is its
+    # last cell; component 0, the agreeing cells, copies either alike
+    ids, last = np.unique(components.ravel(order)[::-1], return_index=True)
+    copies_b = np.zeros(n + 1, dtype=bool)
+    copies_b[ids] = (composite_init(p) != p.obs_a).ravel(order)[::-1][last]
+    return np.where(copies_b[components], p.obs_b, p.obs_a)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +386,8 @@ def stitch_volume(fragments: list[ClassifiedFragment], dims,
     slices. Axial overlap slices are owned by the nearer fragment (the near
     half of each overlap), so each axial slice sees only in-plane overlap
     strips, overlap cells wide, which are re-estimated by exact_map, or by
-    simulated annealing with sched where too wide (see stitch_slice).
+    simulated annealing with sched where wider than EXACT_MAX_WIDTH (see
+    stitch_slice).
     Every stitched label is one a fragment covering its voxel gave it.
     Raises ValueError when a voxel is covered by no fragment, or when a
     fragment labels a voxel inside mask as background, naming the first.

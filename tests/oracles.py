@@ -1,13 +1,15 @@
 """Reference implementations the tests check the library against.
 
 None of these runs in the pipeline: each restates a quantity pointwise,
-materializes an operator the library only applies, or enumerates what the
-library solves, so that a test can compare the two.
+materializes an operator the library only applies, restates a model the
+library solves only in reduced form, or enumerates what the library solves,
+so that a test can compare the two.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -15,7 +17,7 @@ from scipy import sparse
 from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, TrainingSet, kernel_matrix,
                           nearest_prototype_sides)
 from kfdaseg.partition import PartitionTree, Subdomain, _mir_over, noise_sigma
-from kfdaseg.stitch import StitchProblem, build_potentials
+from kfdaseg.stitch import EDGE_NONE, EDGE_ONE, StitchProblem
 from kfdaseg.volume import REFERENCE_CHANNEL, MultiChannelVolume
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,94 @@ def cnr(vol: MultiChannelVolume, sub: Subdomain, labels: np.ndarray,
 # ---------------------------------------------------------------------------
 # Stitching
 # ---------------------------------------------------------------------------
+
+# The published overlap field over all four labels, which the strip solvers
+# reduce to one observation per disagreement component
+N_STATES = 4  # CSF, GM, WM, BG: labels 1..4 index the potential tables as 0..3
+EDGE_BOTH = 1.0
+NODE_BOTH = 1.0
+NODE_ONE = 0.5
+NODE_NONE = 0.01
+W_BOUNDARY = 0.75
+W_INTERIOR = 0.25
+
+
+@dataclass
+class PotentialTables:
+    """Edge tables Psi (one 4x4 table per lattice edge) and node tables Phi.
+
+    psi_h[r, c] couples nodes (r, c) and (r, c+1); psi_v[r, c] couples
+    (r, c) and (r+1, c); phi[r, c] weighs node (r, c). All entries are
+    strictly positive products of the tabulated constants.
+    """
+
+    psi_h: np.ndarray
+    psi_v: np.ndarray
+    phi: np.ndarray
+
+
+def build_potentials(p: StitchProblem) -> PotentialTables:
+    """Potential tables from the two observations.
+
+    Edge pairs observed in both patches score 1, in exactly one patch 0.5,
+    otherwise 0.01; node labels likewise, scaled by 3/4 on the strip's
+    authoritative boundary (outer columns for a horizontal strip, outer rows
+    for a vertical one) and 1/4 elsewhere.
+    """
+    h, w = p.shape
+    a = p.obs_a.astype(np.int64) - 1
+    b = p.obs_b.astype(np.int64) - 1
+
+    psi_h = np.full((h, max(w - 1, 0), N_STATES, N_STATES), EDGE_NONE)
+    if w > 1:
+        rr, cc = np.meshgrid(np.arange(h), np.arange(w - 1), indexing="ij")
+        pa1, pa2 = a[:, :-1], a[:, 1:]
+        pb1, pb2 = b[:, :-1], b[:, 1:]
+        psi_h[rr, cc, pa1, pa2] = EDGE_ONE
+        agree = (pa1 == pb1) & (pa2 == pb2)
+        psi_h[rr, cc, pb1, pb2] = np.where(agree, EDGE_BOTH, EDGE_ONE)
+
+    psi_v = np.full((max(h - 1, 0), w, N_STATES, N_STATES), EDGE_NONE)
+    if h > 1:
+        rr, cc = np.meshgrid(np.arange(h - 1), np.arange(w), indexing="ij")
+        pa1, pa2 = a[:-1, :], a[1:, :]
+        pb1, pb2 = b[:-1, :], b[1:, :]
+        psi_v[rr, cc, pa1, pa2] = EDGE_ONE
+        agree = (pa1 == pb1) & (pa2 == pb2)
+        psi_v[rr, cc, pb1, pb2] = np.where(agree, EDGE_BOTH, EDGE_ONE)
+
+    phi = np.full((h, w, N_STATES), NODE_NONE)
+    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    phi[rr, cc, a] = NODE_ONE
+    phi[rr, cc, b] = np.where(a == b, NODE_BOTH, NODE_ONE)
+    weight = np.full((h, w), W_INTERIOR)
+    if p.orientation == "horizontal":
+        weight[:, 0] = W_BOUNDARY
+        weight[:, -1] = W_BOUNDARY
+    else:
+        weight[0, :] = W_BOUNDARY
+        weight[-1, :] = W_BOUNDARY
+    phi *= weight[:, :, None]
+    return PotentialTables(psi_h=psi_h, psi_v=psi_v, phi=phi)
+
+
+def log_posterior(config: np.ndarray, pt: PotentialTables) -> float:
+    """Unnormalized log posterior of a label patch under the tables."""
+    c = np.asarray(config, dtype=np.int64) - 1
+    if c.shape != pt.phi.shape[:2]:
+        raise ValueError(f"config shape {c.shape} does not match tables {pt.phi.shape[:2]}")
+    h, w = c.shape
+    total = 0.0
+    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    total += float(np.log(pt.phi[rr, cc, c]).sum())
+    if w > 1:
+        rr, cc = np.meshgrid(np.arange(h), np.arange(w - 1), indexing="ij")
+        total += float(np.log(pt.psi_h[rr, cc, c[:, :-1], c[:, 1:]]).sum())
+    if h > 1:
+        rr, cc = np.meshgrid(np.arange(h - 1), np.arange(w), indexing="ij")
+        total += float(np.log(pt.psi_v[rr, cc, c[:-1, :], c[1:, :]]).sum())
+    return total
+
 
 def enumerate_map_vectorized(problem: StitchProblem) -> float:
     """Exhaustive MAP by vectorized enumeration of all 4^n configurations."""

@@ -18,10 +18,9 @@ from kfdaseg.phantom import (PhantomSpec, corrupt_boundary_labels,
                              generate_phantom, kmeans_init, underestimate_csf)
 from kfdaseg.pipeline import PipelineConfig, dice_scores, run_pipeline
 from kfdaseg.ssim import C1, C2, C3, gaussian_window, ssim_patch
-from kfdaseg.stitch import (AnnealSchedule, StitchProblem, build_potentials,
-                            composite_init, log_posterior, simulated_anneal)
+from kfdaseg.stitch import AnnealSchedule, StitchProblem, composite_init, simulated_anneal
 from kfdaseg.volume import CSF, MultiChannelVolume
-from oracles import graph_edges, row_transfer_map, within
+from oracles import build_potentials, graph_edges, log_posterior, row_transfer_map, within
 
 # acceptance pipeline configuration: method constants stay at their published
 # defaults; l_max is reduced from the 4000 default to meet the runtime bound

@@ -1,19 +1,21 @@
 """Overlap potentials, exact and annealed MAP strips, slice/volume assembly."""
 
+import itertools
 import math
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from kfdaseg.stitch import (EXACT_MAX_WIDTH, AnnealSchedule, ClassifiedFragment,
-                            SliceSubimage, StitchProblem, build_potentials,
-                            composite_init, exact_map, log_posterior,
-                            simulated_anneal, spawn_seed, stitch_slice,
-                            stitch_volume)
+                            SliceSubimage, StitchProblem, composite_init, exact_map,
+                            simulated_anneal, spawn_seed, stitch_slice, stitch_volume)
 from kfdaseg.volume import BG, CSF, GM, WM, box_slices
-from oracles import enumerate_map_vectorized, row_transfer_map
+from oracles import (build_potentials, enumerate_map_vectorized, log_posterior,
+                     row_transfer_map)
 
 FAST = AnnealSchedule(sweeps=5, seed=7)
 
@@ -142,8 +144,19 @@ def test_enumeration_orders_configs_like_log_posterior():
 
 
 # ---------------------------------------------------------------------------
-# Strip solvers: simulated annealing and the exact dynamic program
+# Strip solvers: simulated annealing and the closed-form MAP
 # ---------------------------------------------------------------------------
+
+def test_problem_owns_its_observations():
+    # stitch_slice builds problems from views of a canvas it later overwrites
+    canvas = np.full((6, 8), GM, dtype=np.uint8)
+    patch = np.full((6, 3), WM, dtype=np.uint8)
+    p = hproblem(canvas[:, 5:], patch)
+    canvas[:] = CSF
+    patch[:] = CSF
+    assert np.all(p.obs_a == GM)
+    assert np.all(p.obs_b == WM)
+
 
 def test_agreement_is_returned_exactly():
     obs = np.array([[CSF, GM, WM, WM], [GM, GM, GM, WM],
@@ -231,8 +244,8 @@ def test_exact_map_not_below_annealer():
 
 
 def test_exact_map_widest_strip_cost():
-    # every cell of a 14-wide strip (pad_slices=7) disagrees: the frontier
-    # holds 2^14 states for each of the 896 cells
+    # every cell of a 14-wide strip (pad_slices=7), the widest that is
+    # solved exactly, disagrees: one component of 896 cells
     rng = np.random.default_rng(17)
     a = rng.integers(1, 5, size=(64, EXACT_MAX_WIDTH)).astype(np.uint8)
     b = a % 4 + 1
@@ -241,14 +254,53 @@ def test_exact_map_widest_strip_cost():
         t0 = time.perf_counter()
         result = exact_map(p)
         elapsed = time.perf_counter() - t0
-        # about 0.15 s on a 2-vCPU VM; a frontier of 2^(w+1) or more states
-        # per cell would take many times the bound
+        # under a millisecond on a 2-vCPU VM
         assert elapsed < 5.0, f"{elapsed:.2f}s for a {p.shape} strip"
         assert np.all((result == p.obs_a) | (result == p.obs_b))
         assert log_posterior(result, pt) >= log_posterior(composite_init(p), pt)
-    wider = np.ones((EXACT_MAX_WIDTH + 1,) * 2, dtype=np.uint8)
-    with pytest.raises(ValueError, match="wider"):
-        exact_map(StitchProblem("vertical", wider, wider + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from([(h, w) for h in range(1, 7) for w in range(1, 7) if h * w <= 6]),
+       orientation=st.sampled_from(["horizontal", "vertical"]), data=st.data())
+def test_exact_map_copies_one_observation_per_component(shape, orientation, data):
+    # strips of up to 6 cells, 1-wide ones included: the closed form reaches
+    # the exhaustive MAP over all four labels, copies one observation on each
+    # 4-connected component of disagreeing cells, and any choice of
+    # observation per component scores the same
+    labels = st.lists(st.integers(1, 4), min_size=shape[0] * shape[1],
+                      max_size=shape[0] * shape[1])
+    a = np.array(data.draw(labels), dtype=np.uint8).reshape(shape)
+    b = np.array(data.draw(labels), dtype=np.uint8).reshape(shape)
+    p = StitchProblem(orientation, a, b)
+    pt = build_potentials(p)
+    result = exact_map(p)
+    best_lp = enumerate_map_vectorized(p)
+    assert log_posterior(result, pt) == pytest.approx(best_lp, abs=1e-9)
+    components, n = ndimage.label(a != b)
+    assert np.array_equal(result[components == 0], a[components == 0])
+    for k in range(1, n + 1):
+        cells = components == k
+        assert (np.array_equal(result[cells], a[cells])
+                or np.array_equal(result[cells], b[cells])), k
+    for choice in itertools.product((False, True), repeat=n):
+        copies_b = np.array((False,) + choice)[components]
+        assert log_posterior(np.where(copies_b, b, a), pt) == pytest.approx(best_lp, abs=1e-9)
+
+
+def test_exact_map_solves_strips_wider_than_the_annealer_threshold():
+    # a 40x24 strip, annealed in stitch_slice, has a closed-form MAP too
+    rng = np.random.default_rng(19)
+    a = rng.integers(1, 4, size=(40, 24)).astype(np.uint8)
+    b = np.where(rng.random((40, 24)) < 0.5, a,
+                 rng.integers(1, 4, size=(40, 24))).astype(np.uint8)
+    assert min(a.shape) > EXACT_MAX_WIDTH
+    for p in (hproblem(a, b), StitchProblem("vertical", a.T, b.T)):
+        pt = build_potentials(p)
+        result = exact_map(p)
+        assert np.all((result == p.obs_a) | (result == p.obs_b))
+        annealed = simulated_anneal(p, FAST)
+        assert log_posterior(result, pt) >= log_posterior(annealed, pt) - 1e-9
 
 
 def test_default_schedule_counts():
