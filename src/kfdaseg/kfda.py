@@ -4,18 +4,14 @@ A subdomain is classified in the implicit kernel feature space: the
 discriminant direction maximizes between-class over within-class scatter
 plus a graph penalty that discourages projection differences between
 neighbouring voxels (26-connected grid). The direction solves a generalized
-eigenproblem. Each step builds the within-class matrix as one symmetric
-product of the class-centred gram matrix and factors the within-class
-pencil N = U^T U at once, so the l x l matrices are gone before the
-cross kernel between the training samples and every voxel, the step's
-largest buffer, is built (in row blocks where it is stored in float32).
-One Krylov basis of N^-1 P started
-from N^-1 m and a fixed-seed vector then serves the whole sweep. The basis
-is held in the factor's coordinates x = U v, where N-orthonormality is
-plain orthonormality, so growing it takes triangular solves and penalty
-matvecs but no product with N; every regularization weight of the sweep is
-a Rayleigh-Ritz solve on that basis, exact for a positive top eigenvalue
-because the penalty is negative semidefinite (see solve_alpha). Voxels are
+eigenproblem. A smooth kernel on intensity vectors has low numerical rank,
+so each step first factors the cross kernel between the training samples
+and every voxel as C ~ Q B^T, with Q (l x r) orthonormal, to a relative
+error of RANGE_TOL: a randomized range finder on the gram, then one blocked
+pass over the voxels for B (build_matrices). The class means, the
+within-class matrix and the penalty are then r x r, and every
+regularization weight of the sweep is one dense eigenproblem of that size
+(solve_alpha); the l x n cross kernel never exists whole. Voxels are
 then categorized by projection sign into tissue prototypes, an overlapping
 set and class outliers. Each solve lists its candidate labelings in tie
 order (_labelings): the outliers reassigned by Mahalanobis distance and
@@ -30,13 +26,6 @@ training-set cap come from the PipelineConfig, whose defaults are
 LAMBDA_GRID, K_GRID and L_MAX; the published categorization thresholds
 (TAU_BAND, TAU_OUTLIER) and the two ridges (RIDGE_SCALE,
 MAHALANOBIS_RIDGE) are module constants.
-
-Every dense factorization and product runs in numpy's BLAS; scipy adds only
-the unthreaded level-2 triangular solves (dtrsv) that apply the factor's
-inverse. The numpy and scipy wheels bundle separate OpenBLAS builds, each
-with a thread pool as wide as the machine: calling scipy's threaded LAPACK
-between numpy products woke both pools at once and put more BLAS threads
-than cores to work, mostly spinning.
 """
 
 from __future__ import annotations
@@ -49,7 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.blas import dtrsv
 from scipy.spatial import cKDTree
 
 from .ssim import classified_mean_image, mssim, reference_windows
@@ -68,7 +56,7 @@ K_GRID = (1, 3, 5, 7, 9, 11)
 L_MAX = 4000
 # the published band and outlier thresholds in projection stds (categorize),
 # and ridges as shares of a mean diagonal: the within-class pencil's
-# (default_beta) and the prototype covariances' (_mahalanobis_sq, floor 1)
+# (build_matrices) and the prototype covariances' (_mahalanobis_sq, floor 1)
 TAU_BAND = 1.0
 TAU_OUTLIER = 2.5
 RIDGE_SCALE = 1e-3
@@ -205,39 +193,52 @@ def neighborhood_matrix(member_box: np.ndarray) -> sparse.csr_matrix:
 
 @dataclass
 class KfdaMatrices:
-    """Class means, factored pencil and penalty structure for one training set."""
+    """One step's discriminant in the coordinates of a low-rank factor
+    C - c 1^T ~ Q B^T of its cross kernel C, centred on a column c
+    (build_matrices): class means, factored pencil, penalty and the voxels'
+    rows of the factor."""
 
-    m_neg: np.ndarray           # (l,)
-    m_pos: np.ndarray           # (l,)
-    factor: np.ndarray          # (l, l) U, N = within + beta I = U^T U
-    beta: float                 # the ridge that made N factorable
-    neighborhood: sparse.csr_matrix   # (n, n) over subdomain voxels
-    cross: np.ndarray           # (l, n) kernel between samples and all voxels
+    basis: np.ndarray           # (l, r) Q, orthonormal columns
+    m_neg: np.ndarray           # (r,) Q^T (m_neg - c)
+    m_pos: np.ndarray           # (r,) Q^T (m_pos - c)
+    factor_inv: np.ndarray      # (r, r) U^-1, Q^T (within + beta I) Q = U^T U
+    beta: float                 # the ridge that made the pencil factorable
+    penalty: np.ndarray         # (r, r) B^T H B, H the voxels' neighbourhood graph
+    cross: np.ndarray           # (r, n) B^T = Q^T (C - c 1^T)
+    centre: np.ndarray          # (l,) c, the gram's mean column
+    range_error: float          # estimated ||C - Q Q^T C|| relative to ||C||
 
     @property
     def m_diff(self) -> np.ndarray:
         return self.m_neg - self.m_pos
 
-    def penalty_matvec(self, v: np.ndarray) -> np.ndarray:
-        """cross H cross^T v in float64, the graph differences taken in it.
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
-        Vectors meet the cross kernel in its stored dtype: mixing dtypes
-        would silently copy a float32 cross kernel up to float64."""
-        dtype = self.cross.dtype
-        u = (self.cross.T @ v.astype(dtype, copy=False)).astype(np.float64, copy=False)
-        w = self.neighborhood.dot(u).astype(dtype, copy=False)
-        return (self.cross @ w).astype(np.float64, copy=False)
+    def penalty_matvec(self, v: np.ndarray) -> np.ndarray:
+        """The penalty C H C^T of an l-vector, C taken as its factor
+        Q B^T + c 1^T, whose c 1^T the graph's zero row sums annihilate."""
+        return self.basis @ (self.penalty @ (self.basis.T @ v))
 
     def voxel_projections(self, alpha: np.ndarray) -> np.ndarray:
-        """cross^T alpha in float64, the product taken in the cross kernel's dtype."""
-        return (self.cross.T @ alpha.astype(self.cross.dtype, copy=False)).astype(
-            np.float64, copy=False)
+        """C^T alpha of an l-vector, C taken as its factor Q B^T + c 1^T."""
+        return self.cross.T @ (self.basis.T @ alpha) + float(self.centre @ alpha)
 
-# above this entry count the whole-subdomain cross kernel is stored in
-# float32: the matvec is memory-bandwidth bound and tests that need 1e-8
-# quadratic identities run far below this size
-CROSS_F32_THRESHOLD = 3 * 10 ** 7
-# float64 bytes of one row block of a float32 cross kernel
+
+# the cross kernel's factor (build_matrices): its accepted relative error,
+# estimated by RANGE_PROBES Gaussian probes per pass over the voxels, and
+# the finer one its range finder resolves the gram to, in blocks of
+# RANGE_BLOCK columns from a fixed-seed stream. A sample resolves its own
+# columns better than the voxels it was drawn from: on the benchmark's
+# steps the cross kernel's error after the sketch ran up to 1000 times
+# the gram's
+RANGE_TOL = 1e-8
+SKETCH_TOL = 1e-11
+RANGE_BLOCK = 32
+RANGE_PROBES = 4
+RANGE_SEED = 9999
+# float64 bytes of one block of the cross kernel
 CROSS_BLOCK_BYTES = 2 * 2 ** 20
 
 
@@ -245,13 +246,15 @@ def class_scatter(gram: np.ndarray, ts: TrainingSet) -> tuple[np.ndarray, np.nda
                                                               np.ndarray]:
     """Class mean columns m_neg, m_pos and the within-class matrix of ts's gram.
 
-    The within-class matrix sum_m k_m (I - 1_m) k_m^T is Z Z^T, where Z is
-    the gram matrix with each column centred on its class's mean column
-    M_m. numpy computes a product of one buffer with its own transpose as
-    a symmetric rank-k update (syrk): half the flops of a general product,
-    exactly symmetric, and positive semidefinite to rounding, where the
-    identity k_m k_m^T - l_m M_m M_m^T cancels large terms. Duplicates
-    making it singular are absorbed by the ridge (factor_pencil).
+    gram has one column per training sample (build_matrices passes the
+    centred gram in the factor's coordinates). The within-class matrix
+    sum_m k_m (I - 1_m) k_m^T is Z Z^T, where Z is the gram matrix with
+    each column centred on its class's mean column M_m. numpy computes a
+    product of one buffer with its own transpose as a symmetric rank-k
+    update (syrk): half the flops of a general product, exactly symmetric,
+    and positive semidefinite to rounding, where the identity
+    k_m k_m^T - l_m M_m M_m^T cancels large terms. Duplicates making it
+    singular are absorbed by the ridge (factor_pencil).
     """
     m_neg = gram[:, ts.neg_idx].mean(axis=1)
     m_pos = gram[:, ts.pos_idx].mean(axis=1)
@@ -267,8 +270,7 @@ def factor_pencil(within: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     factorization: singular N is absorbed by the ridge, never an error.
     Raises ConvergenceError when eight ridges leave the pencil indefinite
     and ValueError on a non-finite pencil, which no ridge can mend. The
-    diagonal is ridged in place and restored bit for bit, so no second
-    l x l buffer is held while factoring.
+    diagonal is ridged in place and restored bit for bit.
     """
     beta = max(beta, 1e-300)
     if not (math.isfinite(beta) and np.isfinite(within).all()):
@@ -278,7 +280,6 @@ def factor_pencil(within: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
         for _ in range(8):
             np.fill_diagonal(within, diagonal + beta)
             try:
-                # N = U^T U with U = L^T, F-ordered as dtrsv reads it
                 return np.linalg.cholesky(within).T, beta
             except np.linalg.LinAlgError:
                 beta *= 10.0
@@ -287,57 +288,135 @@ def factor_pencil(within: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
         np.fill_diagonal(within, diagonal)
 
 
-def cross_kernel(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """kernel_matrix(spec, xs, zs) in its stored dtype.
+def _normalized(y: np.ndarray, floor: float) -> np.ndarray:
+    """Orthonormal columns spanning y's directions whose singular value is
+    above floor, by an eigen decomposition of y^T y: far cheaper than a QR
+    of a tall block, but it loses orthogonality on directions far below
+    y's largest."""
+    s, v = np.linalg.eigh(y.T @ y)
+    keep = s > floor * floor
+    return y @ (v[:, keep] / np.sqrt(s[keep]))
 
-    Above CROSS_F32_THRESHOLD entries it is stored in float32 and built in
-    row blocks of about CROSS_BLOCK_BYTES of float64, each cast straight
-    into the stored array, so the float64 matrix never exists whole.
-    Below it the float64 matrix is the stored one and is built whole:
-    OpenBLAS rounds the entries of a product's last few columns by a path
-    that depends on how it splits the rows, so a blocked float64 build can
-    differ from the whole one by an ulp there, which the float32 cast
-    absorbs. No block has one row: numpy takes that product as a
-    matrix-vector one, whose rounding differs in every entry.
+
+def _orthonormal_columns(q: np.ndarray, y: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal columns spanning y, a block orthogonal to q's columns,
+    less its directions whose singular value is at most cutoff. y is
+    normalized, orthogonalized against q again and normalized again
+    (dropping what falls under 1e-14): without the second pass Q drifted
+    from orthonormal as it grew."""
+    y = _normalized(y, cutoff)
+    return _normalized(y - q @ (q.T @ y), 1e-14)
+
+
+def _range_basis(gram: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal basis of the gram's numerical range.
+
+    A blocked randomized range finder (Halko, Martinsson & Tropp, SIAM
+    Review 53(2), 2011): Gaussian blocks of RANGE_BLOCK columns are
+    multiplied by the gram, and each block's part outside the basis joins
+    it, less its directions at most SKETCH_TOL of the first block's
+    largest column, until a fresh block's largest column is at most that
+    too.
+    """
+    l = len(gram)
+    q = np.empty((l, 0))
+    cutoff = None
+    while q.shape[1] < l:
+        y = gram @ rng.standard_normal((l, min(RANGE_BLOCK, l - q.shape[1])))
+        y -= q @ (q.T @ y)
+        largest = math.sqrt(float((y * y).sum(axis=0).max()))
+        if cutoff is None:
+            cutoff = SKETCH_TOL * largest
+        elif largest <= cutoff:
+            break
+        q = np.hstack([q, _orthonormal_columns(q, y, cutoff)])
+    return q
+
+
+def _project_cross(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray, centre: np.ndarray,
+                   q: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float,
+                                                                   np.ndarray]:
+    """(Q^T (C - centre 1^T), error, missed) for C = kernel_matrix(spec, xs,
+    zs), in one pass.
+
+    C is evaluated in column blocks of about CROSS_BLOCK_BYTES of float64,
+    so it never exists whole. The same pass applies C to RANGE_PROBES
+    Gaussian vectors W: missed is (I - Q Q^T) C W less its directions at
+    most SKETCH_TOL of C W's largest column, and error is missed's largest
+    column relative to that one, an estimate of ||C - Q Q^T C|| / ||C||.
     """
     l, n = len(xs), len(zs)
-    if l * n <= CROSS_F32_THRESHOLD:
-        return kernel_matrix(spec, xs, zs)
-    out = np.empty((l, n), np.float32)
-    rows = max(2, CROSS_BLOCK_BYTES // (8 * n))
-    bounds = list(range(0, l - 1, rows)) + [l]
-    for start, stop in zip(bounds, bounds[1:]):
-        out[start:stop] = kernel_matrix(spec, xs[start:stop], zs)
-    return out
+    # stored as the rows of B, so that the sparse product with the graph
+    # and the voxel projections read it in C order
+    cross = np.empty((n, q.shape[1]))
+    probes = rng.standard_normal((n, RANGE_PROBES))
+    sketch = np.zeros((l, RANGE_PROBES))
+    cols = max(1, CROSS_BLOCK_BYTES // (8 * l))
+    for start in range(0, n, cols):
+        block = kernel_matrix(spec, xs, zs[start:start + cols])
+        sketch += block @ probes[start:start + cols]
+        block -= centre[:, None]
+        cross[start:start + cols] = block.T @ q
+    missed = sketch - q @ (q.T @ sketch)
+    scale = float(np.linalg.norm(sketch, axis=0).max())
+    error = float(np.linalg.norm(missed, axis=0).max()) / scale if scale > 0 else 0.0
+    return cross.T, error, _orthonormal_columns(q, missed, SKETCH_TOL * scale)
 
 
 def build_matrices(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
                    member_box: np.ndarray) -> KfdaMatrices:
-    """Factor the step's pencil, then build its graph and cross kernel.
+    """The step's discriminant on a low-rank factor of its cross kernel.
 
     features holds the (n, channels) float64 intensity vectors of the
-    box's member voxels (member_box) in C order.
+    box's member voxels (member_box) in C order; the training samples are
+    member voxels, so the gram's columns are columns of the cross kernel C
+    between the samples and every voxel.
 
-    The l x l matrices come first: the symmetrized gram, the class scatter
-    (class_scatter) and the Cholesky factor of the ridged within-class
-    pencil (factor_pencil, ridge default_beta). Each is dropped after its
-    last reader, so only the factor is held while the neighbour graph and
-    then the cross kernel, the largest buffer, are built (cross_kernel).
-    Raises what factor_pencil raises.
+    Q spans the gram's numerical range (_range_basis, from a fixed-seed
+    stream). Every kernel column is then centred on the gram's mean column
+    c: that leaves the within-class matrix, the class-mean difference and
+    the penalty (H annihilates constants) as they are, but the published
+    sigmoid kernel is nearly constant, and projected uncentred it rounded
+    away the variations the penalty is made of (on the 24^3 benchmark
+    phantom's CSF step at l = 300, gamma at lambda = 1e-4 was 2e-6 off a
+    long-double reference, against 6e-8 centred). One blocked pass over
+    the voxels gives B^T = Q^T (C - c 1^T) and a probe estimate of C's
+    error outside span Q (_project_cross); while that misses RANGE_TOL, Q
+    grows by the missed directions and the pass is redone. The class
+    means, the within-class matrix (class_scatter), its ridged Cholesky
+    factor (factor_pencil) and the penalty B^T H B are then r x r, taken
+    in Q's coordinates. The ridge is RIDGE_SCALE times the mean over the
+    l samples of the within-class diagonal, and at least a floor above the
+    within matrix's rounding noise. Raises what factor_pencil raises. The
+    neighbour graph H is built first, so its build's buffers are gone
+    before the cross kernel is projected.
     """
+    l = len(ts.labels)
+    h = neighborhood_matrix(member_box)
     gram = kernel_matrix(spec, ts.features, ts.features)
-    gram = 0.5 * (gram + gram.T)
-    m_neg, m_pos, within = class_scatter(gram, ts)
     # the ridge must stay above the rounding noise of the within matrix,
     # Z Z^T with Z the class-centred gram; that noise scales with
     # ||Z||_F^2, which ||gram||_F^2 bounds (centring projects each row)
     floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum("ij,ij->", gram, gram))
+    rng = np.random.default_rng(RANGE_SEED)
+    q = _range_basis(gram, rng)
+    centre = gram.mean(axis=1)
+    gram -= centre[:, None]
+    while True:
+        cross, range_error, missed = _project_cross(spec, ts.features, features, centre, q, rng)
+        if range_error <= RANGE_TOL or q.shape[1] == l:
+            break
+        q = np.hstack([q, missed])
+        del cross
+    m_neg, m_pos, within = class_scatter(q.T @ gram, ts)
     del gram
-    factor, beta = factor_pencil(within, max(default_beta(within), floor))
-    del within
-    h = neighborhood_matrix(member_box)
-    return KfdaMatrices(m_neg=m_neg, m_pos=m_pos, factor=factor, beta=beta,
-                        neighborhood=h, cross=cross_kernel(spec, ts.features, features))
+    # trace 0 happens for single-sample classes; keep the pencil definite
+    beta = RIDGE_SCALE * float(np.trace(within)) / l or 1e-10
+    factor, beta = factor_pencil(within, max(beta, floor))
+    penalty = cross @ h.dot(cross.T)
+    return KfdaMatrices(basis=q, m_neg=m_neg, m_pos=m_pos, factor_inv=np.linalg.inv(factor),
+                        beta=beta, penalty=0.5 * (penalty + penalty.T), cross=cross,
+                        centre=centre, range_error=range_error)
 
 
 # ---------------------------------------------------------------------------
@@ -351,178 +430,51 @@ class KfdaModel:
 
     alpha: np.ndarray
     gamma: float
+    gamma_ratio: float | None    # gamma / gamma at lambda 0; None when that is 0
     b_offset: float
-    iterations: int
     residual: float
-    capped: bool
+    iterations: int = 0          # penalty matvecs: the reduced solve needs none
 
 
-def default_beta(within: np.ndarray) -> float:
-    beta = RIDGE_SCALE * float(np.trace(within)) / within.shape[0]
-    # trace 0 happens for single-sample classes; keep the pencil definite
-    return beta if beta > 0 else 1e-10
-
-
-# expanded basis vectors per step, at most min(l, MAX_EXPANSIONS); a lambda
-# that reaches the cap keeps its Ritz pair with its residual as is
-MAX_EXPANSIONS = 320
-
-
-class KrylovBasis:
-    """Krylov basis of N^-1 P shared by every lambda of a step.
-
-    N = within + beta I arrives factored as U^T U (build_matrices). The
-    basis is held in the factor's coordinates x = U v, where the N inner
-    product is the Euclidean one and N^-1 P becomes U^-T P U^-1: the rows
-    X = U V are orthonormal, kept so by two passes of classical
-    Gram-Schmidt, and no product with N is ever formed, nor N itself kept.
-    The basis starts from U N^-1 m = U^-T m and from a fixed-seed (9999)
-    vector and grows by applying U^-T P U^-1 to its oldest row not yet
-    expanded: one triangular solve gives v = U^-1 x for the penalty matvec,
-    one more gives s = U^-T P v, which is both the new Krylov direction and
-    the row that couples x to P. Every expanded row keeps its s, so the
-    projected penalty T = V^T P V = X S^T over the expanded rows and the
-    residual coupling to the unexpanded ones cost no further penalty
-    matvecs. U is applied in numpy's BLAS and U^-1 with scipy's unthreaded
-    dtrsv (see the module docstring for why).
-    """
-
-    def __init__(self, mats: KfdaMatrices):
-        l = len(mats.m_diff)
-        self.mats = mats
-        self.cap = min(l, MAX_EXPANSIONS)
-        self.coords = np.empty((self.cap + 2, l))     # X = U V, orthonormal rows
-        self.s_vecs = np.empty((self.cap, l))         # S = U^-T P V, expanded rows
-        self.proj = np.zeros((self.cap + 2, self.cap))  # X S^T = V^T P V[:expanded]
-        self.size = 0
-        self.expanded = 0
-        # V^T m = sqrt(c) e_0: every later row is orthogonal to U^-T m
-        self.m_coords = self.coordinates(mats.m_diff)
-        self.c = float(self.m_coords @ self.m_coords)
-        if not self._append(self.m_coords):
-            self.c = 0.0
-        seed = np.random.default_rng(9999).standard_normal(l)
-        self._append(mats.factor @ seed)
-
-    def coordinates(self, b: np.ndarray) -> np.ndarray:
-        """U^-T b = U N^-1 b, the coordinates of N^-1 b: one unthreaded
-        level-2 triangular solve."""
-        return dtrsv(self.mats.factor, b, trans=1)
-
-    def vector(self, x: np.ndarray) -> np.ndarray:
-        """U^-1 x, the coefficient vector of coordinates x; so N^-1 b is
-        vector(coordinates(b))."""
-        return dtrsv(self.mats.factor, x)
-
-    def _append(self, x: np.ndarray) -> bool:
-        """Orthonormalize x against the basis and add it unless it vanishes."""
-        k = self.size
-        if k == len(x):
-            return False
-        norm_in = math.sqrt(float(x @ x))
-        for _ in range(2):
-            x = x - (self.coords[:k] @ x) @ self.coords[:k]
-        norm = math.sqrt(float(x @ x))
-        if norm <= 1e-12 * norm_in:
-            return False
-        self.coords[k] = x / norm
-        self.proj[k, :self.expanded] = self.s_vecs[:self.expanded] @ self.coords[k]
-        self.size += 1
-        return True
-
-    def expand(self) -> bool:
-        """Apply U^-T P U^-1 to the oldest unexpanded row; False at the cap
-        or once every row is expanded (an invariant subspace)."""
-        j = self.expanded
-        if j == self.cap or j == self.size:
-            return False
-        s = self.coordinates(self.mats.penalty_matvec(self.vector(self.coords[j])))
-        self.s_vecs[j] = s
-        self.proj[:self.size, j] = self.coords[:self.size] @ s
-        self.expanded += 1
-        self._append(s)
-        return True
-
-    def ritz(self, lam: float) -> tuple[float, np.ndarray, float]:
-        """Top Ritz pair of (c e_0 e_0^T + lam T) y = gamma y and its bound.
-
-        Rayleigh-Ritz runs on the expanded vectors, or on N^-1 m alone
-        before any expansion. N^-1 P maps each expanded vector into the
-        basis, so the N-norm residual of the Ritz vector is
-        |lam| ||T_UE y|| over the unexpanded vectors U; it is unknown
-        (infinite) for lam != 0 before the first expansion.
-        """
-        k = max(self.expanded, 1)
-        a = lam * self.proj[:k, :k]
-        a = 0.5 * (a + a.T)
-        a[0, 0] += self.c
-        evals, evecs = np.linalg.eigh(a)
-        y = evecs[:, -1]
-        if lam == 0.0:
-            bound = 0.0
-        elif not self.expanded:
-            bound = math.inf
-        else:
-            bound = abs(lam) * float(np.linalg.norm(self.proj[k:self.size, :k] @ y))
-        return float(evals[-1]), y, bound
-
-
-def solve_alpha(mats: KfdaMatrices, lam: float,
-                basis: KrylovBasis | None = None) -> KfdaModel:
+def solve_alpha(mats: KfdaMatrices, lam: float) -> KfdaModel:
     """Leading eigenpair of the regularized discriminant criterion.
 
-    The criterion's numerator m m^T + lam P varies with lam only through a
-    multiple of one fixed operator, so one KrylovBasis per step serves
-    every lam of its sweep by Rayleigh-Ritz (Saad, Numerical Methods for
-    Large Eigenvalue Problems, 2011); a call without a basis builds its
-    own. The basis grows only until this lam's residual bound meets
-    1e-9 * max(1, |gamma|), or until it holds min(l, 320) expanded
-    vectors or spans an invariant subspace, where the Ritz pair is returned
-    with its residual as is and capped is set.
+    The criterion (m m^T + lam P) a = gamma N a is solved in the factor's
+    coordinates a = Q y, where it is r x r: with N_r = U^T U, the top
+    eigenpair (gamma, x) of U^-T (m_r m_r^T + lam P_r) U^-1 gives
+    y = U^-1 x, of unit N-norm. The class means, the within-class
+    matrix and the penalty lie in span Q to the factor's tolerance, and
+    outside it N is the ridge alone while the numerator vanishes, so the
+    reduction is exact for a top gamma > 0. At lam = 0 the numerator is
+    rank one, and its top eigenpair is gamma(0) = ||c||^2 with x = c / ||c||,
+    c = U^-T m_r.
 
-    The penalty P = C H C^T is negative semidefinite (H is adjacency minus
-    degree), so for gamma > 0 the top eigenvector is proportional to
-    (gamma N - lam P)^-1 m, which lies in K(N^-1 P, N^-1 m) for every lam.
-    The fixed-seed start vector covers gamma <= 0: when a training set is
-    the whole leaf, constant voxel projections null both terms, and at
-    large lam the top can lie outside that space.
-
-    iterations counts the penalty matvecs this lam added to the basis, so a
-    step's iterations sum to its penalty_matvec calls. residual is the
-    explicit Euclidean residual of the unit Ritz vector, computed from the
-    stored U^-T P V products. Returns alpha scaled to unit constraint and
-    signed so the positive class projects positive.
+    residual is the Euclidean norm of N_r^-1 (m_r m_r^T + lam P_r) y -
+    gamma y relative to ||y||. Returns alpha = Q y scaled to unit
+    constraint and signed so the positive class projects positive, with
+    the offset that puts the class means' projections' midpoint at 0.
     """
-    if basis is None:
-        basis = KrylovBasis(mats)
-    start = basis.expanded
-    capped = False
-    while True:
-        gamma, y, bound = basis.ritz(lam)
-        if bound <= 1e-9 * max(1.0, abs(gamma)):
-            break
-        if not basis.expand():
-            capped = True
-            logger.debug("eigen basis cap reached at gamma %.6g, residual "
-                         "bound %.3e", gamma, bound)
-            break
-    k = len(y)
-    x = y @ basis.coords[:k]                    # U v, so v has N-norm |x| = 1
-    v = basis.vector(x)
-    m_diff = mats.m_diff
-    # U^-T (m m^T + lam P) v - gamma U v, mapped back by U^-1
-    num = basis.m_coords * float(m_diff @ v) - gamma * x
+    u_inv = mats.factor_inv
+    c = u_inv.T @ mats.m_diff
+    gamma0 = float(c @ c)
+    a = np.outer(c, c)
     if lam != 0.0:
-        num += lam * (y @ basis.s_vecs[:k])
-    residual = float(np.linalg.norm(basis.vector(num)) / np.linalg.norm(v))
-    alpha = v / math.sqrt(float(x @ x))
-    if float(alpha @ m_diff) > 0:     # positive class must project positive
-        alpha = -alpha
-    proj_neg = float(alpha @ mats.m_neg)
-    proj_pos = float(alpha @ mats.m_pos)
-    b_offset = -(proj_neg + proj_pos) / 2.0
-    return KfdaModel(alpha=alpha, gamma=gamma, b_offset=b_offset,
-                     iterations=basis.expanded - start, residual=residual, capped=capped)
+        t = u_inv.T @ mats.penalty @ u_inv
+        a += lam * 0.5 * (t + t.T)
+    if lam == 0.0 and gamma0 > 0:      # rank one: its top eigenvector is c
+        gamma, x = gamma0, c / math.sqrt(gamma0)
+    else:
+        evals, evecs = np.linalg.eigh(a)
+        gamma, x = float(evals[-1]), evecs[:, -1]
+    y = u_inv @ x
+    residual = float(np.linalg.norm(u_inv @ (a @ x - gamma * x)) / np.linalg.norm(y))
+    if float(y @ mats.m_diff) > 0:     # positive class must project positive
+        y = -y
+    alpha = mats.basis @ y
+    b_offset = -float(y @ (mats.m_neg + mats.m_pos)) / 2.0 - float(mats.centre @ alpha)
+    return KfdaModel(alpha=alpha, gamma=gamma,
+                     gamma_ratio=gamma / gamma0 if gamma0 > 0 else None,
+                     b_offset=b_offset, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -770,16 +722,15 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: PipelineConfig,
         diag["skipped"] = "all solves failed"
         return sides_init, diag
 
-    basis = KrylovBasis(mats)
+    diag.update(rank=mats.rank, range_error=mats.range_error)
     solves = []
     for lam in cfg.lambda_grid:
         entry = {"lambda": lam}
-        model = solve_alpha(mats, lam, basis=basis)
+        model = solve_alpha(mats, lam)
         projections = mats.voxel_projections(model.alpha) + model.b_offset
         cats = categorize(projections, sides_init)
-        entry.update({"gamma": model.gamma, "iterations": model.iterations,
-                      "residual": model.residual, "capped": model.capped,
-                      "categories": cats.sizes()})
+        entry.update({"gamma": model.gamma, "gamma_ratio": model.gamma_ratio,
+                      "residual": model.residual, "categories": cats.sizes()})
         if min(len(cats.prototypes_neg), len(cats.prototypes_pos)) < 2:
             logger.warning("fewer than 2 prototypes in a class; keeping initial labels")
             value, sides = score(sides_init), sides_init

@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from scipy import sparse
 
 from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, TrainingSet, kernel_matrix,
-                          nearest_prototype_sides)
+                          nearest_prototype_sides, neighborhood_matrix)
 from kfdaseg.partition import PartitionTree, Subdomain, _mir_over, noise_sigma
 from kfdaseg.stitch import EDGE_NONE, EDGE_ONE, StitchProblem
 from kfdaseg.volume import REFERENCE_CHANNEL, MultiChannelVolume
@@ -72,10 +73,55 @@ def between(mats: KfdaMatrices) -> np.ndarray:
     return np.outer(mats.m_diff, mats.m_diff)
 
 
-def penalty(mats: KfdaMatrices) -> np.ndarray:
-    """Materialized graph penalty matrix cross H cross^T."""
-    cross = mats.cross.astype(np.float64, copy=False)
-    return cross @ mats.neighborhood.dot(cross.T)
+@dataclass
+class DenseStep:
+    """A KFDA step's full l x l float64 problem, every matrix materialized."""
+
+    m_neg: np.ndarray        # (l,) class mean columns of the gram
+    m_pos: np.ndarray
+    cross: np.ndarray        # (l, n) kernel between the samples and every voxel
+    penalty: np.ndarray      # (l, l) cross H cross^T, H the voxels' graph
+    pencil: np.ndarray       # (l, l) within + beta I
+
+
+def dense_step(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
+               member_box: np.ndarray, beta: float) -> DenseStep:
+    """The step build_matrices reduces, in full, with the ridge beta.
+
+    The penalty is the edge sum -sum (c_i - c_j)(c_i - c_j)^T over the
+    graph's edges, c_i the kernel column of voxel i: a saturated sigmoid
+    kernel is nearly constant, and cross H cross^T, which sums the columns
+    before it differences them, rounded its top eigenvalue by up to 5e-7
+    relative on the benchmark phantom's CSF step. The within-class matrix
+    is the centred product Z Z^T, Z the gram with each column centred on
+    its class mean: equal to within() in exact arithmetic, but within()'s
+    k_m k_m^T - l_m M_m M_m^T cancels large terms, and on that step its
+    rounding reaches the floor ridge and moves the top eigenvalue by up to
+    1e-4 relative.
+    """
+    g = gram(ts, spec)
+    m_neg = g[:, ts.neg_idx].mean(axis=1)
+    m_pos = g[:, ts.pos_idx].mean(axis=1)
+    z = g - np.where(ts.labels < 0, m_neg[:, None], m_pos[:, None])
+    cross = kernel_matrix(spec, ts.features, features)
+    edges = graph_edges(neighborhood_matrix(member_box))
+    diff = cross[:, edges[:, 0]] - cross[:, edges[:, 1]]
+    return DenseStep(m_neg=m_neg, m_pos=m_pos, cross=cross, penalty=-(diff @ diff.T),
+                     pencil=z @ z.T + beta * np.eye(len(g)))
+
+
+def dense_solve(step: DenseStep, lam: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(gamma, alpha, voxel projections) of the top eigenpair of
+    (m m^T + lam P) a = gamma N a by scipy's dense generalized eigh, alpha
+    of unit N-norm and signed so the positive class projects positive."""
+    m = step.m_neg - step.m_pos
+    a = np.outer(m, m) + lam * step.penalty
+    evals, evecs = sla.eigh(0.5 * (a + a.T), step.pencil)
+    alpha = evecs[:, -1]
+    if alpha @ m > 0:
+        alpha = -alpha
+    offset = -float(alpha @ (step.m_neg + step.m_pos)) / 2.0
+    return float(evals[-1]), alpha, step.cross.T @ alpha + offset
 
 
 def roughness(mats: KfdaMatrices, alpha: np.ndarray) -> float:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kfdaseg.kfda import KernelSpec, TrainingSet, build_matrices, solve_alpha
+from kfdaseg.kfda import (KernelSpec, TrainingSet, build_matrices, neighborhood_matrix,
+                          solve_alpha)
 from kfdaseg.partition import (Histogram2, SlabClustering, Subdomain, best_cut,
                                histogram_2bin, mutual_information, partition)
 from kfdaseg.phantom import (PhantomSpec, corrupt_boundary_labels,
@@ -216,10 +217,10 @@ def test_criterion_4_penalty_identity():
         labels = np.array([-1] * (l // 2) + [1] * (l - l // 2))
         ts = TrainingSet(features[:l], labels)
         mats = build_matrices(ts, KernelSpec.rbf(0.5), features, mask)
-        edges = graph_edges(mats.neighborhood)
+        edges = graph_edges(neighborhood_matrix(mask))
         for _ in range(10):
             alpha = rng.standard_normal(l)
-            v = mats.cross.T @ alpha
+            v = mats.voxel_projections(alpha)
             quad = float(alpha @ mats.penalty_matvec(alpha))
             edge_sum = -float(((v[edges[:, 0]] - v[edges[:, 1]]) ** 2).sum()) \
                 if len(edges) else 0.0

@@ -9,16 +9,17 @@ import pytest
 import scipy.linalg as sla
 
 from kfdaseg import kfda
-from kfdaseg.kfda import (ConvergenceError, KernelSpec, KrylovBasis, TrainingSet,
-                          _labelings, _run_step, _stratified_cap, build_matrices,
-                          categorize, class_scatter, classify_outliers_mahalanobis,
-                          classify_subdomain, cross_kernel, factor_pencil, kernel_matrix,
-                          nearest_prototype_sides, neighborhood_matrix, solve_alpha)
+from kfdaseg.kfda import (ConvergenceError, KernelSpec, TrainingSet, _labelings,
+                          _project_cross, _range_basis, _run_step, _stratified_cap,
+                          build_matrices, categorize, class_scatter,
+                          classify_outliers_mahalanobis, classify_subdomain, factor_pencil,
+                          kernel_matrix, nearest_prototype_sides, neighborhood_matrix,
+                          solve_alpha)
 from kfdaseg.pipeline import PipelineConfig
 from kfdaseg.ssim import mssim
 from kfdaseg.volume import BG, CSF, GM, WM
-from oracles import (between, classify_overlap_knn, gram, graph_edges, kernel_eval,
-                     penalty, project, roughness, within)
+from oracles import (between, classify_overlap_knn, dense_solve, dense_step, gram, graph_edges,
+                     kernel_eval, project, roughness, within)
 
 
 def subdata_line(features):
@@ -109,7 +110,8 @@ def test_within_matches_literal_centering_formula():
                + k_pos @ (np.eye(7) - np.full((7, 7), 1 / 7)) @ k_pos.T)
     _, _, scatter = class_scatter(g, ts)
     assert np.allclose(scatter, literal, atol=1e-10)
-    assert np.allclose(mats.m_neg, k_neg.mean(axis=1), atol=1e-12)
+    assert mats.rank == 12
+    assert np.allclose(mats.basis @ mats.m_neg + mats.centre, k_neg.mean(axis=1), atol=1e-12)
 
 
 def test_within_is_symmetric_and_psd_to_rounding():
@@ -130,49 +132,59 @@ def test_within_is_symmetric_and_psd_to_rounding():
     assert evals[0] >= -1e-12 * evals[-1], evals[0] / evals[-1]
 
 
-def test_cross_kernel_blocks_match_whole_matrix(monkeypatch):
-    # row counts that leave a short last block, a one-row remainder and a
-    # single block; a float64 cross kernel is built whole, a float32 one in
-    # blocks
+def test_cross_factor_blocks_match_whole_kernel():
+    # column counts that leave a short last block, a one-column remainder
+    # and a single block: the blocked pass gives Q^T (C - c 1^T) and the
+    # probe residual of the whole kernel matrix C, to rounding
     rng = np.random.default_rng(36)
-    n = 10_007
-    rows = kfda.CROSS_BLOCK_BYTES // (8 * n)
-    zs = rng.random((n, 3))
-    for threshold, dtype in ((kfda.CROSS_F32_THRESHOLD, np.float64), (0, np.float32)):
-        monkeypatch.setattr(kfda, "CROSS_F32_THRESHOLD", threshold)
-        for l in (2, rows - 1, 2 * rows + 1, 3 * rows + 5):
-            xs = rng.random((l, 3))
-            for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(), KernelSpec.linear()):
-                got = cross_kernel(spec, xs, zs)
-                assert got.dtype == dtype
-                expected = kernel_matrix(spec, xs, zs).astype(dtype)
-                assert np.array_equal(got, expected), (spec.kind, l, dtype)
+    l = 40
+    xs = rng.random((l, 3))
+    cols = kfda.CROSS_BLOCK_BYTES // (8 * l)
+    q = np.linalg.qr(rng.standard_normal((l, 7)))[0]
+    centre = rng.random(l)
+    for n in (5, cols - 1, 2 * cols + 1, 3 * cols + 5):
+        zs = rng.random((n, 3))
+        for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(), KernelSpec.linear()):
+            c = kernel_matrix(spec, xs, zs)
+            cross, error, missed = _project_cross(spec, xs, zs, centre, q,
+                                                  np.random.default_rng(5))
+            assert np.allclose(cross, q.T @ (c - centre[:, None]), rtol=0,
+                               atol=1e-12 * np.abs(c).max())
+            probes = np.random.default_rng(5).standard_normal((n, kfda.RANGE_PROBES))
+            sketch = c @ probes
+            resid = sketch - q @ (q.T @ sketch)
+            expected = np.linalg.norm(resid, axis=0).max() / np.linalg.norm(sketch,
+                                                                            axis=0).max()
+            assert error == pytest.approx(expected, rel=1e-9), (spec.kind, n)
+            # the missed directions are orthonormal and orthogonal to Q
+            assert np.allclose(missed.T @ missed, np.eye(missed.shape[1]), atol=1e-12)
+            assert np.abs(q.T @ missed).max() <= 1e-12
 
 
-def test_build_matrices_holds_one_full_size_buffer(monkeypatch):
-    # the l x l matrices are freed before the float32 cross kernel exists,
-    # and it is built in float64 row blocks, so the peak is the cross kernel
-    # with the graph, a few l x l buffers and one block; built whole in
-    # float64 and then cast, the cross kernel alone peaked at three times
-    # its float32 size
-    monkeypatch.setattr(kfda, "CROSS_F32_THRESHOLD", 0)
-    rng = np.random.default_rng(35)
-    member = np.ones((20, 20, 20), dtype=bool)
-    features = rng.random(member.shape + (3,))[member]
-    l = 300
-    rows = np.sort(rng.choice(len(features), size=l, replace=False))
-    ts = TrainingSet(features[rows], np.where(np.arange(l) < 120, -1, 1))
+def test_build_matrices_never_holds_the_cross_kernel():
+    # the cross kernel between the samples and every voxel is evaluated in
+    # blocks and only its projection Q^T C is kept: the peak is the graph,
+    # that projection with the sparse product's buffer of its size, a few
+    # l x l buffers and a block, under the float64 cross kernel alone
+    from kfdaseg.phantom import PhantomSpec, generate_phantom
+    vol, truth = generate_phantom(PhantomSpec(dims=(40, 40, 40), noise_sigma=0.05,
+                                              bias_amplitude=0.10, pv_blur=1.0, seed=11))
+    features = vol.data[vol.mask].astype(np.float64)
+    sides = np.where(truth.labels[vol.mask] == CSF, -1, 1).astype(np.int8)
+    l = 600
+    keep = _stratified_cap(sides, l, np.random.default_rng(0))
+    ts = TrainingSet(features[keep], sides[keep])
     tracemalloc.start()
     try:
-        mats = build_matrices(ts, KernelSpec.sigmoid(), features, member)
+        mats = build_matrices(ts, KernelSpec.sigmoid(), features, vol.mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    h = mats.neighborhood
+    h = neighborhood_matrix(vol.mask)
     graph = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
-    assert mats.cross.dtype == np.float32
-    budget = mats.cross.nbytes + graph + 4 * l * l * 8 + kfda.CROSS_BLOCK_BYTES
-    assert peak < budget, (peak, budget)
+    assert mats.cross.shape == (mats.rank, len(features))
+    budget = graph + 2 * mats.cross.nbytes + 4 * l * l * 8 + 2 * kfda.CROSS_BLOCK_BYTES
+    assert peak < budget < l * len(features) * 8, (peak, budget)
 
 
 def test_two_voxel_neighborhood_matrix():
@@ -217,10 +229,10 @@ def test_penalty_identity_with_kernel_projection():
         labels = np.array([-1] * (l // 2) + [1] * (l - l // 2))
         ts = TrainingSet(features[:l], labels)
         mats = build_matrices(ts, KernelSpec.rbf(0.5), features, mask)
-        edges = graph_edges(mats.neighborhood)
+        edges = graph_edges(neighborhood_matrix(mask))
         for _ in range(10):
             alpha = rng.standard_normal(l)
-            v = mats.cross.T @ alpha
+            v = mats.voxel_projections(alpha)
             quad = float(alpha @ mats.penalty_matvec(alpha))
             edge_sum = -float(((v[edges[:, 0]] - v[edges[:, 1]]) ** 2).sum()) \
                 if len(edges) else 0.0
@@ -276,8 +288,10 @@ def test_small_instances_match_dense_eigendecomposition():
         ts = simple_training(feats, np.array([-1] * 4 + [1] * 4))
         mats = build_matrices(ts, KernelSpec.rbf(1.0), *subdata_line(feats))
         pencil = within(ts, KernelSpec.rbf(1.0)) + mats.beta * np.eye(l)
+        dense = dense_step(ts, KernelSpec.rbf(1.0), *subdata_line(feats), mats.beta)
+        m_diff = dense.m_neg - dense.m_pos
         for lam in (0.0, 0.1, 10.0):
-            a = between(mats) + lam * penalty(mats)
+            a = np.outer(m_diff, m_diff) + lam * dense.penalty
             evals, evecs = sla.eigh(0.5 * (a + a.T), pencil)
             model = solve_alpha(mats, lam)
             assert model.gamma == pytest.approx(float(evals[-1]),
@@ -289,10 +303,11 @@ def test_small_instances_match_dense_eigendecomposition():
                 assert cos == pytest.approx(1.0, abs=1e-6)
 
 
-def test_shared_basis_matches_dense_eigendecomposition():
-    # every lambda of a sweep solved on one basis, as a classification step
-    # does; gamma cannot rise with lambda because the penalty is negative
-    # semidefinite, beyond the rounding-level rises dense eigh shows too
+def test_sweep_matches_dense_eigendecomposition():
+    # every lambda of a sweep solved on one step's matrices, as a
+    # classification step does, without a penalty matvec; gamma cannot
+    # rise with lambda because the penalty is negative semidefinite, beyond
+    # the rounding-level rises dense eigh shows too
     rng = np.random.default_rng(22)
     grid = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
     for _ in range(12):
@@ -305,7 +320,6 @@ def test_shared_basis_matches_dense_eigendecomposition():
         ts = TrainingSet(feats[rows], labels)
         for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(1.0)):
             mats = build_matrices(ts, spec, *subdata_line(feats))
-            b, p = between(mats), penalty(mats)
             calls = []
 
             def counted(v, matvec=mats.penalty_matvec):
@@ -313,72 +327,65 @@ def test_shared_basis_matches_dense_eigendecomposition():
                 return matvec(v)
 
             mats.penalty_matvec = counted
-            basis = KrylovBasis(mats)
-            pencil = within(ts, spec) + mats.beta * np.eye(l)
-            gammas, iterations = [], 0
+            dense = dense_step(ts, spec, *subdata_line(feats), mats.beta)
+            gammas = []
             for lam in grid:
-                model = solve_alpha(mats, lam, basis=basis)
-                a = b + lam * p
-                top = float(sla.eigh(0.5 * (a + a.T), pencil, eigvals_only=True)[-1])
+                model = solve_alpha(mats, lam)
+                top = dense_solve(dense, lam)[0]
                 assert model.gamma == pytest.approx(top, abs=1e-8, rel=1e-7), (spec.kind, l, lam)
+                assert model.iterations == 0
                 gammas.append(model.gamma)
-                iterations += model.iterations
-            assert iterations == len(calls)
+            assert not calls
             for g_prev, g_next in zip(gammas, gammas[1:]):
                 assert g_next <= g_prev + 1e-8 * gammas[0], (spec.kind, l, gammas)
 
 
-def _mats_with_within(scatter, beta):
-    """Discriminant matrices of a small random training set, the pencil
-    replaced by scatter + beta I as factor_pencil factors it."""
-    rng = np.random.default_rng(31)
-    l = scatter.shape[0]
-    feats = rng.normal(size=(l, 3))
-    labels = np.where(np.arange(l) < l // 2, -1, 1)
-    mats = build_matrices(TrainingSet(feats, labels), KernelSpec.rbf(1.0),
-                          *subdata_line(feats))
-    factor, beta = factor_pencil(scatter, beta)
-    return dataclasses.replace(mats, factor=factor, beta=beta)
+def test_solve_matches_dense_oracle_on_phantom_steps():
+    # both published kernels on a corner of the benchmark's 24^3 phantom:
+    # at l = 300 the factor leaves out most directions and the sigmoid's
+    # ridge is the floor, at l = 24 the factor spans all l samples. gamma
+    # and every voxel's projection sign must match scipy's dense float64
+    # eigh of the full l x l pencil at every lambda of the published grid
+    from kfdaseg.phantom import PhantomSpec, generate_phantom
+    vol, truth = generate_phantom(PhantomSpec(dims=(24, 24, 24), noise_sigma=0.05,
+                                              bias_amplitude=0.10, pv_blur=1.0, seed=11))
+    box = (slice(0, 12), slice(0, 12), slice(0, 24))
+    data, mask, labels = vol.data[box].astype(np.float64), vol.mask[box], truth.labels[box]
+    for neg, pos, spec in (((CSF,), (GM, WM), KernelSpec.sigmoid()),
+                           ((GM,), (WM,), KernelSpec.rbf())):
+        member = mask & np.isin(labels, neg + pos)
+        features = data[member]
+        sides = np.where(np.isin(labels[member], neg), -1, 1).astype(np.int8)
+        for l in (300, 24):
+            keep = _stratified_cap(sides, l, np.random.default_rng(0))
+            ts = TrainingSet(features[keep], sides[keep])
+            mats = build_matrices(ts, spec, features, member)
+            assert (mats.rank == l) == (l == 24), (spec.kind, l, mats.rank)
+            if spec.kind == "sigmoid" and l == 300:
+                g = gram(ts, spec)
+                floor = 64.0 * np.finfo(np.float64).eps * float((g * g).sum())
+                assert mats.beta == pytest.approx(floor, rel=1e-9)
+            dense = dense_step(ts, spec, features, member, mats.beta)
+            for lam in kfda.LAMBDA_GRID:
+                model = solve_alpha(mats, lam)
+                top, _, expected = dense_solve(dense, lam)
+                assert model.gamma == pytest.approx(top, rel=1e-7), (spec.kind, l, lam)
+                got = mats.voxel_projections(model.alpha) + model.b_offset
+                assert np.array_equal(got > 0, expected > 0), (spec.kind, l, lam)
 
 
-def test_pencil_solve_matches_dense_solve():
-    rng = np.random.default_rng(32)
-    for l in (5, 60, 240):
-        g = rng.normal(size=(l, l))
-        scatter = g @ g.T / l + 0.1 * np.eye(l)
-        mats = _mats_with_within(scatter, 1e-3)
-        basis = KrylovBasis(mats)
-        for _ in range(3):
-            b = rng.normal(size=l)
-            expected = np.linalg.solve(scatter + mats.beta * np.eye(l), b)
-            got = basis.vector(basis.coordinates(b))
-            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), l
-
-
-def test_basis_stays_orthonormal_without_pencil_products():
-    # the basis is grown in the factor's coordinates and never multiplies by
-    # N; across every expansion V must stay N-orthonormal and the stored
-    # projected penalty must stay V^T P V. Carrying N V through the
-    # Gram-Schmidt updates instead lost N-orthonormality on this instance:
-    # 1e-7 after 100 expansions, O(1) after 150
+def test_range_basis_stays_orthonormal():
+    # a gram of nearly full rank takes the range finder through many
+    # blocks: Q must stay orthonormal to rounding and span the gram.
+    # Normalizing a block without projecting Q out again afterwards lost
+    # orthogonality to about 1e-1 by r ~ 190, and the sketch never stopped
     rng = np.random.default_rng(41)
-    member = np.ones((8, 8, 8), dtype=bool)
-    features = rng.normal(size=member.shape + (3,))[member]
-    rows = np.sort(rng.choice(len(features), size=200, replace=False))
-    labels = np.where(rng.random(200) < 0.5, -1, 1)
-    ts = TrainingSet(features[rows], labels)
-    mats = build_matrices(ts, KernelSpec.sigmoid(), features, member)
-    basis = KrylovBasis(mats)
-    solve_alpha(mats, 5e-5, basis=basis)
-    while basis.expand():
-        pass
-    size, expanded = basis.size, basis.expanded
-    assert expanded >= 30
-    vecs = np.array([basis.vector(x) for x in basis.coords[:size]])
-    gram_n = vecs @ (within(ts, KernelSpec.sigmoid()) + mats.beta * np.eye(200)) @ vecs.T
-    assert np.abs(gram_n - np.eye(size)).max() <= 1e-10
-    t = vecs @ penalty(mats) @ vecs[:expanded].T
-    assert np.abs(basis.proj[:size, :expanded] - t).max() <= 1e-10 * np.abs(t).max()
+    xs = rng.normal(size=(200, 3))
+    g = kernel_matrix(KernelSpec.rbf(0.1), xs, xs)
+    q = _range_basis(0.5 * (g + g.T), np.random.default_rng(kfda.RANGE_SEED))
+    assert q.shape[1] >= 190
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+    assert np.abs(g - q @ (q.T @ g)).max() <= 1e-9 * np.abs(g).max()
 
 
 def test_pencil_never_definite_raises_convergence_error(monkeypatch):

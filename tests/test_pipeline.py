@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kfdaseg import cli
+from kfdaseg import cli, kfda
 from kfdaseg.phantom import PhantomSpec, corrupt_boundary_labels, generate_phantom, kmeans_init
 from kfdaseg.pipeline import (PipelineConfig, PipelineStageError, REPORT_SCHEMA,
                               dice_scores, partition_stage, report_stage, run_pipeline,
@@ -113,12 +113,19 @@ def test_leaf_without_mask_voxels(tmp_path):
 def test_sweep_entries_record_each_solve(small_run):
     cfg, *_ = small_run
     diags = json.loads((Path(cfg.out_dir) / "subdomains.json").read_text())
-    entries = [entry for diag in diags for step in diag["steps"].values()
-               for entry in step.get("sweep", [])]
-    assert entries
-    for entry in entries:
-        assert entry["residual"] >= 0.0 and np.isfinite(entry["residual"])
-        assert entry["capped"] in (True, False)
+    steps = [step for diag in diags for step in diag["steps"].values() if "sweep" in step]
+    assert steps
+    for step in steps:
+        # the factor spans the cross kernel to its tolerance, or all l samples
+        l = min(step["n_voxels"], cfg.l_max)
+        assert 1 <= step["rank"] <= l
+        assert 0.0 <= step["range_error"] <= kfda.RANGE_TOL or step["rank"] == l
+        assert step["sweep"][0]["lambda"] == 0.0
+        assert step["sweep"][0]["gamma_ratio"] == pytest.approx(1.0, abs=1e-12)
+        for entry in step["sweep"]:
+            assert entry["residual"] >= 0.0 and np.isfinite(entry["residual"])
+            assert entry["gamma_ratio"] <= 1.0 + 1e-9
+            assert "iterations" not in entry and "capped" not in entry
 
 
 def test_labels_mask_consistency(small_run):
