@@ -25,11 +25,14 @@ result, so every distinct labeling is scored once per step. Its grids and
 training-set cap come from the PipelineConfig, whose defaults are
 LAMBDA_GRID, K_GRID and L_MAX; the published categorization thresholds
 (TAU_BAND, TAU_OUTLIER) and the two ridges (RIDGE_SCALE,
-MAHALANOBIS_RIDGE) are module constants.
+MAHALANOBIS_RIDGE) are module constants. A voxel's category is one int8
+code, 2 * kind + side (categorize), and CATEGORIES names the six codes
+with the keys under which subdomains.json counts them.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -102,8 +105,8 @@ class KernelSpec:
 def kernel_matrix(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Pairwise kernel matrix K[i, j] = K(xs[i], zs[j]).
 
-    Works in place on a single (m, n) buffer; the result can reach GB scale
-    for whole-subdomain cross kernels.
+    Works in place on a single (m, n) buffer; build_matrices evaluates the
+    cross kernel in column blocks of about CROSS_BLOCK_BYTES.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     zs = np.atleast_2d(np.asarray(zs, dtype=np.float64))
@@ -158,33 +161,32 @@ def neighborhood_matrix(member_box: np.ndarray) -> sparse.csr_matrix:
 
     Entries are 1 on edges, minus the vertex degree on the diagonal and 0
     elsewhere; neighbourhoods truncate at box faces and at non-member
-    voxels, so row sums are exactly zero.
+    voxels, so row sums are exactly zero, and an isolated voxel's row stores
+    nothing. The CSR arrays are written in one pass over the 27 stencil
+    offsets: taken in lexicographic order, they list each row's columns
+    sorted with the diagonal in its place.
     """
     member_box = np.asarray(member_box, dtype=bool)
-    index = np.full(member_box.shape, -1, dtype=np.int64)
     n = int(member_box.sum())
-    index[member_box] = np.arange(n)
-
-    rows, cols = [], []
-    offsets = [(di, dj, dk)
-               for di in (-1, 0, 1) for dj in (-1, 0, 1) for dk in (-1, 0, 1)
-               if (di, dj, dk) > (0, 0, 0)]
-    shape = member_box.shape
-    for di, dj, dk in offsets:
-        src = tuple(slice(max(0, -d), s - max(0, d)) for d, s in zip((di, dj, dk), shape))
-        dst = tuple(slice(max(0, d), s - max(0, -d)) for d, s in zip((di, dj, dk), shape))
-        a = index[src].ravel()
-        b = index[dst].ravel()
-        valid = (a >= 0) & (b >= 0)
-        rows.append(a[valid])
-        cols.append(b[valid])
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    data = np.ones(2 * r.size, dtype=np.float64)
-    adj = sparse.coo_matrix(
-        (data, (np.concatenate([r, c]), np.concatenate([c, r]))), shape=(n, n)).tocsr()
-    degree = np.asarray(adj.sum(axis=1)).ravel()
-    return (adj - sparse.diags(degree)).tocsr()
+    # the index type scipy gives a matrix of at most 27 n entries
+    dtype = np.int32 if 27 * n < 2 ** 31 else np.int64
+    index = np.full(tuple(s + 2 for s in member_box.shape), -1, dtype=dtype)
+    index[1:-1, 1:-1, 1:-1][member_box] = np.arange(n, dtype=dtype)
+    # row v, column o: the index of v's neighbour at offset o, -1 for none
+    neighbours = np.empty((n, 27), dtype=dtype)
+    ni, nj, nk = member_box.shape
+    for o, (di, dj, dk) in enumerate(itertools.product((0, 1, 2), repeat=3)):
+        neighbours[:, o] = index[di:di + ni, dj:dj + nj, dk:dk + nk][member_box]
+    stored = neighbours >= 0
+    degree = stored.sum(axis=1) - 1
+    stored[:, 13] = degree > 0
+    indptr = np.zeros(n + 1, dtype=dtype)
+    indptr[1:] = np.cumsum(stored.sum(axis=1))
+    indices = neighbours[stored]
+    data = np.ones(len(indices))
+    rows = np.flatnonzero(degree)
+    data[indptr[rows] + stored[rows, :13].sum(axis=1)] = -degree[rows]
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +271,20 @@ def factor_pencil(within: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     beta' starts at beta and is raised tenfold on each failed
     factorization: singular N is absorbed by the ridge, never an error.
     Raises ConvergenceError when eight ridges leave the pencil indefinite
-    and ValueError on a non-finite pencil, which no ridge can mend. The
-    diagonal is ridged in place and restored bit for bit.
+    and ValueError on a non-finite pencil, which no ridge can mend. within
+    is left as it is.
     """
     beta = max(beta, 1e-300)
     if not (math.isfinite(beta) and np.isfinite(within).all()):
         raise ValueError("within-class pencil has non-finite entries")
-    diagonal = within.diagonal().copy()
-    try:
-        for _ in range(8):
-            np.fill_diagonal(within, diagonal + beta)
-            try:
-                return np.linalg.cholesky(within).T, beta
-            except np.linalg.LinAlgError:
-                beta *= 10.0
-        raise ConvergenceError("within-class pencil could not be made positive definite")
-    finally:
-        np.fill_diagonal(within, diagonal)
+    pencil = within.copy()
+    for _ in range(8):
+        np.fill_diagonal(pencil, within.diagonal() + beta)
+        try:
+            return np.linalg.cholesky(pencil).T, beta
+        except np.linalg.LinAlgError:
+            beta *= 10.0
+    raise ConvergenceError("within-class pencil could not be made positive definite")
 
 
 def _normalized(y: np.ndarray, floor: float) -> np.ndarray:
@@ -481,48 +480,21 @@ def solve_alpha(mats: KfdaMatrices, lam: float) -> KfdaModel:
 # Voxel categorization and refinement
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VoxelCategories:
-    """Disjoint voxel index sets covering every classified voxel."""
-
-    prototypes_neg: np.ndarray
-    prototypes_pos: np.ndarray
-    overlap_neg_on_pos: np.ndarray
-    overlap_pos_on_neg: np.ndarray
-    outliers_neg: np.ndarray
-    outliers_pos: np.ndarray
-
-    @property
-    def overlap(self) -> np.ndarray:
-        return np.concatenate([self.overlap_neg_on_pos, self.overlap_pos_on_neg])
-
-    @property
-    def outliers(self) -> np.ndarray:
-        return np.concatenate([self.outliers_neg, self.outliers_pos])
-
-    @property
-    def prototypes(self) -> np.ndarray:
-        return np.concatenate([self.prototypes_neg, self.prototypes_pos])
-
-    def sizes(self) -> dict:
-        return {
-            "prototypes_neg": int(len(self.prototypes_neg)),
-            "prototypes_pos": int(len(self.prototypes_pos)),
-            "overlap_neg_on_pos": int(len(self.overlap_neg_on_pos)),
-            "overlap_pos_on_neg": int(len(self.overlap_pos_on_neg)),
-            "outliers_neg": int(len(self.outliers_neg)),
-            "outliers_pos": int(len(self.outliers_pos)),
-        }
+# the names of categorize's codes 2 * kind + side, kind 0 for a prototype,
+# 1 for the overlapping set and 2 for an outlier, side 1 for the positive class
+CATEGORIES = ("prototypes_neg", "prototypes_pos", "overlap_neg_on_pos", "overlap_pos_on_neg",
+              "outliers_neg", "outliers_pos")
 
 
-def categorize(projections: np.ndarray, init_sides: np.ndarray) -> VoxelCategories:
-    """Split voxels into prototypes, overlapping set and outliers.
+def categorize(projections: np.ndarray, init_sides: np.ndarray) -> np.ndarray:
+    """Each voxel's int8 category code: prototype, overlapping set or outlier.
 
     A voxel whose projection sign agrees with its initial side is a
     prototype. Disagreeing voxels inside the band TAU_BAND * pooled
     projection std around the decision value 0 form the overlapping set;
     disagreeing voxels further than TAU_OUTLIER * own-class std from their
     class's projected centroid are outliers; the remainder stays prototype.
+    The code is 2 * kind + side, named by CATEGORIES.
     """
     proj = np.asarray(projections, dtype=np.float64)
     sides = np.asarray(init_sides, dtype=np.int8)
@@ -547,19 +519,8 @@ def categorize(projections: np.ndarray, init_sides: np.ndarray) -> VoxelCategori
     far = np.abs(proj - centroid) > TAU_OUTLIER * own_std
 
     disagree = ~agree
-    overlap = disagree & in_band
-    outlier = disagree & ~in_band & far
-    proto = ~(overlap | outlier)
-
-    idx = np.arange(proj.size)
-    return VoxelCategories(
-        prototypes_neg=idx[proto & neg],
-        prototypes_pos=idx[proto & pos],
-        overlap_neg_on_pos=idx[overlap & neg],
-        overlap_pos_on_neg=idx[overlap & pos],
-        outliers_neg=idx[outlier & neg],
-        outliers_pos=idx[outlier & pos],
-    )
+    kind = np.where(disagree & in_band, 1, np.where(disagree & far, 2, 0))
+    return (2 * kind + pos).astype(np.int8)
 
 
 def _mahalanobis_sq(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -636,7 +597,7 @@ def nearest_prototype_sides(spec: KernelSpec, queries: np.ndarray,
 # Candidate labelings of a solve
 # ---------------------------------------------------------------------------
 
-def _labelings(features: np.ndarray, init_sides: np.ndarray, categories: VoxelCategories,
+def _labelings(features: np.ndarray, init_sides: np.ndarray, codes: np.ndarray,
                kernel: KernelSpec, k_grid) -> list[tuple[int | None, np.ndarray]]:
     """The candidate labelings of one solve as [(k, sides), ...] in tie order.
 
@@ -649,17 +610,19 @@ def _labelings(features: np.ndarray, init_sides: np.ndarray, categories: VoxelCa
     KD-tree in Euclidean intensity order (the RBF and linear kernel-trick
     distances are monotone in it; the sigmoid kernel is not positive
     semidefinite and has no kernel-trick distance), ties broken by
-    prototype index.
+    prototype index. codes are categorize's; the prototypes are indexed
+    negative class first, each class in voxel order.
     """
     init_sides = np.asarray(init_sides, dtype=np.int8)
+    proto_neg = np.flatnonzero(codes == 0)
+    proto_pos = np.flatnonzero(codes == 1)
     sides_mahal = init_sides.copy()
-    out_idx = categories.outliers
+    out_idx = np.flatnonzero(codes // 2 == 2)
     if len(out_idx):
         sides_mahal[out_idx] = classify_outliers_mahalanobis(
-            features[out_idx], sides_mahal[out_idx], features[categories.prototypes_neg],
-            features[categories.prototypes_pos])
-    ov_idx = categories.overlap
-    proto_idx = categories.prototypes
+            features[out_idx], sides_mahal[out_idx], features[proto_neg], features[proto_pos])
+    ov_idx = np.flatnonzero(codes // 2 == 1)
+    proto_idx = np.concatenate([proto_neg, proto_pos])
     usable = [k for k in k_grid if k % 2 == 1 and k <= len(proto_idx)]
     if len(ov_idx) == 0 or not usable:
         return [(None, sides_mahal)]
@@ -728,16 +691,17 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: PipelineConfig,
         entry = {"lambda": lam}
         model = solve_alpha(mats, lam)
         projections = mats.voxel_projections(model.alpha) + model.b_offset
-        cats = categorize(projections, sides_init)
+        codes = categorize(projections, sides_init)
+        counts = np.bincount(codes, minlength=len(CATEGORIES)).tolist()
         entry.update({"gamma": model.gamma, "gamma_ratio": model.gamma_ratio,
-                      "residual": model.residual, "categories": cats.sizes()})
-        if min(len(cats.prototypes_neg), len(cats.prototypes_pos)) < 2:
+                      "residual": model.residual, "categories": dict(zip(CATEGORIES, counts))})
+        if min(counts[:2]) < 2:
             logger.warning("fewer than 2 prototypes in a class; keeping initial labels")
             value, sides = score(sides_init), sides_init
             entry.update({"mssim": value, "fallback": "prototypes"})
         else:
             scored = [(score(sides), k, sides) for k, sides in
-                      _labelings(features, sides_init, cats, kernel, cfg.k_grid)]
+                      _labelings(features, sides_init, codes, kernel, cfg.k_grid)]
             value, k, sides = max(scored, key=itemgetter(0))
             mssim_knn, best_k, _ = max(scored[:-1], key=itemgetter(0),
                                        default=(None, None, None))

@@ -447,35 +447,30 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
 def run_pipeline(cfg: PipelineConfig,
                  vol: MultiChannelVolume | None = None,
                  init_labels: LabelVolume | None = None,
-                 ground_truth: LabelVolume | None = None,
-                 emit: bool = True) -> RunReport:
+                 ground_truth: LabelVolume | None = None) -> RunReport:
     """Execute partition -> per-subdomain KFDA -> stitch and build the report.
 
     Inputs may be passed in memory or read from the paths in the config.
     Outputs (stitched labels, report JSON/CSV, curve files, diagnostics)
-    are written to cfg.out_dir unless emit is False. Stage failures raise
-    PipelineStageError after dumping any per-subdomain diagnostics gathered
-    so far.
+    are written to cfg.out_dir. Stage failures raise PipelineStageError
+    after dumping any per-subdomain diagnostics gathered so far.
     """
     cfg.validate(check_paths=vol is None)
     timing: dict[str, float] = {}
-    out_dir = Path(cfg.out_dir) if emit else None
-    if emit:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     vol = load_stage(cfg, vol, timing)
     init_labels = init_stage(cfg, vol, init_labels, timing)
     ground_truth = truth_stage(cfg, vol, ground_truth, timing)
     tree = partition_stage(cfg, vol, timing)
-    if emit:
-        (out_dir / "partition.json").write_text(tree.to_json())
+    (out_dir / "partition.json").write_text(tree.to_json())
     fragments, diagnostics = classify_stage(cfg, vol, init_labels, tree, timing, out_dir)
     final = stitch_stage(cfg, vol, tree, fragments, timing)
     report = report_stage(cfg, vol, init_labels, tree, final, diagnostics,
                           ground_truth, timing)
     report.timing = timing
-    if emit:
-        emit_report(report, out_dir)
+    emit_report(report, out_dir)
     return report
 
 

@@ -129,6 +129,15 @@ def roughness(mats: KfdaMatrices, alpha: np.ndarray) -> float:
     return -float(alpha @ mats.penalty_matvec(alpha))
 
 
+def neighbour_graph(member_box: np.ndarray) -> np.ndarray:
+    """Dense 26-connectivity graph matrix of a box's member voxels, in C
+    order: 1 between members at Chebyshev distance 1, minus the degree on
+    the diagonal."""
+    coords = np.argwhere(member_box)
+    adjacent = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2) == 1
+    return adjacent - np.diag(adjacent.sum(axis=1)).astype(np.float64)
+
+
 def graph_edges(h: sparse.spmatrix) -> np.ndarray:
     """(n_edges, 2) unique undirected edges of a neighbourhood matrix."""
     coo = sparse.triu(h, k=1).tocoo()

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from kfdaseg import kfda
-from kfdaseg.kfda import (ConvergenceError, KernelSpec, TrainingSet, _labelings,
+from kfdaseg.kfda import (CATEGORIES, ConvergenceError, KernelSpec, TrainingSet, _labelings,
                           _project_cross, _range_basis, _run_step, _stratified_cap,
                           build_matrices, categorize, class_scatter,
                           classify_outliers_mahalanobis, classify_subdomain, factor_pencil,
@@ -19,7 +19,7 @@ from kfdaseg.pipeline import PipelineConfig
 from kfdaseg.ssim import mssim
 from kfdaseg.volume import BG, CSF, GM, WM
 from oracles import (between, classify_overlap_knn, dense_solve, dense_step, gram, graph_edges,
-                     kernel_eval, project, roughness, within)
+                     kernel_eval, neighbour_graph, project, roughness, within)
 
 
 def subdata_line(features):
@@ -199,6 +199,44 @@ def test_neighborhood_row_sums_and_degree():
     dense = h.toarray()
     center = 13   # (1,1,1) in C order
     assert dense[center, center] == -26.0
+
+
+def graph_masks():
+    """34 boxes: empty, one voxel, isolated voxels, one voxel thick, random."""
+    rng = np.random.default_rng(44)
+    masks = [np.zeros((0, 0, 0), dtype=bool), np.zeros((3, 4, 2), dtype=bool),
+             np.ones((1, 1, 1), dtype=bool), np.zeros((3, 3, 3), dtype=bool)]
+    masks[3][1, 2, 0] = True
+    sparse_grid = np.zeros((5, 6, 5), dtype=bool)
+    sparse_grid[::2, ::2, ::2] = True
+    mixed = sparse_grid.copy()
+    mixed[2:4, 3:5, 2:4] = True
+    masks += [sparse_grid, mixed]
+    masks += [np.ones(dims, dtype=bool) for dims in ((1, 1, 7), (1, 6, 5), (4, 1, 3), (5, 4, 1))]
+    plane = np.zeros((4, 5, 6), dtype=bool)
+    plane[:, 2, :] = rng.random((4, 6)) < 0.7
+    masks.append(plane)
+    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for _ in range(4):
+            masks.append(rng.random(tuple(rng.integers(1, 8, size=3))) < density)
+    masks += [rng.random((6, 7, 5)) < 0.6, rng.random((8, 2, 3)) < 0.8,
+              np.ones((3, 4, 5), dtype=bool)]
+    return masks
+
+
+def test_neighborhood_matrix_matches_literal_graph():
+    masks = graph_masks()
+    assert len(masks) == 34
+    for mask in masks:
+        h = neighborhood_matrix(mask)
+        n = int(mask.sum())
+        assert h.shape == (n, n) and h.data.dtype == np.float64
+        assert h.indices.dtype == h.indptr.dtype
+        assert np.array_equal(h.toarray(), neighbour_graph(mask))
+        # canonical: each row's columns strictly increasing, no stored zero
+        for row in range(n):
+            assert np.all(np.diff(h.indices[h.indptr[row]:h.indptr[row + 1]]) > 0)
+        assert np.all(h.data != 0.0)
 
 
 def test_graph_quadratic_form_equals_edge_sum():
@@ -393,7 +431,7 @@ def test_pencil_never_definite_raises_convergence_error(monkeypatch):
     scatter = -1e3 * np.eye(8)
     with pytest.raises(ConvergenceError, match="positive definite"):
         factor_pencil(scatter, 1e-6)
-    # each try ridges the diagonal in place; a failed build restores it
+    # a failed build leaves the matrix as it was
     assert np.array_equal(scatter, -1e3 * np.eye(8))
     # build_matrices factors the pencil; a step it fails for keeps its
     # initial sides and records the failure for every lambda
@@ -532,10 +570,10 @@ def test_project_matches_direct_sum():
 def test_categorize_all_agreeing():
     proj = np.array([-2.0, -1.5, 1.2, 2.5])
     sides = np.array([-1, -1, 1, 1])
-    cats = categorize(proj, sides)
-    assert len(cats.overlap) == 0
-    assert len(cats.outliers) == 0
-    assert len(cats.prototypes) == 4
+    codes = categorize(proj, sides)
+    assert np.count_nonzero(codes // 2 == 1) == 0
+    assert np.count_nonzero(codes // 2 == 2) == 0
+    assert np.count_nonzero(codes // 2 == 0) == 4
 
 
 def test_categorize_planted_overlap():
@@ -544,10 +582,10 @@ def test_categorize_planted_overlap():
     sides = np.array([-1] * 50 + [1] * 50)
     # three negative-side voxels projected slightly positive (inside the band)
     proj[[3, 7, 11]] = [0.2, 0.4, 0.1]
-    cats = categorize(proj, sides)
-    assert sorted(cats.overlap_neg_on_pos.tolist()) == [3, 7, 11]
-    assert len(cats.overlap_pos_on_neg) == 0
-    assert len(cats.outliers) == 0
+    codes = categorize(proj, sides)
+    assert np.flatnonzero(codes == CATEGORIES.index("overlap_neg_on_pos")).tolist() == [3, 7, 11]
+    assert np.count_nonzero(codes == CATEGORIES.index("overlap_pos_on_neg")) == 0
+    assert np.count_nonzero(codes // 2 == 2) == 0
 
 
 def test_categorize_outliers_beyond_band():
@@ -555,18 +593,18 @@ def test_categorize_outliers_beyond_band():
     proj = np.concatenate([rng.normal(-2, 0.2, 50), rng.normal(2, 0.2, 50)])
     sides = np.array([-1] * 50 + [1] * 50)
     proj[5] = 6.0      # negative-side voxel far on the positive side
-    cats = categorize(proj, sides)
-    assert 5 in cats.outliers_neg
-    sizes = cats.sizes()
-    assert sum(sizes.values()) == 100
+    codes = categorize(proj, sides)
+    assert codes[5] == CATEGORIES.index("outliers_neg")
+    sizes = np.bincount(codes, minlength=len(CATEGORIES))
+    assert sum(sizes) == 100
 
 
 def test_categorize_is_a_partition():
     rng = np.random.default_rng(13)
     proj = rng.normal(0, 1.5, 300)
     sides = np.where(rng.random(300) < 0.4, -1, 1)
-    cats = categorize(proj, sides)
-    joined = np.concatenate([cats.prototypes, cats.overlap, cats.outliers])
+    codes = categorize(proj, sides)
+    joined = np.concatenate([np.flatnonzero(codes // 2 == kind) for kind in range(3)])
     assert len(joined) == 300
     assert len(np.unique(joined)) == 300
 
@@ -721,13 +759,13 @@ def test_ssim_guided_empty_sets_keep_labels():
     proj = np.concatenate([-np.abs(rng.normal(2, 0.2, n // 2)),
                            np.abs(rng.normal(2, 0.2, n // 2))])
     sides = np.array([-1] * (n // 2) + [1] * (n // 2), dtype=np.int8)
-    cats = categorize(proj, sides)
-    assert len(cats.overlap) == 0 and len(cats.outliers) == 0
+    codes = categorize(proj, sides)
+    assert np.count_nonzero(codes // 2 == 1) == 0 and np.count_nonzero(codes // 2 == 2) == 0
     reference = rng.random((12, 12))
     mask = np.ones((12, 12), dtype=bool)
 
     value, k, out = _best(_scorer(reference, mask, (12, 12)),
-                          _labelings(feats, sides, cats, KernelSpec.rbf(0.5), kfda.K_GRID))
+                          _labelings(feats, sides, codes, KernelSpec.rbf(0.5), kfda.K_GRID))
     assert np.array_equal(out, sides)
     assert k is None     # the Mahalanobis route
 
@@ -749,10 +787,10 @@ def test_ssim_guided_improves_noisy_boundary():
     sides_init[boundary & flip] *= -1
 
     proj = np.where(sides_true < 0, -1.0, 1.0) + rng.normal(0, 0.3, h * w)
-    cats = categorize(proj, sides_init)
+    codes = categorize(proj, sides_init)
     score = _scorer(reference, np.ones((h, w), dtype=bool), (h, w))
 
-    value, k, out = _best(score, _labelings(feats, sides_init, cats, KernelSpec.rbf(0.5),
+    value, k, out = _best(score, _labelings(feats, sides_init, codes, KernelSpec.rbf(0.5),
                                             kfda.K_GRID))
     assert value >= score(sides_init)
     assert (out == sides_true).mean() >= (sides_init == sides_true).mean()

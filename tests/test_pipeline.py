@@ -126,6 +126,8 @@ def test_sweep_entries_record_each_solve(small_run):
             assert entry["residual"] >= 0.0 and np.isfinite(entry["residual"])
             assert entry["gamma_ratio"] <= 1.0 + 1e-9
             assert "iterations" not in entry and "capped" not in entry
+            assert sorted(entry["categories"]) == sorted(kfda.CATEGORIES)
+            assert sum(entry["categories"].values()) == step["n_voxels"]
 
 
 def test_labels_mask_consistency(small_run):

@@ -1,0 +1,130 @@
+"""Fingerprint the pipeline's outputs on the benchmark inputs and acceptance configs.
+
+    PYTHONPATH=src python3 tools/gate.py [--criteria] > gate.json
+
+Runs `run_pipeline` on the 9 benchmark input sets (input sets 0-2 of each
+workload in `perfbench/workloads.py`, built from its recipes exactly as a
+benchmark run at seed 0 builds them) and on the criterion-8 and -9 configs
+of `tests/test_acceptance.py`; `--criteria` adds criterion 7's 64³ config at
+its `l_max=2000`. Prints one JSON object: per config, the sha256 of
+`labels.u8raw`, `subdomains.json`, `partition.json`, `mssim_table.csv`,
+`curves.csv` and of `report.json` less `config.out_dir` (the one field that
+names the run's directory), and each leaf's per-step decision: the chosen
+lambda, that solve's best k and its route, or the step's skip reason.
+
+A change that should leave every output as it was is checked by running
+this at the change and at its parent and diffing the two outputs. Every
+file is written under a temporary directory; nothing under `perfbench/` is
+written, not even a bytecode cache.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS = ("labels.u8raw", "subdomains.json", "partition.json", "mssim_table.csv",
+           "curves.csv")
+
+
+def load_workloads():
+    """perfbench's WORKLOADS table, imported without writing a bytecode cache."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+    return WORKLOADS
+
+
+def fingerprint(out: Path) -> dict:
+    """Output hashes and per-step decisions of one run's out_dir."""
+    doc = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    report = json.loads((out / "report.json").read_text())
+    del report["config"]["out_dir"]
+    doc["report.json"] = hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    decisions = []
+    for leaf in json.loads((out / "subdomains.json").read_text()):
+        steps = {}
+        for key, step in sorted(leaf["steps"].items()):
+            if step.get("chosen_lambda") is None:
+                steps[key] = step.get("skipped")
+                continue
+            entry = next(e for e in step["sweep"] if e["lambda"] == step["chosen_lambda"])
+            steps[key] = (f"lambda {step['chosen_lambda']}, k {entry.get('best_k')}, "
+                          f"{entry.get('route', entry.get('fallback'))}")
+        decisions.append(steps)
+    doc["decisions"] = decisions
+    return doc
+
+
+def benchmark_runs(work: Path) -> dict:
+    """Fingerprints of each workload's input sets 0-2."""
+    from kfdaseg.pipeline import PipelineConfig, run_pipeline
+
+    results = {}
+    for name, workload in load_workloads().items():
+        for x in range(3):
+            input_dir = work / f"{name}-{x}"
+            (input_dir / "inputs").mkdir(parents=True)
+            workload.make_inputs(x, input_dir)
+            # config paths are relative to the input directory, as for the worker
+            cwd = os.getcwd()
+            os.chdir(input_dir)
+            try:
+                run_pipeline(PipelineConfig.from_json("config.json"))
+            finally:
+                os.chdir(cwd)
+            results[f"{name}/{x}"] = fingerprint(input_dir / "out")
+    return results
+
+
+def criterion_runs(work: Path, with_7: bool) -> dict:
+    """Fingerprints of the criterion-8 and -9 configs, and of criterion 7's."""
+    from kfdaseg.phantom import (PhantomSpec, corrupt_boundary_labels, generate_phantom,
+                                 kmeans_init, underestimate_csf)
+    from kfdaseg.pipeline import PipelineConfig, run_pipeline
+
+    results = {}
+    if with_7:
+        vol, truth = generate_phantom(PhantomSpec(dims=(64, 64, 64), noise_sigma=0.05,
+                                                  bias_amplitude=0.10, pv_blur=1.0, seed=11))
+        init = corrupt_boundary_labels(kmeans_init(vol, seed=0), vol.mask,
+                                       fraction=0.20, seed=1)
+        cfg = PipelineConfig(out_dir=str(work / "c7"), seed=5, l_max=2000)
+        run_pipeline(cfg, vol=vol, init_labels=init, ground_truth=truth)
+        results["criterion-7"] = fingerprint(work / "c7")
+    vol, truth = generate_phantom(PhantomSpec(dims=(48, 48, 48), noise_sigma=0.04,
+                                              bias_amplitude=0.08, pv_blur=1.0, seed=12))
+    cfg = PipelineConfig(out_dir=str(work / "c8"), seed=6, l_max=2000)
+    run_pipeline(cfg, vol=vol, init_labels=underestimate_csf(truth, fraction=0.40),
+                 ground_truth=truth)
+    results["criterion-8"] = fingerprint(work / "c8")
+    vol, _ = generate_phantom(PhantomSpec(dims=(28, 28, 28), noise_sigma=0.04,
+                                          bias_amplitude=0.08, pv_blur=1.0, seed=13))
+    cfg = PipelineConfig(out_dir=str(work / "c9"), seed=7, l_max=800, max_depth=3,
+                         lambda_grid=(0.0, 0.00005), k_grid=(1, 3))
+    run_pipeline(cfg, vol=vol, init_labels=kmeans_init(vol, seed=2))
+    results["criterion-9"] = fingerprint(work / "c9")
+    return results
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--criteria", action="store_true",
+                        help="also run criterion 7's 64³ config (about 10 s more)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        results = benchmark_runs(work)
+        results.update(criterion_runs(work, args.criteria))
+    print(json.dumps(results, sort_keys=True, indent=1))
+
+
+if __name__ == "__main__":
+    main()
