@@ -1,12 +1,16 @@
 """Mutual-information driven recursive volume partitioning.
 
-Each subdomain is scored by the mutual information between a two-bin Otsu
-histogram of its masked intensities and a two-slab spatial clustering; the
-split maximizing MI over all axis-aligned cut planes wins. Every intensity
-read is of the reference channel (t1w). Partition depth is selected where
-the mutual-information-ratio curve meets the (rescaled) signal-to-noise
-curve, and the chosen leaves are padded so adjacent subdomains share a
-4-slice overlap.
+Every intensity read is of the reference channel (t1w). `partition` takes
+that channel as float64, its 6-neighbour Laplacian and the mask's
+six-neighbour interior once per volume; a node of the tree then reads its
+box once. The box's masked values give the node's voxel count, a two-bin
+Otsu split with its entropy, and the SNR: their mean over the scaled MAD of
+the Laplacian on the box's interior. The node's best cut maximizes the
+mutual information between the Otsu bins and the two slabs of an
+axis-aligned cut plane, scored from the box's per-slice cumulative counts.
+Partition depth is selected where the mutual-information-ratio curve meets
+the (rescaled) signal-to-noise curve, and the chosen leaves are padded so
+adjacent subdomains share a 4-slice overlap.
 """
 
 from __future__ import annotations
@@ -31,37 +35,7 @@ _LAPLACIAN_GAIN = math.sqrt(42.0)
 N_OTSU_BINS = 256
 MIN_SLAB = 3  # slices per cluster side
 
-
-# ---------------------------------------------------------------------------
-# Histogram / clustering records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Histogram2:
-    """Two-bin intensity histogram of a subdomain's masked voxels."""
-
-    bin_counts: tuple[int, int]
-    total: int
-    threshold: float
-    degenerate: bool = False
-
-    def entropy(self) -> float:
-        """Shannon entropy of the bin distribution, in nats."""
-        return 0.0 if self.degenerate else _bin_entropy(self.bin_counts, self.total)
-
-
-@dataclass(frozen=True)
-class SlabClustering:
-    """Two-way split of a subdomain into slabs perpendicular to one axis.
-
-    cut_index is the absolute slice index where the second slab begins.
-    joint_counts[i, j] counts masked voxels in histogram bin i+1 and slab j+1.
-    """
-
-    axis: int
-    cut_index: int
-    cluster_sizes: tuple[int, int]
-    joint_counts: np.ndarray
+Bounds = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
 
 @dataclass
@@ -69,21 +43,24 @@ class Subdomain:
     """Axis-aligned box with MI bookkeeping.
 
     bounds are inclusive ((i0,i1),(j0,j1),(k0,k1)) index ranges;
-    voxel_count counts masked voxels only. padded_bounds is set on final
-    leaves after overlap padding; bounds always stay the core (tiling) box.
+    voxel_count counts masked voxels only. threshold is the Otsu split of
+    the masked values (None when they are empty or constant), and cut the
+    best (axis, absolute index of the second slab's first slice).
+    padded_bounds is set on final leaves after overlap padding; bounds
+    always stay the core (tiling) box.
     """
 
-    bounds: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+    bounds: Bounds
     voxel_count: int
     level: int = 0
     mi: float = 0.0
     entropy: float = 0.0
-    snr: float | None = None
+    snr: float = math.inf
+    threshold: float | None = None
     parent: int | None = None
     children: tuple[int, int] | None = None
-    cut: SlabClustering | None = None
-    prepared: bool = False
-    padded_bounds: tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None = None
+    cut: tuple[int, int] | None = None
+    padded_bounds: Bounds | None = None
 
     def slices(self):
         return box_slices(self.bounds)
@@ -115,7 +92,7 @@ class PartitionTree:
             "leaves": [
                 {
                     "bounds": [list(b) for b in n.bounds],
-                    "padded_bounds": [list(b) for b in (n.padded_bounds or n.bounds)],
+                    "padded_bounds": [list(b) for b in n.padded_bounds],
                     "level": n.level,
                     "mi": n.mi,
                     "entropy": n.entropy,
@@ -134,34 +111,54 @@ class PartitionTree:
 
 
 # ---------------------------------------------------------------------------
-# Two-bin Otsu histogram
+# The reference channel, once per volume
 # ---------------------------------------------------------------------------
 
-def _reference_box(vol: MultiChannelVolume, sub: Subdomain) -> tuple[np.ndarray, np.ndarray]:
-    """The subdomain box's reference-channel intensities (float64) and mask."""
-    sl = sub.slices()
-    return vol.data[sl][..., REFERENCE_CHANNEL].astype(np.float64), vol.mask[sl]
+@dataclass(frozen=True)
+class ReferenceField:
+    """A volume's reference channel as the partitioner reads it.
+
+    values is the channel in float64 and laplacian its ndimage.laplace;
+    interior marks the masked voxels whose six face neighbours are masked,
+    none of them on a volume face.
+    """
+
+    values: np.ndarray
+    mask: np.ndarray
+    laplacian: np.ndarray
+    interior: np.ndarray
 
 
-def _masked_values(vol: MultiChannelVolume, sub: Subdomain) -> np.ndarray:
-    box, mask = _reference_box(vol, sub)
-    return box[mask]
+def reference_field(vol: MultiChannelVolume) -> ReferenceField:
+    """The ReferenceField of vol, computed once per partition."""
+    values = vol.data[..., REFERENCE_CHANNEL].astype(np.float64)
+    mask = vol.mask
+    interior = np.zeros_like(mask)
+    interior[1:-1, 1:-1, 1:-1] = (
+        mask[1:-1, 1:-1, 1:-1]
+        & mask[:-2, 1:-1, 1:-1] & mask[2:, 1:-1, 1:-1]
+        & mask[1:-1, :-2, 1:-1] & mask[1:-1, 2:, 1:-1]
+        & mask[1:-1, 1:-1, :-2] & mask[1:-1, 1:-1, 2:]
+    )
+    return ReferenceField(values, mask, ndimage.laplace(values), interior)
 
 
-def histogram_2bin(vol: MultiChannelVolume, sub: Subdomain) -> Histogram2:
-    """Otsu-split the subdomain's masked reference intensities into two bins.
+# ---------------------------------------------------------------------------
+# Per node: Otsu split, entropy, noise and SNR
+# ---------------------------------------------------------------------------
+
+def otsu_threshold(values: np.ndarray) -> float | None:
+    """Two-bin Otsu threshold of values; the low bin is values < threshold.
 
     The threshold maximizes between-class variance over 256 candidate cuts;
-    tied maxima resolve to the middle candidate. A constant subdomain yields
-    a degenerate single-bin histogram (its MI is defined as 0).
+    tied maxima resolve to the middle candidate. None for empty or constant
+    values, whose entropy and MI are 0.
     """
-    values = _masked_values(vol, sub)
     if values.size == 0:
-        return Histogram2(bin_counts=(0, 0), total=0, threshold=0.0, degenerate=True)
+        return None
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
-        return Histogram2(bin_counts=(values.size, 0), total=values.size,
-                          threshold=lo, degenerate=True)
+        return None
 
     edges = np.linspace(lo, hi, N_OTSU_BINS + 1)
     idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, N_OTSU_BINS - 1)
@@ -182,17 +179,10 @@ def histogram_2bin(vol: MultiChannelVolume, sub: Subdomain) -> Histogram2:
     best = sigma_b.max()
     tied = np.flatnonzero(sigma_b >= best)
     t = int(round(tied.mean()))
-    threshold = float(edges[t + 1])
-
-    n1 = int(np.count_nonzero(values < threshold))
-    return Histogram2(bin_counts=(n1, n - n1), total=n, threshold=threshold)
+    return float(edges[t + 1])
 
 
-# ---------------------------------------------------------------------------
-# Mutual information
-# ---------------------------------------------------------------------------
-
-def _bin_entropy(bin_counts, total: int) -> float:
+def bin_entropy(bin_counts, total: int) -> float:
     """H(X) of the histogram bins, in nats; 0 for an empty histogram."""
     h = 0.0
     for n in bin_counts:
@@ -202,97 +192,97 @@ def _bin_entropy(bin_counts, total: int) -> float:
     return h
 
 
-def _mi_from_counts(bin_counts, joint: np.ndarray, total: int) -> float:
-    # MI = H(X) - H(X | clusters); both entropy terms are sums of
-    # non-negative contributions, so MI <= H(X) holds in floating point.
-    if total == 0:
-        return 0.0
-    h_x = _bin_entropy(bin_counts, total)
-    cluster_sizes = joint.sum(axis=0)
-    h_cond = 0.0
-    for j in range(joint.shape[1]):
-        nj = cluster_sizes[j]
-        if nj <= 0:
-            continue
-        for i in range(joint.shape[0]):
-            nij = joint[i, j]
-            if nij > 0:
-                h_cond -= (nij / total) * math.log(nij / nj)
-    return max(0.0, h_x - h_cond)
+def noise_sigma(ref: ReferenceField, bounds: Bounds) -> float:
+    """Robust reference-channel noise std: scaled MAD of the box's interior Laplacian.
 
-
-def mutual_information(h: Histogram2, c: SlabClustering) -> float:
-    """MI (nats) between histogram bins and the slab clustering.
-
-    Zero joint counts contribute nothing; the result lies in [0, H(X)].
-    Raises ValueError on marginals inconsistent between h and c.
+    The box's interior is its voxels off the box faces whose six face
+    neighbours are masked, so edges and mask boundaries do not contaminate
+    the estimate; there the whole-volume Laplacian equals the box's own.
+    Returns 0.0 when fewer than 8 interior voxels exist.
     """
-    if h.degenerate:
+    inner = tuple(slice(lo + 1, hi) for lo, hi in bounds)
+    values = ref.laplacian[inner][ref.interior[inner]]
+    if values.size < 8:
         return 0.0
-    joint = np.asarray(c.joint_counts, dtype=np.float64)
-    if joint.shape != (2, 2):
-        raise ValueError(f"joint_counts must be 2x2, got {joint.shape}")
-    if h.total != c.cluster_sizes[0] + c.cluster_sizes[1]:
-        raise ValueError(
-            f"histogram total {h.total} != cluster sizes {c.cluster_sizes}")
-    if not np.array_equal(joint.sum(axis=1), np.asarray(h.bin_counts, dtype=np.float64)):
-        raise ValueError(
-            f"joint row sums {joint.sum(axis=1)} != bin counts {h.bin_counts}")
-    if not np.array_equal(joint.sum(axis=0), np.asarray(c.cluster_sizes, dtype=np.float64)):
-        raise ValueError(
-            f"joint column sums {joint.sum(axis=0)} != cluster sizes {c.cluster_sizes}")
-    return _mi_from_counts(h.bin_counts, joint, h.total)
+    mad = float(np.median(np.abs(values - np.median(values))))
+    return mad / _MAD_SCALE / _LAPLACIAN_GAIN
+
+
+def measure(ref: ReferenceField, bounds: Bounds, level: int = 0,
+            parent: int | None = None) -> Subdomain:
+    """A node over bounds, from one read of its box's masked values.
+
+    They give the voxel count, the Otsu threshold and the entropy of its
+    two bins, and the SNR: their mean over noise_sigma, +inf when the box
+    has no masked voxel or no noise.
+    """
+    sl = box_slices(bounds)
+    values = ref.values[sl][ref.mask[sl]]
+    node = Subdomain(bounds=bounds, voxel_count=values.size, level=level, parent=parent,
+                     threshold=otsu_threshold(values))
+    if node.threshold is not None:
+        n_low = int(np.count_nonzero(values < node.threshold))
+        node.entropy = bin_entropy((n_low, values.size - n_low), values.size)
+    sigma = noise_sigma(ref, bounds)   # 0.0 without masked voxels
+    if sigma > 0.0:
+        node.snr = float(values.mean()) / sigma
+    return node
 
 
 # ---------------------------------------------------------------------------
 # Optimal cut search
 # ---------------------------------------------------------------------------
 
-def best_cut(vol: MultiChannelVolume, sub: Subdomain,
-             hist: Histogram2) -> tuple[SlabClustering, float] | None:
-    """Exhaustively scan all feasible cut planes and return the argmax-MI cut.
+def cut_mi(entropy: float, slabs, total: int) -> float:
+    """MI (nats) between the histogram bins and a cut's two slabs.
 
-    hist is histogram_2bin(vol, sub). Feasible cuts leave at least MIN_SLAB
-    slices on each side. Ties break by axis order (sagittal < coronal <
-    axial), then by smaller cut index. Returns None when no axis admits a
-    cut.
+    slabs holds each slab's (low bin, high bin) counts, total their sum and
+    entropy the bins' H(X). MI = H(X) - H(X | slab); zero counts contribute
+    nothing, and both entropy terms are sums of non-negative contributions,
+    so the result lies in [0, H(X)] in floating point.
     """
-    box, mask = _reference_box(vol, sub)
-    low = (box < hist.threshold) & mask if not hist.degenerate else np.zeros_like(mask)
+    h_cond = 0.0
+    for slab in slabs:
+        nj = sum(slab)
+        if nj <= 0:
+            continue
+        for nij in slab:
+            if nij > 0:
+                h_cond -= (nij / total) * math.log(nij / nj)
+    return max(0.0, entropy - h_cond)
 
-    best_result = None
-    best_mi = -1.0
+
+def best_cut(ref: ReferenceField, node: Subdomain) -> tuple[tuple[int, int], float] | None:
+    """The measured node's argmax-MI cut (axis, absolute cut index) and its MI.
+
+    Every feasible cut, leaving at least MIN_SLAB slices on each side, is
+    scored. Ties break by axis order (sagittal < coronal < axial), then by
+    smaller cut index. Returns None when no axis admits a cut.
+    """
+    sl = node.slices()
+    mask = ref.mask[sl]
+    if node.threshold is None:
+        low = np.zeros_like(mask)
+    else:
+        low = mask & (ref.values[sl] < node.threshold)
+    n = node.voxel_count
+    best = None
     for axis in range(3):
-        lo, hi = sub.bounds[axis]
+        lo, hi = node.bounds[axis]
         length = hi - lo + 1
         if length < 2 * MIN_SLAB:
             continue
         other = tuple(a for a in range(3) if a != axis)
-        mask_per_slice = mask.sum(axis=other).astype(np.int64)
-        low_per_slice = low.sum(axis=other).astype(np.int64)
-        cum_mask = np.concatenate(([0], np.cumsum(mask_per_slice)))
-        cum_low = np.concatenate(([0], np.cumsum(low_per_slice)))
-        n_total = int(cum_mask[-1])
-        n_low = int(cum_low[-1])
-        for local_cut in range(MIN_SLAB, length - MIN_SLAB + 1):
-            n1_low = int(cum_low[local_cut])
-            n1_mask = int(cum_mask[local_cut])
-            joint = np.array([
-                [n1_low, n_low - n1_low],
-                [n1_mask - n1_low, (n_total - n1_mask) - (n_low - n1_low)],
-            ], dtype=np.float64)
-            mi = 0.0 if hist.degenerate else _mi_from_counts(hist.bin_counts, joint, hist.total)
-            if mi > best_mi:
-                best_mi = mi
-                best_result = SlabClustering(
-                    axis=axis,
-                    cut_index=lo + local_cut,
-                    cluster_sizes=(n1_mask, n_total - n1_mask),
-                    joint_counts=joint,
-                )
-    if best_result is None:
-        return None
-    return best_result, best_mi
+        cum_mask = [0, *np.cumsum(mask.sum(axis=other)).tolist()]
+        cum_low = [0, *np.cumsum(low.sum(axis=other)).tolist()]
+        n_low = cum_low[-1]
+        for cut in range(MIN_SLAB, length - MIN_SLAB + 1):
+            n1, n1_low = cum_mask[cut], cum_low[cut]
+            mi = cut_mi(node.entropy, ((n1_low, n1 - n1_low),
+                                       (n_low - n1_low, (n - n1) - (n_low - n1_low))), n)
+            if best is None or mi > best[1]:
+                best = (axis, lo + cut), mi
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -311,44 +301,8 @@ def _mir_over(nodes: list[Subdomain]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Noise and SNR
+# SNR curve
 # ---------------------------------------------------------------------------
-
-def noise_sigma(vol: MultiChannelVolume, sub: Subdomain) -> float:
-    """Robust reference-channel noise std: scaled MAD of the interior Laplacian.
-
-    Interior voxels have all six face neighbours masked and inside the
-    subdomain box, so edges and mask boundaries do not contaminate the
-    estimate. Returns 0.0 when fewer than 8 interior voxels exist.
-    """
-    box, mask = _reference_box(vol, sub)
-    if min(box.shape) < 3:
-        return 0.0
-    lap = ndimage.laplace(box)
-    interior = np.zeros_like(mask)
-    interior[1:-1, 1:-1, 1:-1] = (
-        mask[1:-1, 1:-1, 1:-1]
-        & mask[:-2, 1:-1, 1:-1] & mask[2:, 1:-1, 1:-1]
-        & mask[1:-1, :-2, 1:-1] & mask[1:-1, 2:, 1:-1]
-        & mask[1:-1, 1:-1, :-2] & mask[1:-1, 1:-1, 2:]
-    )
-    values = lap[interior]
-    if values.size < 8:
-        return 0.0
-    mad = float(np.median(np.abs(values - np.median(values))))
-    return mad / _MAD_SCALE / _LAPLACIAN_GAIN
-
-
-def snr(vol: MultiChannelVolume, sub: Subdomain) -> float:
-    """Mean masked reference intensity over the noise std; +inf when noiseless."""
-    values = _masked_values(vol, sub)
-    if values.size == 0:
-        return math.inf
-    sigma = noise_sigma(vol, sub)
-    if sigma <= 0.0:
-        return math.inf
-    return float(values.mean()) / sigma
-
 
 def normalize_snr_curve(snr_values, mir_values) -> list[float]:
     """Min-max rescale the SNR curve onto the MIR value range.
@@ -376,38 +330,6 @@ def normalize_snr_curve(snr_values, mir_values) -> list[float]:
 # Partition driver
 # ---------------------------------------------------------------------------
 
-def _prepare_leaf(vol, node: Subdomain):
-    """Attach the node's own best cut, entropy and SNR (idempotent)."""
-    if node.prepared:
-        return
-    hist = histogram_2bin(vol, node)
-    node.entropy = hist.entropy()
-    _node_snr(vol, node)
-    result = best_cut(vol, node, hist)
-    if result is not None:
-        node.cut, node.mi = result
-    else:
-        node.cut, node.mi = None, 0.0
-    node.prepared = True
-
-
-def _node_snr(vol, node: Subdomain) -> float:
-    if node.snr is None:
-        node.snr = snr(vol, node)
-    return node.snr
-
-
-def _level_snr(vol, nodes) -> float:
-    # degenerate subdomains (empty or noiseless) carry the +inf sentinel and
-    # are excluded from the level mean; a level with no finite subdomain
-    # keeps the sentinel and is excluded from curve normalization
-    vals = [_node_snr(vol, n) for n in nodes]
-    finite = [v for v in vals if math.isfinite(v)]
-    if not finite:
-        return math.inf
-    return float(np.mean(finite))
-
-
 def _find_intercept(counts, mir, snr_norm) -> tuple[float, bool]:
     """Abscissa where the SNR curve first meets or crosses below the MIR curve."""
     diffs = [s - m for s, m in zip(snr_norm, mir)]
@@ -427,7 +349,7 @@ def partition(vol: MultiChannelVolume, max_depth: int = 7,
     """Recursively split the masked volume and select the optimal leaf set.
 
     Levels are grown to max_depth while recording the MIR acquired by each
-    level's cuts and the mean SNR of the newly created subdomains; the SNR
+    level's cuts and the mean SNR of the level's subdomains; the SNR
     curve is rescaled onto the MIR range and the first intersection picks
     the target subdomain count. A count falling strictly between two levels
     keeps that many of the deeper level's largest leaves and merges unkept
@@ -435,19 +357,25 @@ def partition(vol: MultiChannelVolume, max_depth: int = 7,
     finally padded by pad_slices on each side: adjacent leaves share a
     2*pad_slices-wide overlap.
     """
+    ref = reference_field(vol)
     tree = PartitionTree()
-    dims = vol.dims
-    tree.nodes.append(Subdomain(
-        bounds=((0, dims[0] - 1), (0, dims[1] - 1), (0, dims[2] - 1)),
-        voxel_count=int(vol.mask.sum()),
-        level=0,
-    ))
 
-    leaf_sets: list[list[int]] = [[0]]   # index k: leaf ids after level k
-    current = [0]
+    def search(node: Subdomain):
+        node.cut, node.mi = best_cut(ref, node) or (None, 0.0)
+
+    def add(bounds: Bounds, level: int, parent: int | None = None) -> int:
+        # a node is searched for its cut when it can still split; a
+        # deepest-level node only when it ends up a leaf
+        node = measure(ref, bounds, level, parent)
+        if level < max_depth:
+            search(node)
+        tree.nodes.append(node)
+        return len(tree.nodes) - 1
+
+    dims = vol.dims
+    current = [add(tuple((0, d - 1) for d in dims), 0)]
+    leaf_sets: list[list[int]] = [current]   # index k: leaf ids after level k
     for k in range(1, max_depth + 1):
-        for idx in current:
-            _prepare_leaf(vol, tree.nodes[idx])
         # a node left over from an earlier level has no cut
         if all(tree.nodes[i].cut is None for i in current):
             break
@@ -459,27 +387,22 @@ def partition(vol: MultiChannelVolume, max_depth: int = 7,
         next_leaves = []
         for idx in current:
             node = tree.nodes[idx]
-            if node.cut is None:
+            if node.cut is not None:
+                first, second = _split_bounds(node.bounds, node.cut)
+                node.children = (add(first, k, idx), add(second, k, idx))
+                next_leaves.extend(node.children)
+            else:
                 next_leaves.append(idx)
-                continue
-            pair = []
-            for child_bounds in _split_bounds(node.bounds, node.cut):
-                child = Subdomain(
-                    bounds=child_bounds,
-                    voxel_count=int(vol.mask[box_slices(child_bounds)].sum()),
-                    level=k,
-                    parent=idx,
-                )
-                tree.nodes.append(child)
-                pair.append(len(tree.nodes) - 1)
-            node.children = (pair[0], pair[1])
-            next_leaves.extend(pair)
 
         current = next_leaves
-        leaf_sets.append(list(current))
+        leaf_sets.append(current)
         tree.subdomain_counts.append(len(current))
         tree.mir_curve.append(mir_k)
-        tree.snr_raw_curve.append(_level_snr(vol, [tree.nodes[i] for i in current]))
+        # degenerate subdomains (empty or noiseless) carry the +inf sentinel
+        # and are excluded from the level mean; a level with no finite
+        # subdomain keeps the sentinel and is excluded from curve normalization
+        finite = [tree.nodes[i].snr for i in current if math.isfinite(tree.nodes[i].snr)]
+        tree.snr_raw_curve.append(float(np.mean(finite)) if finite else math.inf)
 
     if not tree.subdomain_counts:
         tree.leaves = [0]
@@ -509,13 +432,14 @@ def partition(vol: MultiChannelVolume, max_depth: int = 7,
             tree.leaves = _partial_selection(tree, tree.leaves, n_star)
 
     for idx in tree.leaves:
-        _prepare_leaf(vol, tree.nodes[idx])
+        if tree.nodes[idx].level == max_depth:
+            search(tree.nodes[idx])
     _pad_leaves(tree, dims, pad_slices)
     return tree
 
 
-def _split_bounds(bounds, cut: SlabClustering):
-    axis, c = cut.axis, cut.cut_index
+def _split_bounds(bounds, cut: tuple[int, int]):
+    axis, c = cut
     first = tuple((lo, c - 1) if a == axis else (lo, hi)
                   for a, (lo, hi) in enumerate(bounds))
     second = tuple((c, hi) if a == axis else (lo, hi)

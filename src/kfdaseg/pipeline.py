@@ -310,13 +310,13 @@ def partition_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
 
 def classify_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                    init_labels: LabelVolume, tree: PartitionTree,
-                   timing: dict | None = None,
-                   out_dir=None) -> tuple[list[stitch.ClassifiedFragment], list[dict]]:
+                   timing: dict | None = None, *,
+                   out_dir) -> tuple[list[stitch.ClassifiedFragment], list[dict]]:
     """KFDA-classify every leaf: (fragments, per-leaf diagnostics), in leaf order.
 
     Leaf i draws its random streams from spawn key (1, i) of the root seed.
-    When a leaf fails and out_dir is given, the diagnostics of the leaves
-    finished before it go to subdomains_partial.json there.
+    When a leaf fails, the diagnostics of the leaves finished before it go
+    to subdomains_partial.json in out_dir.
     """
     fragments: list[stitch.ClassifiedFragment] = []
     diagnostics: list[dict] = []
@@ -326,7 +326,7 @@ def classify_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                 timing, "classify", kfda.classify_subdomain, vol, leaf.padded_bounds,
                 init_labels.labels, cfg, seed=stitch.spawn_seed(cfg.seed, 1, index))
         except PipelineStageError:
-            if out_dir is not None and diagnostics:
+            if diagnostics:
                 write_json(Path(out_dir) / "subdomains_partial.json", diagnostics)
             raise
         diag["domain"] = index + 1
@@ -465,7 +465,8 @@ def run_pipeline(cfg: PipelineConfig,
     ground_truth = truth_stage(cfg, vol, ground_truth, timing)
     tree = partition_stage(cfg, vol, timing)
     (out_dir / "partition.json").write_text(tree.to_json())
-    fragments, diagnostics = classify_stage(cfg, vol, init_labels, tree, timing, out_dir)
+    fragments, diagnostics = classify_stage(cfg, vol, init_labels, tree, timing,
+                                            out_dir=out_dir)
     final = stitch_stage(cfg, vol, tree, fragments, timing)
     report = report_stage(cfg, vol, init_labels, tree, final, diagnostics,
                           ground_truth, timing)
@@ -518,7 +519,7 @@ def emit_report(report: RunReport, outdir):
         for level, (count, mir, snr) in enumerate(
                 zip(curves.get("subdomain_counts", []), curves.get("mir", []),
                     curves.get("snr_normalized", [])), start=1):
-            writer.writerow([level, count, repr(mir), repr(snr)])
+            writer.writerow([level, count, _csv_num(mir), _csv_num(snr)])
 
 
 def write_json(path, obj):

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy import sparse
+from scipy import ndimage, sparse
 
 from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, TrainingSet, kernel_matrix,
                           nearest_prototype_sides, neighborhood_matrix)
-from kfdaseg.partition import PartitionTree, Subdomain, _mir_over, noise_sigma
+from kfdaseg.partition import (_LAPLACIAN_GAIN, _MAD_SCALE, PartitionTree, _mir_over,
+                               noise_sigma, otsu_threshold, reference_field)
 from kfdaseg.stitch import EDGE_NONE, EDGE_ONE, StitchProblem
-from kfdaseg.volume import REFERENCE_CHANNEL, MultiChannelVolume
+from kfdaseg.volume import REFERENCE_CHANNEL, MultiChannelVolume, box_slices
 
 # ---------------------------------------------------------------------------
 # Kernels and discriminant matrices
@@ -178,14 +179,96 @@ def total_mir(tree: PartitionTree) -> float:
     return _mir_over(leaves)
 
 
-def cnr(vol: MultiChannelVolume, sub: Subdomain, labels: np.ndarray,
+def mi_oracle(joint) -> float:
+    """MI of a 2 x 2 count table (rows the bins, columns the slabs) by direct
+    double summation of the defining formula."""
+    joint = np.asarray(joint, dtype=np.float64)
+    total = joint.sum()
+    n_i = joint.sum(axis=1)
+    n_j = joint.sum(axis=0)
+    mi = 0.0
+    for i in range(2):
+        if n_i[i] > 0:
+            mi -= (n_i[i] / total) * math.log(n_i[i] / total)
+    for j in range(2):
+        for i in range(2):
+            if joint[i, j] > 0:
+                mi += (joint[i, j] / total) * math.log(joint[i, j] / n_j[j])
+    return mi
+
+
+def exhaustive_cut_oracle(vol: MultiChannelVolume, bounds):
+    """((axis, cut index), MI) of the box's best cut, or None: every feasible
+    cut's joint table counted from its first slab's voxels and scored by
+    mi_oracle, clamped at 0; the first maximum in axis, then cut order wins."""
+    sl = box_slices(bounds)
+    box = vol.data[sl][..., REFERENCE_CHANNEL].astype(np.float64)
+    mask = vol.mask[sl]
+    threshold = otsu_threshold(box[mask])
+    low = (box < threshold) & mask if threshold is not None else np.zeros_like(mask)
+    n_low = int(low.sum())
+    n_tot = int(mask.sum())
+    best = None
+    for axis in range(3):
+        lo, hi = bounds[axis]
+        for local_cut in range(3, hi - lo + 1 - 2):
+            sel = [slice(None)] * 3
+            sel[axis] = slice(0, local_cut)
+            sel = tuple(sel)
+            n1 = int(mask[sel].sum())
+            n1_low = int(low[sel].sum())
+            joint = [[n1_low, n_low - n1_low],
+                     [n1 - n1_low, (n_tot - n1) - (n_low - n1_low)]]
+            value = max(0.0, mi_oracle(joint))
+            if best is None or value > best[1]:
+                best = ((axis, lo + local_cut), value)
+    return best
+
+
+def box_noise_sigma(vol: MultiChannelVolume, bounds) -> float:
+    """Noise std from the box's own ndimage.laplace: the MAD of the Laplacian
+    over the box-interior voxels whose six neighbours are masked, scaled to
+    a Gaussian sigma; 0.0 under 8 such voxels or in a box thinner than 3."""
+    sl = box_slices(bounds)
+    box = vol.data[sl][..., REFERENCE_CHANNEL].astype(np.float64)
+    mask = vol.mask[sl]
+    if min(box.shape) < 3:
+        return 0.0
+    lap = ndimage.laplace(box)
+    interior = np.zeros_like(mask)
+    interior[1:-1, 1:-1, 1:-1] = (
+        mask[1:-1, 1:-1, 1:-1]
+        & mask[:-2, 1:-1, 1:-1] & mask[2:, 1:-1, 1:-1]
+        & mask[1:-1, :-2, 1:-1] & mask[1:-1, 2:, 1:-1]
+        & mask[1:-1, 1:-1, :-2] & mask[1:-1, 1:-1, 2:]
+    )
+    values = lap[interior]
+    if values.size < 8:
+        return 0.0
+    mad = float(np.median(np.abs(values - np.median(values))))
+    return mad / _MAD_SCALE / _LAPLACIAN_GAIN
+
+
+def box_snr(vol: MultiChannelVolume, bounds) -> float:
+    """Mean masked reference intensity of the box over box_noise_sigma;
+    +inf for a box without masked voxels or without noise."""
+    sl = box_slices(bounds)
+    values = vol.data[sl][..., REFERENCE_CHANNEL].astype(np.float64)[vol.mask[sl]]
+    sigma = box_noise_sigma(vol, bounds)
+    if values.size == 0 or sigma <= 0.0:
+        return math.inf
+    return float(values.mean()) / sigma
+
+
+def cnr(vol: MultiChannelVolume, bounds, labels: np.ndarray,
         class_a, class_b) -> float | None:
-    """Contrast-to-noise between two label groups on the reference channel.
+    """Contrast-to-noise between two label groups on the reference channel
+    of the box bounds.
 
     class_a / class_b are labels or label tuples (e.g. (2, 3) for G+WM).
-    Returns None when either class is absent from the subdomain.
+    Returns None when either class is absent from the box.
     """
-    sl = sub.slices()
+    sl = box_slices(bounds)
     box = vol.data[sl][..., REFERENCE_CHANNEL].astype(np.float64)
     mask = vol.mask[sl]
     lab = labels[sl]
@@ -193,7 +276,7 @@ def cnr(vol: MultiChannelVolume, sub: Subdomain, labels: np.ndarray,
     sel_b = np.isin(lab, np.atleast_1d(class_b)) & mask
     if not sel_a.any() or not sel_b.any():
         return None
-    sigma = noise_sigma(vol, sub)
+    sigma = noise_sigma(reference_field(vol), bounds)
     contrast = abs(float(box[sel_a].mean()) - float(box[sel_b].mean()))
     if sigma <= 0.0:
         return math.inf if contrast > 0 else 0.0

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from kfdaseg.partition import (Histogram2, PartitionTree, SlabClustering,
-                               Subdomain, best_cut, histogram_2bin,
-                               mutual_information, noise_sigma, partition, snr)
-from kfdaseg.volume import REFERENCE_CHANNEL, MultiChannelVolume, box_slices
-from oracles import cnr, total_mir
+from kfdaseg.partition import (PartitionTree, Subdomain, best_cut, bin_entropy, cut_mi,
+                               measure, noise_sigma, otsu_threshold, partition,
+                               reference_field)
+from kfdaseg.volume import MultiChannelVolume, box_slices
+from oracles import (box_noise_sigma, box_snr, cnr, exhaustive_cut_oracle, mi_oracle,
+                     total_mir)
 
 LOG2 = 0.6931471805599453
 
@@ -24,10 +25,14 @@ def volume_from_array(arr, mask=None):
     return MultiChannelVolume(data=arr, mask=mask)
 
 
-def full_subdomain(vol):
-    dims = vol.dims
-    return Subdomain(bounds=((0, dims[0] - 1), (0, dims[1] - 1), (0, dims[2] - 1)),
-                     voxel_count=int(vol.mask.sum()))
+def full_bounds(vol):
+    return tuple((0, d - 1) for d in vol.dims)
+
+
+def measured(vol):
+    """(reference field, measured whole-volume node) of vol."""
+    ref = reference_field(vol)
+    return ref, measure(ref, full_bounds(vol))
 
 
 def smooth_noisy_volume(dims, seed, noise=0.03, contrast=1.0):
@@ -47,18 +52,19 @@ def smooth_noisy_volume(dims, seed, noise=0.03, contrast=1.0):
 
 def test_otsu_symmetric_bimodal():
     data = np.array([0.0, 0.0, 1.0, 1.0], dtype=np.float32).reshape(4, 1, 1)
-    vol = volume_from_array(data)
-    hist = histogram_2bin(vol, full_subdomain(vol))
-    assert hist.bin_counts == (2, 2)
-    assert hist.threshold == pytest.approx(0.5)
-    assert not hist.degenerate
+    threshold = otsu_threshold(data.astype(np.float64).ravel())
+    assert threshold == pytest.approx(0.5)
+    assert int((data < threshold).sum()) == 2
 
 
 def test_otsu_constant_degenerate():
     vol = volume_from_array(np.full((4, 4, 4), 0.7))
-    hist = histogram_2bin(vol, full_subdomain(vol))
-    assert hist.degenerate
-    assert hist.entropy() == 0.0
+    _, node = measured(vol)
+    assert node.threshold is None
+    assert node.entropy == 0.0
+    # every cut of a constant box ties at MI 0: the first axis and its
+    # smallest cut win
+    assert best_cut(*measured(volume_from_array(np.full((8, 7, 9), 0.7)))) == ((0, 3), 0.0)
 
 
 def _otsu_oracle_bins(values):
@@ -91,64 +97,37 @@ def test_otsu_matches_exhaustive_threshold_oracle():
     for trial in range(10):
         values = np.concatenate([
             rng.normal(0.25, 0.05, size=300), rng.normal(0.75, 0.06, size=200)])
-        values = np.clip(values, 0, 1).astype(np.float32)
-        vol = volume_from_array(values.reshape(-1, 1, 1))
-        hist = histogram_2bin(vol, full_subdomain(vol))
-        assert hist.bin_counts == _otsu_oracle_bins(values.astype(np.float64))
+        values = np.clip(values, 0, 1).astype(np.float32).astype(np.float64)
+        n1 = int((values < otsu_threshold(values)).sum())
+        assert (n1, values.size - n1) == _otsu_oracle_bins(values)
 
 
 # ---------------------------------------------------------------------------
 # Mutual information
 # ---------------------------------------------------------------------------
 
-def clustering(joint):
+def entropy_and_mi(joint):
+    """(H(X), MI) of a count table, rows the bins and columns the slabs."""
     joint = np.asarray(joint, dtype=np.float64)
-    sizes = joint.sum(axis=0)
-    return SlabClustering(axis=0, cut_index=3,
-                          cluster_sizes=(int(sizes[0]), int(sizes[1])),
-                          joint_counts=joint)
-
-
-def histogram(joint):
-    joint = np.asarray(joint, dtype=np.float64)
-    rows = joint.sum(axis=1)
-    return Histogram2(bin_counts=(int(rows[0]), int(rows[1])),
-                      total=int(joint.sum()), threshold=0.5)
-
-
-def mi_oracle(joint):
-    """Direct double summation of the defining formula."""
-    joint = np.asarray(joint, dtype=np.float64)
-    total = joint.sum()
-    n_i = joint.sum(axis=1)
-    n_j = joint.sum(axis=0)
-    mi = 0.0
-    for i in range(2):
-        if n_i[i] > 0:
-            mi -= (n_i[i] / total) * math.log(n_i[i] / total)
-    for j in range(2):
-        for i in range(2):
-            if joint[i, j] > 0:
-                mi += (joint[i, j] / total) * math.log(joint[i, j] / n_j[j])
-    return mi
+    total = int(joint.sum())
+    h = bin_entropy(joint.sum(axis=1), total)
+    return h, cut_mi(h, joint.T, total)
 
 
 def test_mi_perfect_separation_equals_entropy():
-    joint = [[4, 0], [0, 4]]
-    value = mutual_information(histogram(joint), clustering(joint))
+    h, value = entropy_and_mi([[4, 0], [0, 4]])
     assert value == pytest.approx(LOG2, abs=1e-15)
-    assert value == histogram(joint).entropy()
+    assert value == h
 
 
 def test_mi_independence_is_zero():
     joint = [[3, 3], [1, 1]]   # n_ij = n_i * N_j / N
-    assert mutual_information(histogram(joint), clustering(joint)) == \
-        pytest.approx(0.0, abs=1e-15)
+    assert entropy_and_mi(joint)[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mi_matches_direct_summation_oracle():
     joint = [[4, 2], [0, 2]]
-    value = mutual_information(histogram(joint), clustering(joint))
+    value = entropy_and_mi(joint)[1]
     # frozen from the double-summation oracle
     assert value == pytest.approx(0.21576155433883562, abs=1e-12)
     assert value == pytest.approx(mi_oracle(joint), abs=1e-12)
@@ -160,71 +139,30 @@ def test_mi_random_tables_oracle_and_bounds():
         joint = rng.integers(0, 50, size=(2, 2)).astype(np.float64)
         if joint.sum() == 0:
             continue
-        h = histogram(joint)
-        value = mutual_information(h, clustering(joint))
+        h, value = entropy_and_mi(joint)
         assert abs(value - max(0.0, mi_oracle(joint))) <= 1e-12
-        assert 0.0 <= value <= h.entropy() + 1e-15
-
-
-def test_mi_inconsistent_marginals_rejected():
-    h = Histogram2(bin_counts=(5, 3), total=8, threshold=0.5)
-    c = SlabClustering(axis=0, cut_index=3, cluster_sizes=(4, 4),
-                      joint_counts=np.array([[4.0, 2.0], [1.0, 2.0]]))
-    with pytest.raises(ValueError, match="row sums"):
-        mutual_information(h, c)
+        assert 0.0 <= value <= h + 1e-15
 
 
 # ---------------------------------------------------------------------------
 # Cut search
 # ---------------------------------------------------------------------------
 
-def exhaustive_best_cut(vol, sub):
-    """Enumerate every feasible cut, building each clustering explicitly."""
-    hist = histogram_2bin(vol, sub)
-    sl = sub.slices()
-    box = vol.data[sl][..., REFERENCE_CHANNEL].astype(np.float64)
-    mask = vol.mask[sl]
-    low = (box < hist.threshold) & mask
-    best = None
-    for axis in range(3):
-        lo, hi = sub.bounds[axis]
-        length = hi - lo + 1
-        for local_cut in range(3, length - 2):
-            sel1 = [slice(None)] * 3
-            sel1[axis] = slice(0, local_cut)
-            sel1 = tuple(sel1)
-            n1 = int(mask[sel1].sum())
-            n1_low = int(low[sel1].sum())
-            n_low = int(low.sum())
-            n_tot = int(mask.sum())
-            joint = np.array([[n1_low, n_low - n1_low],
-                              [n1 - n1_low, (n_tot - n1) - (n_low - n1_low)]],
-                             dtype=np.float64)
-            c = SlabClustering(axis=axis, cut_index=lo + local_cut,
-                               cluster_sizes=(n1, n_tot - n1), joint_counts=joint)
-            value = mutual_information(hist, c)
-            if best is None or value > best[1]:
-                best = (c, value)
-    return best
-
-
 def test_planar_ground_truth_cut():
     data = np.full((6, 6, 10), 0.2, dtype=np.float32)
     data[:, :, 5:] = 0.8
     vol = volume_from_array(data)
-    result = best_cut(vol, full_subdomain(vol), histogram_2bin(vol, full_subdomain(vol)))
+    ref, node = measured(vol)
+    result = best_cut(ref, node)
     assert result is not None
     cut, mi = result
-    assert cut.axis == 2
-    assert cut.cut_index == 5
-    assert mi == pytest.approx(histogram_2bin(vol, full_subdomain(vol)).entropy(),
-                               abs=1e-12)
+    assert cut == (2, 5)
+    assert mi == pytest.approx(node.entropy, abs=1e-12)
 
 
 def test_unsplittable_small_subdomain():
     vol = volume_from_array(np.random.default_rng(0).random((5, 5, 5)))
-    assert best_cut(vol, full_subdomain(vol),
-                    histogram_2bin(vol, full_subdomain(vol))) is None
+    assert best_cut(*measured(vol)) is None
 
 
 def test_best_cut_matches_exhaustive_enumeration():
@@ -235,12 +173,10 @@ def test_best_cut_matches_exhaustive_enumeration():
         if not mask.any():
             continue
         vol = volume_from_array(rng.random(dims), mask=mask)
-        sub = full_subdomain(vol)
-        got = best_cut(vol, sub, histogram_2bin(vol, sub))
-        want = exhaustive_best_cut(vol, sub)
+        got = best_cut(*measured(vol))
+        want = exhaustive_cut_oracle(vol, full_bounds(vol))
         assert got is not None and want is not None
-        assert got[0].axis == want[0].axis
-        assert got[0].cut_index == want[0].cut_index
+        assert got[0] == want[0]
         assert got[1] == pytest.approx(want[1], abs=1e-12)
 
 
@@ -287,13 +223,50 @@ def test_noise_estimate_on_known_phantom():
     base = np.linspace(0.3, 0.7, dims[0])[:, None, None] * np.ones(dims)
     data = base + rng.normal(0, 0.05, size=dims)
     vol = volume_from_array(data)
-    est = noise_sigma(vol, full_subdomain(vol))
+    est = noise_sigma(reference_field(vol), full_bounds(vol))
     assert abs(est - 0.05) / 0.05 < 0.15
+
+
+def test_noise_and_snr_match_per_box_laplacian_oracle():
+    # the whole-volume Laplacian read on a box's interior gives the box's
+    # own ndimage.laplace there bit for bit, on boxes touching volume faces,
+    # thinner than 3, with fewer than 8 interior voxels, without a masked
+    # voxel and constant inside a noisy volume
+    def check(vol, bounds):
+        ref = reference_field(vol)
+        sigma = noise_sigma(ref, bounds)
+        assert sigma == box_noise_sigma(vol, bounds), bounds
+        assert measure(ref, bounds).snr == box_snr(vol, bounds), bounds
+        return sigma
+
+    rng = np.random.default_rng(17)
+    noisy = 0
+    for trial in range(30):
+        dims = tuple(int(d) for d in rng.integers(4, 14, size=3))
+        vol = volume_from_array(rng.random(dims),
+                                mask=rng.random(dims) > rng.uniform(0.0, 0.3))
+        noisy += check(vol, full_bounds(vol)) > 0.0
+        for _ in range(6):
+            lo = [int(rng.integers(0, d)) for d in dims]
+            bounds = tuple((a, int(rng.integers(a, d))) for a, d in zip(lo, dims))
+            noisy += check(vol, bounds) > 0.0
+    assert noisy >= 30
+
+    data = np.random.default_rng(18).random((10, 9, 8))
+    data[2:8, 1:7, 2:7] = 0.4
+    vol = volume_from_array(data)
+    assert check(vol, ((0, 9), (3, 4), (0, 7))) == 0.0               # 2 thick
+    assert check(vol, ((4, 6), (0, 2), (3, 6))) == 0.0               # 2 interior voxels
+    assert check(vol, ((2, 7), (1, 6), (2, 6))) == 0.0               # constant
+    assert measure(reference_field(vol), ((2, 7), (1, 6), (2, 6))).snr == math.inf
+    empty = volume_from_array(data, mask=np.zeros(data.shape, dtype=bool))
+    assert check(empty, full_bounds(empty)) == 0.0
+    assert measure(reference_field(empty), full_bounds(empty)).snr == math.inf
 
 
 def test_snr_infinite_for_noiseless_constant():
     vol = volume_from_array(np.full((8, 8, 8), 0.4))
-    assert snr(vol, full_subdomain(vol)) == math.inf
+    assert measured(vol)[1].snr == math.inf
 
 
 def test_snr_scale_invariance_of_normalized_curve():
@@ -312,7 +285,7 @@ def test_cnr_values():
     labels[10:] = 3
     data = np.where(labels == 2, 0.2, 0.8) + rng.normal(0, 0.1, size=dims)
     vol = volume_from_array(data)
-    sub = full_subdomain(vol)
+    sub = full_bounds(vol)
     value = cnr(vol, sub, labels, 2, 3)
     assert value == pytest.approx(6.0, rel=0.15)
     # identical class means -> 0
@@ -329,7 +302,7 @@ def test_cnr_phantom_closed_form():
     labels[:, :, 12:] = 3
     data = np.where(labels == 2, 0.35, 0.75) + rng.normal(0, 0.08, size=dims)
     vol = volume_from_array(data)
-    value = cnr(vol, full_subdomain(vol), labels, 2, 3)
+    value = cnr(vol, full_bounds(vol), labels, 2, 3)
     assert abs(value - 0.4 / 0.08) / (0.4 / 0.08) < 0.10
 
 

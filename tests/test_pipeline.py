@@ -1,5 +1,6 @@
 """End-to-end pipeline behavior: outputs, determinism, self-consistency, CLI."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -162,6 +163,19 @@ def test_mssim_table_shape(small_run):
     assert lines[0] == "domain,initial,kfda"
     assert lines[-1].startswith("means,")
     assert len(lines) == len(report.subdomains) + 2
+
+
+def test_csv_cells_are_numbers(small_run):
+    # a partitioned run: every non-empty cell but the means label parses as
+    # a plain decimal number
+    cfg, *_ = small_run
+    for name in ("curves.csv", "mssim_table.csv"):
+        rows = list(csv.reader((Path(cfg.out_dir) / name).open()))
+        assert len(rows) > 2, name
+        for row in rows[1:]:
+            for cell in row:
+                if cell and cell != "means":
+                    float(cell)
 
 
 def test_pipeline_improves_corrupted_init(small_run):
