@@ -5,7 +5,7 @@ verbs call the stage functions that `run` chains (`pipeline.*_stage`) and
 add only their own file I/O, so they write the same bytes as `run`: report
 rebuilds the report files from the labels and diagnostics that stitch and
 classify (or run) left in the output directory. Exit codes: 0 success,
-2 validation error, 3 numerical failure.
+2 a ValueError (LinAlgError too) or missing file or key, 3 an ArithmeticError.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import logging
 import sys
 from pathlib import Path
 
-from . import kfda, phantom, pipeline, volume as vol_io
+from . import phantom, pipeline, volume as vol_io
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+STAGES = ("partition", "classify", "stitch", "run", "report")
 
 
 def _add_common(sub, suppress=True):
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kfdaseg",
         description="Local semi-supervised tissue classification pipeline")
-    parser.add_argument("--stage", choices=COMMANDS,
+    parser.add_argument("--stage", choices=STAGES,
                         help="alternative to the positional verb")
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="verb")
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt-boundary", type=float, default=0.0,
                    help="fraction of boundary voxels to corrupt")
 
-    for verb in ("partition", "classify", "stitch", "run", "report"):
+    for verb in STAGES:
         _add_common(sub.add_parser(verb))
 
     return parser
@@ -197,13 +198,14 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[verb](args)
     except (ValueError, FileNotFoundError, KeyError, pipeline.PipelineStageError,
-            kfda.ConvergenceError, ArithmeticError) as exc:
-        logger.error("%s", exc)
-        # a stage error is judged by the exception that raised it
+            ArithmeticError) as exc:
+        # a stage error is judged by the exception that raised it; any
+        # other exception is a fault of the program and keeps its traceback
         cause = exc.__cause__ if isinstance(exc, pipeline.PipelineStageError) else exc
-        if isinstance(cause, (ValueError, FileNotFoundError, KeyError)):
-            return EXIT_VALIDATION
-        return EXIT_NUMERICAL
+        if not isinstance(cause, (ValueError, FileNotFoundError, KeyError, ArithmeticError)):
+            raise
+        logger.error("%s", exc)
+        return EXIT_NUMERICAL if isinstance(cause, ArithmeticError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

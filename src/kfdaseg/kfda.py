@@ -9,7 +9,8 @@ so each step first factors the cross kernel between the training samples
 and every voxel as C ~ Q B^T, with Q (l x r) orthonormal, to a relative
 error of RANGE_TOL: a randomized range finder on the gram, then one blocked
 pass over the voxels for B (build_matrices). The class means, the
-within-class matrix and the penalty are then r x r, and every
+within-class matrix, ridged once so that its pencil always factors
+(build_matrices), and the penalty are then r x r, and every
 regularization weight of the sweep is one dense eigenproblem of that size
 (solve_alpha); the l x n cross kernel never exists whole. Voxels are
 then categorized by projection sign into tissue prototypes, an overlapping
@@ -21,13 +22,13 @@ candidate of each solve, then the first best solve of the sweep.
 classify_subdomain runs both binary steps, CSF vs G+WM and then GM vs WM,
 as one loop over a step table; each step's scorer renders a labeling's
 classified mean image, scores it against the reference and caches the
-result, so every distinct labeling is scored once per step. Its grids and
-training-set cap come from the PipelineConfig, whose defaults are
-LAMBDA_GRID, K_GRID and L_MAX; the published categorization thresholds
-(TAU_BAND, TAU_OUTLIER) and the two ridges (RIDGE_SCALE,
-MAHALANOBIS_RIDGE) are module constants. A voxel's category is one int8
-code, 2 * kind + side (categorize), and CATEGORIES names the six codes
-with the keys under which subdomains.json counts them.
+result, so every distinct labeling is scored once per step; a box with
+no MSSIM window skips both. Its grids and training-set cap come from the
+PipelineConfig, whose defaults are LAMBDA_GRID, K_GRID and L_MAX; the
+published categorization thresholds (TAU_BAND, TAU_OUTLIER) and the two
+ridges (RIDGE_SCALE, MAHALANOBIS_RIDGE) are module constants. A voxel's
+category is one int8 code, 2 * kind + side (categorize), and CATEGORIES
+names the six codes with the keys under which subdomains.json counts them.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .ssim import classified_mean_image, mssim, reference_windows
+from .ssim import classified_mean_image, mssim, reference_windows, window_fits
 from .volume import (BG, CSF, GM, REFERENCE_CHANNEL, TISSUE_LABELS, WM, MultiChannelVolume,
                      box_slices)
 
@@ -64,10 +65,6 @@ TAU_BAND = 1.0
 TAU_OUTLIER = 2.5
 RIDGE_SCALE = 1e-3
 MAHALANOBIS_RIDGE = 1e-6
-
-
-class ConvergenceError(RuntimeError):
-    """No ridge made the within-class pencil factorable for the eigen solve."""
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +201,7 @@ class KfdaMatrices:
     m_neg: np.ndarray           # (r,) Q^T (m_neg - c)
     m_pos: np.ndarray           # (r,) Q^T (m_pos - c)
     factor_inv: np.ndarray      # (r, r) U^-1, Q^T (within + beta I) Q = U^T U
-    beta: float                 # the ridge that made the pencil factorable
+    beta: float                 # the pencil's ridge (build_matrices)
     penalty: np.ndarray         # (r, r) B^T H B, H the voxels' neighbourhood graph
     cross: np.ndarray           # (r, n) B^T = Q^T (C - c 1^T)
     centre: np.ndarray          # (l,) c, the gram's mean column
@@ -256,7 +253,7 @@ def class_scatter(gram: np.ndarray, ts: TrainingSet) -> tuple[np.ndarray, np.nda
     update (syrk): half the flops of a general product, exactly symmetric,
     and positive semidefinite to rounding, where the identity
     k_m k_m^T - l_m M_m M_m^T cancels large terms. Duplicates making it
-    singular are absorbed by the ridge (factor_pencil).
+    singular are absorbed by the ridge (build_matrices).
     """
     m_neg = gram[:, ts.neg_idx].mean(axis=1)
     m_pos = gram[:, ts.pos_idx].mean(axis=1)
@@ -265,26 +262,16 @@ def class_scatter(gram: np.ndarray, ts: TrainingSet) -> tuple[np.ndarray, np.nda
     return m_neg, m_pos, centred @ centred.T
 
 
-def factor_pencil(within: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """(U, beta') with U^T U = within + beta' I, U upper triangular.
-
-    beta' starts at beta and is raised tenfold on each failed
-    factorization: singular N is absorbed by the ridge, never an error.
-    Raises ConvergenceError when eight ridges leave the pencil indefinite
-    and ValueError on a non-finite pencil, which no ridge can mend. within
-    is left as it is.
-    """
-    beta = max(beta, 1e-300)
+def factor_pencil(within: np.ndarray, beta: float) -> np.ndarray:
+    """U, upper triangular, with U^T U = within + beta I, within left as
+    it is: one Cholesky factor, which build_matrices' ridge lets complete.
+    Raises ValueError on a non-finite pencil and numpy's LinAlgError, also
+    a ValueError, on one that is not positive definite."""
     if not (math.isfinite(beta) and np.isfinite(within).all()):
         raise ValueError("within-class pencil has non-finite entries")
     pencil = within.copy()
-    for _ in range(8):
-        np.fill_diagonal(pencil, within.diagonal() + beta)
-        try:
-            return np.linalg.cholesky(pencil).T, beta
-        except np.linalg.LinAlgError:
-            beta *= 10.0
-    raise ConvergenceError("within-class pencil could not be made positive definite")
+    np.fill_diagonal(pencil, within.diagonal() + beta)
+    return np.linalg.cholesky(pencil).T
 
 
 def _normalized(y: np.ndarray, floor: float) -> np.ndarray:
@@ -384,18 +371,27 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
     grows by the missed directions and the pass is redone. The class
     means, the within-class matrix (class_scatter), its ridged Cholesky
     factor (factor_pencil) and the penalty B^T H B are then r x r, taken
-    in Q's coordinates. The ridge is RIDGE_SCALE times the mean over the
-    l samples of the within-class diagonal, and at least a floor above the
-    within matrix's rounding noise. Raises what factor_pencil raises. The
-    neighbour graph H is built first, so its build's buffers are gone
-    before the cross kernel is projected.
+    in Q's coordinates. The neighbour graph H is built first, so its
+    build's buffers are gone before the cross kernel is projected.
+
+    The ridge beta, RIDGE_SCALE times the mean over the l samples of the
+    within-class diagonal and at least a floor 64 eps ||gram||_F^2, lets
+    one Cholesky factor of N + beta I complete for every l <= 20,000 (five
+    times L_MAX; a 3.2 GB gram). With N = fl(Z Z^T), Z the r x l
+    class-centred gram in Q's coordinates, u = 2^-53 and gamma_l ~ l u,
+    rounding gives lambda_min(N) >= -gamma_l ||Z||_F^2 and tr(N) >=
+    (1 - gamma_l) ||Z||_F^2 (Higham, Accuracy and Stability, 3.5).
+    Cholesky completes when the unit-diagonal scaling's smallest
+    eigenvalue exceeds about r gamma_(r+1) (Demmel 1989; Higham, Thm 10.7),
+    which holds when 1e-3 / l > (2 l + r^2) u: for r <= l <= 20,000. At
+    tr(N) = 0, N is 0 and the pencil is beta I. Past that l the factor may
+    raise numpy's LinAlgError, a ValueError, as a non-finite pencil does.
     """
     l = len(ts.labels)
     h = neighborhood_matrix(member_box)
     gram = kernel_matrix(spec, ts.features, ts.features)
-    # the ridge must stay above the rounding noise of the within matrix,
-    # Z Z^T with Z the class-centred gram; that noise scales with
-    # ||Z||_F^2, which ||gram||_F^2 bounds (centring projects each row)
+    # the within matrix's rounding noise scales with ||Z||_F^2, which
+    # ||gram||_F^2 bounds (centring and Q^T project each row)
     floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum("ij,ij->", gram, gram))
     rng = np.random.default_rng(RANGE_SEED)
     q = _range_basis(gram, rng)
@@ -410,8 +406,8 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
     m_neg, m_pos, within = class_scatter(q.T @ gram, ts)
     del gram
     # trace 0 happens for single-sample classes; keep the pencil definite
-    beta = RIDGE_SCALE * float(np.trace(within)) / l or 1e-10
-    factor, beta = factor_pencil(within, max(beta, floor))
+    beta = max(RIDGE_SCALE * float(np.trace(within)) / l or 1e-10, floor)
+    factor = factor_pencil(within, beta)
     penalty = cross @ h.dot(cross.T)
     return KfdaMatrices(basis=q, m_neg=m_neg, m_pos=m_pos, factor_inv=np.linalg.inv(factor),
                         beta=beta, penalty=0.5 * (penalty + penalty.T), cross=cross,
@@ -670,22 +666,15 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: PipelineConfig,
     labelings (_labelings) and the sweep the best-scoring solve; max keeps
     the first of equal scores, so ties go to the smallest k, to KNN over
     Mahalanobis and to the first lambda of the grid. Returns the chosen
-    sides plus diagnostics; falls back to the initial sides when no ridge
-    makes the eigen solve factorable.
+    sides plus diagnostics, whose "skipped" is None: every step that runs
+    chooses a lambda.
     """
     features = data_box[member]
-    diag = {"n_voxels": len(features), "sweep": [], "chosen_lambda": None, "skipped": None}
     keep = _stratified_cap(sides_init, cfg.l_max, rng)
     ts = TrainingSet(features=features[keep], labels=sides_init[keep])
-    try:
-        mats = build_matrices(ts, kernel, features, member)
-    except ConvergenceError as exc:
-        logger.warning("eigen solves failed for every lambda: %s", exc)
-        diag["sweep"] = [{"lambda": lam, "error": str(exc)} for lam in cfg.lambda_grid]
-        diag["skipped"] = "all solves failed"
-        return sides_init, diag
-
-    diag.update(rank=mats.rank, range_error=mats.range_error)
+    mats = build_matrices(ts, kernel, features, member)
+    diag = {"n_voxels": len(features), "sweep": [], "chosen_lambda": None, "skipped": None,
+            "rank": mats.rank, "range_error": mats.range_error}
     solves = []
     for lam in cfg.lambda_grid:
         entry = {"lambda": lam}
@@ -725,18 +714,15 @@ def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box):
     """score(sides) of one step: the MSSIM against the reference of the
     label box with each member voxel set to neg[0] or pos[0] by side, its
     mean image taken over the step's two class groups and a singleton for
-    each other tissue label. Each distinct labeling is scored once, and the
-    reference's window statistics are computed once, at the first score."""
+    each other tissue label. Each distinct labeling is scored once, against
+    the reference's window statistics, computed once with the scorer."""
     groups = (neg, pos) + tuple((t,) for t in TISSUE_LABELS if t not in neg + pos)
     cache = {}
-    windows = None
+    windows = reference_windows(ref_box, mask_box)
 
     def score(sides):
-        nonlocal windows
         key = sides.tobytes()
         if key not in cache:
-            if windows is None:
-                windows = reference_windows(ref_box, mask_box)
             lab = labels_box.copy()
             lab[member] = np.where(sides < 0, neg[0], pos[0])
             cache[key] = mssim(classified_mean_image(lab, ref_box, mask_box,
@@ -760,7 +746,8 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
     provisional GM/WM label; seed draws the training subsamples. Returns the
     classified label box (background outside the mask) and a diagnostics
     dict. A step with fewer than 2 voxels in a class of the current labels
-    passes labels through.
+    passes labels through, as does every step of a box that no MSSIM
+    window fits in plane (window_fits), as no labeling can be scored there.
     """
     rng = np.random.default_rng(seed)
     box = box_slices(bounds)
@@ -771,6 +758,10 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
     labels_box[~mask_box] = BG
     diag = {"bounds": [list(b) for b in bounds], "steps": {}}
     if not mask_box.any():
+        return labels_box, diag
+    if not window_fits(mask_box.shape):
+        diag["steps"] = {key: {"skipped": "box thinner in plane than the MSSIM window"}
+                         for key, *_ in _STEPS}
         return labels_box, diag
 
     for key, neg, pos, kernel in _STEPS:

@@ -6,10 +6,10 @@ C3; MSSIM averages it over the published 11x11, sigma 1.5 sliding window
 (WINDOW_SIZE, WINDOW_SIGMA) on each axial slice (windows without any brain
 voxel are skipped) and over slices. A box is scored in one pass, two 1-D
 Gaussian passes per moment (the window is separable), with the window
-shrunk to fit thin boxes (fit_window); the reference's moments can be
-computed once for many scored images (reference_windows). Classified
-volumes are compared to the reference channel after replacing each voxel
-by its tissue-class mean intensity."""
+shrunk to fit thin boxes down to 3x3 (fit_window, window_fits); the
+reference's moments can be computed once for many scored images
+(reference_windows). Classified volumes are compared to the reference
+channel after replacing each voxel by its tissue-class mean intensity."""
 
 from __future__ import annotations
 
@@ -55,6 +55,11 @@ def fit_window(shape) -> tuple[int, float]:
         return WINDOW_SIZE, WINDOW_SIGMA
     size = max(3, limit if limit % 2 == 1 else limit - 1)
     return size, WINDOW_SIGMA * size / WINDOW_SIZE
+
+
+def window_fits(shape) -> bool:
+    """Whether a box holds its fitted window in plane (3 voxels at least)."""
+    return min(shape[0], shape[1]) >= fit_window(shape)[0]
 
 
 @dataclass(frozen=True)
@@ -188,9 +193,9 @@ def reference_windows(reference: np.ndarray, mask: np.ndarray) -> ReferenceWindo
     them once to score many images against one reference."""
     reference = _as_box(np.asarray(reference, dtype=np.float64))
     mask = _as_box(mask)
-    size, sigma = fit_window(reference.shape)
-    if min(reference.shape[:2]) < size:
+    if not window_fits(reference.shape):
         raise ValueError("no sliding window contains a masked voxel")
+    size, sigma = fit_window(reference.shape)
     mean, var = _mean_var(reference, _smoother(size, sigma))
     return ReferenceWindows(size, sigma, mean, var, _window_counts(mask, size) > 0)
 

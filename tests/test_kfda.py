@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from kfdaseg import kfda
-from kfdaseg.kfda import (CATEGORIES, ConvergenceError, KernelSpec, TrainingSet, _labelings,
+from kfdaseg.kfda import (CATEGORIES, KernelSpec, TrainingSet, _labelings,
                           _project_cross, _range_basis, _run_step, _stratified_cap,
                           build_matrices, categorize, class_scatter,
                           classify_outliers_mahalanobis, classify_subdomain, factor_pencil,
@@ -426,30 +426,25 @@ def test_range_basis_stays_orthonormal():
     assert np.abs(g - q @ (q.T @ g)).max() <= 1e-9 * np.abs(g).max()
 
 
-def test_pencil_never_definite_raises_convergence_error(monkeypatch):
-    # eight tenfold ridges from 1e-6 reach 10, short of the -1000 eigenvalue
-    scatter = -1e3 * np.eye(8)
-    with pytest.raises(ConvergenceError, match="positive definite"):
-        factor_pencil(scatter, 1e-6)
-    # a failed build leaves the matrix as it was
-    assert np.array_equal(scatter, -1e3 * np.eye(8))
-    # build_matrices factors the pencil; a step it fails for keeps its
-    # initial sides and records the failure for every lambda
-    monkeypatch.setattr(kfda, "class_scatter",
-                        lambda g, ts: (g[:, 0], g[:, -1], -1e3 * np.eye(len(g))))
-    rng = np.random.default_rng(34)
-    sides = np.array([-1] * 4 + [1] * 4, dtype=np.int8)
-    data = rng.normal(size=(8, 1, 1, 3))
-    member = np.ones((8, 1, 1), dtype=bool)
-    with pytest.raises(ConvergenceError):
-        build_matrices(TrainingSet(data.reshape(8, 3), sides), KernelSpec.rbf(1.0),
-                       data[member], member)
-    cfg = PipelineConfig(lambda_grid=(0.0, 1e-4))
-    out, diag = _run_step(data, member, sides, KernelSpec.rbf(1.0), None, cfg,
-                          np.random.default_rng(0))
-    assert np.array_equal(out, sides)
-    assert diag["skipped"] == "all solves failed"
-    assert [entry["lambda"] for entry in diag["sweep"]] == [0.0, 1e-4]
+def test_first_ridge_factors_adversarial_within():
+    # build_matrices' ridge factors N = fl(Z Z^T), Z r x l, on its first
+    # try: for Z of rank 1 and of spread rank (singular values from 1 to
+    # 1e-12), with r = l up to 2000, and for N = 0. Unridged, none of these
+    # N factors, so the ridge is what carries each one
+    rng = np.random.default_rng(35)
+    cases = [np.zeros((100, 100))]
+    for l in (50, 500, 2000):
+        cases.append(np.outer(rng.normal(size=l), rng.normal(size=l)))
+        cases.append(rng.normal(size=(l, l)) * np.geomspace(1.0, 1e-12, l))
+    for z in cases:
+        l = z.shape[1]
+        n = z @ z.T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(n)
+        beta = kfda.RIDGE_SCALE * float(np.trace(n)) / l or 1e-10
+        u = factor_pencil(n, beta)
+        pencil = n + beta * np.eye(len(n))
+        assert np.abs(u.T @ u - pencil).max() <= 1e-12 * np.abs(pencil).max(), l
 
 
 def test_too_few_prototypes_keep_initial_sides():

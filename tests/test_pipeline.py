@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -15,7 +18,7 @@ from kfdaseg.phantom import PhantomSpec, corrupt_boundary_labels, generate_phant
 from kfdaseg.pipeline import (PipelineConfig, PipelineStageError, REPORT_SCHEMA,
                               dice_scores, partition_stage, report_stage, run_pipeline,
                               stitch_stage)
-from kfdaseg.ssim import classified_mean_image, mssim
+from kfdaseg.ssim import classified_mean_image, mssim, window_fits
 from kfdaseg.stitch import ClassifiedFragment
 from kfdaseg.volume import (BG, LabelVolume, MultiChannelVolume, box_slices,
                             check_mask_consistency, load_labels, load_volume,
@@ -109,6 +112,27 @@ def test_leaf_without_mask_voxels(tmp_path):
                                                cfg, seed=0)
         assert labels.shape == tuple(hi - lo + 1 for lo, hi in row["padded_bounds"])
         assert np.all(labels == BG) and diag["steps"] == {}
+
+
+@pytest.mark.parametrize("dims", [(2, 20, 20), (20, 2, 20), (1, 20, 20)])
+def test_in_plane_thin_volume_passes_labels_through(tmp_path, dims):
+    # under 3 voxels on axis 0 or 1 no leaf's box holds an MSSIM window: each
+    # step is skipped with its reason and the initial labels come through,
+    # and the report validates with null MSSIM columns
+    vol, truth = generate_phantom(PhantomSpec(dims=dims, noise_sigma=0.05,
+                                              bias_amplitude=0.1, pv_blur=1.0,
+                                              geometry="blocks"))
+    init = kmeans_init(vol, seed=0)
+    out = tmp_path / "out"
+    report = run_pipeline(PipelineConfig(out_dir=str(out)), vol=vol, init_labels=init,
+                          ground_truth=truth)
+    jsonschema.validate(json.loads((out / "report.json").read_text()), REPORT_SCHEMA)
+    for row, diag in zip(report.subdomains, report.diagnostics):
+        assert not window_fits(vol.mask[box_slices(row["padded_bounds"])].shape)
+        assert row["mssim_initial"] is None and row["mssim_kfda"] is None
+        assert diag["steps"] == {key: {"skipped": "box thinner in plane than the MSSIM window"}
+                                 for key in ("csf_vs_gwm", "gm_vs_wm")}
+    assert np.array_equal(load_labels(out / "labels.u8raw").labels, init.labels)
 
 
 def test_sweep_entries_record_each_solve(small_run):
@@ -217,6 +241,53 @@ def test_determinism_byte_identical(tmp_path):
     doc_a["config"].pop("out_dir")
     doc_b["config"].pop("out_dir")
     assert doc_a == doc_b
+
+
+def _step_decisions(out: Path) -> list[dict]:
+    """Each leaf's per-step decision in out's subdomains.json: the chosen
+    lambda with that solve's best k and route, or the skip reason."""
+    decisions = []
+    for leaf in json.loads((out / "subdomains.json").read_text()):
+        steps = {}
+        for key, step in leaf["steps"].items():
+            if step.get("chosen_lambda") is None:
+                steps[key] = step.get("skipped")
+                continue
+            entry = next(e for e in step["sweep"] if e["lambda"] == step["chosen_lambda"])
+            steps[key] = (step["chosen_lambda"], entry.get("best_k"),
+                          entry.get("route", entry.get("fallback")))
+        decisions.append(steps)
+    return decisions
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    # a multi-leaf run (26^3 phantom seed 11, corrupted k-means init,
+    # pipeline seed 5) in one process at one OpenBLAS thread and in another
+    # at two: the labels and every step's decision must be the same
+    import kfdaseg
+
+    vol, truth = generate_phantom(PhantomSpec(dims=(26, 26, 26), noise_sigma=0.05,
+                                              bias_amplitude=0.10, pv_blur=1.0, seed=11))
+    init = corrupt_boundary_labels(kmeans_init(vol, seed=0), vol.mask, fraction=0.20, seed=1)
+    save_volume(vol, tmp_path / "phantom.f32raw")
+    save_labels(init, tmp_path / "init.u8raw")
+    cfg = PipelineConfig(volume=str(tmp_path / "phantom.f32raw"),
+                         init_labels=str(tmp_path / "init.u8raw"), seed=5, l_max=400,
+                         lambda_grid=(0.0, 5e-5), k_grid=(1, 3, 5), sa_sweeps=5)
+    (tmp_path / "config.json").write_text(cfg.to_json())
+    src = str(Path(kfdaseg.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "kfdaseg", "run", "--config",
+                        str(tmp_path / "config.json"), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        outs.append(out)
+    assert len(_step_decisions(outs[0])) > 1
+    assert (outs[0] / "labels.u8raw").read_bytes() == (outs[1] / "labels.u8raw").read_bytes()
+    assert _step_decisions(outs[0]) == _step_decisions(outs[1])
 
 
 def test_config_json_round_trip(tmp_path):
@@ -425,6 +496,37 @@ def test_cli_stage_flag_equivalent(tmp_path):
     rc = cli.main(["--stage", "partition", "--config", str(cfg_path)])
     assert rc == 0
     assert (tmp_path / "out" / "partition.json").exists()
+
+
+def test_cli_stage_flag_rejects_phantom_and_init(tmp_path, capsys):
+    # phantom and init take options that only their own subparsers define
+    for verb in ("phantom", "init"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--stage", verb, "--out", str(tmp_path / verb)])
+        assert err.value.code == cli.EXIT_VALIDATION, verb
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
+        assert not (tmp_path / verb).exists()
+
+
+def test_cli_exits_3_only_for_an_arithmetic_error(tmp_path, monkeypatch):
+    # a stage error caused by an ArithmeticError exits 3; one with any other
+    # cause outside the validation errors is a fault and keeps its traceback
+    import kfdaseg.pipeline
+
+    cli.main(["phantom", "--out", str(tmp_path / "data"), "--dims", "8", "8", "8"])
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(PipelineConfig(volume=str(tmp_path / "data" / "phantom.f32raw"),
+                                       out_dir=str(tmp_path / "out")).to_json())
+    def raising(exc):
+        def failing(*args, **kwargs):
+            raise exc("partition fails")
+        return failing
+
+    monkeypatch.setattr(kfdaseg.pipeline, "build_partition", raising(ZeroDivisionError))
+    assert cli.main(["partition", "--config", str(cfg_path)]) == cli.EXIT_NUMERICAL
+    monkeypatch.setattr(kfdaseg.pipeline, "build_partition", raising(RuntimeError))
+    with pytest.raises(PipelineStageError, match="partition fails"):
+        cli.main(["partition", "--config", str(cfg_path)])
 
 
 def test_cli_validation_exit_code(tmp_path):
