@@ -4,18 +4,20 @@ A subdomain is classified in the implicit kernel feature space: the
 discriminant direction maximizes between-class over within-class scatter
 plus a graph penalty that discourages projection differences between
 neighbouring voxels (26-connected grid). The direction solves a generalized
-eigenproblem. A smooth kernel on intensity vectors has low numerical rank,
-so each step first factors the cross kernel between the training samples
-and every voxel as C ~ Q B^T, with Q (l x r) orthonormal, to a relative
-error of RANGE_TOL: a randomized range finder on the gram, then one blocked
-pass over the voxels for B (build_matrices). The class means, the
-within-class matrix, ridged once so that its pencil always factors
-(build_matrices), and the penalty are then r x r, and every
-regularization weight of the sweep is one dense eigenproblem of that size
-(solve_alpha); the l x n cross kernel never exists whole. Voxels are
-then categorized by projection sign into tissue prototypes, an overlapping
-set and class outliers. Each solve lists its candidate labelings in tie
-order (_labelings): the outliers reassigned by Mahalanobis distance and
+eigenproblem. A step trains on its own voxels, named by sorted indices. A
+smooth kernel on intensity vectors has low numerical rank, so each step
+first factors the cross kernel between the training voxels and every
+voxel as C ~ Q B^T, with Q (l x r) orthonormal, to a relative error of
+RANGE_TOL: a randomized range finder on the gram, then one blocked pass
+over the other voxels for their rows of B, the training voxels' rows
+coming from the gram, so each column of C is evaluated and projected once
+(build_matrices). The class means, the within-class matrix, ridged once
+so that its pencil always factors (build_matrices), and the penalty are
+then r x r, and every regularization weight of the sweep is one dense
+eigenproblem of that size (solve_alpha); the l x n cross kernel never
+exists whole. Voxels are then categorized by projection sign into tissue
+prototypes, an overlapping set and class outliers. Each solve lists its
+candidate labelings in tie order (_labelings): the outliers reassigned by Mahalanobis distance and
 the overlapping set by a k-nearest-neighbour vote for each k, then the
 Mahalanobis labeling alone. Selection is MSSIM-guided: the first best
 candidate of each solve, then the first best solve of the sweep.
@@ -124,34 +126,8 @@ def kernel_matrix(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Training data over a subdomain
+# Neighbour graph
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TrainingSet:
-    """Labeled samples: features (l, d) and labels in {-1, +1}."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int8)
-        if self.features.ndim != 2 or len(self.labels) != len(self.features):
-            raise ValueError("features must be (l, d) with one label per row")
-        if not np.all(np.isin(self.labels, (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
-        if not ((self.labels < 0).any() and (self.labels > 0).any()):
-            raise ValueError("both classes need at least one sample")
-
-    @property
-    def neg_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.labels < 0)
-
-    @property
-    def pos_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.labels > 0)
-
 
 def neighborhood_matrix(member_box: np.ndarray) -> sparse.csr_matrix:
     """26-connectivity graph matrix over a box's member voxels.
@@ -241,24 +217,26 @@ RANGE_SEED = 9999
 CROSS_BLOCK_BYTES = 2 * 2 ** 20
 
 
-def class_scatter(gram: np.ndarray, ts: TrainingSet) -> tuple[np.ndarray, np.ndarray,
-                                                              np.ndarray]:
-    """Class mean columns m_neg, m_pos and the within-class matrix of ts's gram.
+def class_scatter(gram: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                 np.ndarray]:
+    """Class mean columns m_neg, m_pos and the within-class matrix of a gram.
 
-    gram has one column per training sample (build_matrices passes the
-    centred gram in the factor's coordinates). The within-class matrix
-    sum_m k_m (I - 1_m) k_m^T is Z Z^T, where Z is the gram matrix with
-    each column centred on its class's mean column M_m. numpy computes a
-    product of one buffer with its own transpose as a symmetric rank-k
-    update (syrk): half the flops of a general product, exactly symmetric,
+    gram has one column per training sample, whose side in {-1, +1} sides
+    gives (build_matrices passes the centred gram in the factor's
+    coordinates, which are the training voxels' rows of B). The
+    within-class matrix sum_m k_m (I - 1_m) k_m^T is Z Z^T, where Z is the
+    gram matrix with each column centred on its class's mean column M_m.
+    numpy computes a product of one buffer with its own transpose as a
+    symmetric rank-k update (syrk): half the flops of a general product, exactly symmetric,
     and positive semidefinite to rounding, where the identity
     k_m k_m^T - l_m M_m M_m^T cancels large terms. Duplicates making it
     singular are absorbed by the ridge (build_matrices).
     """
-    m_neg = gram[:, ts.neg_idx].mean(axis=1)
-    m_pos = gram[:, ts.pos_idx].mean(axis=1)
+    neg = sides < 0
+    m_neg = gram[:, neg].mean(axis=1)
+    m_pos = gram[:, ~neg].mean(axis=1)
     centred = np.subtract(gram, m_pos[:, None])
-    np.subtract(gram, m_neg[:, None], out=centred, where=ts.labels < 0)
+    np.subtract(gram, m_neg[:, None], out=centred, where=neg)
     return m_neg, m_pos, centred @ centred.T
 
 
@@ -319,44 +297,52 @@ def _range_basis(gram: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _project_cross(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray, centre: np.ndarray,
-                   q: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float,
-                                                                   np.ndarray]:
-    """(Q^T (C - centre 1^T), error, missed) for C = kernel_matrix(spec, xs,
-    zs), in one pass.
+def _project_cross(spec: KernelSpec, features: np.ndarray, keep: np.ndarray,
+                   gram: np.ndarray, centre: np.ndarray, q: np.ndarray,
+                   rng: np.random.Generator) -> tuple[np.ndarray, float, np.ndarray]:
+    """(B^T, error, missed) of the factor C - centre 1^T ~ Q B^T of
+    C = kernel_matrix(spec, features[keep], features), in one pass over the
+    voxels outside keep; B^T's columns keep are left for the caller, who
+    has them from gram, C's training columns C[:, keep] - centre 1^T.
 
-    C is evaluated in column blocks of about CROSS_BLOCK_BYTES of float64,
-    so it never exists whole. The same pass applies C to RANGE_PROBES
-    Gaussian vectors W: missed is (I - Q Q^T) C W less its directions at
-    most SKETCH_TOL of C W's largest column, and error is missed's largest
-    column relative to that one, an estimate of ||C - Q Q^T C|| / ||C||.
+    The pass evaluates C in blocks of about CROSS_BLOCK_BYTES of float64,
+    so C never exists whole. It also applies C to RANGE_PROBES Gaussian
+    vectors W, one entry per voxel, the training columns' part taken from
+    gram: missed is (I - Q Q^T) C W less its directions at most SKETCH_TOL
+    of C W's largest column, and error is missed's largest column relative
+    to that one, an estimate of ||C - Q Q^T C|| / ||C||.
     """
-    l, n = len(xs), len(zs)
+    xs = features[keep]
+    n = len(features)
     # stored as the rows of B, so that the sparse product with the graph
     # and the voxel projections read it in C order
     cross = np.empty((n, q.shape[1]))
     probes = rng.standard_normal((n, RANGE_PROBES))
-    sketch = np.zeros((l, RANGE_PROBES))
-    cols = max(1, CROSS_BLOCK_BYTES // (8 * l))
-    for start in range(0, n, cols):
-        block = kernel_matrix(spec, xs, zs[start:start + cols])
-        sketch += block @ probes[start:start + cols]
+    train_probes = probes[keep]
+    sketch = gram @ train_probes + np.outer(centre, train_probes.sum(axis=0))
+    rest = np.delete(np.arange(n), keep)
+    cols = max(1, CROSS_BLOCK_BYTES // (8 * len(xs)))
+    for start in range(0, len(rest), cols):
+        block_idx = rest[start:start + cols]
+        block = kernel_matrix(spec, xs, features[block_idx])
+        sketch += block @ probes[block_idx]
         block -= centre[:, None]
-        cross[start:start + cols] = block.T @ q
+        cross[block_idx] = block.T @ q
     missed = sketch - q @ (q.T @ sketch)
     scale = float(np.linalg.norm(sketch, axis=0).max())
     error = float(np.linalg.norm(missed, axis=0).max()) / scale if scale > 0 else 0.0
     return cross.T, error, _orthonormal_columns(q, missed, SKETCH_TOL * scale)
 
 
-def build_matrices(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
-                   member_box: np.ndarray) -> KfdaMatrices:
+def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
+                   features: np.ndarray, member_box: np.ndarray) -> KfdaMatrices:
     """The step's discriminant on a low-rank factor of its cross kernel.
 
     features holds the (n, channels) float64 intensity vectors of the
-    box's member voxels (member_box) in C order; the training samples are
-    member voxels, so the gram's columns are columns of the cross kernel C
-    between the samples and every voxel.
+    box's member voxels (member_box) in C order. The step trains on its own
+    voxels: keep holds the sorted indices of the l training voxels, sides
+    their sides in {-1, +1}. So the gram's columns are columns of the cross
+    kernel C between the training voxels and every voxel.
 
     Q spans the gram's numerical range (_range_basis, from a fixed-seed
     stream). Every kernel column is then centred on the gram's mean column
@@ -366,13 +352,17 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
     away the variations the penalty is made of (on the 24^3 benchmark
     phantom's CSF step at l = 300, gamma at lambda = 1e-4 was 2e-6 off a
     long-double reference, against 6e-8 centred). One blocked pass over
-    the voxels gives B^T = Q^T (C - c 1^T) and a probe estimate of C's
-    error outside span Q (_project_cross); while that misses RANGE_TOL, Q
-    grows by the missed directions and the pass is redone. The class
-    means, the within-class matrix (class_scatter), its ridged Cholesky
-    factor (factor_pencil) and the penalty B^T H B are then r x r, taken
-    in Q's coordinates. The neighbour graph H is built first, so its
-    build's buffers are gone before the cross kernel is projected.
+    the voxels outside keep, none at l = n, gives their rows of
+    B^T = Q^T (C - c 1^T). The training voxels' rows are the centred
+    gram's, Q^T (gram - c 1^T), formed once after the last pass, which
+    class_scatter takes too: each training column is evaluated and
+    projected once. The pass also gives a probe estimate of C's error
+    outside span Q (_project_cross); while that misses RANGE_TOL, Q grows
+    by the missed directions and the pass is redone. The class means, the
+    within-class matrix (class_scatter), its ridged Cholesky factor
+    (factor_pencil) and the penalty B^T H B are then r x r, taken in Q's
+    coordinates. The neighbour graph H is built first, so its build's
+    buffers are gone before the cross kernel is projected.
 
     The ridge beta, RIDGE_SCALE times the mean over the l samples of the
     within-class diagonal and at least a floor 64 eps ||gram||_F^2, lets
@@ -387,9 +377,12 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
     tr(N) = 0, N is 0 and the pencil is beta I. Past that l the factor may
     raise numpy's LinAlgError, a ValueError, as a non-finite pencil does.
     """
-    l = len(ts.labels)
+    l = len(keep)
     h = neighborhood_matrix(member_box)
-    gram = kernel_matrix(spec, ts.features, ts.features)
+    xs = features[keep]
+    # one buffer on both sides: numpy forms xs xs^T as a symmetric product
+    # (syrk), so the gram is exactly symmetric
+    gram = kernel_matrix(spec, xs, xs)
     # the within matrix's rounding noise scales with ||Z||_F^2, which
     # ||gram||_F^2 bounds (centring and Q^T project each row)
     floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum("ij,ij->", gram, gram))
@@ -398,13 +391,15 @@ def build_matrices(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
     centre = gram.mean(axis=1)
     gram -= centre[:, None]
     while True:
-        cross, range_error, missed = _project_cross(spec, ts.features, features, centre, q, rng)
+        cross, range_error, missed = _project_cross(spec, features, keep, gram, centre, q, rng)
         if range_error <= RANGE_TOL or q.shape[1] == l:
             break
         q = np.hstack([q, missed])
         del cross
-    m_neg, m_pos, within = class_scatter(q.T @ gram, ts)
-    del gram
+    projected = q.T @ gram
+    cross[:, keep] = projected
+    m_neg, m_pos, within = class_scatter(projected, sides)
+    del gram, projected
     # trace 0 happens for single-sample classes; keep the pencil definite
     beta = max(RIDGE_SCALE * float(np.trace(within)) / l or 1e-10, floor)
     factor = factor_pencil(within, beta)
@@ -662,17 +657,17 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: PipelineConfig,
     sides_init gives their initial class side, with at least 2 voxels on
     each side. score(sides) is the step's MSSIM of a labeling of the member
     voxels; cfg gives the sweep's lambda_grid and k_grid and the
-    training-set cap l_max. Each solve keeps the best-scoring of its
-    labelings (_labelings) and the sweep the best-scoring solve; max keeps
-    the first of equal scores, so ties go to the smallest k, to KNN over
-    Mahalanobis and to the first lambda of the grid. Returns the chosen
-    sides plus diagnostics, whose "skipped" is None: every step that runs
-    chooses a lambda.
+    training-set cap l_max: the step trains on at most l_max of its own
+    voxels, drawn from rng per class (_stratified_cap). Each solve keeps
+    the best-scoring of its labelings (_labelings) and the sweep the
+    best-scoring solve; max keeps the first of equal scores, so ties go to
+    the smallest k, to KNN over Mahalanobis and to the first lambda of the
+    grid. Returns the chosen sides plus diagnostics, whose "skipped" is
+    None: every step that runs chooses a lambda.
     """
     features = data_box[member]
     keep = _stratified_cap(sides_init, cfg.l_max, rng)
-    ts = TrainingSet(features=features[keep], labels=sides_init[keep])
-    mats = build_matrices(ts, kernel, features, member)
+    mats = build_matrices(keep, sides_init[keep], kernel, features, member)
     diag = {"n_voxels": len(features), "sweep": [], "chosen_lambda": None, "skipped": None,
             "rank": mats.rank, "range_error": mats.range_error}
     solves = []

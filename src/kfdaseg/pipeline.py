@@ -406,7 +406,7 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
                 "voxel_count": leaf.voxel_count,
                 "mssim_initial": m_init,
                 "mssim_kfda": m_kfda,
-                "ssim_window": ssim.fit_window(shape)[0],
+                "ssim_window": ssim.fit_window(shape)[0] if ssim.window_fits(shape) else None,
                 "chosen_lambda_csf": diag["steps"].get("csf_vs_gwm", {}).get("chosen_lambda"),
                 "chosen_lambda_gm_wm": diag["steps"].get("gm_vs_wm", {}).get("chosen_lambda"),
             })

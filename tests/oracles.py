@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import ndimage, sparse
 
-from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, TrainingSet, kernel_matrix,
+from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, kernel_matrix,
                           nearest_prototype_sides, neighborhood_matrix)
 from kfdaseg.partition import (_LAPLACIAN_GAIN, _MAD_SCALE, PartitionTree, _mir_over,
                                noise_sigma, otsu_threshold, reference_field)
@@ -41,31 +41,31 @@ def kernel_eval(spec: KernelSpec, x, z) -> float:
     return float(x @ z)
 
 
-def gram(ts: TrainingSet, spec: KernelSpec) -> np.ndarray:
-    """Gram matrix of the training features, symmetrized as 0.5 (K + K^T)."""
-    k = kernel_matrix(spec, ts.features, ts.features)
+def gram(xs: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Gram matrix of the training features xs, symmetrized as 0.5 (K + K^T)."""
+    k = kernel_matrix(spec, xs, xs)
     return 0.5 * (k + k.T)
 
 
-def within(ts: TrainingSet, spec: KernelSpec) -> np.ndarray:
+def within(xs: np.ndarray, sides: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Within-class matrix by the literal centering formula:
     sum over classes m of K_m (I - 1/l_m) K_m^T, K_m the gram's columns of
-    class m."""
-    k = gram(ts, spec)
+    class m, the training features xs on sides in {-1, +1}."""
+    k = gram(xs, spec)
     total = np.zeros_like(k)
-    for idx in (ts.neg_idx, ts.pos_idx):
+    for idx in (np.flatnonzero(sides < 0), np.flatnonzero(sides > 0)):
         k_m = k[:, idx]
         n = len(idx)
         total += k_m @ (np.eye(n) - np.full((n, n), 1 / n)) @ k_m.T
     return total
 
 
-def project(model: KfdaModel, ts: TrainingSet, spec: KernelSpec,
+def project(model: KfdaModel, xs: np.ndarray, spec: KernelSpec,
             queries: np.ndarray) -> np.ndarray:
     """Signed decision values sum_m alpha_m K(x_m, query) + b, x_m the
-    training samples ts under the kernel spec that model was solved with."""
+    training features xs under the kernel spec that model was solved with."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    k = kernel_matrix(spec, queries, ts.features)
+    k = kernel_matrix(spec, queries, xs)
     return k @ model.alpha + model.b_offset
 
 
@@ -85,9 +85,10 @@ class DenseStep:
     pencil: np.ndarray       # (l, l) within + beta I
 
 
-def dense_step(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
+def dense_step(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec, features: np.ndarray,
                member_box: np.ndarray, beta: float) -> DenseStep:
-    """The step build_matrices reduces, in full, with the ridge beta.
+    """The step build_matrices reduces, in full, with the ridge beta: the
+    member voxels keep, on sides in {-1, +1}, train it.
 
     The penalty is the edge sum -sum (c_i - c_j)(c_i - c_j)^T over the
     graph's edges, c_i the kernel column of voxel i: a saturated sigmoid
@@ -100,11 +101,11 @@ def dense_step(ts: TrainingSet, spec: KernelSpec, features: np.ndarray,
     rounding reaches the floor ridge and moves the top eigenvalue by up to
     1e-4 relative.
     """
-    g = gram(ts, spec)
-    m_neg = g[:, ts.neg_idx].mean(axis=1)
-    m_pos = g[:, ts.pos_idx].mean(axis=1)
-    z = g - np.where(ts.labels < 0, m_neg[:, None], m_pos[:, None])
-    cross = kernel_matrix(spec, ts.features, features)
+    g = gram(features[keep], spec)
+    m_neg = g[:, sides < 0].mean(axis=1)
+    m_pos = g[:, sides > 0].mean(axis=1)
+    z = g - np.where(sides < 0, m_neg[:, None], m_pos[:, None])
+    cross = kernel_matrix(spec, features[keep], features)
     edges = graph_edges(neighborhood_matrix(member_box))
     diff = cross[:, edges[:, 0]] - cross[:, edges[:, 1]]
     return DenseStep(m_neg=m_neg, m_pos=m_pos, cross=cross, penalty=-(diff @ diff.T),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kfdaseg.kfda import (KernelSpec, TrainingSet, build_matrices, neighborhood_matrix,
+from kfdaseg.kfda import (KernelSpec, build_matrices, neighborhood_matrix,
                           solve_alpha)
 from kfdaseg.partition import (best_cut, bin_entropy, cut_mi, measure, partition,
                                reference_field)
@@ -115,12 +115,11 @@ def test_criterion_3_eigen_solve():
         labels = np.where(rng.random(l) < 0.5, -1, 1)
         if abs(int(labels.sum())) == l:
             labels[0] = -labels[0]
-        ts = TrainingSet(feats, labels)
-        mats = build_matrices(ts, KernelSpec.rbf(0.5), *line_subdata(feats))
+        mats = build_matrices(np.arange(l), labels, KernelSpec.rbf(0.5), *line_subdata(feats))
         for lam in (0.0, 5e-5, 0.1):
             model = solve_alpha(mats, lam)
             worst_resid = max(worst_resid, model.residual)
-            pencil = within(ts, KernelSpec.rbf(0.5)) + mats.beta * np.eye(l)
+            pencil = within(feats, labels, KernelSpec.rbf(0.5)) + mats.beta * np.eye(l)
             worst_constraint = max(worst_constraint,
                                    abs(float(model.alpha @ (pencil @ model.alpha)) - 1.0))
 
@@ -130,8 +129,8 @@ def test_criterion_3_eigen_solve():
     x_neg = gen.multivariate_normal([0, 0], cov, size=n)
     x_pos = gen.multivariate_normal([3.0, 1.0], cov, size=n)
     feats = np.vstack([x_neg, x_pos])
-    ts = TrainingSet(feats, np.array([-1] * n + [1] * n))
-    mats = build_matrices(ts, KernelSpec.linear(), *line_subdata(feats))
+    mats = build_matrices(np.arange(2 * n), np.array([-1] * n + [1] * n), KernelSpec.linear(),
+                          *line_subdata(feats))
     model = solve_alpha(mats, 0.0)
     w_kfda = feats.T @ model.alpha
     mu_n, mu_p = x_neg.mean(0), x_pos.mean(0)
@@ -165,8 +164,7 @@ def test_criterion_4_penalty_identity():
         features = data[mask]
         l = min(12, len(features))
         labels = np.array([-1] * (l // 2) + [1] * (l - l // 2))
-        ts = TrainingSet(features[:l], labels)
-        mats = build_matrices(ts, KernelSpec.rbf(0.5), features, mask)
+        mats = build_matrices(np.arange(l), labels, KernelSpec.rbf(0.5), features, mask)
         edges = graph_edges(neighborhood_matrix(mask))
         for _ in range(10):
             alpha = rng.standard_normal(l)

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from kfdaseg import kfda
-from kfdaseg.kfda import (CATEGORIES, KernelSpec, TrainingSet, _labelings,
+from kfdaseg.kfda import (CATEGORIES, KernelSpec, _labelings,
                           _project_cross, _range_basis, _run_step, _stratified_cap,
                           build_matrices, categorize, class_scatter,
                           classify_outliers_mahalanobis, classify_subdomain, factor_pencil,
@@ -29,8 +29,10 @@ def subdata_line(features):
     return features, np.ones((len(features), 1, 1), dtype=bool)
 
 
-def simple_training(features, labels):
-    return TrainingSet(features, labels)
+def line_matrices(features, labels, spec):
+    """build_matrices on subdata_line(features), every voxel training."""
+    return build_matrices(np.arange(len(features)), np.asarray(labels), spec,
+                          *subdata_line(features))
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +91,11 @@ def test_gram_symmetric_and_rbf_psd():
 
 def test_single_sample_classes_give_zero_within():
     feats = np.array([[0.0, 0.0], [1.0, 1.0]])
-    ts = simple_training(feats, np.array([-1, 1]))
-    mats = build_matrices(ts, KernelSpec.linear(), *subdata_line(feats))
+    labels = np.array([-1, 1])
+    mats = line_matrices(feats, labels, KernelSpec.linear())
     m_diff = mats.m_neg - mats.m_pos
     assert np.allclose(between(mats), np.outer(m_diff, m_diff), atol=1e-12)
-    _, _, scatter = class_scatter(gram(ts, KernelSpec.linear()), ts)
+    _, _, scatter = class_scatter(gram(feats, KernelSpec.linear()), labels)
     assert np.allclose(scatter, 0.0, atol=1e-10)
 
 
@@ -101,14 +103,13 @@ def test_within_matches_literal_centering_formula():
     rng = np.random.default_rng(2)
     feats = rng.random((12, 3))
     labels = np.array([-1] * 5 + [1] * 7)
-    ts = simple_training(feats, labels)
-    mats = build_matrices(ts, KernelSpec.rbf(0.6), *subdata_line(feats))
-    g = gram(ts, KernelSpec.rbf(0.6))
-    k_neg = g[:, ts.neg_idx]
-    k_pos = g[:, ts.pos_idx]
+    mats = line_matrices(feats, labels, KernelSpec.rbf(0.6))
+    g = gram(feats, KernelSpec.rbf(0.6))
+    k_neg = g[:, labels < 0]
+    k_pos = g[:, labels > 0]
     literal = (k_neg @ (np.eye(5) - np.full((5, 5), 1 / 5)) @ k_neg.T
                + k_pos @ (np.eye(7) - np.full((7, 7), 1 / 7)) @ k_pos.T)
-    _, _, scatter = class_scatter(g, ts)
+    _, _, scatter = class_scatter(g, labels)
     assert np.allclose(scatter, literal, atol=1e-10)
     assert mats.rank == 12
     assert np.allclose(mats.basis @ mats.m_neg + mats.centre, k_neg.mean(axis=1), atol=1e-12)
@@ -125,31 +126,45 @@ def test_within_is_symmetric_and_psd_to_rounding():
     features = vol.data[vol.mask]
     sides = np.where(truth.labels[vol.mask] == CSF, -1, 1).astype(np.int8)
     keep = _stratified_cap(sides, 300, np.random.default_rng(0))
-    ts = TrainingSet(features[keep], sides[keep])
-    _, _, scatter = class_scatter(gram(ts, KernelSpec.sigmoid()), ts)
+    _, _, scatter = class_scatter(gram(features[keep], KernelSpec.sigmoid()), sides[keep])
     assert np.array_equal(scatter, scatter.T)
     evals = np.linalg.eigvalsh(scatter)
     assert evals[0] >= -1e-12 * evals[-1], evals[0] / evals[-1]
 
 
 def test_cross_factor_blocks_match_whole_kernel():
-    # column counts that leave a short last block, a one-column remainder
-    # and a single block: the blocked pass gives Q^T (C - c 1^T) and the
-    # probe residual of the whole kernel matrix C, to rounding
+    # training voxels keep and pass blocks over the other voxels that leave
+    # a short last block, a single block, a one-column remainder with a
+    # training voxel between each two blocks, and no pass at all (every
+    # voxel training): the pass gives the other voxels' rows of B and the
+    # probe residual of the whole kernel matrix C over all n columns, and
+    # build_matrices' B has every voxel's row of Q^T (C - c 1^T), all to
+    # rounding
     rng = np.random.default_rng(36)
     l = 40
-    xs = rng.random((l, 3))
     cols = kfda.CROSS_BLOCK_BYTES // (8 * l)
     q = np.linalg.qr(rng.standard_normal((l, 7)))[0]
     centre = rng.random(l)
-    for n in (5, cols - 1, 2 * cols + 1, 3 * cols + 5):
+    sides = np.where(np.arange(l) % 2, 1, -1)
+    # voxels 0, cols + 1 and 2 cols + 2 train, then 2 cols + 3 alone in the
+    # last block, then l - 3 more
+    edges = np.r_[0, cols + 1, 2 * cols + 2, np.arange(2 * cols + 4, 2 * cols + l + 1)]
+    cases = [(l + 5, None), (l + cols - 1, None), (l + 3 * cols + 5, None),
+             (2 * cols + l + 1, edges), (l, np.arange(l))]
+    for n, keep in cases:
         zs = rng.random((n, 3))
+        if keep is None:
+            keep = np.sort(rng.choice(n, size=l, replace=False))
+        assert len(keep) == l
+        rest = np.delete(np.arange(n), keep)
         for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(), KernelSpec.linear()):
-            c = kernel_matrix(spec, xs, zs)
-            cross, error, missed = _project_cross(spec, xs, zs, centre, q,
+            c = kernel_matrix(spec, zs[keep], zs)
+            atol = 1e-12 * np.abs(c).max()
+            gram = kernel_matrix(spec, zs[keep], zs[keep]) - centre[:, None]
+            cross, error, missed = _project_cross(spec, zs, keep, gram, centre, q,
                                                   np.random.default_rng(5))
-            assert np.allclose(cross, q.T @ (c - centre[:, None]), rtol=0,
-                               atol=1e-12 * np.abs(c).max())
+            assert np.allclose(cross[:, rest], q.T @ (c[:, rest] - centre[:, None]), rtol=0,
+                               atol=atol), (spec.kind, n)
             probes = np.random.default_rng(5).standard_normal((n, kfda.RANGE_PROBES))
             sketch = c @ probes
             resid = sketch - q @ (q.T @ sketch)
@@ -159,6 +174,44 @@ def test_cross_factor_blocks_match_whole_kernel():
             # the missed directions are orthonormal and orthogonal to Q
             assert np.allclose(missed.T @ missed, np.eye(missed.shape[1]), atol=1e-12)
             assert np.abs(q.T @ missed).max() <= 1e-12
+            mats = build_matrices(keep, sides, spec, *subdata_line(zs))
+            whole = mats.basis.T @ (c - mats.centre[:, None])
+            for voxels in (keep, rest):
+                assert np.allclose(mats.cross[:, voxels], whole[:, voxels], rtol=0,
+                                   atol=atol), (spec.kind, n)
+
+
+def test_build_matrices_evaluates_each_column_once(monkeypatch):
+    # the gram's columns are the training voxels' columns of the cross
+    # kernel, so each pass evaluates only the other voxels': l columns for
+    # the gram, then n - l in each pass (the sigmoid step at l = 40 redoes
+    # its pass once), and none past the gram at l = n
+    rng = np.random.default_rng(37)
+    features = rng.random((7000, 3))
+    sides = np.where(features[:, 0] > 0.5, 1, -1).astype(np.int8)
+    columns = [[]]     # the gram's, then each pass's
+
+    def spy_kernel(spec, xs, zs):
+        columns[-1].append(len(zs))
+        return kernel_matrix(spec, xs, zs)
+
+    def spy_pass(*args, project=kfda._project_cross):
+        columns.append([])
+        return project(*args)
+
+    monkeypatch.setattr(kfda, "kernel_matrix", spy_kernel)
+    monkeypatch.setattr(kfda, "_project_cross", spy_pass)
+    redone = 0
+    for n, l in ((7000, 40), (300, 300)):
+        for spec in (KernelSpec.sigmoid(), KernelSpec.rbf()):
+            keep = _stratified_cap(sides[:n], l, np.random.default_rng(0))
+            columns[:] = [[]]
+            build_matrices(keep, sides[keep], spec, *subdata_line(features[:n]))
+            assert columns[0] == [l], (spec.kind, l, columns)
+            assert [sum(cols) for cols in columns[1:]] == [n - l] * (len(columns) - 1), \
+                (spec.kind, l, columns)
+            redone += len(columns) > 2
+    assert redone
 
 
 def test_build_matrices_never_holds_the_cross_kernel():
@@ -173,10 +226,9 @@ def test_build_matrices_never_holds_the_cross_kernel():
     sides = np.where(truth.labels[vol.mask] == CSF, -1, 1).astype(np.int8)
     l = 600
     keep = _stratified_cap(sides, l, np.random.default_rng(0))
-    ts = TrainingSet(features[keep], sides[keep])
     tracemalloc.start()
     try:
-        mats = build_matrices(ts, KernelSpec.sigmoid(), features, vol.mask)
+        mats = build_matrices(keep, sides[keep], KernelSpec.sigmoid(), features, vol.mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,8 +317,7 @@ def test_penalty_identity_with_kernel_projection():
         features = data[mask]
         l = min(10, len(features))
         labels = np.array([-1] * (l // 2) + [1] * (l - l // 2))
-        ts = TrainingSet(features[:l], labels)
-        mats = build_matrices(ts, KernelSpec.rbf(0.5), features, mask)
+        mats = build_matrices(np.arange(l), labels, KernelSpec.rbf(0.5), features, mask)
         edges = graph_edges(neighborhood_matrix(mask))
         for _ in range(10):
             alpha = rng.standard_normal(l)
@@ -288,8 +339,7 @@ def test_linear_kernel_matches_fisher_closed_form():
     x_neg = rng.multivariate_normal([0, 0], cov, size=n)
     x_pos = rng.multivariate_normal([3.0, 1.0], cov, size=n)
     feats = np.vstack([x_neg, x_pos])
-    ts = simple_training(feats, np.array([-1] * n + [1] * n))
-    mats = build_matrices(ts, KernelSpec.linear(), *subdata_line(feats))
+    mats = line_matrices(feats, np.array([-1] * n + [1] * n), KernelSpec.linear())
     model = solve_alpha(mats, 0.0)
 
     w_kfda = feats.T @ model.alpha
@@ -309,12 +359,11 @@ def test_residual_and_constraint_on_random_instances():
         labels = np.where(rng.random(l) < 0.5, -1, 1)
         if abs(labels.sum()) == l:
             labels[0] = -labels[0]
-        ts = simple_training(feats, labels)
-        mats = build_matrices(ts, KernelSpec.rbf(0.5), *subdata_line(feats))
+        mats = line_matrices(feats, labels, KernelSpec.rbf(0.5))
         for lam in (0.0, 5e-5, 0.3):
             model = solve_alpha(mats, lam)
             assert model.residual <= 1e-8
-            pencil = within(ts, KernelSpec.rbf(0.5)) + mats.beta * np.eye(l)
+            pencil = within(feats, labels, KernelSpec.rbf(0.5)) + mats.beta * np.eye(l)
             assert model.alpha @ (pencil @ model.alpha) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -323,10 +372,11 @@ def test_small_instances_match_dense_eigendecomposition():
     for _ in range(10):
         l = 8
         feats = rng.normal(size=(l, 3))
-        ts = simple_training(feats, np.array([-1] * 4 + [1] * 4))
-        mats = build_matrices(ts, KernelSpec.rbf(1.0), *subdata_line(feats))
-        pencil = within(ts, KernelSpec.rbf(1.0)) + mats.beta * np.eye(l)
-        dense = dense_step(ts, KernelSpec.rbf(1.0), *subdata_line(feats), mats.beta)
+        labels = np.array([-1] * 4 + [1] * 4)
+        mats = line_matrices(feats, labels, KernelSpec.rbf(1.0))
+        pencil = within(feats, labels, KernelSpec.rbf(1.0)) + mats.beta * np.eye(l)
+        dense = dense_step(np.arange(l), labels, KernelSpec.rbf(1.0), *subdata_line(feats),
+                           mats.beta)
         m_diff = dense.m_neg - dense.m_pos
         for lam in (0.0, 0.1, 10.0):
             a = np.outer(m_diff, m_diff) + lam * dense.penalty
@@ -355,9 +405,8 @@ def test_sweep_matches_dense_eigendecomposition():
         rows = np.sort(rng.choice(n, size=l, replace=False))
         labels = np.where(rng.random(l) < 0.5, -1, 1)
         labels[0], labels[-1] = -1, 1
-        ts = TrainingSet(feats[rows], labels)
         for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(1.0)):
-            mats = build_matrices(ts, spec, *subdata_line(feats))
+            mats = build_matrices(rows, labels, spec, *subdata_line(feats))
             calls = []
 
             def counted(v, matvec=mats.penalty_matvec):
@@ -365,7 +414,7 @@ def test_sweep_matches_dense_eigendecomposition():
                 return matvec(v)
 
             mats.penalty_matvec = counted
-            dense = dense_step(ts, spec, *subdata_line(feats), mats.beta)
+            dense = dense_step(rows, labels, spec, *subdata_line(feats), mats.beta)
             gammas = []
             for lam in grid:
                 model = solve_alpha(mats, lam)
@@ -396,14 +445,13 @@ def test_solve_matches_dense_oracle_on_phantom_steps():
         sides = np.where(np.isin(labels[member], neg), -1, 1).astype(np.int8)
         for l in (300, 24):
             keep = _stratified_cap(sides, l, np.random.default_rng(0))
-            ts = TrainingSet(features[keep], sides[keep])
-            mats = build_matrices(ts, spec, features, member)
+            mats = build_matrices(keep, sides[keep], spec, features, member)
             assert (mats.rank == l) == (l == 24), (spec.kind, l, mats.rank)
             if spec.kind == "sigmoid" and l == 300:
-                g = gram(ts, spec)
+                g = gram(features[keep], spec)
                 floor = 64.0 * np.finfo(np.float64).eps * float((g * g).sum())
                 assert mats.beta == pytest.approx(floor, rel=1e-9)
-            dense = dense_step(ts, spec, features, member, mats.beta)
+            dense = dense_step(keep, sides[keep], spec, features, member, mats.beta)
             for lam in kfda.LAMBDA_GRID:
                 model = solve_alpha(mats, lam)
                 top, _, expected = dense_solve(dense, lam)
@@ -497,10 +545,9 @@ def test_lambda_zero_maximizes_classical_criterion():
     rng = np.random.default_rng(7)
     feats = rng.random((20, 3))
     labels = np.array([-1] * 9 + [1] * 11)
-    ts = simple_training(feats, labels)
-    mats = build_matrices(ts, KernelSpec.rbf(0.5), *subdata_line(feats))
+    mats = line_matrices(feats, labels, KernelSpec.rbf(0.5))
     model = solve_alpha(mats, 0.0)
-    pencil = within(ts, KernelSpec.rbf(0.5)) + mats.beta * np.eye(20)
+    pencil = within(feats, labels, KernelSpec.rbf(0.5)) + mats.beta * np.eye(20)
     m_diff = mats.m_neg - mats.m_pos
     best = float((model.alpha @ m_diff) ** 2)        # constraint = 1 already
     for _ in range(1000):
@@ -518,8 +565,7 @@ def test_lambda_monotonically_smooths_projections():
     labels = np.where(features[:, 0] > np.median(features[:, 0]), 1, -1)
     labels[0] = -1
     labels[1] = 1
-    ts = TrainingSet(features, labels)
-    mats = build_matrices(ts, KernelSpec.rbf(0.5), features, mask)
+    mats = build_matrices(np.arange(len(features)), labels, KernelSpec.rbf(0.5), features, mask)
     grid = (0.0, 0.000025, 0.00005, 0.000075, 0.0001)
     rough = []
     for lam in grid:
@@ -533,11 +579,10 @@ def test_projection_sign_convention_and_midpoint():
     rng = np.random.default_rng(9)
     feats = np.vstack([rng.normal(0.2, 0.05, size=(10, 3)),
                        rng.normal(0.8, 0.05, size=(10, 3))])
-    ts = simple_training(feats, np.array([-1] * 10 + [1] * 10))
     spec = KernelSpec.rbf(0.5)
-    mats = build_matrices(ts, spec, *subdata_line(feats))
+    mats = line_matrices(feats, np.array([-1] * 10 + [1] * 10), spec)
     model = solve_alpha(mats, 0.0)
-    proj = project(model, ts, spec, feats)
+    proj = project(model, feats, spec, feats)
     assert proj[10:].mean() > 0 > proj[:10].mean()
     # midpoint of projected class means sits at zero by the offset choice
     assert proj[:10].mean() + proj[10:].mean() == pytest.approx(0.0, abs=1e-10)
@@ -546,12 +591,11 @@ def test_projection_sign_convention_and_midpoint():
 def test_project_matches_direct_sum():
     rng = np.random.default_rng(10)
     feats = rng.random((12, 3))
-    ts = simple_training(feats, np.array([-1] * 6 + [1] * 6))
     spec = KernelSpec.sigmoid(8, -0.0005)
-    mats = build_matrices(ts, spec, *subdata_line(feats))
+    mats = line_matrices(feats, np.array([-1] * 6 + [1] * 6), spec)
     model = solve_alpha(mats, 0.0)
     queries = rng.random((10, 3))
-    values = project(model, ts, spec, queries)
+    values = project(model, feats, spec, queries)
     for q, got in zip(queries, values):
         direct = sum(model.alpha[m] * kernel_eval(spec, feats[m], q)
                      for m in range(12)) + model.b_offset

@@ -118,7 +118,7 @@ def test_leaf_without_mask_voxels(tmp_path):
 def test_in_plane_thin_volume_passes_labels_through(tmp_path, dims):
     # under 3 voxels on axis 0 or 1 no leaf's box holds an MSSIM window: each
     # step is skipped with its reason and the initial labels come through,
-    # and the report validates with null MSSIM columns
+    # and the report validates with null MSSIM columns and window size
     vol, truth = generate_phantom(PhantomSpec(dims=dims, noise_sigma=0.05,
                                               bias_amplitude=0.1, pv_blur=1.0,
                                               geometry="blocks"))
@@ -130,6 +130,7 @@ def test_in_plane_thin_volume_passes_labels_through(tmp_path, dims):
     for row, diag in zip(report.subdomains, report.diagnostics):
         assert not window_fits(vol.mask[box_slices(row["padded_bounds"])].shape)
         assert row["mssim_initial"] is None and row["mssim_kfda"] is None
+        assert row["ssim_window"] is None
         assert diag["steps"] == {key: {"skipped": "box thinner in plane than the MSSIM window"}
                                  for key in ("csf_vs_gwm", "gm_vs_wm")}
     assert np.array_equal(load_labels(out / "labels.u8raw").labels, init.labels)

@@ -10,7 +10,9 @@ its `l_max=2000`. Prints one JSON object: per config, the sha256 of
 `labels.u8raw`, `subdomains.json`, `partition.json`, `mssim_table.csv`,
 `curves.csv` and of `report.json` less `config.out_dir` (the one field that
 names the run's directory), and each leaf's per-step decision: the chosen
-lambda, that solve's best k and its route, or the step's skip reason.
+lambda, that solve's best k and its route, and the rank of the step's
+kernel factor, or the step's skip reason. A change that moves rounding so
+that a rank changes then shows it beside any lambda, k or route it moves.
 
 A change that should leave every output as it was is checked by running
 this at the change and at its parent and diffing the two outputs. Every
@@ -57,7 +59,7 @@ def fingerprint(out: Path) -> dict:
                 continue
             entry = next(e for e in step["sweep"] if e["lambda"] == step["chosen_lambda"])
             steps[key] = (f"lambda {step['chosen_lambda']}, k {entry.get('best_k')}, "
-                          f"{entry.get('route', entry.get('fallback'))}")
+                          f"{entry.get('route', entry.get('fallback'))}, rank {step['rank']}")
         decisions.append(steps)
     doc["decisions"] = decisions
     return doc
