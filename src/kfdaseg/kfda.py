@@ -8,16 +8,19 @@ eigenproblem. A step trains on its own voxels, named by sorted indices. A
 smooth kernel on intensity vectors has low numerical rank, so each step
 first factors the cross kernel between the training voxels and every
 voxel as C ~ Q B^T, with Q (l x r) orthonormal, to a relative error of
-RANGE_TOL: a randomized range finder on the gram, then one blocked pass
-over the other voxels for their rows of B, the training voxels' rows
-coming from the gram, so each column of C is evaluated and projected once
-(build_matrices). The class means, the within-class matrix, ridged once
-so that its pencil always factors (build_matrices), and the penalty are
-then r x r, and every regularization weight of the sweep is one dense
-eigenproblem of that size (solve_alpha); the l x n cross kernel never
-exists whole. Voxels are then categorized by projection sign into tissue
-prototypes, an overlapping set and class outliers. Each solve lists its
-candidate labelings in tie order (_labelings): the outliers reassigned by Mahalanobis distance and
+RANGE_TOL: a randomized range finder on the gram gives Q and the
+training voxels' rows of B, the gram is released, and one blocked pass
+over the other voxels gives their rows, so each column of C is evaluated
+and projected once; a redo projects every column on the directions it
+adds alone (build_matrices). The class means, the within-class matrix,
+ridged once so that its pencil always factors (build_matrices), and the
+penalty, summed over row blocks of the graph, are then r x r, and every
+regularization weight of the sweep is one dense eigenproblem of that size
+(solve_alpha). A step holds one large array at a time, the gram or B:
+the l x n cross kernel never exists whole. Voxels are then categorized
+by projection sign into tissue prototypes, an overlapping set and class
+outliers. Each solve lists its candidate labelings in tie order
+(_labelings): the outliers reassigned by Mahalanobis distance and
 the overlapping set by a k-nearest-neighbour vote for each k, then the
 Mahalanobis labeling alone. Selection is MSSIM-guided: the first best
 candidate of each solve, then the first best solve of the sweep.
@@ -298,40 +301,36 @@ def _range_basis(gram: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _project_cross(spec: KernelSpec, features: np.ndarray, keep: np.ndarray,
-                   gram: np.ndarray, centre: np.ndarray, q: np.ndarray,
-                   rng: np.random.Generator) -> tuple[np.ndarray, float, np.ndarray]:
-    """(B^T, error, missed) of the factor C - centre 1^T ~ Q B^T of
-    C = kernel_matrix(spec, features[keep], features), in one pass over the
-    voxels outside keep; B^T's columns keep are left for the caller, who
-    has them from gram, C's training columns C[:, keep] - centre 1^T.
+                   voxels: np.ndarray, centre: np.ndarray, q: np.ndarray, start: int,
+                   cross: np.ndarray, sketch: np.ndarray,
+                   probes: np.ndarray) -> tuple[float, np.ndarray]:
+    """(error, missed) of the factor C - centre 1^T ~ Q B^T of
+    C = kernel_matrix(spec, features[keep], features), after one pass over
+    the given voxels that writes their rows of B on Q's columns from start,
+    cross[voxels, start:], and leaves cross's other entries as they are.
 
-    The pass evaluates C in blocks of about CROSS_BLOCK_BYTES of float64,
-    so C never exists whole. It also applies C to RANGE_PROBES Gaussian
-    vectors W, one entry per voxel, the training columns' part taken from
-    gram: missed is (I - Q Q^T) C W less its directions at most SKETCH_TOL
-    of C W's largest column, and error is missed's largest column relative
-    to that one, an estimate of ||C - Q Q^T C|| / ||C||.
+    The pass evaluates C[:, voxels] in blocks of about CROSS_BLOCK_BYTES of
+    float64, so C never exists whole. It also applies C to the Gaussian
+    probe vectors W, one row of probes per voxel: sketch holds C W's part
+    from the columns outside voxels on entry (build_matrices takes the
+    training columns' part from the gram) and C W on return. missed is
+    (I - Q Q^T) C W less its directions at most SKETCH_TOL of C W's largest
+    column, and error is missed's largest column relative to that one, an
+    estimate of ||C - Q Q^T C|| / ||C||.
     """
     xs = features[keep]
-    n = len(features)
-    # stored as the rows of B, so that the sparse product with the graph
-    # and the voxel projections read it in C order
-    cross = np.empty((n, q.shape[1]))
-    probes = rng.standard_normal((n, RANGE_PROBES))
-    train_probes = probes[keep]
-    sketch = gram @ train_probes + np.outer(centre, train_probes.sum(axis=0))
-    rest = np.delete(np.arange(n), keep)
+    directions = q[:, start:]
     cols = max(1, CROSS_BLOCK_BYTES // (8 * len(xs)))
-    for start in range(0, len(rest), cols):
-        block_idx = rest[start:start + cols]
+    for first in range(0, len(voxels), cols):
+        block_idx = voxels[first:first + cols]
         block = kernel_matrix(spec, xs, features[block_idx])
         sketch += block @ probes[block_idx]
         block -= centre[:, None]
-        cross[block_idx] = block.T @ q
+        cross[block_idx, start:] = block.T @ directions
     missed = sketch - q @ (q.T @ sketch)
     scale = float(np.linalg.norm(sketch, axis=0).max())
     error = float(np.linalg.norm(missed, axis=0).max()) / scale if scale > 0 else 0.0
-    return cross.T, error, _orthonormal_columns(q, missed, SKETCH_TOL * scale)
+    return error, _orthonormal_columns(q, missed, SKETCH_TOL * scale)
 
 
 def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
@@ -351,18 +350,25 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     sigmoid kernel is nearly constant, and projected uncentred it rounded
     away the variations the penalty is made of (on the 24^3 benchmark
     phantom's CSF step at l = 300, gamma at lambda = 1e-4 was 2e-6 off a
-    long-double reference, against 6e-8 centred). One blocked pass over
-    the voxels outside keep, none at l = n, gives their rows of
-    B^T = Q^T (C - c 1^T). The training voxels' rows are the centred
-    gram's, Q^T (gram - c 1^T), formed once after the last pass, which
-    class_scatter takes too: each training column is evaluated and
-    projected once. The pass also gives a probe estimate of C's error
-    outside span Q (_project_cross); while that misses RANGE_TOL, Q grows
-    by the missed directions and the pass is redone. The class means, the
-    within-class matrix (class_scatter), its ridged Cholesky factor
-    (factor_pencil) and the penalty B^T H B are then r x r, taken in Q's
-    coordinates. The neighbour graph H is built first, so its build's
-    buffers are gone before the cross kernel is projected.
+    long-double reference, against 6e-8 centred).
+
+    The gram and B never coexist. What needs the gram is formed first: the
+    training columns' part of the probe sketch and their rows of
+    B^T = Q^T (C - c 1^T), the centred gram's Q^T (gram - c 1^T). The gram
+    is then released and B, (n, r) in C order, allocated. One
+    blocked pass over the voxels outside keep, none at l = n, gives their
+    rows of B and a probe estimate of C's error outside span Q
+    (_project_cross), so each column of C is evaluated and projected once.
+    While that misses RANGE_TOL, Q grows by the m missed directions: B
+    moves into one new (n, r + m) array whose first r columns stay, and a
+    pass over every voxel, the training voxels' columns evaluated again,
+    projects each column on the added directions only. The class means, the
+    within-class matrix (class_scatter, on the training voxels' rows of B),
+    its ridged Cholesky factor (factor_pencil) and the penalty are then
+    r x r, taken in Q's coordinates. The penalty B^T H B is summed over row
+    blocks R of the neighbour graph H of about CROSS_BLOCK_BYTES each,
+    B[R]^T (H[R] B), so no second (n, r) array exists. H is built first,
+    so its build's buffers are gone before the gram is evaluated.
 
     The ridge beta, RIDGE_SCALE times the mean over the l samples of the
     within-class diagonal and at least a floor 64 eps ||gram||_F^2, lets
@@ -377,7 +383,7 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     tr(N) = 0, N is 0 and the pencil is beta I. Past that l the factor may
     raise numpy's LinAlgError, a ValueError, as a non-finite pencil does.
     """
-    l = len(keep)
+    l, n = len(keep), len(features)
     h = neighborhood_matrix(member_box)
     xs = features[keep]
     # one buffer on both sides: numpy forms xs xs^T as a symmetric product
@@ -390,22 +396,40 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     q = _range_basis(gram, rng)
     centre = gram.mean(axis=1)
     gram -= centre[:, None]
+    probes = rng.standard_normal((n, RANGE_PROBES))
+    sketch = gram @ probes[keep] + np.outer(centre, probes[keep].sum(axis=0))
+    projected = q.T @ gram
+    del gram
+    # stored as the rows of B, so that the sparse products with the graph
+    # and the voxel projections read it in C order
+    cross = np.empty((n, q.shape[1]))
+    cross[keep] = projected.T
+    voxels, start = np.delete(np.arange(n), keep), 0
     while True:
-        cross, range_error, missed = _project_cross(spec, features, keep, gram, centre, q, rng)
+        range_error, missed = _project_cross(spec, features, keep, voxels, centre, q, start,
+                                             cross, sketch, probes)
         if range_error <= RANGE_TOL or q.shape[1] == l:
             break
+        start = q.shape[1]
         q = np.hstack([q, missed])
-        del cross
-    projected = q.T @ gram
-    cross[:, keep] = projected
-    m_neg, m_pos, within = class_scatter(projected, sides)
-    del gram, projected
+        grown = np.empty((n, q.shape[1]))
+        grown[:, :start] = cross
+        cross = grown
+        probes = rng.standard_normal((n, RANGE_PROBES))
+        sketch = np.zeros((l, RANGE_PROBES))
+        voxels = np.arange(n)
+    m_neg, m_pos, within = class_scatter(cross[keep].T.copy(), sides)
     # trace 0 happens for single-sample classes; keep the pencil definite
     beta = max(RIDGE_SCALE * float(np.trace(within)) / l or 1e-10, floor)
     factor = factor_pencil(within, beta)
-    penalty = cross @ h.dot(cross.T)
+    rank = q.shape[1]
+    penalty = np.zeros((rank, rank))
+    rows = max(1, CROSS_BLOCK_BYTES // (8 * max(rank, 1)))
+    for first in range(0, n, rows):
+        block = slice(first, first + rows)
+        penalty += cross[block].T @ (h[block] @ cross)
     return KfdaMatrices(basis=q, m_neg=m_neg, m_pos=m_pos, factor_inv=np.linalg.inv(factor),
-                        beta=beta, penalty=0.5 * (penalty + penalty.T), cross=cross,
+                        beta=beta, penalty=0.5 * (penalty + penalty.T), cross=cross.T,
                         centre=centre, range_error=range_error)
 
 

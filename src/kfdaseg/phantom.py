@@ -153,13 +153,18 @@ def kmeans_init(vol: MultiChannelVolume, seed: int = 0) -> LabelVolume:
     """
     n_classes = len(TISSUE_LABELS)
     features = vol.data[vol.mask].astype(np.float64)
-    if len(np.unique(features, axis=0)) < n_classes:
-        raise ValueError(f"need at least {n_classes} distinct intensity vectors")
+    # one distinct row at a time, each found in one pass over the rows
+    distinct = features[:1]
+    while len(distinct) < n_classes:
+        other = np.flatnonzero((features[:, None] != distinct).any(axis=2).all(axis=1))
+        if not len(other):
+            raise ValueError(f"need at least {n_classes} distinct intensity vectors")
+        distinct = np.vstack([distinct, features[other[:1]]])
     assignments = None
     for attempt in range(KMEANS_RETRIES):
         _, lab = kmeans2(features, n_classes, minit="++",
                          seed=np.random.default_rng(seed + attempt), iter=20)
-        if len(np.unique(lab)) == n_classes:
+        if np.bincount(lab, minlength=n_classes).all():
             assignments = lab
             break
         logger.warning("k-means produced an empty cluster (attempt %d)", attempt + 1)

@@ -136,12 +136,15 @@ def test_cross_factor_blocks_match_whole_kernel():
     # training voxels keep and pass blocks over the other voxels that leave
     # a short last block, a single block, a one-column remainder with a
     # training voxel between each two blocks, and no pass at all (every
-    # voxel training): the pass gives the other voxels' rows of B and the
-    # probe residual of the whole kernel matrix C over all n columns, and
+    # voxel training). A first pass over the other voxels on Q's first 5
+    # columns, the training voxels' rows taken from the gram, and a redo
+    # over every voxel on the 2 added columns give every voxel's row of B
+    # and, after each, the probe residual of the whole kernel matrix C over
+    # all n columns; the redo leaves the first columns as they were, and
     # build_matrices' B has every voxel's row of Q^T (C - c 1^T), all to
     # rounding
     rng = np.random.default_rng(36)
-    l = 40
+    l, first = 40, 5
     cols = kfda.CROSS_BLOCK_BYTES // (8 * l)
     q = np.linalg.qr(rng.standard_normal((l, 7)))[0]
     centre = rng.random(l)
@@ -151,53 +154,74 @@ def test_cross_factor_blocks_match_whole_kernel():
     edges = np.r_[0, cols + 1, 2 * cols + 2, np.arange(2 * cols + 4, 2 * cols + l + 1)]
     cases = [(l + 5, None), (l + cols - 1, None), (l + 3 * cols + 5, None),
              (2 * cols + l + 1, edges), (l, np.arange(l))]
+
+    def check_error(error, missed, basis, c, probes):
+        sketch = c @ probes
+        resid = sketch - basis @ (basis.T @ sketch)
+        expected = np.linalg.norm(resid, axis=0).max() / np.linalg.norm(sketch, axis=0).max()
+        assert error == pytest.approx(expected, rel=1e-9), (spec.kind, n)
+        # the missed directions are orthonormal and orthogonal to the basis
+        assert np.allclose(missed.T @ missed, np.eye(missed.shape[1]), atol=1e-12)
+        assert np.abs(basis.T @ missed).max() <= 1e-12
+
     for n, keep in cases:
         zs = rng.random((n, 3))
         if keep is None:
             keep = np.sort(rng.choice(n, size=l, replace=False))
         assert len(keep) == l
         rest = np.delete(np.arange(n), keep)
+        probes = np.random.default_rng(5).standard_normal((n, kfda.RANGE_PROBES))
         for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(), KernelSpec.linear()):
             c = kernel_matrix(spec, zs[keep], zs)
             atol = 1e-12 * np.abs(c).max()
+            whole = q.T @ (c - centre[:, None])
             gram = kernel_matrix(spec, zs[keep], zs[keep]) - centre[:, None]
-            cross, error, missed = _project_cross(spec, zs, keep, gram, centre, q,
-                                                  np.random.default_rng(5))
-            assert np.allclose(cross[:, rest], q.T @ (c[:, rest] - centre[:, None]), rtol=0,
-                               atol=atol), (spec.kind, n)
-            probes = np.random.default_rng(5).standard_normal((n, kfda.RANGE_PROBES))
-            sketch = c @ probes
-            resid = sketch - q @ (q.T @ sketch)
-            expected = np.linalg.norm(resid, axis=0).max() / np.linalg.norm(sketch,
-                                                                            axis=0).max()
-            assert error == pytest.approx(expected, rel=1e-9), (spec.kind, n)
-            # the missed directions are orthonormal and orthogonal to Q
-            assert np.allclose(missed.T @ missed, np.eye(missed.shape[1]), atol=1e-12)
-            assert np.abs(q.T @ missed).max() <= 1e-12
+            cross = np.full((n, first), np.nan)
+            cross[keep] = (q[:, :first].T @ gram).T
+            sketch = gram @ probes[keep] + np.outer(centre, probes[keep].sum(axis=0))
+            error, missed = _project_cross(spec, zs, keep, rest, centre, q[:, :first], 0,
+                                           cross, sketch, probes)
+            assert np.allclose(cross, whole[:first].T, rtol=0, atol=atol), (spec.kind, n)
+            check_error(error, missed, q[:, :first], c, probes)
+            grown = np.full((n, q.shape[1]), np.nan)
+            grown[:, :first] = cross
+            error, missed = _project_cross(spec, zs, keep, np.arange(n), centre, q, first,
+                                           grown, np.zeros((l, kfda.RANGE_PROBES)), probes)
+            assert np.array_equal(grown[:, :first], cross)
+            cross = grown
+            assert np.allclose(cross, whole.T, rtol=0, atol=atol), (spec.kind, n)
+            check_error(error, missed, q, c, probes)
             mats = build_matrices(keep, sides, spec, *subdata_line(zs))
-            whole = mats.basis.T @ (c - mats.centre[:, None])
-            for voxels in (keep, rest):
-                assert np.allclose(mats.cross[:, voxels], whole[:, voxels], rtol=0,
-                                   atol=atol), (spec.kind, n)
+            assert np.allclose(mats.cross, mats.basis.T @ (c - mats.centre[:, None]), rtol=0,
+                               atol=atol), (spec.kind, n)
 
 
 def test_build_matrices_evaluates_each_column_once(monkeypatch):
     # the gram's columns are the training voxels' columns of the cross
-    # kernel, so each pass evaluates only the other voxels': l columns for
-    # the gram, then n - l in each pass (the sigmoid step at l = 40 redoes
-    # its pass once), and none past the gram at l = n
+    # kernel: l columns for the gram, then the first pass evaluates the
+    # n - l other voxels' and projects them on all of Q. The gram is gone
+    # by a redo (the sigmoid step at l = 40 redoes its pass once), which
+    # evaluates all n columns and projects them only on the directions it
+    # adds, leaving every row's earlier entries as they were. At l = n no
+    # column is evaluated past the gram
     rng = np.random.default_rng(37)
     features = rng.random((7000, 3))
     sides = np.where(features[:, 0] > 0.5, 1, -1).astype(np.int8)
     columns = [[]]     # the gram's, then each pass's
+    passes = []        # (voxels, first direction projected, rank) of each pass
 
     def spy_kernel(spec, xs, zs):
         columns[-1].append(len(zs))
         return kernel_matrix(spec, xs, zs)
 
-    def spy_pass(*args, project=kfda._project_cross):
+    def spy_pass(spec, features, keep, voxels, centre, q, start, cross, sketch, probes,
+                 project=kfda._project_cross):
         columns.append([])
-        return project(*args)
+        kept = cross[:, :start].copy()
+        result = project(spec, features, keep, voxels, centre, q, start, cross, sketch, probes)
+        assert np.array_equal(cross[:, :start], kept)
+        passes.append((len(voxels), start, q.shape[1]))
+        return result
 
     monkeypatch.setattr(kfda, "kernel_matrix", spy_kernel)
     monkeypatch.setattr(kfda, "_project_cross", spy_pass)
@@ -206,37 +230,49 @@ def test_build_matrices_evaluates_each_column_once(monkeypatch):
         for spec in (KernelSpec.sigmoid(), KernelSpec.rbf()):
             keep = _stratified_cap(sides[:n], l, np.random.default_rng(0))
             columns[:] = [[]]
-            build_matrices(keep, sides[keep], spec, *subdata_line(features[:n]))
+            passes.clear()
+            mats = build_matrices(keep, sides[keep], spec, *subdata_line(features[:n]))
             assert columns[0] == [l], (spec.kind, l, columns)
-            assert [sum(cols) for cols in columns[1:]] == [n - l] * (len(columns) - 1), \
-                (spec.kind, l, columns)
-            redone += len(columns) > 2
+            voxels = [n - l] + [n] * (len(passes) - 1)
+            assert [sum(cols) for cols in columns[1:]] == voxels, (spec.kind, l, columns)
+            assert [p[0] for p in passes] == voxels, (spec.kind, l, passes)
+            # the first pass projects on all of Q, each redo on what it adds
+            assert [p[1] for p in passes] == [0] + [p[2] for p in passes[:-1]], passes
+            assert passes[-1][2] == mats.rank
+            redone += len(passes) > 1
     assert redone
 
 
 def test_build_matrices_never_holds_the_cross_kernel():
     # the cross kernel between the samples and every voxel is evaluated in
-    # blocks and only its projection Q^T C is kept: the peak is the graph,
-    # that projection with the sparse product's buffer of its size, a few
-    # l x l buffers and a block, under the float64 cross kernel alone
+    # blocks and only its projection B^T = Q^T (C - c 1^T) is kept; the
+    # gram is released before B is allocated, and the penalty B^T H B is
+    # summed over row blocks of the graph H. So the peak is the graph, the
+    # larger of B and the gram, and a few blocks and l x r buffers, under
+    # the float64 cross kernel alone. B outweighs the gram at l = 600 and
+    # the gram outweighs B at l = 2000: holding a second array of B's size,
+    # or the gram beside B, breaks the bound
     from kfdaseg.phantom import PhantomSpec, generate_phantom
     vol, truth = generate_phantom(PhantomSpec(dims=(40, 40, 40), noise_sigma=0.05,
                                               bias_amplitude=0.10, pv_blur=1.0, seed=11))
     features = vol.data[vol.mask].astype(np.float64)
+    n = len(features)
     sides = np.where(truth.labels[vol.mask] == CSF, -1, 1).astype(np.int8)
-    l = 600
-    keep = _stratified_cap(sides, l, np.random.default_rng(0))
-    tracemalloc.start()
-    try:
-        mats = build_matrices(keep, sides[keep], KernelSpec.sigmoid(), features, vol.mask)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     h = neighborhood_matrix(vol.mask)
     graph = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
-    assert mats.cross.shape == (mats.rank, len(features))
-    budget = graph + 2 * mats.cross.nbytes + 4 * l * l * 8 + 2 * kfda.CROSS_BLOCK_BYTES
-    assert peak < budget < l * len(features) * 8, (peak, budget)
+    for l, gram_larger in ((600, False), (2000, True)):
+        keep = _stratified_cap(sides, l, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            mats = build_matrices(keep, sides[keep], KernelSpec.sigmoid(), features, vol.mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mats.cross.shape == (mats.rank, n)
+        assert (l * l > mats.rank * n) == gram_larger, (l, mats.rank)
+        budget = (graph + max(mats.cross.nbytes, l * l * 8) + 3 * kfda.CROSS_BLOCK_BYTES
+                  + 4 * l * mats.rank * 8)
+        assert peak < budget < l * n * 8, (l, peak, budget)
 
 
 def test_two_voxel_neighborhood_matrix():
@@ -542,16 +578,24 @@ def test_stratified_cap_keeps_two_rows_of_each_class():
 
 
 def test_lambda_zero_maximizes_classical_criterion():
+    # at lambda = 0, alpha maximizes (a^T d)^2 subject to a^T (N + beta I) a
+    # = 1, d the gram's class-mean difference: no random direction beats
+    # it, nor any direction near it, which a slightly wrong alpha would lose to
     rng = np.random.default_rng(7)
     feats = rng.random((20, 3))
     labels = np.array([-1] * 9 + [1] * 11)
-    mats = line_matrices(feats, labels, KernelSpec.rbf(0.5))
+    spec = KernelSpec.rbf(0.5)
+    mats = line_matrices(feats, labels, spec)
     model = solve_alpha(mats, 0.0)
-    pencil = within(feats, labels, KernelSpec.rbf(0.5)) + mats.beta * np.eye(20)
-    m_diff = mats.m_neg - mats.m_pos
+    pencil = within(feats, labels, spec) + mats.beta * np.eye(20)
+    g = gram(feats, spec)
+    m_diff = g[:, labels < 0].mean(axis=1) - g[:, labels > 0].mean(axis=1)
     best = float((model.alpha @ m_diff) ** 2)        # constraint = 1 already
-    for _ in range(1000):
-        cand = rng.standard_normal(20)
+    candidates = [rng.standard_normal(20) for _ in range(1000)]
+    size = np.linalg.norm(model.alpha)
+    candidates += [model.alpha + scale * size * rng.standard_normal(20)
+                   for scale in (1e-1, 1e-2, 1e-3) for _ in range(100)]
+    for cand in candidates:
         cand /= math.sqrt(float(cand @ (pencil @ cand)))
         assert float((cand @ m_diff) ** 2) <= best + 1e-9
 
