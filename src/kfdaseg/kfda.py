@@ -8,16 +8,17 @@ eigenproblem. A step trains on its own voxels, named by sorted indices. A
 smooth kernel on intensity vectors has low numerical rank, so each step
 first factors the cross kernel between the training voxels and every
 voxel as C ~ Q B^T, with Q (l x r) orthonormal, to a relative error of
-RANGE_TOL: a randomized range finder on the gram gives Q and the
-training voxels' rows of B, the gram is released, and one blocked pass
-over the other voxels gives their rows, so each column of C is evaluated
-and projected once; a redo projects every column on the directions it
-adds alone (build_matrices). The class means, the within-class matrix,
-ridged once so that its pencil always factors (build_matrices), and the
-penalty, summed over row blocks of the graph, are then r x r, and every
-regularization weight of the sweep is one dense eigenproblem of that size
-(solve_alpha). A step holds one large array at a time, the gram or B:
-the l x n cross kernel never exists whole. Voxels are then categorized
+RANGE_TOL, in two blocked sweeps (build_matrices): a randomized range
+finder gives Q from one sweep over the l x l sample kernel in row blocks
+(_range_basis, _sample_sweep), and one pass over every voxel in index
+order writes each voxel's row of B in place (_project_cross); a redo
+projects every column on the directions it adds alone. The class means,
+the within-class matrix, ridged once so that its pencil always factors
+(build_matrices), and the penalty, summed over row blocks of the graph,
+are then r x r, and every regularization weight of the sweep is one
+dense eigenproblem of that size (solve_alpha). A step's largest arrays
+are B and the range finder's products: neither the sample kernel nor
+the l x n cross kernel ever exists whole. Voxels are then categorized
 by projection sign into tissue prototypes, an overlapping set and class
 outliers. Each solve lists its candidate labelings in tie order
 (_labelings): the outliers reassigned by Mahalanobis distance and
@@ -26,9 +27,10 @@ Mahalanobis labeling alone. Selection is MSSIM-guided: the first best
 candidate of each solve, then the first best solve of the sweep.
 classify_subdomain runs both binary steps, CSF vs G+WM and then GM vs WM,
 as one loop over a step table; each step's scorer renders a labeling's
-classified mean image, scores it against the reference and caches the
-result, so every distinct labeling is scored once per step; a box with
-no MSSIM window skips both. Its grids and training-set cap come from the
+classified mean image, scores it against the reference's window
+statistics, computed once per box, and caches the result, so every
+distinct labeling is scored once per step; a box with no MSSIM window
+skips both. Its grids and training-set cap come from the
 PipelineConfig, whose defaults are LAMBDA_GRID, K_GRID and L_MAX; the
 published categorization thresholds (TAU_BAND, TAU_OUTLIER) and the two
 ridges (RIDGE_SCALE, MAHALANOBIS_RIDGE) are module constants. A voxel's
@@ -108,7 +110,7 @@ def kernel_matrix(spec: KernelSpec, xs: np.ndarray, zs: np.ndarray) -> np.ndarra
     """Pairwise kernel matrix K[i, j] = K(xs[i], zs[j]).
 
     Works in place on a single (m, n) buffer; build_matrices evaluates the
-    cross kernel in column blocks of about CROSS_BLOCK_BYTES.
+    sample and the cross kernel in blocks of about CROSS_BLOCK_BYTES.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     zs = np.atleast_2d(np.asarray(zs, dtype=np.float64))
@@ -183,7 +185,7 @@ class KfdaMatrices:
     beta: float                 # the pencil's ridge (build_matrices)
     penalty: np.ndarray         # (r, r) B^T H B, H the voxels' neighbourhood graph
     cross: np.ndarray           # (r, n) B^T = Q^T (C - c 1^T)
-    centre: np.ndarray          # (l,) c, the gram's mean column
+    centre: np.ndarray          # (l,) c, the sample kernel's mean column
     range_error: float          # estimated ||C - Q Q^T C|| relative to ||C||
 
     @property
@@ -206,18 +208,28 @@ class KfdaMatrices:
 
 # the cross kernel's factor (build_matrices): its accepted relative error,
 # estimated by RANGE_PROBES Gaussian probes per pass over the voxels, and
-# the finer one its range finder resolves the gram to, in blocks of
-# RANGE_BLOCK columns from a fixed-seed stream. A sample resolves its own
-# columns better than the voxels it was drawn from: on the benchmark's
-# steps the cross kernel's error after the sketch ran up to 1000 times
-# the gram's
+# the finer one its range finder resolves the sample kernel to, in blocks
+# of RANGE_BLOCK columns from a fixed-seed stream. A sample resolves its
+# own columns better than the voxels it was drawn from: on the benchmark's
+# steps the cross kernel's error after the sketch ran up to 1000 times the
+# sample kernel's. The first sweep over the sample kernel takes
+# RANGE_AHEAD blocks (_range_basis): a block the range finder leaves
+# unused costs its product, a second sweep two to four blocks' products,
+# and the range finder took 4 to 8 blocks on the benchmark's steps and on
+# the 64^3 run's at l_max = 4000
 RANGE_TOL = 1e-8
 SKETCH_TOL = 1e-11
 RANGE_BLOCK = 32
+RANGE_AHEAD = 8
 RANGE_PROBES = 4
 RANGE_SEED = 9999
-# float64 bytes of one block of the cross kernel
-CROSS_BLOCK_BYTES = 2 * 2 ** 20
+# float64 bytes of one block of the sample or the cross kernel: at 1 MiB
+# the passes over a block stay in a core's 2 MiB L2 cache, and the
+# benchmark's steps built 4-7% faster than at 2 MiB. The penalty's blocks
+# H[R] B (build_matrices) stay at 2 MiB: halving them bought no time and
+# moved more of the degenerate solves' categories (ROADMAP item 4b)
+CROSS_BLOCK_BYTES = 2 ** 20
+PENALTY_BLOCK_BYTES = 2 * 2 ** 20
 
 
 def class_scatter(gram: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -275,21 +287,46 @@ def _orthonormal_columns(q: np.ndarray, y: np.ndarray, cutoff: float) -> np.ndar
     return _normalized(y - q @ (q.T @ y), 1e-14)
 
 
-def _range_basis(gram: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal basis of the gram's numerical range.
+def _range_basis(spec: KernelSpec, samples: np.ndarray,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """(Q, c, ||G||_F^2): an orthonormal basis Q of the numerical range of
+    the sample kernel G = kernel_matrix(spec, samples, samples), G's mean
+    column c and ||G||_F^2.
 
     A blocked randomized range finder (Halko, Martinsson & Tropp, SIAM
     Review 53(2), 2011): Gaussian blocks of RANGE_BLOCK columns are
-    multiplied by the gram, and each block's part outside the basis joins
-    it, less its directions at most SKETCH_TOL of the first block's
-    largest column, until a fresh block's largest column is at most that
-    too.
+    multiplied by G, and each block's part outside the basis joins it,
+    less its directions at most SKETCH_TOL of the first block's largest
+    column, until a fresh block's largest column is at most that too; a
+    block is narrower only where fewer than RANGE_BLOCK directions remain.
+    One sweep over G (_sample_sweep) multiplies a batch of blocks and gives
+    c and ||G||_F^2, the same in every sweep. RANGE_AHEAD blocks go into
+    the first sweep and half as many into each later one, drawn from rng
+    up front in the order the loop takes them, and only as many as the
+    loop is sure to take at full width: the basis grows by at most a
+    block's width a block. G is swept again only when the blocks run out,
+    and rng is left after the last block the loop took, where drawing each
+    block as it is needed leaves it.
     """
-    l = len(gram)
+    l = len(samples)
     q = np.empty((l, 0))
     cutoff = None
+    blocks = []
     while q.shape[1] < l:
-        y = gram @ rng.standard_normal((l, min(RANGE_BLOCK, l - q.shape[1])))
+        if not blocks:
+            room = l - q.shape[1]
+            ahead = RANGE_AHEAD if cutoff is None else RANGE_AHEAD // 2
+            widths = [RANGE_BLOCK] * min(ahead, room // RANGE_BLOCK) or [room]
+            edges = np.cumsum([0] + widths)
+            tests, states = np.empty((l, edges[-1])), []
+            for first, last in zip(edges, edges[1:]):
+                tests[:, first:last] = rng.standard_normal((l, last - first))
+                states.append(rng.bit_generator.state)
+            products, centre, square = _sample_sweep(spec, samples, tests)
+            del tests
+            blocks = [(products[:, first:last], state)
+                      for first, last, state in zip(edges, edges[1:], states)]
+        y, state = blocks.pop(0)
         y -= q @ (q.T @ y)
         largest = math.sqrt(float((y * y).sum(axis=0).max()))
         if cutoff is None:
@@ -297,36 +334,57 @@ def _range_basis(gram: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         elif largest <= cutoff:
             break
         q = np.hstack([q, _orthonormal_columns(q, y, cutoff)])
-    return q
+    rng.bit_generator.state = state
+    return q, centre, square
 
 
-def _project_cross(spec: KernelSpec, features: np.ndarray, keep: np.ndarray,
-                   voxels: np.ndarray, centre: np.ndarray, q: np.ndarray, start: int,
-                   cross: np.ndarray, sketch: np.ndarray,
+def _sample_sweep(spec: KernelSpec, samples: np.ndarray,
+                  tests: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(G tests, c, ||G||_F^2) of the sample kernel
+    G = kernel_matrix(spec, samples, samples), c its mean column, from one
+    sweep that evaluates G in blocks of rows of about CROSS_BLOCK_BYTES of
+    float64, so G never exists whole."""
+    l = len(samples)
+    products = np.empty((l, tests.shape[1]))
+    centre = np.empty(l)
+    square = 0.0
+    weights = np.full(l, 1.0 / l)
+    rows = max(1, CROSS_BLOCK_BYTES // (8 * l))
+    for first in range(0, l, rows):
+        block_rows = slice(first, first + rows)
+        block = kernel_matrix(spec, samples[block_rows], samples)
+        np.matmul(block, tests, out=products[block_rows])
+        np.matmul(block, weights, out=centre[block_rows])
+        square += float(np.dot(block.ravel(), block.ravel()))
+    return products, centre, square
+
+
+def _project_cross(spec: KernelSpec, samples: np.ndarray, features: np.ndarray,
+                   centre: np.ndarray, q: np.ndarray, start: int, cross: np.ndarray,
                    probes: np.ndarray) -> tuple[float, np.ndarray]:
     """(error, missed) of the factor C - centre 1^T ~ Q B^T of
-    C = kernel_matrix(spec, features[keep], features), after one pass over
-    the given voxels that writes their rows of B on Q's columns from start,
-    cross[voxels, start:], and leaves cross's other entries as they are.
+    C = kernel_matrix(spec, samples, features), after one pass over every
+    voxel that writes B's columns from start on, cross[:, start:], and
+    leaves cross's other entries as they are.
 
-    The pass evaluates C[:, voxels] in blocks of about CROSS_BLOCK_BYTES of
-    float64, so C never exists whole. It also applies C to the Gaussian
-    probe vectors W, one row of probes per voxel: sketch holds C W's part
-    from the columns outside voxels on entry (build_matrices takes the
-    training columns' part from the gram) and C W on return. missed is
-    (I - Q Q^T) C W less its directions at most SKETCH_TOL of C W's largest
-    column, and error is missed's largest column relative to that one, an
-    estimate of ||C - Q Q^T C|| / ||C||.
+    The pass takes the voxels in index order, evaluates C in blocks of
+    contiguous columns of about CROSS_BLOCK_BYTES of float64, so C never
+    exists whole, and writes each block's rows of B in place. It also
+    applies C to the Gaussian probe vectors W, one row of probes per
+    voxel, giving the sketch C W. missed is (I - Q Q^T) C W less its
+    directions at most SKETCH_TOL of C W's largest column, and error is
+    missed's largest column relative to that one, an estimate of
+    ||C - Q Q^T C|| / ||C||.
     """
-    xs = features[keep]
     directions = q[:, start:]
-    cols = max(1, CROSS_BLOCK_BYTES // (8 * len(xs)))
-    for first in range(0, len(voxels), cols):
-        block_idx = voxels[first:first + cols]
-        block = kernel_matrix(spec, xs, features[block_idx])
-        sketch += block @ probes[block_idx]
+    sketch = np.zeros((len(samples), probes.shape[1]))
+    cols = max(1, CROSS_BLOCK_BYTES // (8 * len(samples)))
+    for first in range(0, len(features), cols):
+        block_cols = slice(first, first + cols)
+        block = kernel_matrix(spec, samples, features[block_cols])
+        sketch += block @ probes[block_cols]
         block -= centre[:, None]
-        cross[block_idx, start:] = block.T @ directions
+        np.matmul(block.T, directions, out=cross[block_cols, start:])
     missed = sketch - q @ (q.T @ sketch)
     scale = float(np.linalg.norm(sketch, axis=0).max())
     error = float(np.linalg.norm(missed, axis=0).max()) / scale if scale > 0 else 0.0
@@ -340,74 +398,68 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     features holds the (n, channels) float64 intensity vectors of the
     box's member voxels (member_box) in C order. The step trains on its own
     voxels: keep holds the sorted indices of the l training voxels, sides
-    their sides in {-1, +1}. So the gram's columns are columns of the cross
-    kernel C between the training voxels and every voxel.
+    their sides in {-1, +1}. So the columns of the sample kernel G, the
+    l x l kernel of the training voxels, are columns of the cross kernel C
+    between the training voxels and every voxel.
 
-    Q spans the gram's numerical range (_range_basis, from a fixed-seed
-    stream). Every kernel column is then centred on the gram's mean column
-    c: that leaves the within-class matrix, the class-mean difference and
-    the penalty (H annihilates constants) as they are, but the published
-    sigmoid kernel is nearly constant, and projected uncentred it rounded
-    away the variations the penalty is made of (on the 24^3 benchmark
-    phantom's CSF step at l = 300, gamma at lambda = 1e-4 was 2e-6 off a
-    long-double reference, against 6e-8 centred).
-
-    The gram and B never coexist. What needs the gram is formed first: the
-    training columns' part of the probe sketch and their rows of
-    B^T = Q^T (C - c 1^T), the centred gram's Q^T (gram - c 1^T). The gram
-    is then released and B, (n, r) in C order, allocated. One
-    blocked pass over the voxels outside keep, none at l = n, gives their
-    rows of B and a probe estimate of C's error outside span Q
-    (_project_cross), so each column of C is evaluated and projected once.
-    While that misses RANGE_TOL, Q grows by the m missed directions: B
-    moves into one new (n, r + m) array whose first r columns stay, and a
-    pass over every voxel, the training voxels' columns evaluated again,
-    projects each column on the added directions only. The class means, the
-    within-class matrix (class_scatter, on the training voxels' rows of B),
-    its ridged Cholesky factor (factor_pencil) and the penalty are then
-    r x r, taken in Q's coordinates. The penalty B^T H B is summed over row
-    blocks R of the neighbour graph H of about CROSS_BLOCK_BYTES each,
-    B[R]^T (H[R] B), so no second (n, r) array exists. H is built first,
-    so its build's buffers are gone before the gram is evaluated.
+    Two blocked sweeps build the factor, and neither holds G or C whole.
+    The first evaluates G in row blocks and applies each to Gaussian test
+    blocks from a fixed-seed stream (_sample_sweep); the range finder
+    (_range_basis) takes Q, spanning G's numerical range, from those
+    products, and sweeps again only if they run out. A sweep also gives
+    G's mean column c and ||G||_F^2, the ridge's floor below. Every kernel column is centred on c: that leaves
+    the within-class matrix, the class-mean difference and the penalty
+    (H annihilates constants) as they are, but the published sigmoid
+    kernel is nearly constant, and projected uncentred it rounded away the
+    variations the penalty is made of (on the 24^3 benchmark phantom's CSF
+    step at l = 300, gamma at lambda = 1e-4 was 2e-6 off a long-double
+    reference, against 6e-8 centred). The second is one pass over every
+    voxel in index order (_project_cross): it evaluates C in column
+    blocks, writes each voxel's row of B, B^T = Q^T (C - c 1^T), (n, r)
+    in C order, in place, and sketches C against probe vectors for an
+    estimate of C's error outside span Q. While that misses RANGE_TOL, Q
+    grows by the m missed directions: B moves into one new (n, r + m)
+    array whose first r columns stay, and another pass projects each
+    column on the added directions only. The class means, the
+    within-class matrix (class_scatter, on the training voxels' rows of
+    B), its ridged Cholesky factor (factor_pencil) and the penalty are
+    then r x r, taken in Q's coordinates. The penalty B^T H B is summed
+    over row blocks R of the neighbour graph H, B[R]^T (H[R] B), each
+    H[R] B of about PENALTY_BLOCK_BYTES, so no second (n, r) array
+    exists. A step's largest arrays are thus B and the range finder's
+    products, l x RANGE_AHEAD RANGE_BLOCK, never an l x l one; H is built
+    first, so its build's buffers are gone before either.
 
     The ridge beta, RIDGE_SCALE times the mean over the l samples of the
-    within-class diagonal and at least a floor 64 eps ||gram||_F^2, lets
-    one Cholesky factor of N + beta I complete for every l <= 20,000 (five
-    times L_MAX; a 3.2 GB gram). With N = fl(Z Z^T), Z the r x l
-    class-centred gram in Q's coordinates, u = 2^-53 and gamma_l ~ l u,
-    rounding gives lambda_min(N) >= -gamma_l ||Z||_F^2 and tr(N) >=
-    (1 - gamma_l) ||Z||_F^2 (Higham, Accuracy and Stability, 3.5).
-    Cholesky completes when the unit-diagonal scaling's smallest
-    eigenvalue exceeds about r gamma_(r+1) (Demmel 1989; Higham, Thm 10.7),
-    which holds when 1e-3 / l > (2 l + r^2) u: for r <= l <= 20,000. At
-    tr(N) = 0, N is 0 and the pencil is beta I. Past that l the factor may
-    raise numpy's LinAlgError, a ValueError, as a non-finite pencil does.
+    within-class diagonal and at least a floor 64 eps ||G||_F^2, with
+    ||G||_F^2 summed over a sweep's blocks, lets one Cholesky
+    factor of N + beta I complete for every l <= 20,000 (five times L_MAX;
+    the range finder's products then take 41 MB, where G would take
+    3.2 GB). With N = fl(Z Z^T), Z the r x l class-centred sample kernel
+    in Q's coordinates, u = 2^-53 and gamma_l ~ l u, rounding gives
+    lambda_min(N) >= -gamma_l ||Z||_F^2 and tr(N) >= (1 - gamma_l)
+    ||Z||_F^2 (Higham, Accuracy and Stability, 3.5). Cholesky completes
+    when the unit-diagonal scaling's smallest eigenvalue exceeds about
+    r gamma_(r+1) (Demmel 1989; Higham, Thm 10.7), which holds when
+    1e-3 / l > (2 l + r^2) u: for r <= l <= 20,000. At tr(N) = 0, N is 0
+    and the pencil is beta I. Past that l the factor may raise numpy's
+    LinAlgError, a ValueError, as a non-finite pencil does.
     """
     l, n = len(keep), len(features)
     h = neighborhood_matrix(member_box)
     xs = features[keep]
-    # one buffer on both sides: numpy forms xs xs^T as a symmetric product
-    # (syrk), so the gram is exactly symmetric
-    gram = kernel_matrix(spec, xs, xs)
-    # the within matrix's rounding noise scales with ||Z||_F^2, which
-    # ||gram||_F^2 bounds (centring and Q^T project each row)
-    floor = 64.0 * np.finfo(np.float64).eps * float(np.einsum("ij,ij->", gram, gram))
     rng = np.random.default_rng(RANGE_SEED)
-    q = _range_basis(gram, rng)
-    centre = gram.mean(axis=1)
-    gram -= centre[:, None]
-    probes = rng.standard_normal((n, RANGE_PROBES))
-    sketch = gram @ probes[keep] + np.outer(centre, probes[keep].sum(axis=0))
-    projected = q.T @ gram
-    del gram
+    q, centre, square = _range_basis(spec, xs, rng)
+    # the within matrix's rounding noise scales with ||Z||_F^2, which
+    # ||G||_F^2 bounds (centring and Q^T project each row)
+    floor = 64.0 * np.finfo(np.float64).eps * square
     # stored as the rows of B, so that the sparse products with the graph
     # and the voxel projections read it in C order
     cross = np.empty((n, q.shape[1]))
-    cross[keep] = projected.T
-    voxels, start = np.delete(np.arange(n), keep), 0
+    start = 0
     while True:
-        range_error, missed = _project_cross(spec, features, keep, voxels, centre, q, start,
-                                             cross, sketch, probes)
+        probes = rng.standard_normal((n, RANGE_PROBES))
+        range_error, missed = _project_cross(spec, xs, features, centre, q, start, cross, probes)
         if range_error <= RANGE_TOL or q.shape[1] == l:
             break
         start = q.shape[1]
@@ -415,16 +467,13 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
         grown = np.empty((n, q.shape[1]))
         grown[:, :start] = cross
         cross = grown
-        probes = rng.standard_normal((n, RANGE_PROBES))
-        sketch = np.zeros((l, RANGE_PROBES))
-        voxels = np.arange(n)
     m_neg, m_pos, within = class_scatter(cross[keep].T.copy(), sides)
     # trace 0 happens for single-sample classes; keep the pencil definite
     beta = max(RIDGE_SCALE * float(np.trace(within)) / l or 1e-10, floor)
     factor = factor_pencil(within, beta)
     rank = q.shape[1]
     penalty = np.zeros((rank, rank))
-    rows = max(1, CROSS_BLOCK_BYTES // (8 * max(rank, 1)))
+    rows = max(1, PENALTY_BLOCK_BYTES // (8 * max(rank, 1)))
     for first in range(0, n, rows):
         block = slice(first, first + rows)
         penalty += cross[block].T @ (h[block] @ cross)
@@ -729,15 +778,15 @@ _STEPS = (("csf_vs_gwm", (CSF,), (GM, WM), KernelSpec.sigmoid()),
           ("gm_vs_wm", (GM,), (WM,), KernelSpec.rbf()))
 
 
-def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box):
+def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box, windows):
     """score(sides) of one step: the MSSIM against the reference of the
     label box with each member voxel set to neg[0] or pos[0] by side, its
     mean image taken over the step's two class groups and a singleton for
     each other tissue label. Each distinct labeling is scored once, against
-    the reference's window statistics, computed once with the scorer."""
+    the reference's window statistics windows (reference_windows), which
+    classify_subdomain computes once for both steps."""
     groups = (neg, pos) + tuple((t,) for t in TISSUE_LABELS if t not in neg + pos)
     cache = {}
-    windows = reference_windows(ref_box, mask_box)
 
     def score(sides):
         key = sides.tobytes()
@@ -783,6 +832,7 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
                          for key, *_ in _STEPS}
         return labels_box, diag
 
+    windows = reference_windows(ref_box, mask_box)
     for key, neg, pos, kernel in _STEPS:
         member = np.isin(labels_box, neg + pos)
         is_neg = np.isin(labels_box[member], neg)
@@ -790,7 +840,7 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
         if min(n_neg, is_neg.size - n_neg) < 2:
             diag["steps"][key] = {"skipped": "class absent from initial labels"}
             continue
-        score = _step_scorer(labels_box, member, neg, pos, ref_box, mask_box)
+        score = _step_scorer(labels_box, member, neg, pos, ref_box, mask_box, windows)
         sides, diag["steps"][key] = _run_step(
             data_box, member, np.where(is_neg, -1, 1).astype(np.int8),
             kernel, score, cfg, rng)

@@ -15,8 +15,9 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import ndimage, sparse
 
-from kfdaseg.kfda import (KernelSpec, KfdaMatrices, KfdaModel, kernel_matrix,
-                          nearest_prototype_sides, neighborhood_matrix)
+from kfdaseg.kfda import (RANGE_BLOCK, SKETCH_TOL, KernelSpec, KfdaMatrices, KfdaModel,
+                          _orthonormal_columns, kernel_matrix, nearest_prototype_sides,
+                          neighborhood_matrix)
 from kfdaseg.partition import (_LAPLACIAN_GAIN, _MAD_SCALE, PartitionTree, _mir_over,
                                noise_sigma, otsu_threshold, reference_field)
 from kfdaseg.stitch import EDGE_NONE, EDGE_ONE, StitchProblem
@@ -45,6 +46,24 @@ def gram(xs: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Gram matrix of the training features xs, symmetrized as 0.5 (K + K^T)."""
     k = kernel_matrix(spec, xs, xs)
     return 0.5 * (k + k.T)
+
+
+def sequential_range_basis(g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The range finder of kfda._range_basis with each Gaussian block drawn
+    when the loop reaches it and multiplied by the whole matrix g."""
+    l = len(g)
+    q = np.empty((l, 0))
+    cutoff = None
+    while q.shape[1] < l:
+        y = g @ rng.standard_normal((l, min(RANGE_BLOCK, l - q.shape[1])))
+        y -= q @ (q.T @ y)
+        largest = math.sqrt(float((y * y).sum(axis=0).max()))
+        if cutoff is None:
+            cutoff = SKETCH_TOL * largest
+        elif largest <= cutoff:
+            break
+        q = np.hstack([q, _orthonormal_columns(q, y, cutoff)])
+    return q
 
 
 def within(xs: np.ndarray, sides: np.ndarray, spec: KernelSpec) -> np.ndarray:

@@ -19,7 +19,8 @@ from kfdaseg.pipeline import PipelineConfig
 from kfdaseg.ssim import mssim
 from kfdaseg.volume import BG, CSF, GM, WM
 from oracles import (between, classify_overlap_knn, dense_solve, dense_step, gram, graph_edges,
-                     kernel_eval, neighbour_graph, project, roughness, within)
+                     kernel_eval, neighbour_graph, project, roughness,
+                     sequential_range_basis, within)
 
 
 def subdata_line(features):
@@ -133,24 +134,24 @@ def test_within_is_symmetric_and_psd_to_rounding():
 
 
 def test_cross_factor_blocks_match_whole_kernel():
-    # training voxels keep and pass blocks over the other voxels that leave
-    # a short last block, a single block, a one-column remainder with a
-    # training voxel between each two blocks, and no pass at all (every
-    # voxel training). A first pass over the other voxels on Q's first 5
-    # columns, the training voxels' rows taken from the gram, and a redo
-    # over every voxel on the 2 added columns give every voxel's row of B
-    # and, after each, the probe residual of the whole kernel matrix C over
-    # all n columns; the redo leaves the first columns as they were, and
-    # build_matrices' B has every voxel's row of Q^T (C - c 1^T), all to
-    # rounding
+    # one pass over every voxel, in blocks of cols columns: a single block,
+    # two blocks the second of them short, four blocks, three blocks whose
+    # first, second and third column are training voxels, the third also
+    # holding a voxel that is not and the other l - 3 training voxels, and
+    # a single block of training voxels alone (every voxel training). A
+    # first pass on Q's first 5 columns and a redo on the 2 added columns
+    # give every voxel's row of B and, after each, the probe residual of
+    # the whole kernel matrix C over all n columns; the redo leaves the
+    # first columns as they were, and build_matrices' B has every voxel's
+    # row of Q^T (C - c 1^T), all to rounding
     rng = np.random.default_rng(36)
     l, first = 40, 5
     cols = kfda.CROSS_BLOCK_BYTES // (8 * l)
     q = np.linalg.qr(rng.standard_normal((l, 7)))[0]
     centre = rng.random(l)
     sides = np.where(np.arange(l) % 2, 1, -1)
-    # voxels 0, cols + 1 and 2 cols + 2 train, then 2 cols + 3 alone in the
-    # last block, then l - 3 more
+    # voxels 0, cols + 1 and 2 cols + 2 train, 2 cols + 3 does not, and
+    # the l - 3 after it do
     edges = np.r_[0, cols + 1, 2 * cols + 2, np.arange(2 * cols + 4, 2 * cols + l + 1)]
     cases = [(l + 5, None), (l + cols - 1, None), (l + 3 * cols + 5, None),
              (2 * cols + l + 1, edges), (l, np.arange(l))]
@@ -169,24 +170,19 @@ def test_cross_factor_blocks_match_whole_kernel():
         if keep is None:
             keep = np.sort(rng.choice(n, size=l, replace=False))
         assert len(keep) == l
-        rest = np.delete(np.arange(n), keep)
         probes = np.random.default_rng(5).standard_normal((n, kfda.RANGE_PROBES))
         for spec in (KernelSpec.sigmoid(), KernelSpec.rbf(), KernelSpec.linear()):
             c = kernel_matrix(spec, zs[keep], zs)
             atol = 1e-12 * np.abs(c).max()
             whole = q.T @ (c - centre[:, None])
-            gram = kernel_matrix(spec, zs[keep], zs[keep]) - centre[:, None]
             cross = np.full((n, first), np.nan)
-            cross[keep] = (q[:, :first].T @ gram).T
-            sketch = gram @ probes[keep] + np.outer(centre, probes[keep].sum(axis=0))
-            error, missed = _project_cross(spec, zs, keep, rest, centre, q[:, :first], 0,
-                                           cross, sketch, probes)
+            error, missed = _project_cross(spec, zs[keep], zs, centre, q[:, :first], 0, cross,
+                                           probes)
             assert np.allclose(cross, whole[:first].T, rtol=0, atol=atol), (spec.kind, n)
             check_error(error, missed, q[:, :first], c, probes)
             grown = np.full((n, q.shape[1]), np.nan)
             grown[:, :first] = cross
-            error, missed = _project_cross(spec, zs, keep, np.arange(n), centre, q, first,
-                                           grown, np.zeros((l, kfda.RANGE_PROBES)), probes)
+            error, missed = _project_cross(spec, zs[keep], zs, centre, q, first, grown, probes)
             assert np.array_equal(grown[:, :first], cross)
             cross = grown
             assert np.allclose(cross, whole.T, rtol=0, atol=atol), (spec.kind, n)
@@ -197,61 +193,74 @@ def test_cross_factor_blocks_match_whole_kernel():
 
 
 def test_build_matrices_evaluates_each_column_once(monkeypatch):
-    # the gram's columns are the training voxels' columns of the cross
-    # kernel: l columns for the gram, then the first pass evaluates the
-    # n - l other voxels' and projects them on all of Q. The gram is gone
-    # by a redo (the sigmoid step at l = 40 redoes its pass once), which
-    # evaluates all n columns and projects them only on the directions it
-    # adds, leaving every row's earlier entries as they were. At l = n no
-    # column is evaluated past the gram
+    # the sample kernel is evaluated in row blocks once per sketch sweep,
+    # its l rows each against all l samples. The range finder sweeps again
+    # whenever its blocks run out, as in every case here: at l = 40 the
+    # first sweep holds one full block and the next a narrow one, and at
+    # l = 300 the rank, about 250, outgrows the first sweep's blocks. Each
+    # pass over the voxels then evaluates all n columns once, l rows each:
+    # the first projects them on all of Q, a redo (the sigmoid step at
+    # l = 40 redoes its pass once) only on the directions it adds, leaving
+    # every row's earlier entries as they were
     rng = np.random.default_rng(37)
     features = rng.random((7000, 3))
     sides = np.where(features[:, 0] > 0.5, 1, -1).astype(np.int8)
-    columns = [[]]     # the gram's, then each pass's
-    passes = []        # (voxels, first direction projected, rank) of each pass
+    phases = []        # ("sweep" or "pass", [(rows, columns) of each kernel block])
+    passes = []        # (first direction projected, rank) of each pass
 
     def spy_kernel(spec, xs, zs):
-        columns[-1].append(len(zs))
+        phases[-1][1].append((len(xs), len(zs)))
         return kernel_matrix(spec, xs, zs)
 
-    def spy_pass(spec, features, keep, voxels, centre, q, start, cross, sketch, probes,
+    def spy_sweep(spec, samples, tests, sweep=kfda._sample_sweep):
+        phases.append(("sweep", []))
+        return sweep(spec, samples, tests)
+
+    def spy_pass(spec, samples, features, centre, q, start, cross, probes,
                  project=kfda._project_cross):
-        columns.append([])
+        phases.append(("pass", []))
         kept = cross[:, :start].copy()
-        result = project(spec, features, keep, voxels, centre, q, start, cross, sketch, probes)
+        result = project(spec, samples, features, centre, q, start, cross, probes)
         assert np.array_equal(cross[:, :start], kept)
-        passes.append((len(voxels), start, q.shape[1]))
+        passes.append((start, q.shape[1]))
         return result
 
     monkeypatch.setattr(kfda, "kernel_matrix", spy_kernel)
+    monkeypatch.setattr(kfda, "_sample_sweep", spy_sweep)
     monkeypatch.setattr(kfda, "_project_cross", spy_pass)
-    redone = 0
+    redone = swept_again = 0
     for n, l in ((7000, 40), (300, 300)):
         for spec in (KernelSpec.sigmoid(), KernelSpec.rbf()):
             keep = _stratified_cap(sides[:n], l, np.random.default_rng(0))
-            columns[:] = [[]]
+            phases.clear()
             passes.clear()
             mats = build_matrices(keep, sides[keep], spec, *subdata_line(features[:n]))
-            assert columns[0] == [l], (spec.kind, l, columns)
-            voxels = [n - l] + [n] * (len(passes) - 1)
-            assert [sum(cols) for cols in columns[1:]] == voxels, (spec.kind, l, columns)
-            assert [p[0] for p in passes] == voxels, (spec.kind, l, passes)
+            kinds = [kind for kind, _ in phases]
+            sweeps = kinds.count("sweep")
+            assert kinds == ["sweep"] * sweeps + ["pass"] * len(passes), kinds
+            for kind, blocks in phases:
+                rows, columns = zip(*blocks)
+                if kind == "sweep":
+                    assert sum(rows) == l and set(columns) == {l}, (spec.kind, l, blocks)
+                else:
+                    assert set(rows) == {l} and sum(columns) == n, (spec.kind, l, blocks)
             # the first pass projects on all of Q, each redo on what it adds
-            assert [p[1] for p in passes] == [0] + [p[2] for p in passes[:-1]], passes
-            assert passes[-1][2] == mats.rank
+            assert [p[0] for p in passes] == [0] + [p[1] for p in passes[:-1]], passes
+            assert passes[-1][1] == mats.rank
             redone += len(passes) > 1
-    assert redone
+            swept_again += sweeps > 1
+    assert redone and swept_again
 
 
 def test_build_matrices_never_holds_the_cross_kernel():
-    # the cross kernel between the samples and every voxel is evaluated in
-    # blocks and only its projection B^T = Q^T (C - c 1^T) is kept; the
-    # gram is released before B is allocated, and the penalty B^T H B is
-    # summed over row blocks of the graph H. So the peak is the graph, the
-    # larger of B and the gram, and a few blocks and l x r buffers, under
-    # the float64 cross kernel alone. B outweighs the gram at l = 600 and
-    # the gram outweighs B at l = 2000: holding a second array of B's size,
-    # or the gram beside B, breaks the bound
+    # the sample kernel and the cross kernel are each evaluated in blocks
+    # and only what is made of them is kept: the range finder's products
+    # with its test blocks (the sketch, l x RANGE_AHEAD RANGE_BLOCK) and B;
+    # the penalty B^T H B is summed over row blocks of the graph H. So the
+    # peak is the graph, B, the sketch and a couple of blocks (a penalty
+    # block, 2 MiB, is the largest), under the float64 cross kernel alone. At l = 2000 that budget leaves no room for
+    # the l x l sample kernel, and at both l holding it or a second array
+    # of B's size breaks the bound
     from kfdaseg.phantom import PhantomSpec, generate_phantom
     vol, truth = generate_phantom(PhantomSpec(dims=(40, 40, 40), noise_sigma=0.05,
                                               bias_amplitude=0.10, pv_blur=1.0, seed=11))
@@ -260,7 +269,7 @@ def test_build_matrices_never_holds_the_cross_kernel():
     sides = np.where(truth.labels[vol.mask] == CSF, -1, 1).astype(np.int8)
     h = neighborhood_matrix(vol.mask)
     graph = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
-    for l, gram_larger in ((600, False), (2000, True)):
+    for l in (600, 2000):
         keep = _stratified_cap(sides, l, np.random.default_rng(0))
         tracemalloc.start()
         try:
@@ -269,10 +278,10 @@ def test_build_matrices_never_holds_the_cross_kernel():
         finally:
             tracemalloc.stop()
         assert mats.cross.shape == (mats.rank, n)
-        assert (l * l > mats.rank * n) == gram_larger, (l, mats.rank)
-        budget = (graph + max(mats.cross.nbytes, l * l * 8) + 3 * kfda.CROSS_BLOCK_BYTES
-                  + 4 * l * mats.rank * 8)
+        sketch = l * kfda.RANGE_AHEAD * kfda.RANGE_BLOCK * 8
+        budget = graph + mats.cross.nbytes + sketch + 2 * kfda.PENALTY_BLOCK_BYTES
         assert peak < budget < l * n * 8, (l, peak, budget)
+        assert (budget < graph + l * l * 8) == (l == 2000), (l, budget)
 
 
 def test_two_voxel_neighborhood_matrix():
@@ -504,10 +513,49 @@ def test_range_basis_stays_orthonormal():
     rng = np.random.default_rng(41)
     xs = rng.normal(size=(200, 3))
     g = kernel_matrix(KernelSpec.rbf(0.1), xs, xs)
-    q = _range_basis(0.5 * (g + g.T), np.random.default_rng(kfda.RANGE_SEED))
+    q, _, _ = _range_basis(KernelSpec.rbf(0.1), xs, np.random.default_rng(kfda.RANGE_SEED))
     assert q.shape[1] >= 190
     assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
     assert np.abs(g - q @ (q.T @ g)).max() <= 1e-9 * np.abs(g).max()
+
+
+def test_range_basis_draws_as_the_sequential_loop(monkeypatch):
+    # the blocks drawn ahead for one sweep must be the ones a loop drawing
+    # each block when it needs it would draw, and leave the stream where
+    # that loop leaves it, which the probes drawn next depend on: at l
+    # under one block, at l = 40 (a full block, then a narrow one), on a
+    # kernel whose rank passes RANGE_AHEAD blocks, so that the blocks run
+    # out twice and the last is narrow, and on one of low rank that stops
+    # inside the first sweep's blocks. Basis and stream must match the
+    # loop's, and every sweep must give the sample kernel's mean column
+    # and squared Frobenius norm; the products differ from the loop's in
+    # rounding alone
+    widths = []
+
+    def spy(spec, samples, tests, sweep=kfda._sample_sweep):
+        widths.append(tests.shape[1])
+        return sweep(spec, samples, tests)
+
+    monkeypatch.setattr(kfda, "_sample_sweep", spy)
+    rng = np.random.default_rng(42)
+    cases = [(rng.normal(size=(20, 3)), KernelSpec.rbf(0.5), [20]),
+             (rng.normal(size=(40, 3)), KernelSpec.sigmoid(), [32, 8]),
+             (rng.normal(size=(300, 3)), KernelSpec.rbf(0.1), [256, 32, 12]),
+             (rng.random((1000, 3)), KernelSpec.rbf(1.0), [256])]
+    for xs, spec, expected in cases:
+        l = len(xs)
+        g = kernel_matrix(spec, xs, xs)
+        swept, sequential = (np.random.default_rng(kfda.RANGE_SEED) for _ in range(2))
+        widths.clear()
+        q, centre, square = _range_basis(spec, xs, swept)
+        assert widths == expected, (l, widths)
+        assert q.shape == sequential_range_basis(g, sequential).shape, l
+        assert (q.shape[1] < l) == (l == 1000), (l, q.shape)
+        assert np.abs(g - q @ (q.T @ g)).max() <= 1e-9 * np.abs(g).max(), l
+        assert swept.bit_generator.state == sequential.bit_generator.state, l
+        assert np.array_equal(swept.standard_normal(4), sequential.standard_normal(4)), l
+        assert np.allclose(centre, g.mean(axis=1), rtol=0, atol=1e-14), l
+        assert square == pytest.approx(float((g * g).sum()), rel=1e-12), l
 
 
 def test_first_ridge_factors_adversarial_within():
