@@ -12,7 +12,8 @@ RANGE_TOL, in two blocked sweeps (build_matrices): a randomized range
 finder gives Q from one sweep over the l x l sample kernel in row blocks
 (_range_basis, _sample_sweep), and one pass over every voxel in index
 order writes each voxel's row of B in place (_project_cross); a redo
-projects every column on the directions it adds alone. The class means,
+projects every column on the directions it adds alone; the test blocks
+and the passes' probes have a fixed stream each. The class means,
 the within-class matrix, ridged once so that its pencil always factors
 (build_matrices), and the penalty, summed over row blocks of the graph,
 are then r x r, and every regularization weight of the sweep is one
@@ -214,14 +215,15 @@ class KfdaMatrices:
 # the cross kernel's factor (build_matrices): its accepted relative error,
 # estimated by RANGE_PROBES Gaussian probes per pass over the voxels, and
 # the finer one its range finder resolves the sample kernel to, in blocks
-# of RANGE_BLOCK columns from a fixed-seed stream. A sample resolves its
-# own columns better than the voxels it was drawn from: on the benchmark's
-# steps the cross kernel's error after the sketch ran up to 1000 times the
-# sample kernel's. The first sweep over the sample kernel takes
-# RANGE_AHEAD blocks (_range_basis): a block the range finder leaves
-# unused costs its product, a second sweep two to four blocks' products,
-# and the range finder took 4 to 8 blocks on the benchmark's steps and on
-# the 64^3 run's at l_max = 4000
+# of RANGE_BLOCK columns; blocks and probes have a stream each, seeded
+# from RANGE_SEED. A sample resolves its own columns better than the
+# voxels it was drawn from: on the benchmark's steps the cross kernel's
+# error after the sketch ran up to 1000 times the sample kernel's. The
+# first sweep over the sample kernel takes RANGE_AHEAD blocks
+# (_range_basis): a block the range finder leaves unused costs its
+# product, a second sweep two to four blocks' products, and the range
+# finder took 4 to 8 blocks on the benchmark's steps and on the 64^3
+# run's at l_max = 4000
 RANGE_TOL = 1e-8
 SKETCH_TOL = 1e-11
 RANGE_BLOCK = 32
@@ -292,8 +294,7 @@ def _orthonormal_columns(q: np.ndarray, y: np.ndarray, cutoff: float) -> np.ndar
     return _normalized(y - q @ (q.T @ y), 1e-14)
 
 
-def _range_basis(spec: KernelSpec, samples: np.ndarray,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+def _range_basis(spec: KernelSpec, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(Q, c, ||G||_F^2): an orthonormal basis Q of the numerical range of
     the sample kernel G = kernel_matrix(spec, samples, samples), G's mean
     column c and ||G||_F^2.
@@ -306,14 +307,15 @@ def _range_basis(spec: KernelSpec, samples: np.ndarray,
     block is narrower only where fewer than RANGE_BLOCK directions remain.
     One sweep over G (_sample_sweep) multiplies a batch of blocks and gives
     c and ||G||_F^2, the same in every sweep. RANGE_AHEAD blocks go into
-    the first sweep and half as many into each later one, drawn from rng
-    up front in the order the loop takes them, and only as many as the
-    loop is sure to take at full width: the basis grows by at most a
-    block's width a block. G is swept again only when the blocks run out,
-    and rng is left after the last block the loop took, where drawing each
-    block as it is needed leaves it.
+    the first sweep and half as many into each later one, only as many as
+    the loop is sure to take at full width: the basis grows by at most a
+    block's width a block. G is swept again only when the blocks run out.
+    The blocks come from a stream of the range finder's own, seeded with
+    RANGE_SEED, in the order the loop takes them; build_matrices' probes
+    have a stream of their own.
     """
     l = len(samples)
+    rng = np.random.default_rng(RANGE_SEED)
     q = np.empty((l, 0))
     cutoff = None
     blocks = []
@@ -322,16 +324,10 @@ def _range_basis(spec: KernelSpec, samples: np.ndarray,
             room = l - q.shape[1]
             ahead = RANGE_AHEAD if cutoff is None else RANGE_AHEAD // 2
             widths = [RANGE_BLOCK] * min(ahead, room // RANGE_BLOCK) or [room]
-            edges = np.cumsum([0] + widths)
-            tests, states = np.empty((l, edges[-1])), []
-            for first, last in zip(edges, edges[1:]):
-                tests[:, first:last] = rng.standard_normal((l, last - first))
-                states.append(rng.bit_generator.state)
-            products, centre, square = _sample_sweep(spec, samples, tests)
-            del tests
-            blocks = [(products[:, first:last], state)
-                      for first, last, state in zip(edges, edges[1:], states)]
-        y, state = blocks.pop(0)
+            products, centre, square = _sample_sweep(
+                spec, samples, np.hstack([rng.standard_normal((l, w)) for w in widths]))
+            blocks = np.hsplit(products, len(widths))
+        y = blocks.pop(0)
         y -= q @ (q.T @ y)
         largest = math.sqrt(float((y * y).sum(axis=0).max()))
         if cutoff is None:
@@ -339,7 +335,6 @@ def _range_basis(spec: KernelSpec, samples: np.ndarray,
         elif largest <= cutoff:
             break
         q = np.hstack([q, _orthonormal_columns(q, y, cutoff)])
-    rng.bit_generator.state = state
     return q, centre, square
 
 
@@ -409,23 +404,26 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
 
     Two blocked sweeps build the factor, and neither holds G or C whole.
     The first evaluates G in row blocks and applies each to Gaussian test
-    blocks from a fixed-seed stream (_sample_sweep); the range finder
-    (_range_basis) takes Q, spanning G's numerical range, from those
-    products, and sweeps again only if they run out. A sweep also gives
-    G's mean column c and ||G||_F^2, the ridge's floor below. Every kernel column is centred on c: that leaves
-    the within-class matrix, the class-mean difference and the penalty
-    (H annihilates constants) as they are, but the published sigmoid
-    kernel is nearly constant, and projected uncentred it rounded away the
-    variations the penalty is made of (on the 24^3 benchmark phantom's CSF
-    step at l = 300, gamma at lambda = 1e-4 was 2e-6 off a long-double
-    reference, against 6e-8 centred). The second is one pass over every
-    voxel in index order (_project_cross): it evaluates C in column
-    blocks, writes each voxel's row of B, B^T = Q^T (C - c 1^T), (n, r)
-    in C order, in place, and sketches C against probe vectors for an
-    estimate of C's error outside span Q. While that misses RANGE_TOL, Q
-    grows by the m missed directions: B moves into one new (n, r + m)
-    array whose first r columns stay, and another pass projects each
-    column on the added directions only. The class means, the
+    blocks from the range finder's own stream (_sample_sweep); the range
+    finder (_range_basis) takes Q, spanning G's numerical range, from
+    those products, and sweeps again only if they run out. A sweep also
+    gives G's mean column c and ||G||_F^2, the ridge's floor below. Every
+    kernel column is centred on c: that leaves the within-class matrix,
+    the class-mean difference and the penalty (H annihilates constants)
+    as they are, but the published sigmoid kernel is nearly constant, and
+    projected uncentred it rounded away the variations the penalty is
+    made of (on the 24^3 benchmark phantom's CSF step at l = 300, gamma
+    at lambda = 1e-4 was 2e-6 off a long-double reference, against 6e-8
+    centred). The second is one pass over every voxel in index order
+    (_project_cross): it evaluates C in column blocks, writes each
+    voxel's row of B, B^T = Q^T (C - c 1^T), (n, r) in C order, in place,
+    and sketches C against probe vectors for an estimate of C's error
+    outside span Q. Each pass draws its probes from a stream of their
+    own, seeded from RANGE_SEED, so they do not depend on how many blocks
+    the range finder drew. While the estimate misses RANGE_TOL, Q grows
+    by the m missed directions: B moves into one new (n, r + m) array
+    whose first r columns stay, and another pass projects each column on
+    the added directions only. The class means, the
     within-class matrix (class_scatter, on the training voxels' rows of
     B), its ridged Cholesky factor (factor_pencil) and the penalty are
     then r x r, taken in Q's coordinates. The penalty B^T H B is summed
@@ -453,8 +451,7 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     l, n = len(keep), len(features)
     h = neighborhood_matrix(member_box)
     xs = features[keep]
-    rng = np.random.default_rng(RANGE_SEED)
-    q, centre, square = _range_basis(spec, xs, rng)
+    q, centre, square = _range_basis(spec, xs)
     # the within matrix's rounding noise scales with ||Z||_F^2, which
     # ||G||_F^2 bounds (centring and Q^T project each row)
     floor = 64.0 * np.finfo(np.float64).eps * square
@@ -462,8 +459,9 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     # and the voxel projections read it in C order
     cross = np.empty((n, q.shape[1]))
     start = 0
+    probe_stream = np.random.default_rng([RANGE_SEED, 1])
     while True:
-        probes = rng.standard_normal((n, RANGE_PROBES))
+        probes = probe_stream.standard_normal((n, RANGE_PROBES))
         range_error, missed = _project_cross(spec, xs, features, centre, q, start, cross, probes)
         if range_error <= RANGE_TOL or q.shape[1] == l:
             break

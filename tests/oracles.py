@@ -15,9 +15,9 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import ndimage, sparse
 
-from kfdaseg.kfda import (RANGE_BLOCK, SKETCH_TOL, KernelSpec, KfdaMatrices, KfdaModel,
-                          _orthonormal_columns, kernel_matrix, nearest_prototype_sides,
-                          neighborhood_matrix)
+from kfdaseg.kfda import (RANGE_BLOCK, RANGE_SEED, SKETCH_TOL, KernelSpec, KfdaMatrices,
+                          KfdaModel, _orthonormal_columns, kernel_matrix,
+                          nearest_prototype_sides, neighborhood_matrix)
 from kfdaseg.partition import (_LAPLACIAN_GAIN, _MAD_SCALE, PartitionTree, _mir_over,
                                noise_sigma, otsu_threshold, reference_field)
 from kfdaseg.stitch import EDGE_NONE, EDGE_ONE, StitchProblem
@@ -48,9 +48,12 @@ def gram(xs: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return 0.5 * (k + k.T)
 
 
-def sequential_range_basis(g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sequential_range_basis(g: np.ndarray) -> np.ndarray:
     """The range finder of kfda._range_basis with each Gaussian block drawn
-    when the loop reaches it and multiplied by the whole matrix g."""
+    when the loop reaches it, from the range finder's own stream of
+    RANGE_SEED, and multiplied by the whole matrix g. build_matrices' probes
+    have another stream, so nothing is drawn after the blocks."""
+    rng = np.random.default_rng(RANGE_SEED)
     l = len(g)
     q = np.empty((l, 0))
     cutoff = None

@@ -15,19 +15,13 @@ from kfdaseg.kfda import (KernelSpec, build_matrices, neighborhood_matrix,
                           solve_alpha)
 from kfdaseg.partition import (best_cut, bin_entropy, cut_mi, measure, partition,
                                reference_field)
-from kfdaseg.phantom import (PhantomSpec, corrupt_boundary_labels,
-                             generate_phantom, kmeans_init, underestimate_csf)
-from kfdaseg.pipeline import PipelineConfig, dice_scores, run_pipeline
+from kfdaseg.phantom import PhantomSpec, generate_phantom
 from kfdaseg.ssim import C1, C2, C3, gaussian_window, ssim_patch
 from kfdaseg.stitch import AnnealSchedule, StitchProblem, composite_init, simulated_anneal
 from kfdaseg.volume import CSF, MultiChannelVolume
 from oracles import (build_potentials, exhaustive_cut_oracle, graph_edges, log_posterior,
                      mi_oracle, row_transfer_map, within)
-
-# acceptance pipeline configuration: method constants stay at their published
-# defaults; l_max is reduced from the 4000 default to meet the runtime bound
-# on a single-core machine (the cap is a documented config field)
-ACCEPT_L_MAX = 2000
+from recipes import criterion_7, criterion_8, criterion_9
 
 
 def banner(num, ok, detail=""):
@@ -259,14 +253,7 @@ def test_criterion_6_sa_optimality():
 @pytest.fixture(scope="module")
 def recovery_run(tmp_path_factory):
     t0 = time.perf_counter()
-    spec = PhantomSpec(dims=(64, 64, 64), noise_sigma=0.05, bias_amplitude=0.10,
-                       pv_blur=1.0, seed=11)
-    vol, truth = generate_phantom(spec)
-    init = corrupt_boundary_labels(kmeans_init(vol, seed=0), vol.mask,
-                                   fraction=0.20, seed=1)
-    cfg = PipelineConfig(out_dir=str(tmp_path_factory.mktemp("recovery")),
-                         seed=5, l_max=ACCEPT_L_MAX)
-    report = run_pipeline(cfg, vol=vol, init_labels=init, ground_truth=truth)
+    report = criterion_7().run(tmp_path_factory.mktemp("recovery"))
     elapsed = time.perf_counter() - t0
     return report, elapsed
 
@@ -290,17 +277,12 @@ def test_criterion_7_end_to_end_recovery(recovery_run):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_csf_growth(tmp_path):
-    spec = PhantomSpec(dims=(48, 48, 48), noise_sigma=0.04, bias_amplitude=0.08,
-                       pv_blur=1.0, seed=12)
-    vol, truth = generate_phantom(spec)
-    init = underestimate_csf(truth, fraction=0.40)
-    csf_truth = int((truth.labels == CSF).sum())
-    csf_init = int((init.labels == CSF).sum())
+    recipe = criterion_8()
+    csf_truth = int((recipe.truth.labels == CSF).sum())
+    csf_init = int((recipe.init.labels == CSF).sum())
     assert csf_init <= 0.6 * csf_truth
 
-    cfg = PipelineConfig(out_dir=str(tmp_path / "csf"), seed=6,
-                         l_max=ACCEPT_L_MAX)
-    report = run_pipeline(cfg, vol=vol, init_labels=init, ground_truth=truth)
+    report = recipe.run(tmp_path / "csf")
     csf_out = report.class_counts["final"]["csf"]
     halfway = csf_init + 0.5 * (csf_truth - csf_init)
     ok = csf_out >= halfway and csf_out <= 1.15 * csf_truth
@@ -314,16 +296,11 @@ def test_criterion_8_csf_growth(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_determinism(tmp_path):
-    spec = PhantomSpec(dims=(28, 28, 28), noise_sigma=0.04, bias_amplitude=0.08,
-                       pv_blur=1.0, seed=13)
-    vol, truth = generate_phantom(spec)
-    init = kmeans_init(vol, seed=2)
+    recipe = criterion_9()
     out = tmp_path / "det"
 
     def snapshot():
-        cfg = PipelineConfig(out_dir=str(out), seed=7, l_max=800, max_depth=3,
-                             lambda_grid=(0.0, 0.00005), k_grid=(1, 3))
-        run_pipeline(cfg, vol=vol, init_labels=init)
+        recipe.run(out)
         return {name: (out / name).read_bytes()
                 for name in ("labels.u8raw", "report.json", "mssim_table.csv",
                              "curves.csv", "subdomains.json", "partition.json")}

@@ -513,7 +513,7 @@ def test_range_basis_stays_orthonormal():
     rng = np.random.default_rng(41)
     xs = rng.normal(size=(200, 3))
     g = kernel_matrix(KernelSpec.rbf(0.1), xs, xs)
-    q, _, _ = _range_basis(KernelSpec.rbf(0.1), xs, np.random.default_rng(kfda.RANGE_SEED))
+    q, _, _ = _range_basis(KernelSpec.rbf(0.1), xs)
     assert q.shape[1] >= 190
     assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
     assert np.abs(g - q @ (q.T @ g)).max() <= 1e-9 * np.abs(g).max()
@@ -521,19 +521,17 @@ def test_range_basis_stays_orthonormal():
 
 def test_range_basis_draws_as_the_sequential_loop(monkeypatch):
     # the blocks drawn ahead for one sweep must be the ones a loop drawing
-    # each block when it needs it would draw, and leave the stream where
-    # that loop leaves it, which the probes drawn next depend on: at l
-    # under one block, at l = 40 (a full block, then a narrow one), on a
-    # kernel whose rank passes RANGE_AHEAD blocks, so that the blocks run
-    # out twice and the last is narrow, and on one of low rank that stops
-    # inside the first sweep's blocks. Basis and stream must match the
-    # loop's, and every sweep must give the sample kernel's mean column
-    # and squared Frobenius norm; the products differ from the loop's in
-    # rounding alone
-    widths = []
+    # each block when it needs it would draw: at l under one block, at
+    # l = 40 (a full block, then a narrow one), on a kernel whose rank
+    # passes RANGE_AHEAD blocks, so that the blocks run out twice and the
+    # last is narrow, and on one of low rank that stops inside the first
+    # sweep's blocks. The basis must take the loop's rank and span the
+    # sample kernel, and every sweep must give its mean column and squared
+    # Frobenius norm; the products differ from the loop's in rounding alone
+    swept = []
 
     def spy(spec, samples, tests, sweep=kfda._sample_sweep):
-        widths.append(tests.shape[1])
+        swept.append(tests.copy())
         return sweep(spec, samples, tests)
 
     monkeypatch.setattr(kfda, "_sample_sweep", spy)
@@ -545,17 +543,57 @@ def test_range_basis_draws_as_the_sequential_loop(monkeypatch):
     for xs, spec, expected in cases:
         l = len(xs)
         g = kernel_matrix(spec, xs, xs)
-        swept, sequential = (np.random.default_rng(kfda.RANGE_SEED) for _ in range(2))
-        widths.clear()
-        q, centre, square = _range_basis(spec, xs, swept)
-        assert widths == expected, (l, widths)
-        assert q.shape == sequential_range_basis(g, sequential).shape, l
+        swept.clear()
+        q, centre, square = _range_basis(spec, xs)
+        assert [tests.shape[1] for tests in swept] == expected, l
+        stream = np.random.default_rng(kfda.RANGE_SEED)
+        for tests in swept:
+            width = tests.shape[1]
+            blocks = [stream.standard_normal((l, min(kfda.RANGE_BLOCK, width - first)))
+                      for first in range(0, width, kfda.RANGE_BLOCK)]
+            assert np.array_equal(tests, np.hstack(blocks)), l
+        assert q.shape == sequential_range_basis(g).shape, l
         assert (q.shape[1] < l) == (l == 1000), (l, q.shape)
         assert np.abs(g - q @ (q.T @ g)).max() <= 1e-9 * np.abs(g).max(), l
-        assert swept.bit_generator.state == sequential.bit_generator.state, l
-        assert np.array_equal(swept.standard_normal(4), sequential.standard_normal(4)), l
         assert np.allclose(centre, g.mean(axis=1), rtol=0, atol=1e-14), l
         assert square == pytest.approx(float((g * g).sum()), rel=1e-12), l
+
+
+def test_probes_do_not_depend_on_the_look_ahead(monkeypatch):
+    # build_matrices draws its probes from a stream of their own, apart
+    # from the range finder's test blocks. The training voxels crowd one
+    # corner of the cube, so the sample kernel's range misses directions
+    # the other voxels need and the step redoes its pass over them twice;
+    # the range finder stops inside its first sweep, so it draws 192 test
+    # columns with 8 blocks ahead and 128 with 2 (64, 32 and 32). Every
+    # pass must get the same probes either way, and the step the same rank
+    rng = np.random.default_rng(37)
+    features = rng.random((2000, 3))
+    keep = np.flatnonzero(features[:, 0] < 0.2)[:200]
+    sides = np.where(features[keep, 1] > 0.5, 1, -1).astype(np.int8)
+    runs = []
+    for ahead in (2, 8):
+        drawn, probes = [], []
+
+        def spy_sweep(spec, samples, tests, sweep=kfda._sample_sweep):
+            drawn.append(tests.shape[1])
+            return sweep(spec, samples, tests)
+
+        def spy_pass(*args, project=kfda._project_cross):
+            probes.append(args[-1].copy())
+            return project(*args)
+
+        monkeypatch.setattr(kfda, "RANGE_AHEAD", ahead)
+        monkeypatch.setattr(kfda, "_sample_sweep", spy_sweep)
+        monkeypatch.setattr(kfda, "_project_cross", spy_pass)
+        mats = build_matrices(keep, sides, KernelSpec.rbf(1.0), *subdata_line(features))
+        monkeypatch.undo()
+        runs.append((sum(drawn), probes, mats.rank))
+    (drawn_2, probes_2, rank_2), (drawn_8, probes_8, rank_8) = runs
+    assert (drawn_2, drawn_8) == (128, 192)
+    assert len(probes_2) == len(probes_8) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(probes_2, probes_8))
+    assert rank_2 == rank_8
 
 
 def test_first_ridge_factors_adversarial_within():

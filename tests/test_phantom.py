@@ -146,6 +146,23 @@ def test_corrupt_boundary_flips_requested_fraction():
     assert np.array_equal(again.labels, corrupted.labels)
 
 
+def test_corrupt_boundary_stays_inside_the_volume():
+    # the blocks phantom's mask fills the volume, so every face voxel is a
+    # tissue voxel: each changed voxel must have a 6-neighbour inside the
+    # volume of another class, never one across the opposite face. A
+    # boundary found by wrapping around the faces put 107 of the 254
+    # voxels changed here on no class boundary
+    vol, truth = generate_phantom(PhantomSpec(dims=(8, 8, 8), geometry="blocks"))
+    corrupted = corrupt_boundary_labels(truth, vol.mask, fraction=1.0, seed=0)
+    changed = np.argwhere(corrupted.labels != truth.labels)
+    assert len(changed)
+    steps = [step for axis in np.eye(3, dtype=int) for step in (axis, -axis)]
+    for voxel in changed:
+        neighbours = [tuple(voxel + step) for step in steps]
+        assert any(min(v) >= 0 and max(v) < 8 and truth.labels[v] != truth.labels[tuple(voxel)]
+                   for v in neighbours), voxel
+
+
 def test_underestimate_csf_reaches_fraction():
     spec = PhantomSpec(dims=(32, 32, 32), seed=8)
     _, truth = generate_phantom(spec)

@@ -5,13 +5,14 @@
 Runs `run_pipeline` on the 9 benchmark input sets (input sets 0-2 of each
 workload in `perfbench/workloads.py`, built from its recipes exactly as a
 benchmark run at seed 0 builds them) and on the criterion-8 and -9 configs
-of `tests/test_acceptance.py`; `--criteria` adds criterion 7's 64³ config at
-its `l_max=2000`. Prints one JSON object: per config, the sha256 of
-`labels.u8raw`, `subdomains.json`, `partition.json`, `mssim_table.csv`,
-`curves.csv` and of `report.json` less `config.out_dir` (the one field that
-names the run's directory), and each leaf's per-step decision: the chosen
-lambda, that solve's best k and its route, and the rank of the step's
-kernel factor, or the step's skip reason. A change that moves rounding so
+of `tests/test_acceptance.py`, built by `tests/recipes.py`; `--criteria`
+adds criterion 7's 64³ config at its `l_max=2000`. Prints one JSON
+object: per config, the sha256 of `labels.u8raw`, `subdomains.json`,
+`partition.json`, `mssim_table.csv`, `curves.csv` and of `report.json`
+less `config.out_dir` (the one field that names the run's directory), and
+each leaf's per-step decision: the chosen lambda, that solve's best k and
+its route, and the rank of the step's kernel factor, or the step's skip
+reason. A change that moves rounding so
 that a rank changes then shows it beside any lambda, k or route it moves.
 
 A change that should leave every output as it was is checked by running
@@ -88,31 +89,16 @@ def benchmark_runs(work: Path) -> dict:
 
 def criterion_runs(work: Path, with_7: bool) -> dict:
     """Fingerprints of the criterion-8 and -9 configs, and of criterion 7's."""
-    from kfdaseg.phantom import (PhantomSpec, corrupt_boundary_labels, generate_phantom,
-                                 kmeans_init, underestimate_csf)
-    from kfdaseg.pipeline import PipelineConfig, run_pipeline
+    sys.path.insert(0, str(ROOT / "tests"))
+    import recipes
 
-    results = {}
+    builders = {"criterion-8": recipes.criterion_8, "criterion-9": recipes.criterion_9}
     if with_7:
-        vol, truth = generate_phantom(PhantomSpec(dims=(64, 64, 64), noise_sigma=0.05,
-                                                  bias_amplitude=0.10, pv_blur=1.0, seed=11))
-        init = corrupt_boundary_labels(kmeans_init(vol, seed=0), vol.mask,
-                                       fraction=0.20, seed=1)
-        cfg = PipelineConfig(out_dir=str(work / "c7"), seed=5, l_max=2000)
-        run_pipeline(cfg, vol=vol, init_labels=init, ground_truth=truth)
-        results["criterion-7"] = fingerprint(work / "c7")
-    vol, truth = generate_phantom(PhantomSpec(dims=(48, 48, 48), noise_sigma=0.04,
-                                              bias_amplitude=0.08, pv_blur=1.0, seed=12))
-    cfg = PipelineConfig(out_dir=str(work / "c8"), seed=6, l_max=2000)
-    run_pipeline(cfg, vol=vol, init_labels=underestimate_csf(truth, fraction=0.40),
-                 ground_truth=truth)
-    results["criterion-8"] = fingerprint(work / "c8")
-    vol, _ = generate_phantom(PhantomSpec(dims=(28, 28, 28), noise_sigma=0.04,
-                                          bias_amplitude=0.08, pv_blur=1.0, seed=13))
-    cfg = PipelineConfig(out_dir=str(work / "c9"), seed=7, l_max=800, max_depth=3,
-                         lambda_grid=(0.0, 0.00005), k_grid=(1, 3))
-    run_pipeline(cfg, vol=vol, init_labels=kmeans_init(vol, seed=2))
-    results["criterion-9"] = fingerprint(work / "c9")
+        builders["criterion-7"] = recipes.criterion_7
+    results = {}
+    for name, build in builders.items():
+        build().run(work / name)
+        results[name] = fingerprint(work / name)
     return results
 
 
