@@ -230,13 +230,12 @@ RANGE_BLOCK = 32
 RANGE_AHEAD = 8
 RANGE_PROBES = 4
 RANGE_SEED = 9999
-# float64 bytes of one block of the sample or the cross kernel: at 1 MiB
-# the passes over a block stay in a core's 2 MiB L2 cache, and the
-# benchmark's steps built 4-7% faster than at 2 MiB. The penalty's blocks
-# H[R] B (build_matrices) stay at 2 MiB: halving them bought no time and
-# moved more of the degenerate solves' categories (ROADMAP item 4b)
+# float64 bytes of one block of every blocked pass of a step: the sample
+# kernel's row blocks, the cross kernel's column blocks and the penalty's
+# H[R] B (build_matrices). At 1 MiB the passes over a block stay in a
+# core's 2 MiB L2 cache, and the benchmark's steps built 4-7% faster than
+# at 2 MiB
 CROSS_BLOCK_BYTES = 2 ** 20
-PENALTY_BLOCK_BYTES = 2 * 2 ** 20
 
 
 def class_scatter(gram: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -356,6 +355,7 @@ def _sample_sweep(spec: KernelSpec, samples: np.ndarray,
         np.matmul(block, tests, out=products[block_rows])
         np.matmul(block, weights, out=centre[block_rows])
         square += float(np.dot(block.ravel(), block.ravel()))
+        del block    # freed before the next block is built beside it
     return products, centre, square
 
 
@@ -385,6 +385,7 @@ def _project_cross(spec: KernelSpec, samples: np.ndarray, features: np.ndarray,
         sketch += block @ probes[block_cols]
         block -= centre[:, None]
         np.matmul(block.T, directions, out=cross[block_cols, start:])
+        del block    # freed before the next block is built beside it
     missed = sketch - q @ (q.T @ sketch)
     scale = float(np.linalg.norm(sketch, axis=0).max())
     error = float(np.linalg.norm(missed, axis=0).max()) / scale if scale > 0 else 0.0
@@ -428,10 +429,11 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     B), its ridged Cholesky factor (factor_pencil) and the penalty are
     then r x r, taken in Q's coordinates. The penalty B^T H B is summed
     over row blocks R of the neighbour graph H, B[R]^T (H[R] B), each
-    H[R] B of about PENALTY_BLOCK_BYTES, so no second (n, r) array
-    exists. A step's largest arrays are thus B and the range finder's
-    products, l x RANGE_AHEAD RANGE_BLOCK, never an l x l one; H is built
-    first, so its build's buffers are gone before either.
+    H[R] B of about CROSS_BLOCK_BYTES, the block size of every pass here,
+    so no second (n, r) array exists. A step's largest arrays are thus B
+    and the range finder's products, l x RANGE_AHEAD RANGE_BLOCK, never an
+    l x l one; H is built first, so its build's buffers are gone before
+    either, and each sweep frees a kernel block before it builds the next.
 
     The ridge beta, RIDGE_SCALE times the mean over the l samples of the
     within-class diagonal and at least a floor 64 eps ||G||_F^2, with
@@ -476,7 +478,7 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     factor = factor_pencil(within, beta)
     rank = q.shape[1]
     penalty = np.zeros((rank, rank))
-    rows = max(1, PENALTY_BLOCK_BYTES // (8 * max(rank, 1)))
+    rows = max(1, CROSS_BLOCK_BYTES // (8 * max(rank, 1)))
     for first in range(0, n, rows):
         block = slice(first, first + rows)
         penalty += cross[block].T @ (h[block] @ cross)
@@ -781,13 +783,13 @@ _STEPS = (("csf_vs_gwm", (CSF,), (GM, WM), KernelSpec.sigmoid()),
           ("gm_vs_wm", (GM,), (WM,), KernelSpec.rbf()))
 
 
-def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box, windows):
-    """score(sides) of one step: the MSSIM against the reference of the
-    label box with each member voxel set to neg[0] or pos[0] by side, its
-    mean image taken over the step's two class groups and a singleton for
-    each other tissue label. Each distinct labeling is scored once, against
-    the reference's window statistics windows (reference_windows), which
-    classify_subdomain computes once for both steps."""
+def _step_scorer(labels_box, member, neg, pos, mask_box, windows):
+    """score(sides) of one step: the MSSIM of the label box with each
+    member voxel set to neg[0] or pos[0] by side, its mean image taken over
+    the step's two class groups and a singleton for each other tissue
+    label, against the reference box of windows (reference_windows), which
+    classify_subdomain computes once for both steps. Each distinct
+    labeling is scored once."""
     groups = (neg, pos) + tuple((t,) for t in TISSUE_LABELS if t not in neg + pos)
     cache = {}
 
@@ -796,9 +798,8 @@ def _step_scorer(labels_box, member, neg, pos, ref_box, mask_box, windows):
         if key not in cache:
             lab = labels_box.copy()
             lab[member] = np.where(sides < 0, neg[0], pos[0])
-            cache[key] = mssim(classified_mean_image(lab, ref_box, mask_box,
-                                                     class_groups=groups),
-                               ref_box, mask_box, windows=windows)
+            cache[key] = mssim(classified_mean_image(lab, windows.reference, mask_box,
+                                                     class_groups=groups), windows)
         return cache[key]
 
     return score
@@ -824,7 +825,6 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
     box = box_slices(bounds)
     data_box = vol.data[box].astype(np.float64)
     mask_box = vol.mask[box]
-    ref_box = data_box[..., REFERENCE_CHANNEL]
     labels_box = init_labels[box].copy()
     labels_box[~mask_box] = BG
     diag = {"bounds": [list(b) for b in bounds], "steps": {}}
@@ -835,7 +835,7 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
                          for key, *_ in _STEPS}
         return labels_box, diag
 
-    windows = reference_windows(ref_box, mask_box)
+    windows = reference_windows(data_box[..., REFERENCE_CHANNEL], mask_box)
     for key, neg, pos, kernel in _STEPS:
         member = np.isin(labels_box, neg + pos)
         is_neg = np.isin(labels_box[member], neg)
@@ -843,7 +843,7 @@ def classify_subdomain(vol: MultiChannelVolume, bounds, init_labels: np.ndarray,
         if min(n_neg, is_neg.size - n_neg) < 2:
             diag["steps"][key] = {"skipped": "class absent from initial labels"}
             continue
-        score = _step_scorer(labels_box, member, neg, pos, ref_box, mask_box, windows)
+        score = _step_scorer(labels_box, member, neg, pos, mask_box, windows)
         sides, diag["steps"][key] = _run_step(
             data_box, member, np.where(is_neg, -1, 1).astype(np.int8),
             kernel, score, cfg, rng)

@@ -225,11 +225,11 @@ def _region_mssim(labels_arr: np.ndarray, vol: MultiChannelVolume, bounds) -> fl
     if not mask_box.any():
         return None
     ref_box = vol.data[box][..., vol_io.REFERENCE_CHANNEL].astype(np.float64)
-    image = ssim.classified_mean_image(labels_arr[box], ref_box, mask_box)
     try:
-        return ssim.mssim(image, ref_box, mask_box)
+        windows = ssim.reference_windows(ref_box, mask_box)
     except ValueError:
         return None
+    return ssim.mssim(ssim.classified_mean_image(labels_arr[box], ref_box, mask_box), windows)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ SSIM multiplies luminance, contrast and structure comparisons of local
 Gaussian-weighted patch statistics, stabilized by the published C1, C2 and
 C3; MSSIM averages it over the published 11x11, sigma 1.5 sliding window
 (WINDOW_SIZE, WINDOW_SIGMA) on each axial slice (windows without any brain
-voxel are skipped) and over slices. A box is scored in one pass, two 1-D
-Gaussian passes per moment (the window is separable), with the window
-shrunk to fit thin boxes down to 3x3 (fit_window, window_fits); the
-reference's moments can be computed once for many scored images
-(reference_windows). Classified volumes are compared to the reference
-channel after replacing each voxel by its tissue-class mean intensity."""
+voxel are skipped) and over slices. MSSIM has one call form: a 3D
+reference box and its mask give their window statistics once
+(reference_windows), and mssim scores any classified box against them.
+A box is scored in one pass, two 1-D Gaussian passes per moment (the
+window is separable), with the window shrunk to fit thin boxes down to
+3x3 (fit_window, window_fits). Classified volumes are compared to the
+reference channel after replacing each voxel by its tissue-class mean
+intensity."""
 
 from __future__ import annotations
 
@@ -62,19 +64,22 @@ def window_fits(shape) -> bool:
     return min(shape[0], shape[1]) >= fit_window(shape)[0]
 
 
-@dataclass(frozen=True)
-class PatchStats:
-    """Weighted first/second moments of a patch pair."""
-
-    mu_x: float
-    mu_y: float
-    var_x: float
-    var_y: float
-    cov_xy: float
+def _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov_xy):
+    """SSIM from local moments; scalars or equally shaped arrays."""
+    lum = (2.0 * mu_x * mu_y + C1) / (mu_x * mu_x + mu_y * mu_y + C1)
+    # with C3 = C2/2, contrast * structure collapses without any square
+    # root, which keeps SSIM(x, x) == 1 bit-exactly
+    cs = (2.0 * cov_xy + C2) / (var_x + var_y + C2)
+    return lum * cs
 
 
-def patch_stats(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> PatchStats:
-    """Weighted means, variances and cross-covariance of two equal patches."""
+def ssim_patch(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """SSIM between two equally shaped patches; value in [-1, 1].
+
+    Moments are weighted by weights, normalized to sum 1 (uniform when
+    None); gaussian_window() reproduces one position of the sliding window.
+    Identical patches score exactly 1.0.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
@@ -88,31 +93,10 @@ def patch_stats(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None)
     mu_y = float((w * y).sum())
     dx = x - mu_x
     dy = y - mu_y
-    return PatchStats(
-        mu_x=mu_x, mu_y=mu_y,
-        var_x=float((w * dx * dx).sum()),
-        var_y=float((w * dy * dy).sum()),
-        cov_xy=float((w * dx * dy).sum()),
-    )
-
-
-def _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov_xy):
-    """SSIM from local moments; scalars or equally shaped arrays."""
-    lum = (2.0 * mu_x * mu_y + C1) / (mu_x * mu_x + mu_y * mu_y + C1)
-    # with C3 = C2/2, contrast * structure collapses without any square
-    # root, which keeps SSIM(x, x) == 1 bit-exactly
-    cs = (2.0 * cov_xy + C2) / (var_x + var_y + C2)
-    return lum * cs
-
-
-def ssim_patch(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """SSIM between two equally shaped patches; value in [-1, 1].
-
-    Identical patches score exactly 1.0. Pass weights to reproduce one
-    position of the Gaussian sliding window.
-    """
-    s = patch_stats(x, y, weights)
-    return float(_ssim_from_moments(s.mu_x, s.mu_y, s.var_x, s.var_y, s.cov_xy))
+    var_x = float((w * dx * dx).sum())
+    var_y = float((w * dy * dy).sum())
+    cov_xy = float((w * dx * dy).sum())
+    return float(_ssim_from_moments(mu_x, mu_y, var_x, var_y, cov_xy))
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +129,6 @@ def _mean_var(img: np.ndarray, smooth) -> tuple[np.ndarray, np.ndarray]:
     return mu, smooth(img * img) - mu * mu
 
 
-def _ssim_map(x: np.ndarray, y: np.ndarray, size: int, sigma: float,
-              y_mean_var: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """SSIM at every fully interior in-plane window position of a 3D box
-    under the size x size Gaussian window of width sigma.
-
-    y_mean_var is _mean_var(y) under that window when already known."""
-    smooth = _smoother(size, sigma)
-    mu_x, var_x = _mean_var(x, smooth)
-    mu_y, var_y = y_mean_var if y_mean_var is not None else _mean_var(y, smooth)
-    cov = smooth(x * y) - mu_x * mu_y
-    return _ssim_from_moments(mu_x, mu_y, var_x, var_y, cov)
-
-
 def _window_counts(mask: np.ndarray, size: int) -> np.ndarray:
     """Masked voxels under each fully interior in-plane window of a 3D box."""
     counts = ndimage.uniform_filter(mask.astype(np.float64), size=(size, size, 1),
@@ -165,22 +136,14 @@ def _window_counts(mask: np.ndarray, size: int) -> np.ndarray:
     return np.rint(counts[_interior(size)]).astype(np.int64)
 
 
-def _as_box(a: np.ndarray) -> np.ndarray:
-    """A 2D image as a one-slice 3D box; a 3D box as is."""
-    if a.ndim == 2:
-        return a[:, :, None]
-    if a.ndim != 3:
-        raise ValueError(f"expected 2D or 3D input, got {a.ndim}D")
-    return a
-
-
 @dataclass(frozen=True)
 class ReferenceWindows:
-    """What MSSIM uses of a reference box and its mask, whatever image is
-    scored against them: the window fitted to the box (fit_window), the
-    reference's windowed mean and variance, and the windows that contain a
-    masked voxel."""
+    """What MSSIM uses of a 3D reference box and its mask, whatever image
+    is scored against them: the reference, the window fitted to the box
+    (fit_window), the reference's windowed mean and variance, and the
+    windows that contain a masked voxel."""
 
+    reference: np.ndarray
     size: int
     sigma: float
     mean: np.ndarray
@@ -189,42 +152,49 @@ class ReferenceWindows:
 
 
 def reference_windows(reference: np.ndarray, mask: np.ndarray) -> ReferenceWindows:
-    """The window statistics of a reference box that mssim needs; compute
-    them once to score many images against one reference."""
-    reference = _as_box(np.asarray(reference, dtype=np.float64))
-    mask = _as_box(mask)
-    if not window_fits(reference.shape):
-        raise ValueError("no sliding window contains a masked voxel")
+    """The window statistics of a 3D reference box and its mask that mssim
+    scores against, computed once however many images are scored. Raises
+    ValueError unless both are 3D of one shape, and when no window fits
+    in plane or none contains a masked voxel."""
+    reference = np.asarray(reference, dtype=np.float64)
+    if reference.ndim != 3 or reference.shape != mask.shape:
+        raise ValueError("reference and mask must be 3D boxes of one shape")
     size, sigma = fit_window(reference.shape)
+    # a box thinner in plane than its fitted window has no window at all
+    keep = _window_counts(mask, size) > 0
+    if not keep.any():
+        raise ValueError("no sliding window contains a masked voxel")
     mean, var = _mean_var(reference, _smoother(size, sigma))
-    return ReferenceWindows(size, sigma, mean, var, _window_counts(mask, size) > 0)
+    return ReferenceWindows(reference, size, sigma, mean, var, keep)
 
 
-def mssim(classified: np.ndarray, reference: np.ndarray, mask: np.ndarray,
-          windows: ReferenceWindows | None = None) -> float:
-    """MSSIM between a classified image and the reference.
+def _ssim_map(x: np.ndarray, windows: ReferenceWindows) -> np.ndarray:
+    """SSIM of a 3D box x against windows.reference at every fully
+    interior in-plane position of windows' Gaussian window; the
+    reference's moments are windows.mean and windows.var."""
+    smooth = _smoother(windows.size, windows.sigma)
+    mu_x, var_x = _mean_var(x, smooth)
+    cov = smooth(x * windows.reference) - mu_x * windows.mean
+    return _ssim_from_moments(mu_x, windows.mean, var_x, windows.var, cov)
 
-    The window is first fitted to the in-plane shape (fit_window). A 3D
-    box is scored in one pass: every moment is two 1-D Gaussian passes along
-    the in-plane axes. Each axial slice's MSSIM is the mean SSIM over its
-    windows containing a masked voxel, and the result is the mean over the
-    slices that have such a window. A 2D input is a one-slice box. Raises
-    ValueError when no window touches the mask. windows, when given, is
-    reference_windows(reference, mask).
+
+def mssim(classified: np.ndarray, windows: ReferenceWindows) -> float:
+    """MSSIM of a classified 3D box against the reference box whose window
+    statistics windows holds (reference_windows).
+
+    A box is scored in one pass: every moment is two 1-D Gaussian passes
+    along the in-plane axes. Each axial slice's MSSIM is the mean SSIM
+    over its windows containing a masked voxel, and the result is the mean
+    over the slices that have such a window.
     """
     classified = np.asarray(classified, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if classified.shape != reference.shape or classified.shape != mask.shape:
-        raise ValueError("classified, reference and mask shapes must agree")
-    if windows is None:
-        windows = reference_windows(reference, mask)
+    if classified.shape != windows.reference.shape:
+        raise ValueError("classified and reference shapes must agree")
     keep = windows.keep
-    ssim_map = _ssim_map(_as_box(classified), _as_box(reference), windows.size,
-                         windows.sigma, (windows.mean, windows.var))
+    ssim_map = _ssim_map(classified, windows)
+    # reference_windows keeps at least one window
     per_slice = [float(ssim_map[:, :, k][keep[:, :, k]].mean())
                  for k in range(keep.shape[2]) if keep[:, :, k].any()]
-    if not per_slice:
-        raise ValueError("no sliding window contains a masked voxel")
     return float(np.mean(per_slice))
 
 

@@ -9,14 +9,14 @@ import pytest
 import scipy.linalg as sla
 
 from kfdaseg import kfda
-from kfdaseg.kfda import (CATEGORIES, KernelSpec, _labelings,
+from kfdaseg.kfda import (CATEGORIES, RANGE_TOL, KernelSpec, _labelings,
                           _project_cross, _range_basis, _run_step, _stratified_cap,
                           build_matrices, categorize, class_scatter,
                           classify_outliers_mahalanobis, classify_subdomain, factor_pencil,
                           kernel_matrix, nearest_prototype_sides, neighborhood_matrix,
                           solve_alpha)
 from kfdaseg.pipeline import PipelineConfig
-from kfdaseg.ssim import mssim
+from kfdaseg.ssim import mssim, reference_windows
 from kfdaseg.volume import BG, CSF, GM, WM
 from oracles import (between, classify_overlap_knn, dense_solve, dense_step, gram, graph_edges,
                      kernel_eval, neighbour_graph, project, roughness,
@@ -279,7 +279,7 @@ def test_build_matrices_never_holds_the_cross_kernel():
             tracemalloc.stop()
         assert mats.cross.shape == (mats.rank, n)
         sketch = l * kfda.RANGE_AHEAD * kfda.RANGE_BLOCK * 8
-        budget = graph + mats.cross.nbytes + sketch + 2 * kfda.PENALTY_BLOCK_BYTES
+        budget = graph + mats.cross.nbytes + sketch + 2 * kfda.CROSS_BLOCK_BYTES
         assert peak < budget < l * n * 8, (l, peak, budget)
         assert (budget < graph + l * l * 8) == (l == 2000), (l, budget)
 
@@ -596,6 +596,39 @@ def test_probes_do_not_depend_on_the_look_ahead(monkeypatch):
     assert rank_2 == rank_8
 
 
+def test_cross_factor_meets_range_tol():
+    # the factor's contract, checked against the whole cross kernel C:
+    # ||C - c 1^T - Q B^T||_2 <= RANGE_TOL ||C||_2. On the corner-crowded
+    # step above the first pass misses it for every kernel here, so only
+    # the redo meets it; on a 20^3 phantom's two published steps at
+    # l = 300 the factor spans far fewer directions than l
+    from kfdaseg.phantom import PhantomSpec, generate_phantom
+
+    def error(keep, sides, spec, features, member):
+        mats = build_matrices(keep, sides, spec, features, member)
+        c = kernel_matrix(spec, features[keep], features)
+        residual = c - mats.centre[:, None] - mats.basis @ mats.cross
+        return np.linalg.norm(residual, 2) / np.linalg.norm(c, 2)
+
+    rng = np.random.default_rng(37)
+    features = rng.random((2000, 3))
+    keep = np.flatnonzero(features[:, 0] < 0.2)[:200]
+    sides = np.where(features[keep, 1] > 0.5, 1, -1).astype(np.int8)
+    for spec in (KernelSpec.rbf(1.0), KernelSpec.rbf(0.5), KernelSpec.sigmoid()):
+        got = error(keep, sides, spec, *subdata_line(features))
+        assert got <= RANGE_TOL, (spec, got)
+    vol, truth = generate_phantom(PhantomSpec(dims=(20, 20, 20), noise_sigma=0.05,
+                                              bias_amplitude=0.10, pv_blur=1.0, seed=11))
+    data = vol.data.astype(np.float64)
+    for neg, pos, spec in (((CSF,), (GM, WM), KernelSpec.sigmoid()),
+                           ((GM,), (WM,), KernelSpec.rbf())):
+        member = vol.mask & np.isin(truth.labels, neg + pos)
+        step_sides = np.where(np.isin(truth.labels[member], neg), -1, 1).astype(np.int8)
+        step_keep = _stratified_cap(step_sides, 300, np.random.default_rng(0))
+        got = error(step_keep, step_sides[step_keep], spec, data[member], member)
+        assert got <= RANGE_TOL, (spec, got)
+
+
 def test_first_ridge_factors_adversarial_within():
     # build_matrices' ridge factors N = fl(Z Z^T), Z r x l, on its first
     # try: for Z of rank 1 and of spread rank (singular values from 1 to
@@ -908,10 +941,13 @@ def test_knn_ties_break_by_prototype_index():
 # SSIM-guided decision
 # ---------------------------------------------------------------------------
 
-def _scorer(reference, mask, shape):
-    """score(sides): MSSIM of the image painting each side one intensity."""
+def _scorer(reference, mask):
+    """score(sides): MSSIM of the image painting each side one intensity,
+    the 2D reference and mask taken as a one-slice box."""
+    windows = reference_windows(reference[:, :, None], mask[:, :, None])
+
     def score(sides):
-        return mssim(np.where(sides < 0, 0.25, 0.75).reshape(shape), reference, mask)
+        return mssim(np.where(sides < 0, 0.25, 0.75).reshape(mask.shape + (1,)), windows)
     return score
 
 
@@ -933,7 +969,7 @@ def test_ssim_guided_empty_sets_keep_labels():
     reference = rng.random((12, 12))
     mask = np.ones((12, 12), dtype=bool)
 
-    value, k, out = _best(_scorer(reference, mask, (12, 12)),
+    value, k, out = _best(_scorer(reference, mask),
                           _labelings(feats, sides, codes, KernelSpec.rbf(0.5), kfda.K_GRID))
     assert np.array_equal(out, sides)
     assert k is None     # the Mahalanobis route
@@ -957,7 +993,7 @@ def test_ssim_guided_improves_noisy_boundary():
 
     proj = np.where(sides_true < 0, -1.0, 1.0) + rng.normal(0, 0.3, h * w)
     codes = categorize(proj, sides_init)
-    score = _scorer(reference, np.ones((h, w), dtype=bool), (h, w))
+    score = _scorer(reference, np.ones((h, w), dtype=bool))
 
     value, k, out = _best(score, _labelings(feats, sides_init, codes, KernelSpec.rbf(0.5),
                                             kfda.K_GRID))

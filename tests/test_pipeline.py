@@ -18,7 +18,7 @@ from kfdaseg.phantom import PhantomSpec, corrupt_boundary_labels, generate_phant
 from kfdaseg.pipeline import (PipelineConfig, PipelineStageError, REPORT_SCHEMA,
                               dice_scores, partition_stage, report_stage, run_pipeline,
                               stitch_stage)
-from kfdaseg.ssim import classified_mean_image, mssim, window_fits
+from kfdaseg.ssim import classified_mean_image, mssim, reference_windows, window_fits
 from kfdaseg.stitch import ClassifiedFragment
 from kfdaseg.volume import (BG, LabelVolume, MultiChannelVolume, box_slices,
                             check_mask_consistency, load_labels, load_volume,
@@ -178,7 +178,7 @@ def test_mssim_columns_recomputable(small_run):
         assert fit_window(mask_box.shape[:2])[0] == row["ssim_window"]
         ref_box = vol.data[box][..., 0].astype(np.float64)
         image = classified_mean_image(saved.labels[box], ref_box, mask_box)
-        value = mssim(image, ref_box, mask_box)
+        value = mssim(image, reference_windows(ref_box, mask_box))
         assert value == pytest.approx(row["mssim_kfda"], abs=1e-9)
 
 

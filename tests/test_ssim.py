@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kfdaseg.ssim import (C1, C2, C3, WINDOW_SIGMA, WINDOW_SIZE, _ssim_map,
-                          _window_counts, classified_mean_image, fit_window,
-                          gaussian_window, mssim, patch_stats, reference_windows,
-                          ssim_patch)
+from kfdaseg.ssim import (C1, C2, C3, WINDOW_SIGMA, WINDOW_SIZE, ReferenceWindows,
+                          _mean_var, _smoother, _ssim_map, _window_counts,
+                          classified_mean_image, fit_window, gaussian_window, mssim,
+                          reference_windows, ssim_patch)
 from kfdaseg.volume import BG, CSF, GM, WM
 
 
@@ -28,6 +28,13 @@ def ssim_oracle(x, y, weights=None):
     con = (2 * sx * sy + C2) / (var_x + var_y + C2)
     st = (cov + C3) / (sx * sy + C3)
     return lum * con * st
+
+
+def windows_at(y, size, sigma):
+    """ReferenceWindows of a 3D box y under an explicit size x size window
+    of width sigma, every window kept."""
+    mean, var = _mean_var(y, _smoother(size, sigma))
+    return ReferenceWindows(y, size, sigma, mean, var, np.ones(mean.shape, dtype=bool))
 
 
 def test_identity_is_exactly_one():
@@ -71,10 +78,12 @@ def test_luminance_shift_decreases_similarity():
     for _ in range(50):
         x = rng.random((9, 9)) * 0.5 + 0.25
         offset = rng.uniform(0.05, 0.2)
-        stats = patch_stats(x, x + offset)
-        lum_shifted = (2 * stats.mu_x * stats.mu_y + C1) / \
-            (stats.mu_x ** 2 + stats.mu_y ** 2 + C1)
+        # a shift leaves contrast and structure at 1: SSIM is the
+        # luminance term alone
+        mu_x, mu_y = x.mean(), (x + offset).mean()
+        lum_shifted = (2 * mu_x * mu_y + C1) / (mu_x ** 2 + mu_y ** 2 + C1)
         assert lum_shifted < 1.0
+        assert ssim_patch(x, x + offset) == pytest.approx(lum_shifted, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -83,33 +92,35 @@ def test_luminance_shift_decreases_similarity():
 
 def test_mssim_reference_vs_itself():
     rng = np.random.default_rng(5)
-    img = rng.random((24, 24))
-    mask = np.ones((24, 24), dtype=bool)
-    assert mssim(img, img, mask) >= 1.0 - 1e-9
+    img = rng.random((24, 24, 1))
+    mask = np.ones((24, 24, 1), dtype=bool)
+    assert mssim(img, reference_windows(img, mask)) >= 1.0 - 1e-9
 
 
 def test_mssim_volume_reference_vs_itself():
     rng = np.random.default_rng(6)
     vol = rng.random((16, 16, 4))
     mask = np.ones(vol.shape, dtype=bool)
-    assert mssim(vol, vol, mask) >= 1.0 - 1e-9
+    assert mssim(vol, reference_windows(vol, mask)) >= 1.0 - 1e-9
 
 
 def test_mssim_window_positions_match_patch_ssim():
     # each sliding-window value equals ssim_patch on that Gaussian-weighted patch
     rng = np.random.default_rng(7)
-    x = rng.random((15, 15))
-    y = rng.random((15, 15))
-    mask = np.ones((15, 15), dtype=bool)
+    x = rng.random((15, 15, 1))
+    y = rng.random((15, 15, 1))
+    mask = np.ones((15, 15, 1), dtype=bool)
     w = gaussian_window()
-    ssim_map = _ssim_map(x[:, :, None], y[:, :, None], WINDOW_SIZE, WINDOW_SIGMA)[:, :, 0]
+    windows = reference_windows(y, mask)
+    assert (windows.size, windows.sigma) == (WINDOW_SIZE, WINDOW_SIGMA)
+    ssim_map = _ssim_map(x, windows)[:, :, 0]
     for r in (0, 2, 4):
         for col in (0, 1, 3):
-            patch_x = x[r:r + 11, col:col + 11]
-            patch_y = y[r:r + 11, col:col + 11]
+            patch_x = x[r:r + 11, col:col + 11, 0]
+            patch_y = y[r:r + 11, col:col + 11, 0]
             assert ssim_map[r, col] == pytest.approx(
                 ssim_patch(patch_x, patch_y, weights=w), abs=1e-10)
-    value = mssim(x, y, mask)
+    value = mssim(x, windows)
     assert value == pytest.approx(float(ssim_map.mean()), abs=1e-12)
     # the windows fitted to thin boxes, at every position of a 3-slice box
     for size in (3, 5, 7, 9):
@@ -119,7 +130,7 @@ def test_mssim_window_positions_match_patch_ssim():
         w = gaussian_window(*fitted)
         bx = rng.random((size + 3, size + 2, 3))
         by = rng.random((size + 3, size + 2, 3))
-        ssim_map = _ssim_map(bx, by, *fitted)
+        ssim_map = _ssim_map(bx, windows_at(by, *fitted))
         assert ssim_map.shape == (4, 3, 3)
         for r, col, k in np.ndindex(ssim_map.shape):
             patch_x = bx[r:r + size, col:col + size, k]
@@ -130,37 +141,40 @@ def test_mssim_window_positions_match_patch_ssim():
 
 def test_mssim_background_windows_excluded():
     rng = np.random.default_rng(8)
-    x = rng.random((32, 32))
-    y = rng.random((32, 32))
-    mask = np.zeros((32, 32), dtype=bool)
+    x = rng.random((32, 32, 1))
+    y = rng.random((32, 32, 1))
+    mask = np.zeros((32, 32, 1), dtype=bool)
     mask[:16, :] = True        # lower half fully background
-    full = mssim(x, y, np.ones_like(mask))
-    masked = mssim(x, y, mask)
+    full = mssim(x, reference_windows(y, np.ones_like(mask)))
+    masked = mssim(x, reference_windows(y, mask))
     # masked score only uses windows touching the upper half
-    smap = _ssim_map(x[:, :, None], y[:, :, None], WINDOW_SIZE, WINDOW_SIGMA)[:, :, 0]
-    counts = _window_counts(mask[:, :, None], 11)[:, :, 0]
+    smap = _ssim_map(x, windows_at(y, WINDOW_SIZE, WINDOW_SIGMA))
+    counts = _window_counts(mask, 11)
     expected = float(smap[counts > 0].mean())
     assert masked == pytest.approx(expected, abs=1e-12)
     assert masked != pytest.approx(full, abs=1e-12)
 
 
 def test_mssim_no_masked_window_errors():
-    x = np.zeros((16, 16))
-    mask = np.zeros((16, 16), dtype=bool)
+    x = np.zeros((16, 16, 1))
+    mask = np.zeros((16, 16, 1), dtype=bool)
     with pytest.raises(ValueError, match="masked voxel"):
-        mssim(x, x, mask)
+        reference_windows(x, mask)
+    # a 2D image is no box: it must be passed as a one-slice box
+    with pytest.raises(ValueError, match="3D boxes"):
+        reference_windows(x[:, :, 0], mask[:, :, 0] | True)
 
 
 def test_mssim_small_slice_uses_fitted_window():
     # an 8x8 slice cannot host the 11x11 window: mssim scores it with the
     # window fit_window shrinks to 7x7
     rng = np.random.default_rng(9)
-    x = rng.random((8, 8))
-    y = rng.random((8, 8))
-    mask = np.ones((8, 8), dtype=bool)
+    x = rng.random((8, 8, 1))
+    y = rng.random((8, 8, 1))
+    mask = np.ones((8, 8, 1), dtype=bool)
     fitted = fit_window((8, 8))
     assert fitted[0] == 7
-    assert mssim(x, y, mask) == float(_ssim_map(x[:, :, None], y[:, :, None], *fitted).mean())
+    assert mssim(x, reference_windows(y, mask)) == float(_ssim_map(x, windows_at(y, *fitted)).mean())
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,23 +191,25 @@ def test_mssim_box_is_mean_of_slice_mssims(dims, density, seed):
     touched = [k for k in range(dims[2]) if mask[:, :, k].any()]
     if not touched:
         with pytest.raises(ValueError, match="masked voxel"):
-            mssim(x, y, mask)
+            reference_windows(y, mask)
         return
-    per_slice = [mssim(x[:, :, k], y[:, :, k], mask[:, :, k]) for k in touched]
-    assert mssim(x, y, mask) == float(np.mean(per_slice))
+    per_slice = [mssim(x[:, :, k:k + 1], reference_windows(y[:, :, k:k + 1], mask[:, :, k:k + 1]))
+                 for k in touched]
+    assert mssim(x, reference_windows(y, mask)) == float(np.mean(per_slice))
 
 
 def test_mssim_with_reference_windows_is_bit_identical():
-    # the reference statistics computed once give the same bits as mssim
-    # computing them per call, on boxes, slices and fitted windows
+    # the reference statistics computed once and reused for many images
+    # give the same bits as statistics computed afresh for each, on boxes,
+    # a one-slice box and fitted windows
     rng = np.random.default_rng(11)
-    for dims in ((24, 20, 5), (9, 12, 3), (16, 16)):
+    for dims in ((24, 20, 5), (9, 12, 3), (16, 16, 1)):
         y = rng.random(dims)
         mask = rng.random(dims) < 0.6
         windows = reference_windows(y, mask)
         for _ in range(3):
             x = rng.random(dims)
-            assert mssim(x, y, mask, windows=windows) == mssim(x, y, mask), dims
+            assert mssim(x, windows) == mssim(x, reference_windows(y, mask)), dims
 
 
 def test_mssim_prefers_true_labels_on_phantom():
@@ -210,7 +226,8 @@ def test_mssim_prefers_true_labels_on_phantom():
     flip = rng.choice(tissue, size=int(0.3 * tissue.size), replace=False)
     corrupted_labels.ravel()[flip] = rng.choice((CSF, GM, WM), size=flip.size)
     bad = classified_mean_image(corrupted_labels, ref, vol.mask)
-    assert mssim(good, ref, vol.mask) > mssim(bad, ref, vol.mask)
+    windows = reference_windows(ref, vol.mask)
+    assert mssim(good, windows) > mssim(bad, windows)
 
 
 # ---------------------------------------------------------------------------
