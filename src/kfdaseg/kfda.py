@@ -12,14 +12,15 @@ RANGE_TOL, in two blocked sweeps (build_matrices): a randomized range
 finder gives Q from one sweep over the l x l sample kernel in row blocks
 (_range_basis, _sample_sweep), and one pass over every voxel in index
 order writes each voxel's row of B in place (_project_cross); a redo
-projects every column on the directions it adds alone; the test blocks
-and the passes' probes have a fixed stream each. The class means,
-the within-class matrix, ridged once so that its pencil always factors
-(build_matrices), and the penalty, summed over row blocks of the graph,
-are then r x r, and every regularization weight of the sweep is one
-dense eigenproblem of that size (solve_alpha). A step's largest arrays
-are B and the range finder's products: neither the sample kernel nor
-the l x n cross kernel ever exists whole. Voxels are then categorized
+projects every column on the directions it adds alone, into a panel of
+their own, so B is never copied; the test blocks and the passes' probes
+have a fixed stream each. The class means, the within-class matrix,
+ridged once so that its pencil always factors (build_matrices), and the
+penalty, summed over row blocks of the graph, are then r x r, and every
+regularization weight of the sweep is one dense eigenproblem of that
+size (solve_alpha). A step's largest arrays are B, the redo panel and
+the range finder's products: neither the sample kernel nor the l x n
+cross kernel ever exists whole. Voxels are then categorized
 by projection sign into tissue prototypes, an overlapping set and class
 outliers. Each solve lists its candidate labelings in tie order
 (_labelings): the outliers reassigned by Mahalanobis distance and
@@ -53,8 +54,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .ssim import classified_mean_image, mssim, reference_windows, window_fits
-from .volume import (BG, CSF, GM, REFERENCE_CHANNEL, TISSUE_LABELS, WM, MultiChannelVolume,
-                     box_slices)
+from .volume import BG, CSF, GM, REFERENCE_CHANNEL, WM, MultiChannelVolume, box_slices
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -182,7 +182,8 @@ class KfdaMatrices:
     """One step's discriminant in the coordinates of a low-rank factor
     C - c 1^T ~ Q B^T of its cross kernel C, centred on a column c
     (build_matrices): class means, factored pencil, penalty and the voxels'
-    rows of the factor."""
+    rows of B in two panels, B = [cross^T, panel^T]: the first pass's and
+    the redos' (empty when no pass redoes)."""
 
     basis: np.ndarray           # (l, r) Q, orthonormal columns
     m_neg: np.ndarray           # (r,) Q^T (m_neg - c)
@@ -190,7 +191,8 @@ class KfdaMatrices:
     factor_inv: np.ndarray      # (r, r) U^-1, Q^T (within + beta I) Q = U^T U
     beta: float                 # the pencil's ridge (build_matrices)
     penalty: np.ndarray         # (r, r) B^T H B, H the voxels' neighbourhood graph
-    cross: np.ndarray           # (r, n) B^T = Q^T (C - c 1^T)
+    cross: np.ndarray           # (p, n) the first pass's rows of B^T, on Q's first p columns
+    panel: np.ndarray           # (r - p, n) the rest of B^T, on the columns redos add
     centre: np.ndarray          # (l,) c, the sample kernel's mean column
     range_error: float          # estimated ||C - Q Q^T C|| relative to ||C||
 
@@ -209,7 +211,10 @@ class KfdaMatrices:
 
     def voxel_projections(self, alpha: np.ndarray) -> np.ndarray:
         """C^T alpha of an l-vector, C taken as its factor Q B^T + c 1^T."""
-        return self.cross.T @ (self.basis.T @ alpha) + float(self.centre @ alpha)
+        y = self.basis.T @ alpha
+        first = len(self.cross)
+        return (self.cross.T @ y[:first] + self.panel.T @ y[first:]
+                + float(self.centre @ alpha))
 
 
 # the cross kernel's factor (build_matrices): its accepted relative error,
@@ -360,16 +365,16 @@ def _sample_sweep(spec: KernelSpec, samples: np.ndarray,
 
 
 def _project_cross(spec: KernelSpec, samples: np.ndarray, features: np.ndarray,
-                   centre: np.ndarray, q: np.ndarray, start: int, cross: np.ndarray,
+                   centre: np.ndarray, q: np.ndarray, start: int, out: np.ndarray,
                    probes: np.ndarray) -> tuple[float, np.ndarray]:
     """(error, missed) of the factor C - centre 1^T ~ Q B^T of
     C = kernel_matrix(spec, samples, features), after one pass over every
-    voxel that writes B's columns from start on, cross[:, start:], and
-    leaves cross's other entries as they are.
+    voxel that writes B's columns from start on, (C - centre 1^T)^T
+    Q[:, start:], into out, (n, r - start), which may be a view.
 
     The pass takes the voxels in index order, evaluates C in blocks of
     contiguous columns of about CROSS_BLOCK_BYTES of float64, so C never
-    exists whole, and writes each block's rows of B in place. It also
+    exists whole, and writes each block's rows of out in place. It also
     applies C to the Gaussian probe vectors W, one row of probes per
     voxel, giving the sketch C W. missed is (I - Q Q^T) C W less its
     directions at most SKETCH_TOL of C W's largest column, and error is
@@ -384,7 +389,7 @@ def _project_cross(spec: KernelSpec, samples: np.ndarray, features: np.ndarray,
         block = kernel_matrix(spec, samples, features[block_cols])
         sketch += block @ probes[block_cols]
         block -= centre[:, None]
-        np.matmul(block.T, directions, out=cross[block_cols, start:])
+        np.matmul(block.T, directions, out=out[block_cols])
         del block    # freed before the next block is built beside it
     missed = sketch - q @ (q.T @ sketch)
     scale = float(np.linalg.norm(sketch, axis=0).max())
@@ -422,18 +427,23 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     outside span Q. Each pass draws its probes from a stream of their
     own, seeded from RANGE_SEED, so they do not depend on how many blocks
     the range finder drew. While the estimate misses RANGE_TOL, Q grows
-    by the m missed directions: B moves into one new (n, r + m) array
-    whose first r columns stay, and another pass projects each column on
-    the added directions only. The class means, the
-    within-class matrix (class_scatter, on the training voxels' rows of
-    B), its ridged Cholesky factor (factor_pencil) and the penalty are
-    then r x r, taken in Q's coordinates. The penalty B^T H B is summed
-    over row blocks R of the neighbour graph H, B[R]^T (H[R] B), each
-    H[R] B of about CROSS_BLOCK_BYTES, the block size of every pass here,
-    so no second (n, r) array exists. A step's largest arrays are thus B
-    and the range finder's products, l x RANGE_AHEAD RANGE_BLOCK, never an
-    l x l one; H is built first, so its build's buffers are gone before
-    either, and each sweep frees a kernel block before it builds the next.
+    by the m missed directions, and another pass projects each column on
+    the added directions only, into a panel E of their own, (n, m): the
+    first pass's columns B_1 stay where it wrote them, a later redo grows
+    E, never B_1, and B = [B_1, E] is held as the two panels
+    (KfdaMatrices.cross and .panel, E empty when no pass redoes). The
+    class means, the within-class matrix (class_scatter, on both panels'
+    training rows), its ridged Cholesky factor (factor_pencil) and the
+    penalty are then r x r, taken in Q's coordinates. The penalty B^T H B
+    is the block matrix [B_1^T H B_1, B_1^T H E; E^T H B_1, E^T H E],
+    each block summed over row blocks R of the neighbour graph H, as
+    B_1[R]^T (H[R] B_1) and so on, each H[R] B of about
+    CROSS_BLOCK_BYTES, the block size of every pass here, so no second
+    (n, r) array exists. A step's largest arrays are thus B_1, E (twice
+    while a redo grows it) and the range finder's products,
+    l x RANGE_AHEAD RANGE_BLOCK, never an l x l one; H is built first, so
+    its build's buffers are gone before either, and each sweep frees a
+    kernel block before it builds the next.
 
     The ridge beta, RIDGE_SCALE times the mean over the l samples of the
     within-class diagonal and at least a floor 64 eps ||G||_F^2, with
@@ -457,34 +467,43 @@ def build_matrices(keep: np.ndarray, sides: np.ndarray, spec: KernelSpec,
     # the within matrix's rounding noise scales with ||Z||_F^2, which
     # ||G||_F^2 bounds (centring and Q^T project each row)
     floor = 64.0 * np.finfo(np.float64).eps * square
-    # stored as the rows of B, so that the sparse products with the graph
-    # and the voxel projections read it in C order
-    cross = np.empty((n, q.shape[1]))
-    start = 0
+    # B's two panels, the first pass's p columns and the redos', stored as
+    # rows, so that the sparse products with the graph and the voxel
+    # projections read them in C order
+    p = q.shape[1]
+    cross, panel = np.empty((n, p)), np.empty((n, 0))
+    out, start = cross, 0
     probe_stream = np.random.default_rng([RANGE_SEED, 1])
     while True:
         probes = probe_stream.standard_normal((n, RANGE_PROBES))
-        range_error, missed = _project_cross(spec, xs, features, centre, q, start, cross, probes)
+        range_error, missed = _project_cross(spec, xs, features, centre, q, start, out, probes)
         if range_error <= RANGE_TOL or q.shape[1] == l:
             break
         start = q.shape[1]
         q = np.hstack([q, missed])
-        grown = np.empty((n, q.shape[1]))
-        grown[:, :start] = cross
-        cross = grown
-    m_neg, m_pos, within = class_scatter(cross[keep].T.copy(), sides)
+        grown = np.empty((n, q.shape[1] - p))
+        grown[:, :panel.shape[1]] = panel
+        panel = grown
+        out = panel[:, start - p:]
+    m_neg, m_pos, within = class_scatter(np.vstack([cross[keep].T, panel[keep].T]), sides)
     # trace 0 happens for single-sample classes; keep the pencil definite
     beta = max(RIDGE_SCALE * float(np.trace(within)) / l or 1e-10, floor)
     factor = factor_pencil(within, beta)
     rank = q.shape[1]
     penalty = np.zeros((rank, rank))
+    parts = ((slice(0, p), cross), (slice(p, rank), panel))
     rows = max(1, CROSS_BLOCK_BYTES // (8 * max(rank, 1)))
     for first in range(0, n, rows):
         block = slice(first, first + rows)
-        penalty += cross[block].T @ (h[block] @ cross)
+        for cols, right in parts:
+            # sliced per panel: one slice kept across both products raised
+            # the benchmark's whole-run peaks by about 0.5 MB (allocator layout)
+            h_right = h[block] @ right
+            for lines, left in parts:
+                penalty[lines, cols] += left[block].T @ h_right
     return KfdaMatrices(basis=q, m_neg=m_neg, m_pos=m_pos, factor_inv=np.linalg.inv(factor),
                         beta=beta, penalty=0.5 * (penalty + penalty.T), cross=cross.T,
-                        centre=centre, range_error=range_error)
+                        panel=panel.T, centre=centre, range_error=range_error)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +766,7 @@ def _run_step(data_box, member, sides_init, kernel, score, cfg: PipelineConfig,
     keep = _stratified_cap(sides_init, cfg.l_max, rng)
     mats = build_matrices(keep, sides_init[keep], kernel, features, member)
     diag = {"n_voxels": len(features), "sweep": [], "chosen_lambda": None, "skipped": None,
-            "rank": mats.rank, "range_error": mats.range_error}
+            "rank": mats.rank, "redo_rank": len(mats.panel), "range_error": mats.range_error}
     solves = []
     for lam in cfg.lambda_grid:
         entry = {"lambda": lam}
@@ -785,12 +804,10 @@ _STEPS = (("csf_vs_gwm", (CSF,), (GM, WM), KernelSpec.sigmoid()),
 
 def _step_scorer(labels_box, member, neg, pos, mask_box, windows):
     """score(sides) of one step: the MSSIM of the label box with each
-    member voxel set to neg[0] or pos[0] by side, its mean image taken over
-    the step's two class groups and a singleton for each other tissue
-    label, against the reference box of windows (reference_windows), which
-    classify_subdomain computes once for both steps. Each distinct
+    member voxel set to neg[0] or pos[0] by side, its mean image taken per
+    tissue label, against the reference box of windows (reference_windows),
+    which classify_subdomain computes once for both steps. Each distinct
     labeling is scored once."""
-    groups = (neg, pos) + tuple((t,) for t in TISSUE_LABELS if t not in neg + pos)
     cache = {}
 
     def score(sides):
@@ -798,8 +815,7 @@ def _step_scorer(labels_box, member, neg, pos, mask_box, windows):
         if key not in cache:
             lab = labels_box.copy()
             lab[member] = np.where(sides < 0, neg[0], pos[0])
-            cache[key] = mssim(classified_mean_image(lab, windows.reference, mask_box,
-                                                     class_groups=groups), windows)
+            cache[key] = mssim(classified_mean_image(lab, windows.reference, mask_box), windows)
         return cache[key]
 
     return score

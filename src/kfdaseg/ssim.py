@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import BG
+from .volume import TISSUE_LABELS
 
 # C1 = (0.01 L)^2, C2 = (0.03 L)^2 and C3 = C2/2 for the dynamic range
 # L = 1 that `normalize_intensities` leaves every channel
@@ -203,30 +203,17 @@ def mssim(classified: np.ndarray, windows: ReferenceWindows) -> float:
 # ---------------------------------------------------------------------------
 
 def classified_mean_image(labels: np.ndarray, reference: np.ndarray,
-                          mask: np.ndarray,
-                          class_groups: tuple[tuple[int, ...], ...] = ((1,), (2,), (3,)),
-                          ) -> np.ndarray:
-    """Replace each voxel by the mean reference intensity of its class group.
+                          mask: np.ndarray) -> np.ndarray:
+    """Replace each voxel by the mean reference intensity of its tissue label.
 
-    Group means are taken over the group's masked voxels in the given
-    arrays; empty groups are skipped and background voxels are set to 0.
-    The groups are disjoint sets of non-negative labels: one lookup table
-    maps every label to its group.
+    Class means are taken over the label's masked voxels in the given
+    arrays; absent labels are skipped, and background, unmasked voxels
+    and any label that is no tissue are set to 0.
     """
-    listed = [t for group in class_groups for t in set(group)]
-    if len(listed) != len(set(listed)):
-        raise ValueError(f"class groups overlap: {class_groups}")
-    # BG and every label in no group map to -1; labels past the table clip
-    # to its last entry, which is -1
-    group_of = np.full(max(max(listed), BG) + 2, -1, dtype=np.intp)
-    for k, group in enumerate(class_groups):
-        group_of[list(group)] = k
-    group_of[BG] = -1
-    group_map = np.where(mask, np.take(group_of, labels, mode="clip"), -1)
     ref = np.asarray(reference, dtype=np.float64)
-    means = np.zeros(len(class_groups) + 1)     # the last entry is the 0 of group -1
-    for k in range(len(class_groups)):
-        sel = group_map == k
+    out = np.zeros(ref.shape)
+    for tissue in TISSUE_LABELS:
+        sel = mask & (labels == tissue)
         if sel.any():
-            means[k] = ref[sel].mean()
-    return means[group_map]
+            out[sel] = ref[sel].mean()
+    return out

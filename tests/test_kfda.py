@@ -139,11 +139,13 @@ def test_cross_factor_blocks_match_whole_kernel():
     # first, second and third column are training voxels, the third also
     # holding a voxel that is not and the other l - 3 training voxels, and
     # a single block of training voxels alone (every voxel training). A
-    # first pass on Q's first 5 columns and a redo on the 2 added columns
-    # give every voxel's row of B and, after each, the probe residual of
-    # the whole kernel matrix C over all n columns; the redo leaves the
-    # first columns as they were, and build_matrices' B has every voxel's
-    # row of Q^T (C - c 1^T), all to rounding
+    # first pass on Q's first 5 columns writes every voxel's row of B on
+    # them; two redos, one per added column, write only a panel of their
+    # own, each through a view of one of its columns, leaving the first
+    # pass's bytes and the panel's first column as they were.
+    # Each pass gives the probe residual of the whole kernel matrix C over
+    # all n columns, and build_matrices' two panels hold every voxel's row
+    # of Q^T (C - c 1^T), all to rounding
     rng = np.random.default_rng(36)
     l, first = 40, 5
     cols = kfda.CROSS_BLOCK_BYTES // (8 * l)
@@ -180,15 +182,20 @@ def test_cross_factor_blocks_match_whole_kernel():
                                            probes)
             assert np.allclose(cross, whole[:first].T, rtol=0, atol=atol), (spec.kind, n)
             check_error(error, missed, q[:, :first], c, probes)
-            grown = np.full((n, q.shape[1]), np.nan)
-            grown[:, :first] = cross
-            error, missed = _project_cross(spec, zs[keep], zs, centre, q, first, grown, probes)
-            assert np.array_equal(grown[:, :first], cross)
-            cross = grown
-            assert np.allclose(cross, whole.T, rtol=0, atol=atol), (spec.kind, n)
-            check_error(error, missed, q, c, probes)
+            written = cross.copy()
+            panel = np.full((n, 2), np.nan)
+            for col in (0, 1):
+                kept = panel.copy()
+                error, missed = _project_cross(spec, zs[keep], zs, centre, q[:, :first + col + 1],
+                                               first + col, panel[:, col:col + 1], probes)
+                assert np.array_equal(cross, written)
+                assert np.array_equal(panel[:, :col], kept[:, :col])
+                check_error(error, missed, q[:, :first + col + 1], c, probes)
+            assert np.allclose(np.hstack([cross, panel]), whole.T, rtol=0,
+                               atol=atol), (spec.kind, n)
             mats = build_matrices(keep, sides, spec, *subdata_line(zs))
-            assert np.allclose(mats.cross, mats.basis.T @ (c - mats.centre[:, None]), rtol=0,
+            assert np.allclose(np.vstack([mats.cross, mats.panel]),
+                               mats.basis.T @ (c - mats.centre[:, None]), rtol=0,
                                atol=atol), (spec.kind, n)
 
 
@@ -199,14 +206,16 @@ def test_build_matrices_evaluates_each_column_once(monkeypatch):
     # first sweep holds one full block and the next a narrow one, and at
     # l = 300 the rank, about 250, outgrows the first sweep's blocks. Each
     # pass over the voxels then evaluates all n columns once, l rows each:
-    # the first projects them on all of Q, a redo (the sigmoid step at
-    # l = 40 redoes its pass once) only on the directions it adds, leaving
-    # every row's earlier entries as they were
+    # the first projects them on all of Q into B, and a redo (the sigmoid
+    # step at l = 40 redoes its pass once) only on the directions it adds,
+    # into a panel of their own: the step keeps B as the first pass wrote
+    # it, in the same buffer
     rng = np.random.default_rng(37)
     features = rng.random((7000, 3))
     sides = np.where(features[:, 0] > 0.5, 1, -1).astype(np.int8)
     phases = []        # ("sweep" or "pass", [(rows, columns) of each kernel block])
     passes = []        # (first direction projected, rank) of each pass
+    written = []       # (B, a copy of it) as the first pass wrote it
 
     def spy_kernel(spec, xs, zs):
         phases[-1][1].append((len(xs), len(zs)))
@@ -216,12 +225,15 @@ def test_build_matrices_evaluates_each_column_once(monkeypatch):
         phases.append(("sweep", []))
         return sweep(spec, samples, tests)
 
-    def spy_pass(spec, samples, features, centre, q, start, cross, probes,
+    def spy_pass(spec, samples, features, centre, q, start, out, probes,
                  project=kfda._project_cross):
         phases.append(("pass", []))
-        kept = cross[:, :start].copy()
-        result = project(spec, samples, features, centre, q, start, cross, probes)
-        assert np.array_equal(cross[:, :start], kept)
+        assert out.shape == (len(features), q.shape[1] - start)
+        if start:
+            assert not np.shares_memory(out, written[0][0])
+        result = project(spec, samples, features, centre, q, start, out, probes)
+        if not start:
+            written.append((out, out.copy()))
         passes.append((start, q.shape[1]))
         return result
 
@@ -234,7 +246,11 @@ def test_build_matrices_evaluates_each_column_once(monkeypatch):
             keep = _stratified_cap(sides[:n], l, np.random.default_rng(0))
             phases.clear()
             passes.clear()
+            written.clear()
             mats = build_matrices(keep, sides[keep], spec, *subdata_line(features[:n]))
+            first, copy = written[0]
+            assert np.shares_memory(mats.cross, first) and np.array_equal(mats.cross.T, copy)
+            assert mats.panel.shape == (mats.rank - passes[0][1], n)
             kinds = [kind for kind, _ in phases]
             sweeps = kinds.count("sweep")
             assert kinds == ["sweep"] * sweeps + ["pass"] * len(passes), kinds
@@ -282,6 +298,43 @@ def test_build_matrices_never_holds_the_cross_kernel():
         budget = graph + mats.cross.nbytes + sketch + 2 * kfda.CROSS_BLOCK_BYTES
         assert peak < budget < l * n * 8, (l, peak, budget)
         assert (budget < graph + l * l * 8) == (l == 2000), (l, budget)
+
+
+def test_redo_never_copies_the_first_pass(monkeypatch):
+    # a redo writes the directions it adds into a panel of their own, so a
+    # step that redoes holds B once: its peak is the graph, B, the redo
+    # panel (twice when a later redo grows it into a new array), the range
+    # finder's products and a couple of blocks. The training voxels crowd
+    # one corner of the cube, and at n = 8000 the first pass's B takes
+    # 4.9 MB (RBF sigma 1, one redo) and 9.6 MB (sigma 0.5, two redos); a
+    # second array of B's size, such as B copied into a grown one, breaks
+    # the bound
+    rng = np.random.default_rng(37)
+    features, member = subdata_line(rng.random((8000, 3)))
+    keep = np.flatnonzero(features[:, 0] < 0.2)[:200]
+    sides = np.where(features[keep, 1] > 0.5, 1, -1).astype(np.int8)
+    h = neighborhood_matrix(member)
+    graph = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+    sketch = len(keep) * kfda.RANGE_AHEAD * kfda.RANGE_BLOCK * 8
+    passes = []
+
+    def spy_pass(*args, project=kfda._project_cross):
+        passes.append(args[5])
+        return project(*args)
+
+    monkeypatch.setattr(kfda, "_project_cross", spy_pass)
+    for spec, redos in ((KernelSpec.rbf(1.0), 1), (KernelSpec.rbf(0.5), 2)):
+        passes.clear()
+        tracemalloc.start()
+        try:
+            mats = build_matrices(keep, sides, spec, features, member)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(passes) == 1 + redos and mats.cross.nbytes >= 4 * 2 ** 20, (spec, passes)
+        panel = mats.panel.nbytes * min(redos, 2)
+        budget = graph + mats.cross.nbytes + panel + sketch + 2 * kfda.CROSS_BLOCK_BYTES
+        assert peak < budget < graph + 2 * mats.cross.nbytes, (spec, peak, budget)
 
 
 def test_two_voxel_neighborhood_matrix():
@@ -598,25 +651,26 @@ def test_probes_do_not_depend_on_the_look_ahead(monkeypatch):
 
 def test_cross_factor_meets_range_tol():
     # the factor's contract, checked against the whole cross kernel C:
-    # ||C - c 1^T - Q B^T||_2 <= RANGE_TOL ||C||_2. On the corner-crowded
-    # step above the first pass misses it for every kernel here, so only
-    # the redo meets it; on a 20^3 phantom's two published steps at
-    # l = 300 the factor spans far fewer directions than l
+    # ||C - c 1^T - Q B^T||_2 <= RANGE_TOL ||C||_2, B^T the first pass's
+    # panel over the redos'. On the corner-crowded step above the first
+    # pass misses it for every kernel here, so only the redo panel meets
+    # it; on a 20^3 phantom's two published steps at l = 300 the factor
+    # spans far fewer directions than l
     from kfdaseg.phantom import PhantomSpec, generate_phantom
 
     def error(keep, sides, spec, features, member):
         mats = build_matrices(keep, sides, spec, features, member)
         c = kernel_matrix(spec, features[keep], features)
-        residual = c - mats.centre[:, None] - mats.basis @ mats.cross
-        return np.linalg.norm(residual, 2) / np.linalg.norm(c, 2)
+        residual = c - mats.centre[:, None] - mats.basis @ np.vstack([mats.cross, mats.panel])
+        return np.linalg.norm(residual, 2) / np.linalg.norm(c, 2), len(mats.panel)
 
     rng = np.random.default_rng(37)
     features = rng.random((2000, 3))
     keep = np.flatnonzero(features[:, 0] < 0.2)[:200]
     sides = np.where(features[keep, 1] > 0.5, 1, -1).astype(np.int8)
     for spec in (KernelSpec.rbf(1.0), KernelSpec.rbf(0.5), KernelSpec.sigmoid()):
-        got = error(keep, sides, spec, *subdata_line(features))
-        assert got <= RANGE_TOL, (spec, got)
+        got, added = error(keep, sides, spec, *subdata_line(features))
+        assert got <= RANGE_TOL and added, (spec, got, added)
     vol, truth = generate_phantom(PhantomSpec(dims=(20, 20, 20), noise_sigma=0.05,
                                               bias_amplitude=0.10, pv_blur=1.0, seed=11))
     data = vol.data.astype(np.float64)
@@ -625,7 +679,7 @@ def test_cross_factor_meets_range_tol():
         member = vol.mask & np.isin(truth.labels, neg + pos)
         step_sides = np.where(np.isin(truth.labels[member], neg), -1, 1).astype(np.int8)
         step_keep = _stratified_cap(step_sides, 300, np.random.default_rng(0))
-        got = error(step_keep, step_sides[step_keep], spec, data[member], member)
+        got, _ = error(step_keep, step_sides[step_keep], spec, data[member], member)
         assert got <= RANGE_TOL, (spec, got)
 
 

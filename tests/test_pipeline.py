@@ -144,7 +144,7 @@ def test_sweep_entries_record_each_solve(small_run):
     for step in steps:
         # the factor spans the cross kernel to its tolerance, or all l samples
         l = min(step["n_voxels"], cfg.l_max)
-        assert 1 <= step["rank"] <= l
+        assert 1 <= step["rank"] <= l and 0 <= step["redo_rank"] <= step["rank"]
         assert 0.0 <= step["range_error"] <= kfda.RANGE_TOL or step["rank"] == l
         assert step["sweep"][0]["lambda"] == 0.0
         assert step["sweep"][0]["gamma_ratio"] == pytest.approx(1.0, abs=1e-12)
