@@ -86,11 +86,18 @@ def _block_geometry(dims) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _smooth_field(dims, rng: np.random.Generator) -> np.ndarray:
-    """Low-frequency random field normalized onto [-1, 1]."""
+    """Low-frequency random field normalized onto [-1, 1]: a 5x5x5 uniform grid
+    upsampled to dims by ndimage.zoom's cubic B-spline (mode "nearest",
+    grid_mode). That zoom is a tensor product, applied here as one (d x 5)
+    matrix per axis whose columns zoom the unit vectors; it matches the 3D
+    zoom to rounding, and the tested phantoms byte for byte."""
     coarse = rng.uniform(-1.0, 1.0, size=(5, 5, 5))
-    zoom = [d / 5.0 for d in dims]
-    fine = ndimage.zoom(coarse, zoom, order=3, mode="nearest", grid_mode=True)
-    fine = fine[: dims[0], : dims[1], : dims[2]]
+    upsample = {d: np.stack([ndimage.zoom(e, d / 5.0, order=3, mode="nearest", grid_mode=True)
+                             for e in np.eye(5)], axis=1) for d in set(dims)}
+    fine = coarse
+    for d in dims:
+        # contracts the leading axis and appends its upsampled one last
+        fine = np.tensordot(fine, upsample[d], axes=(0, 1))
     peak = np.abs(fine).max()
     return fine / peak if peak > 0 else fine
 

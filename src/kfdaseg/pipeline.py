@@ -219,17 +219,18 @@ def _class_counts(labels: np.ndarray, mask: np.ndarray) -> dict:
             for cls in TISSUE_LABELS}
 
 
-def _region_mssim(labels_arr: np.ndarray, vol: MultiChannelVolume, bounds) -> float | None:
+def _region_mssim(label_arrays, vol: MultiChannelVolume, bounds) -> list[float | None]:
+    """MSSIM of each labeling over one box, all scored against one set of
+    reference windows; all None where no window fits or holds a masked voxel."""
     box = vol_io.box_slices(bounds)
     mask_box = vol.mask[box]
-    if not mask_box.any():
-        return None
     ref_box = vol.data[box][..., vol_io.REFERENCE_CHANNEL].astype(np.float64)
     try:
         windows = ssim.reference_windows(ref_box, mask_box)
     except ValueError:
-        return None
-    return ssim.mssim(ssim.classified_mean_image(labels_arr[box], ref_box, mask_box), windows)
+        return [None] * len(label_arrays)
+    return [ssim.mssim(ssim.classified_mean_image(labels[box], ref_box, mask_box), windows)
+            for labels in label_arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +395,8 @@ def report_stage(cfg: PipelineConfig, vol: MultiChannelVolume,
         unchanged = 0
         comparable = 0
         for index, (leaf, diag) in enumerate(zip(leaves, diagnostics)):
-            m_init = _region_mssim(init_labels.labels, vol, leaf.padded_bounds)
-            m_kfda = _region_mssim(final.labels, vol, leaf.padded_bounds)
+            m_init, m_kfda = _region_mssim((init_labels.labels, final.labels), vol,
+                                           leaf.padded_bounds)
             shape = (leaf.padded_bounds[0][1] - leaf.padded_bounds[0][0] + 1,
                      leaf.padded_bounds[1][1] - leaf.padded_bounds[1][0] + 1)
             rows.append({

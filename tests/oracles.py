@@ -186,6 +186,22 @@ def classify_overlap_knn(spec: KernelSpec, features: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Phantoms
+# ---------------------------------------------------------------------------
+
+def zoomed_field(dims, rng: np.random.Generator) -> np.ndarray:
+    """phantom._smooth_field as one 3D ndimage.zoom of the 5x5x5 uniform grid
+    (cubic, mode "nearest", grid_mode), cropped to dims and normalized onto
+    [-1, 1]; it draws from rng exactly as the library does."""
+    coarse = rng.uniform(-1.0, 1.0, size=(5, 5, 5))
+    fine = ndimage.zoom(coarse, [d / 5.0 for d in dims], order=3, mode="nearest",
+                        grid_mode=True)
+    fine = fine[: dims[0], : dims[1], : dims[2]]
+    peak = np.abs(fine).max()
+    return fine / peak if peak > 0 else fine
+
+
+# ---------------------------------------------------------------------------
 # Partition
 # ---------------------------------------------------------------------------
 

@@ -1,12 +1,17 @@
 """Phantom generation determinism/statistics and the k-means initializer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from kfdaseg import phantom
 from kfdaseg.phantom import (PhantomSpec, corrupt_boundary_labels,
                              generate_phantom, kmeans_init, underestimate_csf)
 from kfdaseg.pipeline import dice_scores
 from kfdaseg.volume import BG, CSF, GM, WM, MultiChannelVolume, TISSUE_LABELS
+import oracles
+import recipes
 
 
 def test_clean_phantom_sits_exactly_at_class_means():
@@ -29,6 +34,45 @@ def test_same_seed_is_bit_identical():
     vol2, truth2 = generate_phantom(spec)
     assert vol1.data.tobytes() == vol2.data.tobytes()
     assert truth1.labels.tobytes() == truth2.labels.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (7, 7, 7), (24, 24, 24),
+                                  (64, 64, 64), (2, 20, 20), (11, 3, 17), (100, 7, 2),
+                                  (1, 64, 7)])
+def test_smooth_field_matches_3d_zoom(dims):
+    for seed in range(5):
+        field = phantom._smooth_field(dims, np.random.default_rng(seed))
+        expect = oracles.zoomed_field(dims, np.random.default_rng(seed))
+        assert field.shape == dims
+        assert np.abs(field - expect).max() <= 1e-13, (dims, seed)
+
+
+# the phantoms of perfbench/workloads.py's `seams`, `global` and `csf-growth`
+BENCHMARK_PHANTOMS = (
+    PhantomSpec(dims=(26, 26, 26), noise_sigma=0.05, bias_amplitude=0.10, pv_blur=1.0, seed=11),
+    PhantomSpec(dims=(24, 24, 24), noise_sigma=0.05, bias_amplitude=0.10, pv_blur=1.0, seed=11),
+    PhantomSpec(dims=(24, 24, 24), noise_sigma=0.04, bias_amplitude=0.08, pv_blur=1.0, seed=12),
+)
+
+
+def _input_digests() -> list[str]:
+    """sha256 of the volume, mask and labels of the benchmark's phantoms
+    (with their truth) and of criteria 7-9's recipes (with their initial
+    labels)."""
+    arrays = []
+    for spec in BENCHMARK_PHANTOMS:
+        vol, truth = generate_phantom(spec)
+        arrays += [vol.data, vol.mask, truth.labels]
+    for build in (recipes.criterion_7, recipes.criterion_8, recipes.criterion_9):
+        recipe = build()
+        arrays += [recipe.vol.data, recipe.vol.mask, recipe.init.labels]
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+
+def test_phantoms_byte_identical_to_3d_zoom(monkeypatch):
+    digests = _input_digests()
+    monkeypatch.setattr(phantom, "_smooth_field", oracles.zoomed_field)
+    assert _input_digests() == digests
 
 
 def test_noise_sigma_matches_request_away_from_boundaries():

@@ -9,12 +9,14 @@ of `tests/test_acceptance.py`, built by `tests/recipes.py`; `--criteria`
 adds criterion 7's 64³ config at its `l_max=2000`. Prints one JSON
 object: per config, the sha256 of `labels.u8raw`, `subdomains.json`,
 `partition.json`, `mssim_table.csv`, `curves.csv` and of `report.json`
-less `config.out_dir` (the one field that names the run's directory), and
-each leaf's per-step decision: the chosen lambda, that solve's best k and
-its route, the rank of the step's kernel factor and how many of those
-directions its redo passes added, or the step's skip reason. A change
-that moves rounding so that a rank changes then shows it beside any
-lambda, k or route it moves.
+less `config.out_dir` (the one field that names the run's directory),
+the sha256 of its inputs `inputs/phantom.f32raw` and `inputs/init.u8raw`
+(as `kfdaseg phantom` and `init` write them), and each leaf's per-step
+decision: the chosen lambda, that solve's best k and its route, the rank
+of the step's kernel factor and how many of those directions its redo
+passes added, or the step's skip reason. A change that moves rounding so
+that a rank changes then shows it beside any lambda, k or route it moves,
+and a change to the inputs shows apart from one to the outputs.
 
 A change that should leave every output as it was is checked by running
 this at the change and at its parent and diffing the two outputs. Every
@@ -35,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("labels.u8raw", "subdomains.json", "partition.json", "mssim_table.csv",
            "curves.csv")
+INPUTS = ("phantom.f32raw", "init.u8raw")
 
 
 def load_workloads():
@@ -45,9 +48,12 @@ def load_workloads():
     return WORKLOADS
 
 
-def fingerprint(out: Path) -> dict:
-    """Output hashes and per-step decisions of one run's out_dir."""
+def fingerprint(out: Path, inputs: Path) -> dict:
+    """Output hashes and per-step decisions of one run's out_dir, and the
+    hashes of the input files in inputs."""
     doc = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    doc.update({f"inputs/{name}": hashlib.sha256((inputs / name).read_bytes()).hexdigest()
+                for name in INPUTS})
     report = json.loads((out / "report.json").read_text())
     del report["config"]["out_dir"]
     doc["report.json"] = hashlib.sha256(
@@ -85,7 +91,7 @@ def benchmark_runs(work: Path) -> dict:
                 run_pipeline(PipelineConfig.from_json("config.json"))
             finally:
                 os.chdir(cwd)
-            results[f"{name}/{x}"] = fingerprint(input_dir / "out")
+            results[f"{name}/{x}"] = fingerprint(input_dir / "out", input_dir / "inputs")
     return results
 
 
@@ -93,14 +99,19 @@ def criterion_runs(work: Path, with_7: bool) -> dict:
     """Fingerprints of the criterion-8 and -9 configs, and of criterion 7's."""
     sys.path.insert(0, str(ROOT / "tests"))
     import recipes
+    from kfdaseg.volume import save_labels, save_volume
 
     builders = {"criterion-8": recipes.criterion_8, "criterion-9": recipes.criterion_9}
     if with_7:
         builders["criterion-7"] = recipes.criterion_7
     results = {}
     for name, build in builders.items():
-        build().run(work / name)
-        results[name] = fingerprint(work / name)
+        recipe = build()
+        inputs = work / f"{name}-inputs"
+        save_volume(recipe.vol, inputs / "phantom.f32raw")
+        save_labels(recipe.init, inputs / "init.u8raw")
+        recipe.run(work / name)
+        results[name] = fingerprint(work / name, inputs)
     return results
 
 
